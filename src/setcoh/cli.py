@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,7 +25,6 @@ from .datagen import (
     StatementSet,
     build_splits,
     load_jsonl,
-    pools,
     save_jsonl,
 )
 from .model import (
@@ -37,6 +37,7 @@ from .model import (
 )
 from .trainer import (
     EmptyValidationError,
+    NotABaseSetError,
     PoolExhaustedError,
     TrainerConfig,
     TrainingDivergedError,
@@ -48,6 +49,7 @@ MODEL_FILE = "model.bin"
 THRESHOLD_FILE = "threshold.txt"
 METRICS_FILE = "metrics.csv"
 SNAPSHOT_FILE = "config.snapshot"
+THRESHOLD_SOURCES = ("energy", "inconsistent-softmax")  # the scorers resolve_scorer builds
 
 # Classes whose union contains at most one corrupted part; the locate
 # default, where the gold index set has at most one element per set.
@@ -61,6 +63,7 @@ _DATA_ERRORS = (
     CorruptFileError,
     VersionMismatchError,
     EmptyValidationError,
+    NotABaseSetError,
     PoolExhaustedError,
     evalkit.MissingGoldError,
     evalkit.LengthMismatchError,
@@ -140,13 +143,37 @@ def _save_threshold(out: Path, threshold: Threshold) -> None:
 
 
 def load_threshold(path: Path) -> Threshold:
-    lines = path.read_text().splitlines()
-    meta = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
+    """Inverse of :func:`_save_threshold`; a malformed file raises MalformedRecordError."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(f"{path}: not a text file ({exc.reason})") from exc
+    if not lines:
+        raise MalformedRecordError(f"{path}: empty threshold file")
+    try:
+        value = float(lines[0])
+    except ValueError:
+        raise MalformedRecordError(f"{path}:1: threshold {lines[0]!r} is not a number") from None
+    if math.isnan(value):
+        raise MalformedRecordError(f"{path}:1: threshold is NaN")
+    meta = {}  # key -> (value, line number)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if "=" in line:
+            key, text = line.split("=", 1)
+            meta[key] = (text, lineno)
+    epoch, epoch_line = meta.get("epoch", ("-1", 2))
+    try:
+        learned_epoch = int(epoch)
+    except ValueError:
+        raise MalformedRecordError(f"{path}:{epoch_line}: epoch {epoch!r} is not an integer") from None
+    source, source_line = meta.get("source", ("energy", 2))
+    if source not in THRESHOLD_SOURCES:
+        raise MalformedRecordError(f"{path}:{source_line}: unknown source {source!r}")
     return Threshold(
-        value=float(lines[0]),
-        source=meta.get("source", "energy"),
-        learned_epoch=int(meta.get("epoch", "-1")),
-        degenerate=meta.get("degenerate", "False") == "True",
+        value=value,
+        source=source,
+        learned_epoch=learned_epoch,
+        degenerate=meta.get("degenerate", ("False",))[0] == "True",
     )
 
 
@@ -211,7 +238,7 @@ def resolve_scorer(spec: str, threshold_file: str | None) -> verifier.Scorer:
 
 def _mixture_for(args: argparse.Namespace, corpus: DatasetSplit,
                  classes=None) -> evalkit.EvalMixture:
-    base_c, base_i = pools(_split_sets(corpus, args.split))
+    base_c, base_i = trainer.base_pools(_split_sets(corpus, args.split))
     return evalkit.build_eval_mixture(
         base_c, base_i, args.mixture_per_class, rng_seed=args.seed,
         classes=classes or evalkit.PROVENANCE_CLASSES,
@@ -257,7 +284,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     _write_snapshot(out, "locate", args)
     corpus = load_corpus(Path(args.data))
     scorer = resolve_scorer(args.scorer, args.threshold_file)
-    base_c, base_i = pools(_split_sets(corpus, args.split))
+    base_c, base_i = trainer.base_pools(_split_sets(corpus, args.split))
     base_c = [s for s in base_c if len(s) >= args.min_size]
     base_i = [s for s in base_i if len(s) >= args.min_size]
     classes = tuple(args.classes.split(","))

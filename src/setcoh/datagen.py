@@ -799,8 +799,13 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
 
 
 def load_jsonl(path) -> list[StatementSet]:
-    """Inverse of :func:`save_jsonl`; reports the line number on bad records."""
+    """Inverse of :func:`save_jsonl`; reports the line number on bad records.
+
+    Set ids must be unique: scores, caches and score files refer to sets
+    by id, so a repeated id is rejected like any other bad record.
+    """
     out = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -810,4 +815,10 @@ def load_jsonl(path) -> list[StatementSet]:
                 out.append(set_from_json(record))
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
+            set_id = out[-1].id
+            if set_id in first_line:
+                raise MalformedRecordError(
+                    f"{path}:{lineno}: duplicate set id {set_id!r} (first on line {first_line[set_id]})"
+                )
+            first_line[set_id] = lineno
     return out

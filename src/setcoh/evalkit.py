@@ -30,7 +30,9 @@ from .trainer import (
     PoolExhaustedError,
     TrainerConfig,
     TrainResult,
+    _namespaces,
     _sample_partner,
+    base_pools,
     build_threshold_mixture,
     train,
 )
@@ -79,6 +81,7 @@ def build_eval_mixture(
         if tag not in PROVENANCE_CLASSES:
             raise ValueError(f"unknown provenance class {tag!r}")
     rng = random.Random(f"eval-mixture:{rng_seed}")
+    namespaces = _namespaces([*base_C_pool, *base_I_pool])
     sets: list[StatementSet] = []
     for tag in classes:
         pool_first = base_C_pool if tag[0] == "C" else base_I_pool
@@ -90,11 +93,11 @@ def build_eval_mixture(
                 sets.append(first)
                 continue
             parts = [first]
-            taken = set(first.namespaces())
+            taken = set(namespaces[id(first)])
             for ch in tag[1:]:
                 pool = base_C_pool if ch == "C" else base_I_pool
-                partner = _sample_partner(pool, rng, frozenset(taken))
-                taken |= partner.namespaces()
+                partner = _sample_partner(pool, rng, frozenset(taken), namespaces)
+                taken |= namespaces[id(partner)]
                 parts.append(partner)
             # Provenance sorts C before I regardless of part order.
             sets.append(
@@ -297,10 +300,9 @@ def ablation_report(
     """
     from dataclasses import replace as dc_replace
 
-    from .datagen import pools
     from .verifier import EnergyScorer
 
-    test_c, test_i = pools(splits.test)
+    test_c, test_i = base_pools(splits.test)
     test_mixture = build_eval_mixture(test_c, test_i, eval_per_class, rng_seed=config.rng_seed)
     val2_mixture = build_threshold_mixture(splits.validation2, rng_seed=config.rng_seed)
     reports = []

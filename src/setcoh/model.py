@@ -212,14 +212,24 @@ class TokenCounts:
         return TokenCounts(ids=ids, counts=hist[ids].astype(np.float64), total=len(t.tokens))
 
 
-def _forward(params: ModelParams, tc: TokenCounts) -> tuple[np.ndarray, np.ndarray]:
+Activations = tuple[np.ndarray, np.ndarray]
+
+
+def forward(params: ModelParams, tc: TokenCounts) -> Activations:
+    """``(pooled, hidden)``: the mean-pooled embedding and the tanh layer's output.
+
+    The heads and gradients below take these as ``activations`` so that a
+    caller scoring one set several times under unchanged parameters runs
+    the encoder once; passing them gives bit-identical results.
+    """
     pooled = (tc.counts @ params.emb[tc.ids]) / tc.total
     hidden = np.tanh(pooled @ params.w_hidden + params.b_hidden)
     return pooled, hidden
 
 
-def energy_from_counts(params: ModelParams, tc: TokenCounts) -> float:
-    _, hidden = _forward(params, tc)
+def energy_from_counts(params: ModelParams, tc: TokenCounts,
+                       activations: Activations | None = None) -> float:
+    _, hidden = activations or forward(params, tc)
     return float(hidden @ params.w_energy + params.b_energy)
 
 
@@ -228,8 +238,9 @@ def energy(params: ModelParams, t: TokenizedSet) -> float:
     return energy_from_counts(params, TokenCounts.of(t, len(params.vocab)))
 
 
-def logits_from_counts(params: ModelParams, tc: TokenCounts) -> np.ndarray:
-    _, hidden = _forward(params, tc)
+def logits_from_counts(params: ModelParams, tc: TokenCounts,
+                       activations: Activations | None = None) -> np.ndarray:
+    _, hidden = activations or forward(params, tc)
     return hidden @ params.w_class + params.b_class
 
 
@@ -253,9 +264,10 @@ def accumulate_grad_energy(
     tc: TokenCounts,
     into: dict[str, np.ndarray],
     scale: float = 1.0,
+    activations: Activations | None = None,
 ) -> float:
     """Add ``scale`` times the energy gradient to ``into``; returns the energy."""
-    pooled, hidden = _forward(params, tc)
+    pooled, hidden = activations or forward(params, tc)
     value = float(hidden @ params.w_energy + params.b_energy)
     d_hidden = scale * params.w_energy
     _backprop_common(params, tc, pooled, hidden, d_hidden, into)
@@ -270,9 +282,10 @@ def accumulate_grad_logits(
     upstream: np.ndarray,
     into: dict[str, np.ndarray],
     scale: float = 1.0,
+    activations: Activations | None = None,
 ) -> np.ndarray:
     """Add ``scale`` times the gradient of ``upstream @ logits``; returns the logits."""
-    pooled, hidden = _forward(params, tc)
+    pooled, hidden = activations or forward(params, tc)
     logits = hidden @ params.w_class + params.b_class
     d_hidden = scale * (params.w_class @ upstream)
     _backprop_common(params, tc, pooled, hidden, d_hidden, into)

@@ -146,12 +146,3 @@ PAIRWISE_INCONSISTENT_PATTERNS = [
     ("EW-4", ("(or p h)", "(not h)")),
 ]
 
-
-def rules_for(relation: str, seeds_required: int, label: str | None = None) -> list[Rule]:
-    """Rules applicable to the given seed relation/arity, optionally by label."""
-    out = [
-        r for r in ALL_RULES
-        if r.relation == relation and r.seeds_required == seeds_required
-        and (label is None or r.label == label)
-    ]
-    return out

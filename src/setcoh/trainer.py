@@ -15,13 +15,19 @@ softmax score of the inconsistent class, by the same scan.
 Fine-tuning mixes n source with n target pairs per epoch (re-sampled
 every epoch) and adds an L2 penalty, anchored at zero by default or at
 the starting weights.
+
+All three share one minibatch loop, :func:`_fit`, which reads a union
+only as the sum of its parts' token counts and encodes each distinct set
+once per batch; the trained models are bit-identical to scoring every
+instance from its serialized union.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,11 +39,13 @@ from .datagen import (
 )
 from .model import (
     CLS_INDEX,
+    Activations,
     ModelParams,
     TokenCounts,
     accumulate_grad_energy,
     accumulate_grad_logits,
     energy_from_counts,
+    forward,
     logits_from_counts,
     softmax,
     statement_text,
@@ -68,9 +76,16 @@ REGIMES = {
 THRESHOLD_CLASSES_CONSISTENT = ("C", "CC")
 THRESHOLD_CLASSES_INCONSISTENT = ("I", "CI", "II")
 
+# Provenances of the sets that unions are composed from.
+BASE_PROVENANCES = ("C", "I")
+
 
 class PoolExhaustedError(ValueError):
     """Could not sample a partner set with a disjoint namespace."""
+
+
+class NotABaseSetError(ValueError):
+    """A pool that unions are composed from holds a set that is already a union."""
 
 
 class EmptyValidationError(ValueError):
@@ -118,11 +133,29 @@ class Threshold:
 
 @dataclass(frozen=True)
 class ContrastInstance:
-    more: StatementSet
-    less: StatementSet
+    """One ordered comparison between two sets, each given by its parts.
+
+    Training reads only the parts; ``more`` and ``less`` compose a side's
+    union on demand from its parts and shuffle seed.
+    """
+
     kind: tuple[str, str]
     more_parts: tuple[StatementSet, ...]
     less_parts: tuple[StatementSet, ...]
+    more_seed: int | None = None
+    less_seed: int | None = None
+
+    @property
+    def more(self) -> StatementSet:
+        return _compose(self.more_parts, self.more_seed)
+
+    @property
+    def less(self) -> StatementSet:
+        return _compose(self.less_parts, self.less_seed)
+
+
+def _compose(parts: tuple[StatementSet, ...], seed: int | None) -> StatementSet:
+    return parts[0] if len(parts) == 1 else compose_union(parts, shuffle_seed=seed)
 
 
 @dataclass
@@ -149,44 +182,54 @@ def hinge_loss(e_more_consistent: float, e_less_consistent: float, alpha: float)
 
 
 class CountsCache:
-    """Per-set sparse token histograms, mergeable for unions without re-tokenizing."""
+    """Per-set sparse token histograms; a union's counts are the sum of its parts'.
+
+    Sets are keyed by identity, and each entry keeps its set alive.
+    """
 
     def __init__(self, vocab) -> None:
         self.vocab = vocab
-        self._by_id: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _statement_hist(self, s: StatementSet) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._by_id.get(s.id)
-        if cached is None:
-            ids: list[int] = []
-            for statement in s.statements:
-                ids.extend(self.vocab.encode(w) for w in tokenize(statement_text(statement)))
-            hist = np.bincount(np.asarray(ids, dtype=np.int64), minlength=len(self.vocab))
-            nz = np.nonzero(hist)[0]
-            cached = (nz, hist[nz].astype(np.float64))
-            self._by_id[s.id] = cached
-        return cached
+        self._by_set: dict[int, tuple[StatementSet, np.ndarray, np.ndarray]] = {}
+        self._row = np.zeros(len(vocab))  # dense scratch row, all zero between calls
 
     def counts(self, parts: Sequence[StatementSet]) -> TokenCounts:
         """Token counts of the serialized union of ``parts`` (CLS included)."""
-        hist: dict[int, float] = {CLS_INDEX: 1.0}
+        row = self._row
+        row[CLS_INDEX] = 1.0
         for part in parts:
-            ids, vals = self._statement_hist(part)
-            for i, v in zip(ids.tolist(), vals.tolist()):
-                hist[i] = hist.get(i, 0.0) + v
-        ids_sorted = np.array(sorted(hist), dtype=np.int64)
-        counts = np.array([hist[i] for i in ids_sorted], dtype=np.float64)
-        return TokenCounts(ids=ids_sorted, counts=counts, total=int(counts.sum()))
+            cached = self._by_set.get(id(part))
+            if cached is None:
+                words = (w for st in part.statements for w in tokenize(statement_text(st)))
+                hist = np.bincount(np.asarray([self.vocab.encode(w) for w in words], dtype=np.int64),
+                                   minlength=len(self.vocab))
+                nz = np.nonzero(hist)[0]
+                cached = self._by_set[id(part)] = (part, nz, hist[nz].astype(np.float64))
+            row[cached[1]] += cached[2]
+        ids = np.nonzero(row)[0]
+        counts = row[ids]
+        row[ids] = 0.0
+        return TokenCounts(ids=ids, counts=counts, total=int(counts.sum()))
 
 
-def _sample_partner(
-    pool: Sequence[StatementSet],
-    rng: random.Random,
-    taken: frozenset[str],
-) -> StatementSet:
+def base_pools(sets: Sequence[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
+    """:func:`pools` of a split that unions are composed from: base sets (C or I) only."""
+    for s in sets:
+        if s.provenance not in BASE_PROVENANCES:
+            raise NotABaseSetError(f"set {s.id!r} has provenance {s.provenance!r}; "
+                                   "unions are composed from base sets (C or I) only")
+    return pools(sets)
+
+
+def _namespaces(sets: Sequence[StatementSet]) -> dict[int, frozenset[str]]:
+    """Atom namespaces of each set, keyed by identity."""
+    return {id(s): s.namespaces() for s in sets}
+
+
+def _sample_partner(pool: Sequence[StatementSet], rng: random.Random, taken: frozenset[str],
+                    namespaces: dict[int, frozenset[str]]) -> StatementSet:
     for _ in range(200):
         candidate = pool[rng.randrange(len(pool))]
-        if not (candidate.namespaces() & taken):
+        if not (namespaces[id(candidate)] & taken):
             return candidate
     raise PoolExhaustedError("no namespace-disjoint partner after 200 draws")
 
@@ -198,17 +241,22 @@ def build_contrast_batch(
     rng_seed: int,
     pairs: int | None = None,
     paired: bool = True,
+    namespaces: dict[int, frozenset[str]] | None = None,
 ) -> list[ContrastInstance]:
     """Contrast instances for sampled base pairs.
 
     For every base pair (S_C, S_I) one instance per contrast kind in the
-    regime is emitted; the union sets S_CC, S_CI, S_II are built once
-    per base pair from independently sampled namespace-disjoint
-    partners.  ``paired=True`` samples S_C and S_I at the same pool
-    index (pools generated as matched pairs).
+    regime is emitted; the union parts of S_CC, S_CI, S_II are drawn
+    once per base pair from independently sampled namespace-disjoint
+    partners, each union with its own shuffle seed.  ``paired=True``
+    samples S_C and S_I at the same pool index (pools generated as
+    matched pairs).  ``namespaces`` maps each pool set's identity to its
+    atom namespaces; it is computed here when not given.
     """
     if not pool_C or not pool_I:
         raise PoolExhaustedError("empty base pool")
+    if namespaces is None:
+        namespaces = _namespaces([*pool_C, *pool_I])
     kinds = REGIMES[regime]
     # Separate streams so the base-pair sequence is identical across
     # regimes for one seed (partner draws consume the second stream only).
@@ -216,6 +264,7 @@ def build_contrast_batch(
     rng = random.Random(f"contrast-partners:{rng_seed}")
     if pairs is None:
         pairs = min(len(pool_C), len(pool_I))
+    needed = {tag for pair in kinds for tag in pair}
     out: list[ContrastInstance] = []
     for _ in range(pairs):
         if paired:
@@ -224,37 +273,18 @@ def build_contrast_batch(
         else:
             base_c = pool_C[pair_rng.randrange(len(pool_C))]
             base_i = pool_I[pair_rng.randrange(len(pool_I))]
-        taken = base_c.namespaces() | base_i.namespaces()
-        by_tag: dict[str, tuple[StatementSet, ...]] = {
-            "C": (base_c,),
-            "I": (base_i,),
-        }
-        needed = {tag for pair in kinds for tag in pair}
+        taken = namespaces[id(base_c)] | namespaces[id(base_i)]
+        by_tag: dict[str, tuple[StatementSet, ...]] = {"C": (base_c,), "I": (base_i,)}
         if "CC" in needed:
-            by_tag["CC"] = (base_c, _sample_partner(pool_C, rng, taken))
+            by_tag["CC"] = (base_c, _sample_partner(pool_C, rng, taken, namespaces))
         if "CI" in needed:
-            by_tag["CI"] = (_sample_partner(pool_C, rng, taken), base_i)
+            by_tag["CI"] = (_sample_partner(pool_C, rng, taken, namespaces), base_i)
         if "II" in needed:
-            by_tag["II"] = (base_i, _sample_partner(pool_I, rng, taken))
-        composed: dict[str, StatementSet] = {}
-        for tag, parts in by_tag.items():
-            if len(parts) == 1:
-                composed[tag] = parts[0]
-            else:
-                composed[tag] = compose_union(
-                    parts, shuffle_seed=rng.randrange(2**31)
-                )
+            by_tag["II"] = (base_i, _sample_partner(pool_I, rng, taken, namespaces))
+        seeds = {tag: rng.randrange(2**31) for tag, parts in by_tag.items() if len(parts) > 1}
         for kind in kinds:
-            more_tag, less_tag = kind
-            out.append(
-                ContrastInstance(
-                    more=composed[more_tag],
-                    less=composed[less_tag],
-                    kind=kind,
-                    more_parts=by_tag[more_tag],
-                    less_parts=by_tag[less_tag],
-                )
-            )
+            more, less = kind
+            out.append(ContrastInstance(kind, by_tag[more], by_tag[less], seeds.get(more), seeds.get(less)))
     return out
 
 
@@ -295,26 +325,21 @@ def build_threshold_mixture(
     per_class: int | None = None,
 ) -> list[StatementSet]:
     """C/CC/I/CI/II mixture over a validation split for threshold fitting."""
-    pool_c, pool_i = pools(validation_sets)
+    pool_c, pool_i = base_pools(validation_sets)
     if not pool_c or not pool_i:
         raise EmptyValidationError("validation split lacks one of the labels")
     rng = random.Random(f"threshold-mixture:{rng_seed}")
+    namespaces = _namespaces(pool_c + pool_i)
     n = per_class or min(len(pool_c), len(pool_i))
     out: list[StatementSet] = []
     for tag in THRESHOLD_CLASSES_CONSISTENT + THRESHOLD_CLASSES_INCONSISTENT:
         for k in range(n):
-            if tag == "C":
-                out.append(pool_c[k % len(pool_c)])
-            elif tag == "I":
-                out.append(pool_i[k % len(pool_i)])
-            else:
-                parts = [pool_c[k % len(pool_c)] if ch == "C" else pool_i[k % len(pool_i)] for ch in tag]
-                taken = parts[0].namespaces()
-                pool = pool_c if tag[1] == "C" else pool_i
-                parts[1] = _sample_partner(pool, rng, taken)
-                out.append(
-                    compose_union(parts, set_id=f"thr-{tag}-{k}", shuffle_seed=rng.randrange(2**31))
-                )
+            first = pool_c[k % len(pool_c)] if tag[0] == "C" else pool_i[k % len(pool_i)]
+            if len(tag) == 1:
+                out.append(first)
+                continue
+            partner = _sample_partner(pool_c if tag[1] == "C" else pool_i, rng, namespaces[id(first)], namespaces)
+            out.append(compose_union([first, partner], set_id=f"thr-{tag}-{k}", shuffle_seed=rng.randrange(2**31)))
     return out
 
 
@@ -356,30 +381,32 @@ class _Optimizer:
             arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def _median_energies(
-    params: ModelParams,
-    cache: CountsCache,
-    mixture: Sequence[StatementSet],
-) -> dict[str, float]:
+def _median_energies(mixture: Sequence[StatementSet], scores: Sequence[float]) -> dict[str, float]:
     by_class: dict[str, list[float]] = {}
-    for s in mixture:
-        by_class.setdefault(s.provenance, []).append(energy_from_counts(params, cache.counts([s])))
+    for s, score in zip(mixture, scores):
+        by_class.setdefault(s.provenance, []).append(score)
     return {tag: float(np.median(vals)) for tag, vals in sorted(by_class.items())}
 
 
-def _epoch_instances(
-    pool_c: Sequence[StatementSet],
-    pool_i: Sequence[StatementSet],
-    config: TrainerConfig,
-    epoch: int,
-) -> list[ContrastInstance]:
-    return build_contrast_batch(
-        pool_c,
-        pool_i,
-        config.regime,
-        rng_seed=config.rng_seed * 1_000 + epoch,
-        pairs=config.pairs_per_epoch,
-    )
+def _epoch_instances(pool_c: Sequence[StatementSet], pool_i: Sequence[StatementSet], config: TrainerConfig,
+                     epoch: int, namespaces: dict[int, frozenset[str]] | None = None) -> list[ContrastInstance]:
+    return build_contrast_batch(pool_c, pool_i, config.regime, rng_seed=config.rng_seed * 1_000 + epoch,
+                                pairs=config.pairs_per_epoch, namespaces=namespaces)
+
+
+def _binary_instances(pool_c: Sequence[StatementSet], pool_i: Sequence[StatementSet], config: TrainerConfig,
+                      epoch: int, namespaces: dict[int, frozenset[str]]) -> list[tuple[tuple[StatementSet, ...], int]]:
+    """(parts, label) for each of the C/CC/I/CI/II sides of every base pair."""
+    instances = build_contrast_batch(pool_c, pool_i, "eight", rng_seed=config.rng_seed * 1_000 + epoch,
+                                     pairs=config.pairs_per_epoch, namespaces=namespaces)
+    out: list[tuple[tuple[StatementSet, ...], int]] = []
+    seen_parts: set[int] = set()  # part tuples are shared within a base pair
+    for inst in instances:
+        for parts, tag in zip((inst.more_parts, inst.less_parts), inst.kind):
+            if id(parts) not in seen_parts:
+                seen_parts.add(id(parts))
+                out.append((parts, int("I" in tag)))
+    return out
 
 
 def _check_finite(value: float, params: ModelParams, epoch: int, step: int) -> None:
@@ -390,123 +417,119 @@ def _check_finite(value: float, params: ModelParams, epoch: int, step: int) -> N
             raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}, step {step}")
 
 
+def _hinge_batch(params: ModelParams, batch: Sequence[ContrastInstance], grads, row, alpha: float) -> float:
+    """Summed hinge loss of a batch; active pairs add their gradients in batch order."""
+    scale = 1.0 / len(batch)
+    total = 0.0
+    for inst in batch:
+        tc_more, acts_more, e_more = row(inst.more_parts)
+        tc_less, acts_less, e_less = row(inst.less_parts)
+        loss = hinge_loss(e_more, e_less, alpha)
+        total += loss
+        if loss > 0.0:
+            accumulate_grad_energy(params, tc_more, grads, scale=scale, activations=acts_more)
+            accumulate_grad_energy(params, tc_less, grads, scale=-scale, activations=acts_less)
+    return total
+
+
+def _cross_entropy_batch(params: ModelParams, batch, grads, row) -> float:
+    """Summed cross-entropy of a batch of (parts, label) examples."""
+    scale = 1.0 / len(batch)
+    total = 0.0
+    for parts, label in batch:
+        tc, acts, logits = row(parts)
+        upstream = softmax(logits)
+        total += -float(np.log(max(upstream[label], 1e-300)))
+        upstream[label] -= 1.0
+        accumulate_grad_logits(params, tc, upstream, grads, scale=scale, activations=acts)
+    return total
+
+
+class _Validation(NamedTuple):
+    mixture: list[StatementSet]
+    score: Callable[[ModelParams, TokenCounts], float]
+    source: str                          # the fitted Threshold's source
+
+
+def _fit(params: ModelParams, config: TrainerConfig, epoch_examples: Callable[[int], list],
+         readout: Callable, batch_loss: Callable[..., float], validation: _Validation | None = None):
+    """The minibatch loop of every trainer; updates ``params`` in place.
+
+    ``batch_loss(params, batch, grads, row)`` adds a batch's summed loss
+    gradient to ``grads`` and returns the summed loss; ``row(parts)`` gives
+    the (counts, activations, readout) of a set or union, once per batch.
+    Returns the best validated epoch's parameters and threshold (the last
+    epoch's parameters and None without validation) and, per validated
+    epoch, (mean batch loss, macro accuracy, threshold, validation scores).
+    """
+    cache = CountsCache(params.vocab)
+    if validation is not None:
+        val_counts = [cache.counts([s]) for s in validation.mixture]
+        val_labels = [s.label for s in validation.mixture]
+    optimizer = _Optimizer(params, config)
+    history: list[tuple[float, float, Threshold, list[float]]] = []
+    best: tuple[float, ModelParams, Threshold] | None = None
+    for epoch in range(config.epochs):
+        examples = epoch_examples(epoch)
+        losses: list[float] = []
+        for step, start in enumerate(range(0, len(examples), config.batch_size)):
+            batch = examples[start : start + config.batch_size]
+            rows: dict[tuple[int, ...], tuple[TokenCounts, Activations, object]] = {}
+
+            def row(parts: Sequence[StatementSet]) -> tuple[TokenCounts, Activations, object]:
+                key = tuple(map(id, parts))
+                if key not in rows:
+                    tc = cache.counts(parts)
+                    acts = forward(params, tc)
+                    rows[key] = (tc, acts, readout(params, tc, acts))
+                return rows[key]
+
+            grads = zero_grads(params)
+            loss = batch_loss(params, batch, grads, row) / len(batch)
+            losses.append(loss)
+            optimizer.step(params, grads)
+            _check_finite(loss, params, epoch, step)
+        if validation is None:
+            continue
+        scores = [validation.score(params, tc) for tc in val_counts]
+        value, acc, degenerate = _threshold_scan(scores, val_labels)
+        threshold = Threshold(value, epoch, validation.source, degenerate)
+        history.append((float(np.mean(losses)), acc, threshold, scores))
+        if best is None or acc > best[0]:
+            best = (acc, params.copy(), threshold)
+    return (params, None, history) if best is None else (best[1], best[2], history)
+
+
 def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
     """Hinge-contrast training; returns the best-validation1 epoch's model.
 
     ``splits`` needs ``train`` and ``validation1`` set lists.  The
     returned threshold is the one learned at the winning epoch.
     """
-    params = params.copy()
-    pool_c, pool_i = pools(splits.train)
-    cache = CountsCache(params.vocab)
-    val_mixture = build_threshold_mixture(
-        splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class
+    pool_c, pool_i = base_pools(splits.train)
+    namespaces = _namespaces(pool_c + pool_i)
+    mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
+    best, threshold, history = _fit(
+        params.copy(), config, lambda epoch: _epoch_instances(pool_c, pool_i, config, epoch, namespaces),
+        energy_from_counts, partial(_hinge_batch, alpha=config.alpha),
+        _Validation(mixture, energy_from_counts, "energy"),
     )
-    val_counts = [cache.counts([s]) for s in val_mixture]
-    val_labels = [s.label for s in val_mixture]
-    optimizer = _Optimizer(params, config)
-    log: list[EpochStats] = []
-    best: tuple[float, ModelParams, Threshold] | None = None
-
-    for epoch in range(config.epochs):
-        instances = _epoch_instances(pool_c, pool_i, config, epoch)
-        losses: list[float] = []
-        for start in range(0, len(instances), config.batch_size):
-            batch = instances[start : start + config.batch_size]
-            grads = zero_grads(params)
-            batch_loss = 0.0
-            for inst in batch:
-                tc_more = cache.counts(inst.more_parts)
-                tc_less = cache.counts(inst.less_parts)
-                e_more = energy_from_counts(params, tc_more)
-                e_less = energy_from_counts(params, tc_less)
-                loss = hinge_loss(e_more, e_less, config.alpha)
-                batch_loss += loss
-                if loss > 0.0:
-                    accumulate_grad_energy(params, tc_more, grads, scale=1.0 / len(batch))
-                    accumulate_grad_energy(params, tc_less, grads, scale=-1.0 / len(batch))
-            batch_loss /= len(batch)
-            losses.append(batch_loss)
-            optimizer.step(params, grads)
-            _check_finite(batch_loss, params, epoch, start // config.batch_size)
-        scores = [energy_from_counts(params, tc) for tc in val_counts]
-        value, acc, degenerate = _threshold_scan(scores, val_labels)
-        threshold = Threshold(value=value, learned_epoch=epoch, source="energy", degenerate=degenerate)
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                mean_hinge_loss=float(np.mean(losses)),
-                val1_macro_acc=acc,
-                threshold=value,
-                median_energies=_median_energies(params, cache, val_mixture),
-            )
-        )
-        if best is None or acc > best[0]:
-            best = (acc, params.copy(), threshold)
-    assert best is not None
-    return TrainResult(params=best[1], threshold=best[2], log=log)
-
-
-def _binary_instances(
-    pool_c: Sequence[StatementSet],
-    pool_i: Sequence[StatementSet],
-    config: TrainerConfig,
-    epoch: int,
-) -> list[tuple[tuple[StatementSet, ...], int]]:
-    # Reuse the contrast partner machinery: one C/CC/I/CI/II quintuple per base pair.
-    instances = build_contrast_batch(
-        pool_c, pool_i, "eight", rng_seed=config.rng_seed * 1_000 + epoch,
-        pairs=config.pairs_per_epoch,
-    )
-    out: list[tuple[tuple[StatementSet, ...], int]] = []
-    seen_parts: set[int] = set()  # part tuples are shared within a base pair
-    for inst in instances:
-        for parts, tag in ((inst.more_parts, inst.kind[0]), (inst.less_parts, inst.kind[1])):
-            if id(parts) in seen_parts:
-                continue
-            seen_parts.add(id(parts))
-            out.append((parts, 0 if "I" not in tag else 1))
-    return out
+    log = [EpochStats(epoch, loss, acc, t.value, _median_energies(mixture, scores))
+           for epoch, (loss, acc, t, scores) in enumerate(history)]
+    return TrainResult(params=best, threshold=threshold, log=log)
 
 
 def train_binary(params: ModelParams, splits, config: TrainerConfig) -> tuple[ModelParams, Threshold]:
     """Cross-entropy training of the 2-way head on the five set classes."""
-    params = params.copy()
-    pool_c, pool_i = pools(splits.train)
-    cache = CountsCache(params.vocab)
-    val_mixture = build_threshold_mixture(
-        splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class
+    pool_c, pool_i = base_pools(splits.train)
+    namespaces = _namespaces(pool_c + pool_i)
+    mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
+    best, threshold, _ = _fit(
+        params.copy(), config, lambda epoch: _binary_instances(pool_c, pool_i, config, epoch, namespaces),
+        logits_from_counts, _cross_entropy_batch,
+        _Validation(mixture, lambda p, tc: float(softmax(logits_from_counts(p, tc))[1]), "inconsistent-softmax"),
     )
-    val_counts = [cache.counts([s]) for s in val_mixture]
-    val_labels = [s.label for s in val_mixture]
-    optimizer = _Optimizer(params, config)
-    best: tuple[float, ModelParams, Threshold] | None = None
-
-    for epoch in range(config.epochs):
-        examples = _binary_instances(pool_c, pool_i, config, epoch)
-        for start in range(0, len(examples), config.batch_size):
-            batch = examples[start : start + config.batch_size]
-            grads = zero_grads(params)
-            batch_loss = 0.0
-            for parts, label in batch:
-                tc = cache.counts(parts)
-                logits = logits_from_counts(params, tc)
-                probs = softmax(logits)
-                batch_loss += -float(np.log(max(probs[label], 1e-300)))
-                upstream = probs.copy()
-                upstream[label] -= 1.0
-                accumulate_grad_logits(params, tc, upstream, grads, scale=1.0 / len(batch))
-            batch_loss /= len(batch)
-            optimizer.step(params, grads)
-            _check_finite(batch_loss, params, epoch, start // config.batch_size)
-        scores = [float(softmax(logits_from_counts(params, tc))[1]) for tc in val_counts]
-        value, acc, degenerate = _threshold_scan(scores, val_labels)
-        threshold = Threshold(value=value, learned_epoch=epoch, source="inconsistent-softmax",
-                              degenerate=degenerate)
-        if best is None or acc > best[0]:
-            best = (acc, params.copy(), threshold)
-    assert best is not None
-    return best[1], best[2]
+    return best, threshold
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -529,57 +552,31 @@ def fine_tune(
     distance to the anchor ("zero" or "start") to the loss.
     """
     params = source_params.copy()
-    src_c, src_i = pools(source_pool)
-    tgt_c, tgt_i = pools(target_pool)
+    src_c, src_i = base_pools(source_pool)
+    tgt_c, tgt_i = base_pools(target_pool)
     if n > min(len(src_c), len(src_i)) or n > min(len(tgt_c), len(tgt_i)):
         raise ValueError("n exceeds a pool size")
-    anchor = None
-    if config.l2_anchor == "start":
-        anchor = {name: arr.copy() for name, arr in params.arrays().items()}
-    cache = CountsCache(params.vocab)
-    optimizer = _Optimizer(params, config)
+    anchor = {name: arr.copy() for name, arr in params.arrays().items()} if config.l2_anchor == "start" else None
 
-    for epoch in range(config.epochs):
+    def epoch_instances(epoch: int) -> list[ContrastInstance]:
         rng = random.Random(f"fine-tune:{config.rng_seed}:{epoch}")
-        src_idx = rng.sample(range(min(len(src_c), len(src_i))), n)
-        tgt_idx = rng.sample(range(min(len(tgt_c), len(tgt_i))), n)
         instances = []
-        for pool_c, pool_i, indices, tag in (
-            (src_c, src_i, src_idx, "src"),
-            (tgt_c, tgt_i, tgt_idx, "tgt"),
-        ):
-            sub_c = [pool_c[i] for i in indices]
-            sub_i = [pool_i[i] for i in indices]
-            instances.extend(
-                build_contrast_batch(
-                    sub_c, sub_i, config.regime,
-                    rng_seed=config.rng_seed * 10_000 + epoch * 10 + (0 if tag == "src" else 1),
-                    pairs=n,
-                )
-            )
+        for pool_c, pool_i, offset in ((src_c, src_i, 0), (tgt_c, tgt_i, 1)):
+            indices = rng.sample(range(min(len(pool_c), len(pool_i))), n)
+            instances.extend(build_contrast_batch(
+                [pool_c[i] for i in indices], [pool_i[i] for i in indices], config.regime,
+                rng_seed=config.rng_seed * 10_000 + epoch * 10 + offset, pairs=n,
+            ))
         rng.shuffle(instances)
-        for start in range(0, len(instances), config.batch_size):
-            batch = instances[start : start + config.batch_size]
-            grads = zero_grads(params)
-            batch_loss = 0.0
-            for inst in batch:
-                tc_more = cache.counts(inst.more_parts)
-                tc_less = cache.counts(inst.less_parts)
-                loss = hinge_loss(
-                    energy_from_counts(params, tc_more),
-                    energy_from_counts(params, tc_less),
-                    config.alpha,
-                )
-                batch_loss += loss
-                if loss > 0.0:
-                    accumulate_grad_energy(params, tc_more, grads, scale=1.0 / len(batch))
-                    accumulate_grad_energy(params, tc_less, grads, scale=-1.0 / len(batch))
-            if config.l2_weight:
-                for name, arr in params.arrays().items():
-                    delta = arr if anchor is None else arr - anchor[name]
-                    grads[name] += 2.0 * config.l2_weight * delta
-                    batch_loss += config.l2_weight * float((delta * delta).sum())
-            batch_loss /= len(batch)
-            optimizer.step(params, grads)
-            _check_finite(batch_loss, params, epoch, start // config.batch_size)
-    return params
+        return instances
+
+    def batch_loss(params, batch, grads, row) -> float:
+        loss = _hinge_batch(params, batch, grads, row, config.alpha)
+        if config.l2_weight:
+            for name, arr in params.arrays().items():
+                delta = arr if anchor is None else arr - anchor[name]
+                grads[name] += 2.0 * config.l2_weight * delta
+                loss += config.l2_weight * float((delta * delta).sum())
+        return loss
+
+    return _fit(params, config, epoch_instances, energy_from_counts, batch_loss)[0]

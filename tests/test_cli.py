@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from setcoh.cli import load_corpus, load_threshold, main
+from setcoh.datagen import compose_union, pools, save_jsonl
 from setcoh.trainer import Threshold
 
 
@@ -190,6 +191,48 @@ class TestExitCodes:
                    "--scorer", "oracle", "--strategy", "elementwise", "--mtr", "1.5",
                    "--mixture-per-class", "2")
         assert code == 2
+
+    def test_duplicate_set_id_exit_3(self, tmp_path, qa_dir, capsys):
+        lines = (qa_dir / "data.jsonl").read_text().splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        second["id"] = first["id"]
+        lines[1] = json.dumps(second)
+        data = tmp_path / "dup"
+        data.mkdir()
+        (data / "data.jsonl").write_text("\n".join(lines) + "\n")
+        code = run("train", "--data", data, "--out", tmp_path / "o", "--epochs", "1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{data / 'data.jsonl'}:2:" in err
+        assert f"duplicate set id {first['id']!r} (first on line 1)" in err
+
+    @pytest.mark.parametrize("split", ["train", "validation1", "test"])
+    def test_union_in_a_base_split_exit_3(self, tmp_path, qa_dir, split, capsys):
+        corpus = load_corpus(qa_dir)
+        sets = corpus.splits()[split]
+        union = compose_union(pools(sets)[0][:2], set_id=f"{split}-union-0")
+        sets.insert(0, union)
+        data = tmp_path / "union"
+        data.mkdir()
+        save_jsonl(corpus.train + corpus.validation1 + corpus.validation2 + corpus.test, data / "data.jsonl")
+        if split == "test":
+            commands = [("verify", "--scorer", "oracle", "--mixture-per-class", "2")]
+        else:
+            commands = [("train", "--arch", arch, "--regime", "basic", "--epochs", "1")
+                        for arch in ("energy", "binary")]
+        for command, *flags in commands:
+            assert run(command, "--data", data, "--out", tmp_path / "o", *flags) == 3
+            assert f"{split}-union-0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"", b"abc\nsource=energy\n", b"0.5\nepoch=x\n", b"0.5\nsource=softmax\n",
+                                         b"nan\n", b"\xff\n"])
+    def test_malformed_threshold_file_exit_3(self, tmp_path, qa_dir, model_dir, content, capsys):
+        bad = tmp_path / "threshold.txt"
+        bad.write_bytes(content)
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", model_dir / "model.bin",
+                   "--threshold-file", bad, "--mixture-per-class", "2")
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
 
     def test_console_script_version(self):
         proc = subprocess.run([sys.executable, "-m", "setcoh.cli", "--version"],

@@ -1,19 +1,35 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
-from setcoh.datagen import pools
-from setcoh.model import ModelParams, build_vocabulary, serialize_set, energy
+from setcoh.datagen import compose_union, pools
+from setcoh.model import (
+    ModelParams,
+    TokenCounts,
+    accumulate_grad_energy,
+    accumulate_grad_logits,
+    build_vocabulary,
+    energy,
+    energy_from_counts,
+    logits_from_counts,
+    serialize_set,
+    softmax,
+    zero_grads,
+)
 from setcoh.trainer import (
     CONTRAST_KINDS,
     CountsCache,
     EmptyValidationError,
+    NotABaseSetError,
     PoolExhaustedError,
     REGIMES,
     Threshold,
     TrainerConfig,
     TrainingDivergedError,
+    _Optimizer,
     _threshold_scan,
     build_contrast_batch,
     build_threshold_mixture,
@@ -295,3 +311,217 @@ def test_trainer_config_validation():
         TrainerConfig(regime="nine")
     with pytest.raises(ValueError):
         TrainerConfig(optimizer="rmsprop")
+
+
+# Reference copy of the per-instance training loop the trainer used to run:
+# unions composed eagerly from the partner stream, counts serialized from
+# scratch for every instance, no caches, forward passes repeated.
+
+def _ref_partner(pool, rng, taken):
+    for _ in range(200):
+        candidate = pool[rng.randrange(len(pool))]
+        if not (candidate.namespaces() & taken):
+            return candidate
+    raise PoolExhaustedError("no namespace-disjoint partner after 200 draws")
+
+
+def _ref_contrast_groups(pool_c, pool_i, regime, rng_seed, pairs):
+    """Per base pair, its (more, less, kind) instances with composed unions."""
+    kinds = REGIMES[regime]
+    pair_rng = random.Random(f"contrast-pairs:{rng_seed}")
+    rng = random.Random(f"contrast-partners:{rng_seed}")
+    needed = {tag for kind in kinds for tag in kind}
+    groups = []
+    for _ in range(pairs or min(len(pool_c), len(pool_i))):
+        i = pair_rng.randrange(min(len(pool_c), len(pool_i)))
+        base_c, base_i = pool_c[i], pool_i[i]
+        taken = base_c.namespaces() | base_i.namespaces()
+        by_tag = {"C": (base_c,), "I": (base_i,)}
+        if "CC" in needed:
+            by_tag["CC"] = (base_c, _ref_partner(pool_c, rng, taken))
+        if "CI" in needed:
+            by_tag["CI"] = (_ref_partner(pool_c, rng, taken), base_i)
+        if "II" in needed:
+            by_tag["II"] = (base_i, _ref_partner(pool_i, rng, taken))
+        sets = {tag: parts[0] if len(parts) == 1 else compose_union(parts, shuffle_seed=rng.randrange(2**31))
+                for tag, parts in by_tag.items()}
+        groups.append([(sets[more], sets[less], (more, less)) for more, less in kinds])
+    return groups
+
+
+def _ref_counts(vocab, s):
+    return TokenCounts.of(serialize_set(vocab, s, 0), len(vocab))
+
+
+def _ref_fit(params, config, epoch_batches, binary=False, anchor=None, l2_weight=0.0, mixture=None):
+    """Returns (params, best (acc, params, threshold value, epoch) or None, mean losses)."""
+    vocab = params.vocab
+    if mixture is not None:
+        val_counts = [_ref_counts(vocab, s) for s in mixture]
+        labels = [s.label for s in mixture]
+    optimizer = _Optimizer(params, config)
+    best, mean_losses = None, []
+    for epoch in range(config.epochs):
+        examples = epoch_batches(epoch)
+        losses = []
+        for start in range(0, len(examples), config.batch_size):
+            batch = examples[start : start + config.batch_size]
+            grads = zero_grads(params)
+            batch_loss = 0.0
+            for example in batch:
+                if binary:
+                    s, label = example
+                    tc = _ref_counts(vocab, s)
+                    probs = softmax(logits_from_counts(params, tc))
+                    batch_loss += -float(np.log(max(probs[label], 1e-300)))
+                    upstream = probs.copy()
+                    upstream[label] -= 1.0
+                    accumulate_grad_logits(params, tc, upstream, grads, scale=1.0 / len(batch))
+                    continue
+                more, less, _ = example
+                tc_more, tc_less = _ref_counts(vocab, more), _ref_counts(vocab, less)
+                loss = hinge_loss(energy_from_counts(params, tc_more), energy_from_counts(params, tc_less),
+                                  config.alpha)
+                batch_loss += loss
+                if loss > 0.0:
+                    accumulate_grad_energy(params, tc_more, grads, scale=1.0 / len(batch))
+                    accumulate_grad_energy(params, tc_less, grads, scale=-1.0 / len(batch))
+            if l2_weight:
+                for name, arr in params.arrays().items():
+                    delta = arr if anchor is None else arr - anchor[name]
+                    grads[name] += 2.0 * l2_weight * delta
+                    batch_loss += l2_weight * float((delta * delta).sum())
+            losses.append(batch_loss / len(batch))
+            optimizer.step(params, grads)
+        if mixture is None:
+            continue
+        if binary:
+            scores = [float(softmax(logits_from_counts(params, tc))[1]) for tc in val_counts]
+        else:
+            scores = [energy_from_counts(params, tc) for tc in val_counts]
+        value, acc, _ = _threshold_scan(scores, labels)
+        mean_losses.append(float(np.mean(losses)))
+        if best is None or acc > best[0]:
+            best = (acc, params.copy(), value, epoch)
+    return params, best, mean_losses
+
+
+def _assert_same_params(a, b):
+    for name, arr in a.arrays().items():
+        assert np.array_equal(arr, b.arrays()[name]), name
+
+
+TINY = dict(epochs=2, batch_size=12, pairs_per_epoch=6, val_per_class=4, learning_rate=2e-3)
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("regime", ["basic", "eight"])
+    def test_train_matches_reference_loop(self, small_qa_corpus, regime):
+        vocab = build_vocabulary(small_qa_corpus.train)
+        config = TrainerConfig(rng_seed=3, regime=regime, **TINY)
+        result = train(ModelParams.init(vocab, d=8, h=6, seed=3), small_qa_corpus, config)
+        pool_c, pool_i = pools(small_qa_corpus.train)
+        mixture = build_threshold_mixture(small_qa_corpus.validation1, rng_seed=3, per_class=4)
+
+        def instances(epoch):
+            groups = _ref_contrast_groups(pool_c, pool_i, regime, 3 * 1_000 + epoch, config.pairs_per_epoch)
+            return [inst for group in groups for inst in group]
+
+        _, best, losses = _ref_fit(ModelParams.init(vocab, d=8, h=6, seed=3), config, instances, mixture=mixture)
+        _assert_same_params(result.params, best[1])
+        assert (result.threshold.value, result.threshold.learned_epoch) == (best[2], best[3])
+        assert [stats.mean_hinge_loss for stats in result.log] == losses
+
+    def test_train_binary_matches_reference_loop(self, small_qa_corpus):
+        vocab = build_vocabulary(small_qa_corpus.train)
+        config = TrainerConfig(rng_seed=4, **TINY)
+        trained, threshold = train_binary(ModelParams.init(vocab, d=8, h=6, seed=4), small_qa_corpus, config)
+        pool_c, pool_i = pools(small_qa_corpus.train)
+        mixture = build_threshold_mixture(small_qa_corpus.validation1, rng_seed=4, per_class=4)
+
+        def examples(epoch):
+            out = []
+            for group in _ref_contrast_groups(pool_c, pool_i, "eight", 4 * 1_000 + epoch, config.pairs_per_epoch):
+                seen = set()
+                for more, less, (more_tag, less_tag) in group:
+                    for s, tag in ((more, more_tag), (less, less_tag)):
+                        if id(s) not in seen:
+                            seen.add(id(s))
+                            out.append((s, int("I" in tag)))
+            return out
+
+        _, best, _ = _ref_fit(ModelParams.init(vocab, d=8, h=6, seed=4), config, examples,
+                              binary=True, mixture=mixture)
+        _assert_same_params(trained, best[1])
+        assert (threshold.value, threshold.learned_epoch) == (best[2], best[3])
+
+    @pytest.mark.parametrize("anchor_mode", ["zero", "start"])
+    def test_fine_tune_matches_reference_loop(self, small_qa_corpus, small_snli_corpus, anchor_mode):
+        vocab = build_vocabulary(small_qa_corpus.train + small_snli_corpus.train)
+        config = TrainerConfig(rng_seed=5, regime="eight", l2_weight=0.05, l2_anchor=anchor_mode, **TINY)
+        start = ModelParams.init(vocab, d=8, h=6, seed=5)
+        tuned = fine_tune(start, small_qa_corpus.train, small_snli_corpus.train, n=4, config=config)
+        src, tgt = pools(small_qa_corpus.train), pools(small_snli_corpus.train)
+
+        def instances(epoch):
+            rng = random.Random(f"fine-tune:5:{epoch}")
+            out = []
+            for (pool_c, pool_i), offset in ((src, 0), (tgt, 1)):
+                indices = rng.sample(range(min(len(pool_c), len(pool_i))), 4)
+                groups = _ref_contrast_groups([pool_c[i] for i in indices], [pool_i[i] for i in indices],
+                                              "eight", 5 * 10_000 + epoch * 10 + offset, 4)
+                out.extend(inst for group in groups for inst in group)
+            rng.shuffle(out)
+            return out
+
+        params = start.copy()
+        anchor = {name: arr.copy() for name, arr in params.arrays().items()} if anchor_mode == "start" else None
+        reference, _, _ = _ref_fit(params, config, instances, anchor=anchor, l2_weight=0.05)
+        _assert_same_params(tuned, reference)
+
+    def test_on_demand_unions_match_the_partner_seed_stream(self, small_qa_corpus):
+        pool_c, pool_i = pools(small_qa_corpus.train)
+        reference = [inst for group in _ref_contrast_groups(pool_c, pool_i, "eight", 9, 5) for inst in group]
+        batch = build_contrast_batch(pool_c, pool_i, "eight", rng_seed=9, pairs=5)
+        assert len(batch) == len(reference)
+        for inst, (more, less, kind) in zip(batch, reference):
+            assert inst.kind == kind
+            assert inst.more == more and inst.less == less
+            for parts, seed, union in ((inst.more_parts, inst.more_seed, more),
+                                       (inst.less_parts, inst.less_seed, less)):
+                if len(parts) > 1:
+                    assert compose_union(parts, shuffle_seed=seed) == union
+
+
+class TestTrainingInputs:
+    def test_counts_cache_keys_sets_by_identity(self, small_qa_corpus):
+        vocab = build_vocabulary(small_qa_corpus.train)
+        a, b = small_qa_corpus.train[0], small_qa_corpus.train[2]
+        clash = dataclasses.replace(b, id=a.id)
+        cache = CountsCache(vocab)
+        for s, original in ((a, a), (clash, b)):
+            got, want = cache.counts([s]), _ref_counts(vocab, original)
+            assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
+            assert got.total == want.total
+
+    def test_union_counts_are_the_sum_of_the_parts(self, small_qa_corpus):
+        pool_c, pool_i = pools(small_qa_corpus.train)
+        vocab = build_vocabulary(small_qa_corpus.train)
+        cache = CountsCache(vocab)
+        for inst in build_contrast_batch(pool_c, pool_i, "eight", rng_seed=7, pairs=3):
+            got, want = cache.counts(inst.less_parts), _ref_counts(vocab, inst.less)
+            assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
+            assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
+            assert got.total == want.total
+
+    def test_training_pools_take_base_sets_only(self, small_qa_corpus):
+        pool_c, _ = pools(small_qa_corpus.train)
+        union = compose_union(pool_c[:2], set_id="train-cc-x")
+        splits = dataclasses.replace(small_qa_corpus, train=small_qa_corpus.train + [union])
+        vocab = build_vocabulary(small_qa_corpus.train)
+        config = TrainerConfig(epochs=1, regime="basic", pairs_per_epoch=2, val_per_class=2)
+        for fit in (train, train_binary):
+            with pytest.raises(NotABaseSetError, match="'train-cc-x'"):
+                fit(ModelParams.init(vocab, d=8, h=6), splits, config)
+        with pytest.raises(NotABaseSetError, match="'train-cc-x'"):
+            fine_tune(ModelParams.init(vocab, d=8, h=6), splits.train, small_qa_corpus.train, n=2, config=config)
