@@ -20,6 +20,7 @@ from . import __version__, evalkit, trainer, verifier
 from .datagen import (
     DatasetSplit,
     GenConfig,
+    GenerationError,
     MalformedRecordError,
     MissingSemanticsError,
     StatementSet,
@@ -60,6 +61,7 @@ _DATA_ERRORS = (
     IsADirectoryError,
     MalformedRecordError,
     MissingSemanticsError,
+    GenerationError,
     CorruptFileError,
     VersionMismatchError,
     EmptyValidationError,
@@ -68,6 +70,7 @@ _DATA_ERRORS = (
     evalkit.MissingGoldError,
     evalkit.LengthMismatchError,
     verifier.UnknownSetIdError,
+    verifier.MalformedScoreFileError,
 )
 
 
@@ -117,7 +120,6 @@ def _split_sets(corpus: DatasetSplit, name: str) -> list[StatementSet]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    _write_snapshot(out, "gen", args)
     train_count, eval_count = (int(x) for x in args.counts.split(","))
     config = GenConfig(
         style=args.style,
@@ -125,6 +127,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         eval_count=eval_count,
         qa_flips=tuple(args.qa_flips.split(",")),
     )
+    _write_snapshot(out, "gen", args)
     corpus = build_splits(config, args.seed)
     ordered = corpus.train + corpus.validation1 + corpus.validation2 + corpus.test
     save_jsonl(ordered, out / DATA_FILE)

@@ -31,6 +31,7 @@ from . import wordbank
 from .logic import (
     Atom,
     AtomRef,
+    CompiledFormulas,
     Formula,
     Implies,
     Not,
@@ -60,6 +61,7 @@ QA = "qa"
 FLIP_NO_TO_YES = "no-to-yes"
 FLIP_YES_TO_NO = "yes-to-no"
 FLIP_OPEN_REPLACE = "open-replace"
+QA_FLIPS = (FLIP_NO_TO_YES, FLIP_YES_TO_NO, FLIP_OPEN_REPLACE)
 DEFAULT_FLIPS = (FLIP_NO_TO_YES, FLIP_OPEN_REPLACE)
 
 PROVENANCE_CLASSES = (
@@ -472,18 +474,15 @@ def corrupt_qa(
         raise ValueError("corrupt_qa needs a consistent QA set")
     sc.formulas()  # every statement must carry semantics
     valid: list[tuple[int, Statement]] = []
+    n = len(sc.statements)
     for idx, flipped in _qa_flip_candidates(sc, flips):
-        statements = list(sc.statements)
-        statements[idx] = flipped
-        formulas = [s.semantics for s in statements]
-        context = list(sc.context_semantics)
-        if is_satisfiable(formulas + context):
+        formulas = [s.semantics for s in sc.statements]
+        formulas[idx] = flipped.semantics
+        compiled = CompiledFormulas(formulas, sc.context_semantics)
+        if compiled.satisfiable():
             continue
-        fixes = [
-            j for j in range(len(statements))
-            if is_satisfiable([f for k, f in enumerate(formulas) if k != j] + context)
-        ]
-        certified = fixes == [idx] if len(statements) >= 4 else idx in fixes
+        fixes = [j for j in range(n) if compiled.satisfiable([k for k in range(n) if k != j])]
+        certified = fixes == [idx] if n >= 4 else idx in fixes
         if certified:
             valid.append((idx, flipped))
     if not valid:
@@ -672,6 +671,9 @@ class GenConfig:
             raise ValueError(f"unknown style {self.style!r}")
         if self.train_count < 1 or self.eval_count < 1:
             raise ValueError("counts must be >= 1")
+        unknown = [flip for flip in self.qa_flips if flip not in QA_FLIPS]
+        if unknown:
+            raise ValueError(f"unknown qa flip {unknown[0]!r}; valid flips: {', '.join(QA_FLIPS)}")
 
 
 _SPLIT_NAMES = ("train", "validation1", "validation2", "test")

@@ -219,17 +219,12 @@ def mtr_sweep(
     grid: Sequence[float],
 ) -> list[SweepRow]:
     """Element-wise macro-F1 per tolerance rate and per composed-set size bucket."""
-    ratios = []
-    for s in mixture.sets:
-        verdict = verify_elementwise(scorer, s, mtr=0.0)
-        ratios.append(verdict.detail.ratio)
+    ratios = _pair_ratios(scorer, mixture.sets)
     golds = [s.label for s in mixture.sets]
     buckets = [str(len(s.provenance)) for s in mixture.sets]
     rows: list[SweepRow] = []
     for mtr in grid:
-        predictions = [
-            CONSISTENT if ratio <= mtr else INCONSISTENT for ratio in ratios
-        ]
+        predictions = _tolerance_labels(ratios, mtr)
         for bucket in sorted(set(buckets)) + ["all"]:
             keep = [i for i, b in enumerate(buckets) if bucket == "all" or b == bucket]
             report = macro_f1([predictions[i] for i in keep], [golds[i] for i in keep])
@@ -238,15 +233,32 @@ def mtr_sweep(
 
 
 def best_mtr(scorer: Scorer, sets: Sequence[StatementSet], grid: Sequence[float]) -> float:
-    """Tolerance rate from ``grid`` maximizing element-wise macro-F1 on ``sets``."""
+    """Tolerance rate from ``grid`` maximizing element-wise macro-F1 on ``sets``.
+
+    Each set's pairs are scored once; ties keep the earliest grid value.
+    """
+    if not grid:
+        raise ValueError("empty mtr grid")
+    if any(not 0.0 <= mtr <= 1.0 for mtr in grid):
+        raise ValueError("mtr must be in [0, 1]")
+    ratios = _pair_ratios(scorer, sets)
+    golds = [s.label for s in sets]
     best = None
     for mtr in grid:
-        report = verification_report(scorer, sets, strategy="elementwise", mtr=mtr)
-        if best is None or report.macro_f1 > best[0]:
-            best = (report.macro_f1, float(mtr))
-    if best is None:
-        raise ValueError("empty mtr grid")
+        f1 = macro_f1(_tolerance_labels(ratios, mtr), golds).macro_f1
+        if best is None or f1 > best[0]:
+            best = (f1, float(mtr))
     return best[1]
+
+
+def _pair_ratios(scorer: Scorer, sets: Sequence[StatementSet]) -> list[float]:
+    """Each set's inconsistent-pair ratio, from one element-wise pass."""
+    return [verify_elementwise(scorer, s, mtr=0.0).detail.ratio for s in sets]
+
+
+def _tolerance_labels(ratios: Sequence[float], mtr: float) -> list[str]:
+    """Element-wise verdicts at tolerance rate ``mtr``, as :func:`verify_elementwise` decides them."""
+    return [CONSISTENT if ratio <= mtr else INCONSISTENT for ratio in ratios]
 
 
 @dataclass(frozen=True)

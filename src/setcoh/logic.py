@@ -13,6 +13,10 @@ connected components over shared atoms, so collections assembled from
 independently-named worlds cost the product of tiny tables rather than
 one huge one.  The enumeration itself runs over bitmask columns (one
 big integer per atom), which keeps the inner loop in C.
+:class:`CompiledFormulas` keeps each formula's truth mask, so the
+subsets of one collection (pairs, leave-one-out checks) are decided by
+ANDing masks already built; :func:`is_satisfiable` is one compile and
+one check.
 
 Atoms carry two English surface templates (affirmative / negated) used
 by :func:`realize` to render formulas as sentences.  Rendering is
@@ -128,35 +132,6 @@ def negate(f: Formula) -> Formula:
     return Not(f)
 
 
-def _components(formulas: list[Formula]) -> list[list[Formula]]:
-    """Group formulas into connected components over shared atoms."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    per_formula = [sorted(atoms_of(f)) for f in formulas]
-    for names in per_formula:
-        for name in names:
-            parent.setdefault(name, name)
-        for other in names[1:]:
-            union(names[0], other)
-
-    groups: dict[str, list[Formula]] = {}
-    for f, names in zip(formulas, per_formula):
-        root = find(names[0])
-        groups.setdefault(root, []).append(f)
-    return [groups[root] for root in sorted(groups)]
-
-
 def _column_mask(bit: int, n_atoms: int) -> int:
     # Bit b of the mask is atom-bit `bit` of valuation index b.
     ones = (1 << (1 << bit)) - 1
@@ -179,35 +154,122 @@ def _truth_mask(f: Formula, columns: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
+class CompiledFormulas:
+    """Statements and context compiled once for satisfiability checks on subsets.
+
+    :meth:`satisfiable` decides a subset of ``statements`` (given by index)
+    together with every ``context`` formula.  Atoms are collected once per
+    formula and the components are those of the whole collection; dropping
+    statements can only split a component, never join two, so a subset is
+    satisfiable iff each whole-collection component is.  Column masks and
+    per-formula truth masks are built on first use and then reused.
+    """
+
+    def __init__(self, statements: Iterable[Formula], context: Iterable[Formula] = ()) -> None:
+        self.statements = list(statements)
+        self.context = list(context)
+        everything = self.statements + self.context
+        self._atoms = [atoms_of(f) for f in everything]
+        self._context_atoms = frozenset().union(*self._atoms[len(self.statements):])
+        self._n_atoms = len(frozenset().union(*self._atoms))
+        self._component = _component_ids(self._atoms)
+        n_components = max(self._component, default=-1) + 1
+        names: list[set[str]] = [set() for _ in range(n_components)]
+        for c, atoms in zip(self._component, self._atoms):
+            names[c] |= atoms
+        self._names = [sorted(n) for n in names]
+        self._context_by_component: list[list[int]] = [[] for _ in range(n_components)]
+        for k in range(len(self.statements), len(everything)):
+            self._context_by_component[self._component[k]].append(k)
+        self._tables: list[tuple[dict[str, int], int] | None] = [None] * n_components
+        self._context_joint: list[int | None] = [None] * n_components
+        self._masks: list[int | None] = [None] * len(everything)
+        self._everything = everything
+
+    def satisfiable(self, keep: Iterable[int] | None = None) -> bool:
+        """Whether the statements at ``keep`` (default: all) and the context are jointly satisfiable.
+
+        Raises :class:`AtomBudgetError` when those formulas have more than
+        :data:`ATOM_BUDGET` distinct atoms.
+        """
+        kept = range(len(self.statements)) if keep is None else list(keep)
+        if self._n_atoms > ATOM_BUDGET:
+            # Only the subset's own atoms count; its tables are its own.
+            n_atoms = len(self._context_atoms.union(*(self._atoms[i] for i in kept)))
+            if n_atoms > ATOM_BUDGET:
+                raise AtomBudgetError(
+                    f"{n_atoms} distinct atoms exceed the truth-table bound of {ATOM_BUDGET}"
+                )
+            return CompiledFormulas([self.statements[i] for i in kept], self.context).satisfiable()
+        # Every component with context is in force, whichever statements are kept.
+        members: dict[int, list[int]] = {c: [] for c, ks in enumerate(self._context_by_component) if ks}
+        for i in kept:
+            members.setdefault(self._component[i], []).append(i)
+        for c, ks in members.items():
+            joint = self._context_mask(c)
+            for k in ks:
+                if joint == 0:
+                    break
+                joint &= self._mask(k)
+            if joint == 0:
+                return False
+        return True
+
+    def _mask(self, k: int) -> int:
+        mask = self._masks[k]
+        if mask is None:
+            columns, full = self._table(self._component[k])
+            mask = self._masks[k] = _truth_mask(self._everything[k], columns, full)
+        return mask
+
+    def _table(self, c: int) -> tuple[dict[str, int], int]:
+        """Component ``c``'s atom columns and its all-ones mask."""
+        table = self._tables[c]
+        if table is None:
+            names = self._names[c]
+            columns = {name: _column_mask(i, len(names)) for i, name in enumerate(names)}
+            table = self._tables[c] = (columns, (1 << (1 << len(names))) - 1)
+        return table
+
+    def _context_mask(self, c: int) -> int:
+        """AND of component ``c``'s context masks (all ones when it has none)."""
+        joint = self._context_joint[c]
+        if joint is None:
+            joint = self._table(c)[1]
+            for k in self._context_by_component[c]:
+                joint &= self._mask(k)
+                if joint == 0:
+                    break
+            self._context_joint[c] = joint
+        return joint
+
+
+def _component_ids(per_formula: list[frozenset[str]]) -> list[int]:
+    """Component number of each formula, over shared atoms, numbered by first appearance."""
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for atoms in per_formula:
+        roots = {find(parent.setdefault(name, name)) for name in atoms}
+        first = roots.pop()
+        for root in roots:
+            parent[root] = first
+    numbers: dict[str, int] = {}
+    return [numbers.setdefault(find(next(iter(atoms))), len(numbers)) for atoms in per_formula]
+
+
 def is_satisfiable(fs: Iterable[Formula]) -> bool:
     """True iff one valuation over the union of atoms makes every formula true.
 
     The empty collection is vacuously satisfiable.  Raises
     :class:`AtomBudgetError` above :data:`ATOM_BUDGET` distinct atoms.
     """
-    formulas = list(fs)
-    if not formulas:
-        return True
-    all_atoms: set[str] = set()
-    for f in formulas:
-        all_atoms |= atoms_of(f)
-    if len(all_atoms) > ATOM_BUDGET:
-        raise AtomBudgetError(
-            f"{len(all_atoms)} distinct atoms exceed the truth-table bound of {ATOM_BUDGET}"
-        )
-    for component in _components(formulas):
-        names = sorted(set().union(*(atoms_of(f) for f in component)))
-        n = len(names)
-        full = (1 << (1 << n)) - 1
-        columns = {name: _column_mask(i, n) for i, name in enumerate(names)}
-        joint = full
-        for f in component:
-            joint &= _truth_mask(f, columns, full)
-            if joint == 0:
-                break
-        if joint == 0:
-            return False
-    return True
+    return CompiledFormulas(fs).satisfiable()
 
 
 def _clause(f: Formula, atoms: Mapping[str, Atom]) -> str:

@@ -10,7 +10,9 @@ included), applies one tanh hidden layer, and reads out either a scalar
 energy or a 2-way logit pair from separate affine heads.  Mean pooling
 makes the score exactly invariant under statement permutation, which is
 why the forward pass works from token counts: two streams with equal
-token multisets produce bit-identical scores.
+token multisets produce bit-identical scores.  Scoring therefore never
+builds the stream: :func:`count_rows` counts each statement's tokens
+once, and any subset's counts are CLS plus the sum of its rows.
 
 Gradients are analytic (backprop through the three layers) and are
 checked against central finite differences in the test suite.
@@ -23,7 +25,7 @@ import random
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,7 +104,11 @@ class TokenizedSet:
 
 
 def serialize_set(vocab: Vocabulary, s: StatementSet, shuffle_seed: int = 0) -> TokenizedSet:
-    """Shuffle statements by ``shuffle_seed``, then tokenize the concatenation."""
+    """Shuffle statements by ``shuffle_seed``, then tokenize the concatenation.
+
+    The spec-level stream; scoring works from :func:`count_rows`, whose
+    counts equal this stream's whatever the shuffle.
+    """
     order = list(range(len(s.statements)))
     random.Random(f"serialize:{shuffle_seed}").shuffle(order)
     tokens: list[int] = [CLS_INDEX]
@@ -113,6 +119,19 @@ def serialize_set(vocab: Vocabulary, s: StatementSet, shuffle_seed: int = 0) -> 
         tokens.extend(vocab.encode(w) for w in words)
         offsets.append((start, len(tokens)))
     return TokenizedSet(tokens=tuple(tokens), offsets=tuple(offsets), order=tuple(order))
+
+
+def count_rows(vocab: Vocabulary, statements: Sequence[Statement]) -> np.ndarray:
+    """``(n, V)`` float token counts, one row per statement's tokenized text.
+
+    The stream of any subset of the statements is CLS plus their tokens,
+    so its counts are :meth:`TokenCounts.of_rows` of their rows.
+    """
+    v = len(vocab)
+    flat = [k * v + vocab.encode(w)
+            for k, st in enumerate(statements) for w in tokenize(statement_text(st))]
+    hist = np.bincount(np.asarray(flat, dtype=np.int64), minlength=len(statements) * v)
+    return hist.reshape(len(statements), v).astype(np.float64)
 
 
 @dataclass
@@ -210,6 +229,18 @@ class TokenCounts:
         hist = np.bincount(np.asarray(t.tokens, dtype=np.int64), minlength=vocab_size)
         ids = np.nonzero(hist)[0]
         return TokenCounts(ids=ids, counts=hist[ids].astype(np.float64), total=len(t.tokens))
+
+    @staticmethod
+    def of_rows(rows: np.ndarray) -> "TokenCounts":
+        """Counts of CLS plus the statements whose :func:`count_rows` rows are ``rows``.
+
+        Equal, ids, counts and total, to :meth:`of` on their serialized stream.
+        """
+        row = rows.sum(axis=0)
+        row[CLS_INDEX] += 1.0
+        ids = np.nonzero(row)[0]
+        counts = row[ids]
+        return TokenCounts(ids=ids, counts=counts, total=int(counts.sum()))
 
 
 Activations = tuple[np.ndarray, np.ndarray]

@@ -44,12 +44,11 @@ from .model import (
     TokenCounts,
     accumulate_grad_energy,
     accumulate_grad_logits,
+    count_rows,
     energy_from_counts,
     forward,
     logits_from_counts,
     softmax,
-    statement_text,
-    tokenize,
     zero_grads,
 )
 
@@ -199,11 +198,9 @@ class CountsCache:
         for part in parts:
             cached = self._by_set.get(id(part))
             if cached is None:
-                words = (w for st in part.statements for w in tokenize(statement_text(st)))
-                hist = np.bincount(np.asarray([self.vocab.encode(w) for w in words], dtype=np.int64),
-                                   minlength=len(self.vocab))
+                hist = count_rows(self.vocab, part.statements).sum(axis=0)
                 nz = np.nonzero(hist)[0]
-                cached = self._by_set[id(part)] = (part, nz, hist[nz].astype(np.float64))
+                cached = self._by_set[id(part)] = (part, nz, hist[nz])
             row[cached[1]] += cached[2]
         ids = np.nonzero(row)[0]
         counts = row[ids]

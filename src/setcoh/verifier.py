@@ -16,21 +16,31 @@ Localization removes, while the set is judged inconsistent and larger
 than two statements, the statement whose exclusion yields the lowest
 score, reusing that score as the next verification (so a full run
 costs at most 1 + sum(k for k in 3..N) scorer calls).
+
+A scorer may also offer ``score_many(s, keeps)``: the scores of the
+subsets of ``s`` that keep each index tuple in ``keeps``.  The model and
+oracle scorers compile ``s`` once for it (token-count rows, truth-table
+masks) and give exactly the scores of the subset copies; both
+verification strategies use it when present and score copies otherwise.
 """
 
 from __future__ import annotations
 
-import zlib
+import math
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet
-from .logic import is_satisfiable
-from .model import ModelParams, binary_logits, energy, serialize_set, softmax
+from .logic import CompiledFormulas, is_satisfiable
+from .model import ModelParams, TokenCounts, count_rows, energy_from_counts, logits_from_counts, softmax
 
 
 class UnknownSetIdError(KeyError):
     """An external score file has no row for the requested set id."""
+
+
+class MalformedScoreFileError(ValueError):
+    """An external score file has a bad header or row, a non-finite number or a repeated id."""
 
 
 class Scorer(Protocol):
@@ -76,8 +86,10 @@ class EnergyScorer:
     threshold: float
 
     def score(self, s: StatementSet) -> float:
-        shuffle_seed = zlib.crc32(s.id.encode("utf-8"))
-        return energy(self.params, serialize_set(self.params.vocab, s, shuffle_seed))
+        return self.score_many(s, [range(len(s.statements))])[0]
+
+    def score_many(self, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[float]:
+        return [energy_from_counts(self.params, tc) for tc in _subset_counts(self.params, s, keeps)]
 
 
 @dataclass
@@ -88,9 +100,17 @@ class BinarySoftmaxScorer:
     threshold: float
 
     def score(self, s: StatementSet) -> float:
-        shuffle_seed = zlib.crc32(s.id.encode("utf-8"))
-        logits = binary_logits(self.params, serialize_set(self.params.vocab, s, shuffle_seed))
-        return float(softmax(logits)[1])
+        return self.score_many(s, [range(len(s.statements))])[0]
+
+    def score_many(self, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[float]:
+        return [float(softmax(logits_from_counts(self.params, tc))[1])
+                for tc in _subset_counts(self.params, s, keeps)]
+
+
+def _subset_counts(params: ModelParams, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[TokenCounts]:
+    """Token counts of each subset of ``s`` in ``keeps``, from one tokenization of ``s``."""
+    rows = count_rows(params.vocab, s.statements)
+    return [TokenCounts.of_rows(rows[list(keep)]) for keep in keeps]
 
 
 @dataclass
@@ -101,6 +121,10 @@ class OracleScorer:
 
     def score(self, s: StatementSet) -> float:
         return 0.0 if is_satisfiable(s.all_formulas()) else 1.0
+
+    def score_many(self, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[float]:
+        compiled = CompiledFormulas(s.formulas(), s.context_semantics)
+        return [0.0 if compiled.satisfiable(keep) else 1.0 for keep in keeps]
 
 
 @dataclass
@@ -114,14 +138,9 @@ class GradedOracleScorer:
     threshold: float = 0.5
 
     def score(self, s: StatementSet) -> float:
-        formulas = s.formulas()
-        context = list(s.context_semantics)
-        n = len(formulas)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if not pairs:
-            return 0.0
-        bad = sum(1 for i, j in pairs if not is_satisfiable([formulas[i], formulas[j]] + context))
-        return bad / len(pairs)
+        compiled = CompiledFormulas(s.formulas(), s.context_semantics)
+        pairs = _pairs(len(s.statements))
+        return sum(not compiled.satisfiable(pair) for pair in pairs) / len(pairs)
 
 
 @dataclass
@@ -139,22 +158,47 @@ class ExternalScorer:
 
 
 def external_scorer_from_file(path) -> ExternalScorer:
-    """Parse a score file: header line ``threshold=<real>``, then ``set_id,score`` rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("threshold="):
-            raise ValueError(f"{path}: expected 'threshold=<real>' header, got {header!r}")
-        threshold = float(header.split("=", 1)[1])
-        scores: dict[str, float] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            set_id, _, value = line.rpartition(",")
-            if not set_id:
-                raise ValueError(f"{path}:{lineno}: expected 'set_id,score'")
-            scores[set_id] = float(value)
+    """Parse a score file: header line ``threshold=<real>``, then ``set_id,score`` rows.
+
+    Every number must be finite and every set id must appear once; any
+    other file raises :class:`MalformedScoreFileError` naming its line.
+    """
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    lines = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            lines.append(raw.decode("utf-8").strip())
+        except UnicodeDecodeError:
+            raise MalformedScoreFileError(f"{path}:{lineno}: not UTF-8 text") from None
+    header = lines[0] if lines else ""
+    if not header.startswith("threshold="):
+        raise MalformedScoreFileError(f"{path}:1: expected 'threshold=<real>' header, got {header!r}")
+    threshold = _finite(header.split("=", 1)[1], f"{path}:1: threshold")
+    scores: dict[str, float] = {}
+    first_seen: dict[str, int] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        set_id, _, value = line.rpartition(",")
+        if not set_id:
+            raise MalformedScoreFileError(f"{path}:{lineno}: expected 'set_id,score'")
+        if set_id in first_seen:
+            raise MalformedScoreFileError(
+                f"{path}:{lineno}: set id {set_id!r} repeats line {first_seen[set_id]}")
+        first_seen[set_id] = lineno
+        scores[set_id] = _finite(value, f"{path}:{lineno}: score")
     return ExternalScorer(scores=scores, threshold=threshold)
+
+
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise MalformedScoreFileError(f"{what} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise MalformedScoreFileError(f"{what} {text!r} is not finite")
+    return value
 
 
 def write_scores_file(path, threshold: float, scores: dict[str, float]) -> None:
@@ -183,24 +227,35 @@ def _subset(s: StatementSet, keep: Sequence[int], suffix: str) -> StatementSet:
     )
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def pair_subsets(s: StatementSet) -> list[tuple[tuple[int, int], StatementSet]]:
-    n = len(s.statements)
-    return [
-        ((i, j), _subset(s, (i, j), f"p{i}-{j}"))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    return [((i, j), _subset(s, (i, j), f"p{i}-{j}")) for i, j in _pairs(len(s.statements))]
+
+
+def _subset_scores(scorer: Scorer, s: StatementSet, keeps: list[tuple[int, ...]],
+                   suffixes: list[str]) -> list[float]:
+    """Scores of the subsets of ``s`` that keep each index tuple in ``keeps``.
+
+    A scorer with ``score_many`` compiles ``s`` once and scores them all
+    from that; any other scorer gets each subset as a copy of ``s``
+    whose id is ``s.id`` plus ``#`` and the subset's suffix.
+    """
+    score_many = getattr(scorer, "score_many", None)
+    if score_many is not None:
+        return score_many(s, keeps)
+    return [scorer.score(_subset(s, keep, suffix)) for keep, suffix in zip(keeps, suffixes)]
 
 
 def verify_elementwise(scorer: Scorer, s: StatementSet, mtr: float) -> Verdict:
     """Pairwise verdict: consistent iff the inconsistent-pair ratio is at most ``mtr``."""
     if not 0.0 <= mtr <= 1.0:
         raise ValueError("mtr must be in [0, 1]")
-    pairs = pair_subsets(s)
-    bad = 0
-    for _, pair in pairs:
-        if scorer.score(pair) >= scorer.threshold:
-            bad += 1
+    pairs = _pairs(len(s.statements))
+    scores = _subset_scores(scorer, s, pairs, [f"p{i}-{j}" for i, j in pairs])
+    bad = sum(score >= scorer.threshold for score in scores)
     ratio = bad / len(pairs)
     detail = PairwiseDetail(pair_count=len(pairs), inconsistent_pairs=bad, ratio=ratio)
     label = CONSISTENT if ratio <= mtr else INCONSISTENT
@@ -223,12 +278,10 @@ def locate(scorer: Scorer, s: StatementSet) -> LocateResult:
             return LocateResult(tuple(removed), CONSISTENT_REACHED, tuple(trace))
         if len(remaining) == 2:
             return LocateResult(tuple(removed), SIZE_TWO_STOP, tuple(trace))
-        scored: list[tuple[int, float]] = []
-        for position, original in enumerate(remaining):
-            keep = remaining[:position] + remaining[position + 1 :]
-            subset = _subset(s, keep, f"loo{original}")
-            scored.append((original, scorer.score(subset)))
-        trace.append(tuple(scored))
+        keeps = [tuple(remaining[:p] + remaining[p + 1:]) for p in range(len(remaining))]
+        scores = _subset_scores(scorer, s, keeps, [f"loo{original}" for original in remaining])
+        scored = tuple(zip(remaining, scores))
+        trace.append(scored)
         best_original, best_score = min(scored, key=lambda item: (item[1], item[0]))
         removed.append(best_original)
         remaining.remove(best_original)

@@ -11,3 +11,14 @@ def small_qa_corpus():
 @pytest.fixture(scope="session")
 def small_snli_corpus():
     return build_splits(GenConfig(style="snli", train_count=40, eval_count=16), rng_seed=5)
+
+
+# The acceptance corpora (desk scale, seed 11), shared by every module that checks them.
+@pytest.fixture(scope="session")
+def qa_corpus():
+    return build_splits(GenConfig(style="qa", train_count=2000, eval_count=200), rng_seed=11)
+
+
+@pytest.fixture(scope="session")
+def snli_corpus():
+    return build_splits(GenConfig(style="snli", train_count=2000, eval_count=200), rng_seed=11)

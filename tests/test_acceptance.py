@@ -14,9 +14,7 @@ import pytest
 from setcoh import evalkit
 from setcoh.cli import SINGLE_GOLD_CLASSES, main
 from setcoh.datagen import (
-    GenConfig,
     apply_rule,
-    build_splits,
     corrupt_qa,
     derive_pairwise_dataset,
     gen_qa_set,
@@ -64,16 +62,6 @@ SNLI_CONFIG = TrainerConfig(
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"\n[criterion {criterion:>2}] {'PASS' if passed else 'FAIL'}: {detail}")
     assert passed, detail
-
-
-@pytest.fixture(scope="session")
-def qa_corpus():
-    return build_splits(GenConfig(style="qa", train_count=2000, eval_count=200), rng_seed=SEED)
-
-
-@pytest.fixture(scope="session")
-def snli_corpus():
-    return build_splits(GenConfig(style="snli", train_count=2000, eval_count=200), rng_seed=SEED)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from setcoh import cli
 from setcoh.cli import load_corpus, load_threshold, main
-from setcoh.datagen import compose_union, pools, save_jsonl
+from setcoh.datagen import QA_FLIPS, GenerationError, compose_union, pools, save_jsonl
 from setcoh.trainer import Threshold
 
 
@@ -233,6 +234,38 @@ class TestExitCodes:
                    "--threshold-file", bad, "--mixture-per-class", "2")
         assert code == 3
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, line", [
+        (b"threshold=abc\nid1,0.9\n", 1),
+        (b"threshold=0.5\nid1,0.9\n\xff\xfe,0.1\n", 3),
+        (b"threshold=0.5\nid1,0.9\nid2,nan\n", 3),
+        (b"threshold=inf\nid1,0.9\n", 1),
+        (b"threshold=0.5\nid1,0.9\nid2,0.1\nid1,0.2\n", 4),
+    ], ids=["threshold-not-a-number", "not-utf8", "nan-score", "inf-threshold", "repeated-id"])
+    def test_malformed_score_file_exit_3(self, tmp_path, qa_dir, content, line, capsys):
+        bad = tmp_path / "scores.csv"
+        bad.write_bytes(content)
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", f"external:{bad}",
+                   "--mixture-per-class", "2")
+        assert code == 3
+        assert f"{bad}:{line}:" in capsys.readouterr().err
+
+    def test_unknown_qa_flip_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        code = run("gen", "--style", "qa", "--counts", "2,1", "--qa-flips", "no-to-yes,bogus", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and all(name in err for name in QA_FLIPS)
+        assert not out.exists()
+
+    def test_generation_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        def uncertifiable(config, seed):
+            raise GenerationError("set 'train-qa-c000000': no certified flip under modes ('yes-to-no',)")
+
+        monkeypatch.setattr(cli, "build_splits", uncertifiable)
+        code = run("gen", "--style", "qa", "--counts", "2,1", "--qa-flips", "yes-to-no", "--out", tmp_path / "g")
+        assert code == 3
+        assert "no certified flip" in capsys.readouterr().err
 
     def test_console_script_version(self):
         proc = subprocess.run([sys.executable, "-m", "setcoh.cli", "--version"],

@@ -7,6 +7,7 @@ from setcoh.datagen import PROVENANCE_CLASSES, pools
 from setcoh.evalkit import (
     LengthMismatchError,
     MissingGoldError,
+    best_mtr,
     build_eval_mixture,
     energy_quartiles,
     locate_metrics,
@@ -15,7 +16,7 @@ from setcoh.evalkit import (
     verification_report,
 )
 from setcoh.trainer import PoolExhaustedError
-from setcoh.verifier import CONSISTENT_REACHED, LocateResult, OracleScorer, verify_elementwise
+from setcoh.verifier import CONSISTENT_REACHED, LocateResult, OracleScorer, pair_subsets, verify_elementwise
 
 C, I = "consistent", "inconsistent"
 
@@ -165,6 +166,41 @@ class TestSweep:
             )
             counts.append(consistent)
         assert counts == sorted(counts)
+
+
+class TestBestMtr:
+    class CountingOracle:
+        """The oracle without ``score_many``, counting each subset it scores."""
+
+        threshold = 0.5
+
+        def __init__(self):
+            self.calls = 0
+
+        def score(self, s):
+            self.calls += 1
+            return OracleScorer().score(s)
+
+    def test_scores_each_pair_once(self, qa_mixture):
+        scorer = self.CountingOracle()
+        grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        chosen = best_mtr(scorer, qa_mixture.sets, grid)
+        assert scorer.calls == sum(len(pair_subsets(s)) for s in qa_mixture.sets)
+        # The grid value a per-value evaluation picks: the first with strictly greater macro-F1.
+        f1s = [verification_report(OracleScorer(), qa_mixture.sets, "elementwise", mtr).macro_f1 for mtr in grid]
+        assert chosen == grid[f1s.index(max(f1s))]
+
+    def test_ties_keep_the_first_grid_value(self, qa_mixture):
+        grid = [0.99, 1.0]
+        f1s = [verification_report(OracleScorer(), qa_mixture.sets, "elementwise", mtr).macro_f1 for mtr in grid]
+        assert f1s[0] == f1s[1]
+        assert best_mtr(OracleScorer(), qa_mixture.sets, grid) == 0.99
+
+    def test_bad_grids(self, qa_mixture):
+        with pytest.raises(ValueError):
+            best_mtr(OracleScorer(), qa_mixture.sets, [])
+        with pytest.raises(ValueError):
+            best_mtr(OracleScorer(), qa_mixture.sets, [0.0, 1.5])
 
 
 def test_energy_quartiles_ordering_keys(qa_mixture):

@@ -8,6 +8,7 @@ from setcoh.logic import (
     Atom,
     AtomBudgetError,
     AtomRef,
+    CompiledFormulas,
     FormulaSyntaxError,
     Implies,
     MissingAssignmentError,
@@ -104,9 +105,52 @@ formula_strategy = st.deferred(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(formula_strategy, max_size=5))
-def test_oracle_matches_brute_force_enumeration(formulas):
+@given(st.lists(formula_strategy, max_size=5), st.lists(formula_strategy, max_size=2),
+       st.lists(st.lists(st.booleans(), min_size=5, max_size=5), max_size=4))
+def test_oracle_matches_brute_force_enumeration(formulas, context, masks):
     assert is_satisfiable(formulas) == brute_force_satisfiable(formulas)
+    # One compiled collection answers for each of its subsets, context always in force.
+    compiled = CompiledFormulas(formulas, context)
+    assert compiled.satisfiable() == brute_force_satisfiable(formulas + context)
+    for mask in masks:
+        keep = [i for i in range(len(formulas)) if mask[i]]
+        assert compiled.satisfiable(keep) == brute_force_satisfiable([formulas[i] for i in keep] + context)
+
+
+def _budget_outcome(check):
+    try:
+        return check()
+    except AtomBudgetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_compiled_budget_counts_the_kept_formulas_and_the_context(chained):
+    # 13 statements over 26 atoms (over the bound) whose pairs are far within it; chained,
+    # they form one 26-atom component, so no whole-collection table may be built.
+    if chained:
+        statements = [Implies(AtomRef(f"a{i}"), AtomRef(f"a{i + 1}")) for i in range(0, 26, 2)]
+        statements += [Implies(AtomRef(f"a{i}"), AtomRef(f"a{i + 1}")) for i in range(1, 25, 2)]
+    else:
+        statements = [Or(AtomRef(f"a{i}"), Not(AtomRef(f"b{i}"))) for i in range(13)]
+    context = [Not(AtomRef("a0")), Or(AtomRef("c0"), AtomRef("c1"))]
+    compiled = CompiledFormulas(statements, context)
+    n = len(statements)
+    subsets = [None, [], [0], [0, 1], [0, n - 1], list(range(9)), list(range(10)), list(range(n - 1))]
+    for keep in subsets:
+        kept = statements if keep is None else [statements[i] for i in keep]
+        expected = _budget_outcome(lambda: is_satisfiable(kept + context))
+        assert _budget_outcome(lambda: compiled.satisfiable(keep)) == expected
+    with pytest.raises(AtomBudgetError):
+        compiled.satisfiable()
+    assert compiled.satisfiable([0, 1]) is True
+
+
+def test_compiled_unsatisfiable_context_fails_every_subset():
+    compiled = CompiledFormulas([Or(P, Q), H], [Not(H)])
+    assert [compiled.satisfiable(keep) for keep in ([], [0], [1], [0, 1])] == [True, True, False, False]
+    compiled = CompiledFormulas([Or(P, Q)], [Not(P), P])
+    assert compiled.satisfiable([]) is False
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,132 @@
+"""Compiled subset scoring against the reference paths.
+
+``score_many`` compiles a set once (token-count rows for the model
+scorers, truth-table masks for the oracle) and must give exactly the
+scores of the subset copies that the reference path serializes or
+hands to :func:`is_satisfiable`.  Verification and localization must
+give the same results, traces included, whichever path they take.
+"""
+
+import zlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from setcoh import evalkit
+from setcoh.datagen import pools
+from setcoh.logic import is_satisfiable
+from setcoh.model import (
+    ModelParams,
+    TokenCounts,
+    binary_logits,
+    build_vocabulary,
+    count_rows,
+    energy,
+    serialize_set,
+    softmax,
+)
+from setcoh.verifier import (
+    BinarySoftmaxScorer,
+    EnergyScorer,
+    GradedOracleScorer,
+    OracleScorer,
+    locate,
+    pair_subsets,
+    verify_elementwise,
+)
+
+
+class Hidden:
+    """The wrapped scorer without ``score_many``: the verifier copies each subset."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threshold = inner.threshold
+
+    def score(self, s):
+        return self.inner.score(s)
+
+
+def _subsets(s):
+    """Every pair of ``s`` and, above two statements, every leave-one-out subset: index tuples."""
+    n = len(s.statements)
+    loo = [tuple(k for k in range(n) if k != j) for j in range(n)] if n > 2 else []
+    return [keep for keep, _ in pair_subsets(s)] + loo
+
+
+def _copy(s, keep):
+    """The subset as the reference path builds it: a new set, with an id of its own."""
+    return replace(s, id=f"{s.id}#{'-'.join(map(str, keep))}",
+                   statements=[s.statements[i] for i in keep], gold_inconsistent_indices=None)
+
+
+def _evaluation_sets(corpus):
+    return corpus.validation1 + corpus.validation2 + corpus.test
+
+
+@pytest.mark.parametrize("corpus_name", ["qa_corpus", "snli_corpus"])
+def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
+    corpus = request.getfixturevalue(corpus_name)
+    params = ModelParams.init(build_vocabulary(corpus.train), seed=11)
+    energy_scorer, binary_scorer = EnergyScorer(params, 0.0), BinarySoftmaxScorer(params, 0.5)
+    for s in _evaluation_sets(corpus):
+        keeps = [tuple(range(len(s.statements)))] + _subsets(s)
+        energies = energy_scorer.score_many(s, keeps)
+        softmaxes = binary_scorer.score_many(s, keeps)
+        rows = count_rows(params.vocab, s.statements)
+        for keep, e, p in zip(keeps, energies, softmaxes):
+            subset = _copy(s, keep)
+            # The old scoring path: a shuffled stream seeded from the subset's id.
+            t = serialize_set(params.vocab, subset, zlib.crc32(subset.id.encode("utf-8")))
+            reference, counts = TokenCounts.of(t, len(params.vocab)), TokenCounts.of_rows(rows[list(keep)])
+            assert np.array_equal(counts.ids, reference.ids) and counts.ids.dtype == reference.ids.dtype
+            assert np.array_equal(counts.counts, reference.counts)
+            assert counts.counts.dtype == reference.counts.dtype and counts.total == reference.total
+            assert e == energy(params, t)
+            assert p == float(softmax(binary_logits(params, t))[1])
+    for s in corpus.train:
+        t = serialize_set(params.vocab, s, zlib.crc32(s.id.encode("utf-8")))
+        assert energy_scorer.score(s) == energy(params, t)
+
+
+@pytest.mark.parametrize("corpus_name", ["qa_corpus", "snli_corpus"])
+def test_oracle_score_many_equals_is_satisfiable_on_copies(corpus_name, request):
+    corpus = request.getfixturevalue(corpus_name)
+    oracle = OracleScorer()
+    for s in _evaluation_sets(corpus):
+        keeps = [tuple(range(len(s.statements)))] + _subsets(s)
+        expected = [
+            0.0 if is_satisfiable([s.statements[i].semantics for i in keep] + list(s.context_semantics))
+            else 1.0
+            for keep in keeps
+        ]
+        assert oracle.score_many(s, keeps) == expected
+        assert expected[0] == oracle.score(s)
+
+
+@pytest.fixture(scope="module", params=["qa", "snli"])
+def mixture_and_model(request):
+    corpus = request.getfixturevalue(f"{request.param}_corpus")
+    base_c, base_i = pools(corpus.test)
+    mixture = evalkit.build_eval_mixture(base_c, base_i, per_class_count=4, rng_seed=11)
+    params = ModelParams.init(build_vocabulary(corpus.train), seed=11)
+    # Threshold at the median set energy, so both verdicts occur.
+    threshold = float(np.median([EnergyScorer(params, 0.0).score(s) for s in mixture.sets]))
+    return mixture.sets, EnergyScorer(params, threshold), BinarySoftmaxScorer(params, 0.5)
+
+
+def test_verification_and_locate_equal_with_and_without_score_many(mixture_and_model):
+    sets, energy_scorer, binary_scorer = mixture_and_model
+    for scorer in (energy_scorer, binary_scorer, OracleScorer()):
+        for s in sets:
+            assert verify_elementwise(scorer, s, 0.2) == verify_elementwise(Hidden(scorer), s, 0.2)
+            assert locate(scorer, s) == locate(Hidden(scorer), s)
+
+
+def test_graded_oracle_counts_unsatisfiable_pairs(mixture_and_model):
+    sets, _, _ = mixture_and_model
+    for s in sets:
+        pairs = pair_subsets(s)
+        bad = sum(not is_satisfiable(p.all_formulas()) for _, p in pairs)
+        assert GradedOracleScorer().score(s) == bad / len(pairs)
