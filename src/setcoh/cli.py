@@ -28,6 +28,7 @@ from .datagen import (
     load_jsonl,
     save_jsonl,
 )
+from .logic import AtomBudgetError
 from .model import (
     CorruptFileError,
     ModelParams,
@@ -71,6 +72,7 @@ _DATA_ERRORS = (
     evalkit.LengthMismatchError,
     verifier.UnknownSetIdError,
     verifier.MalformedScoreFileError,
+    AtomBudgetError,
 )
 
 

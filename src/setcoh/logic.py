@@ -7,16 +7,16 @@ statement sets express conjunction by listing statements, and keeping
 the grammar conjunction-free means a set's shape always mirrors its
 statement list.
 
-Satisfiability is decided by exhaustive truth-table enumeration (bounded
-at 24 distinct atoms).  Formula collections are first split into
-connected components over shared atoms, so collections assembled from
-independently-named worlds cost the product of tiny tables rather than
-one huge one.  The enumeration itself runs over bitmask columns (one
-big integer per atom), which keeps the inner loop in C.
-:class:`CompiledFormulas` keeps each formula's truth mask, so the
-subsets of one collection (pairs, leave-one-out checks) are decided by
-ANDing masks already built; :func:`is_satisfiable` is one compile and
-one check.
+Satisfiability is decided by exhaustive truth-table enumeration.
+Formula collections are first split into connected components over
+shared atoms, and the bound of 24 atoms applies to each component, so
+collections assembled from independently-named worlds cost the sum of
+tiny tables rather than one huge one.  The enumeration itself runs over
+bitmask columns (one big integer per atom), which keeps the inner loop
+in C.  :class:`CompiledFormulas` builds every formula's truth mask once,
+so the subsets of one collection (pairs, leave-one-out checks) are
+decided by ANDing masks already built; :func:`is_satisfiable` is one
+compile and one check.
 
 Atoms carry two English surface templates (affirmative / negated) used
 by :func:`realize` to render formulas as sentences.  Rendering is
@@ -35,7 +35,7 @@ class MissingAssignmentError(ValueError):
 
 
 class AtomBudgetError(ValueError):
-    """A formula collection exceeds the truth-table enumeration bound."""
+    """A connected component of a formula collection exceeds the truth-table bound."""
 
 
 class FormulaSyntaxError(ValueError):
@@ -158,90 +158,49 @@ class CompiledFormulas:
     """Statements and context compiled once for satisfiability checks on subsets.
 
     :meth:`satisfiable` decides a subset of ``statements`` (given by index)
-    together with every ``context`` formula.  Atoms are collected once per
-    formula and the components are those of the whole collection; dropping
-    statements can only split a component, never join two, so a subset is
-    satisfiable iff each whole-collection component is.  Column masks and
-    per-formula truth masks are built on first use and then reused.
+    together with every ``context`` formula.  Construction collects each
+    formula's atoms, numbers the components of the whole collection, and
+    builds every formula's truth mask over its component's table and each
+    component's joint context mask.  Dropping statements can only split a
+    component, never join two, so a subset is satisfiable iff each
+    whole-collection component is.  Raises :class:`AtomBudgetError` when a
+    component has more than :data:`ATOM_BUDGET` atoms.
     """
 
     def __init__(self, statements: Iterable[Formula], context: Iterable[Formula] = ()) -> None:
         self.statements = list(statements)
-        self.context = list(context)
-        everything = self.statements + self.context
-        self._atoms = [atoms_of(f) for f in everything]
-        self._context_atoms = frozenset().union(*self._atoms[len(self.statements):])
-        self._n_atoms = len(frozenset().union(*self._atoms))
-        self._component = _component_ids(self._atoms)
-        n_components = max(self._component, default=-1) + 1
-        names: list[set[str]] = [set() for _ in range(n_components)]
-        for c, atoms in zip(self._component, self._atoms):
-            names[c] |= atoms
-        self._names = [sorted(n) for n in names]
-        self._context_by_component: list[list[int]] = [[] for _ in range(n_components)]
-        for k in range(len(self.statements), len(everything)):
-            self._context_by_component[self._component[k]].append(k)
-        self._tables: list[tuple[dict[str, int], int] | None] = [None] * n_components
-        self._context_joint: list[int | None] = [None] * n_components
-        self._masks: list[int | None] = [None] * len(everything)
-        self._everything = everything
+        formulas = self.statements + list(context)
+        atoms = [atoms_of(f) for f in formulas]
+        self._component = _component_ids(atoms)
+        names: list[set[str]] = [set() for _ in range(max(self._component, default=-1) + 1)]
+        for c, formula_atoms in zip(self._component, atoms):
+            names[c] |= formula_atoms
+        tables = [_table(sorted(component_names)) for component_names in names]
+        self._masks = [_truth_mask(f, *tables[c]) for f, c in zip(formulas, self._component)]
+        # Joint mask of each component's context: all ones where it has none.
+        self._context = [full for _, full in tables]
+        for k in range(len(self.statements), len(formulas)):
+            self._context[self._component[k]] &= self._masks[k]
 
     def satisfiable(self, keep: Iterable[int] | None = None) -> bool:
-        """Whether the statements at ``keep`` (default: all) and the context are jointly satisfiable.
-
-        Raises :class:`AtomBudgetError` when those formulas have more than
-        :data:`ATOM_BUDGET` distinct atoms.
-        """
-        kept = range(len(self.statements)) if keep is None else list(keep)
-        if self._n_atoms > ATOM_BUDGET:
-            # Only the subset's own atoms count; its tables are its own.
-            n_atoms = len(self._context_atoms.union(*(self._atoms[i] for i in kept)))
-            if n_atoms > ATOM_BUDGET:
-                raise AtomBudgetError(
-                    f"{n_atoms} distinct atoms exceed the truth-table bound of {ATOM_BUDGET}"
-                )
-            return CompiledFormulas([self.statements[i] for i in kept], self.context).satisfiable()
-        # Every component with context is in force, whichever statements are kept.
-        members: dict[int, list[int]] = {c: [] for c, ks in enumerate(self._context_by_component) if ks}
-        for i in kept:
-            members.setdefault(self._component[i], []).append(i)
-        for c, ks in members.items():
-            joint = self._context_mask(c)
-            for k in ks:
-                if joint == 0:
-                    break
-                joint &= self._mask(k)
-            if joint == 0:
+        """Whether the statements at ``keep`` (default: all) and the context are jointly satisfiable."""
+        joint = list(self._context)
+        for i in range(len(self.statements)) if keep is None else keep:
+            c = self._component[i]
+            joint[c] &= self._masks[i]
+            if not joint[c]:
                 return False
-        return True
+        return all(joint)
 
-    def _mask(self, k: int) -> int:
-        mask = self._masks[k]
-        if mask is None:
-            columns, full = self._table(self._component[k])
-            mask = self._masks[k] = _truth_mask(self._everything[k], columns, full)
-        return mask
 
-    def _table(self, c: int) -> tuple[dict[str, int], int]:
-        """Component ``c``'s atom columns and its all-ones mask."""
-        table = self._tables[c]
-        if table is None:
-            names = self._names[c]
-            columns = {name: _column_mask(i, len(names)) for i, name in enumerate(names)}
-            table = self._tables[c] = (columns, (1 << (1 << len(names))) - 1)
-        return table
-
-    def _context_mask(self, c: int) -> int:
-        """AND of component ``c``'s context masks (all ones when it has none)."""
-        joint = self._context_joint[c]
-        if joint is None:
-            joint = self._table(c)[1]
-            for k in self._context_by_component[c]:
-                joint &= self._mask(k)
-                if joint == 0:
-                    break
-            self._context_joint[c] = joint
-        return joint
+def _table(names: list[str]) -> tuple[dict[str, int], int]:
+    """Column mask of each atom in ``names`` and the all-ones mask of their truth table."""
+    if len(names) > ATOM_BUDGET:
+        raise AtomBudgetError(
+            f"{len(names)} atoms in one connected component exceed the truth-table bound of {ATOM_BUDGET}"
+        )
+    columns = {name: _column_mask(i, len(names)) for i, name in enumerate(names)}
+    return columns, (1 << (1 << len(names))) - 1
 
 
 def _component_ids(per_formula: list[frozenset[str]]) -> list[int]:
@@ -267,7 +226,7 @@ def is_satisfiable(fs: Iterable[Formula]) -> bool:
     """True iff one valuation over the union of atoms makes every formula true.
 
     The empty collection is vacuously satisfiable.  Raises
-    :class:`AtomBudgetError` above :data:`ATOM_BUDGET` distinct atoms.
+    :class:`AtomBudgetError` for a component over :data:`ATOM_BUDGET` atoms.
     """
     return CompiledFormulas(fs).satisfiable()
 

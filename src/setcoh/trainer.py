@@ -102,9 +102,6 @@ class TrainerConfig:
     epochs: int = 20
     batch_size: int = 32
     regime: str = "eight"
-    optimizer: str = "adam"              # "adam" or "sgd"
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     rng_seed: int = 0
     l2_weight: float = 1e-5              # fine-tuning only
     l2_anchor: str = "zero"              # "zero" or "start"
@@ -118,8 +115,6 @@ class TrainerConfig:
             raise ValueError("learning_rate must be positive")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +232,6 @@ def build_contrast_batch(
     regime: str,
     rng_seed: int,
     pairs: int | None = None,
-    paired: bool = True,
     namespaces: dict[int, frozenset[str]] | None = None,
 ) -> list[ContrastInstance]:
     """Contrast instances for sampled base pairs.
@@ -245,10 +239,10 @@ def build_contrast_batch(
     For every base pair (S_C, S_I) one instance per contrast kind in the
     regime is emitted; the union parts of S_CC, S_CI, S_II are drawn
     once per base pair from independently sampled namespace-disjoint
-    partners, each union with its own shuffle seed.  ``paired=True``
-    samples S_C and S_I at the same pool index (pools generated as
-    matched pairs).  ``namespaces`` maps each pool set's identity to its
-    atom namespaces; it is computed here when not given.
+    partners, each union with its own shuffle seed.  S_C and S_I are
+    sampled at the same pool index (pools generated as matched pairs).
+    ``namespaces`` maps each pool set's identity to its atom namespaces;
+    it is computed here when not given.
     """
     if not pool_C or not pool_I:
         raise PoolExhaustedError("empty base pool")
@@ -264,12 +258,8 @@ def build_contrast_batch(
     needed = {tag for pair in kinds for tag in pair}
     out: list[ContrastInstance] = []
     for _ in range(pairs):
-        if paired:
-            i = pair_rng.randrange(min(len(pool_C), len(pool_I)))
-            base_c, base_i = pool_C[i], pool_I[i]
-        else:
-            base_c = pool_C[pair_rng.randrange(len(pool_C))]
-            base_i = pool_I[pair_rng.randrange(len(pool_I))]
+        i = pair_rng.randrange(min(len(pool_C), len(pool_I)))
+        base_c, base_i = pool_C[i], pool_I[i]
         taken = namespaces[id(base_c)] | namespaces[id(base_i)]
         by_tag: dict[str, tuple[StatementSet, ...]] = {"C": (base_c,), "I": (base_i,)}
         if "CC" in needed:
@@ -350,32 +340,32 @@ def learn_threshold(params: ModelParams, validation_sets: Sequence[StatementSet]
     return Threshold(value=value, learned_epoch=epoch, source="energy", degenerate=degenerate)
 
 
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
+
 class _Optimizer:
+    """Adam with the default betas and epsilon."""
+
     def __init__(self, params: ModelParams, config: TrainerConfig) -> None:
         self.config = config
         self.t = 0
-        if config.optimizer == "adam":
-            self.m = zero_grads(params)
-            self.v = zero_grads(params)
+        self.m = zero_grads(params)
+        self.v = zero_grads(params)
 
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
-        arrays = params.arrays()
-        if cfg.optimizer == "sgd":
-            for name, arr in arrays.items():
-                arr -= cfg.learning_rate * grads[name]
-            return
         self.t += 1
-        b1, b2 = cfg.betas
+        b1, b2 = _ADAM_BETAS
         correction1 = 1.0 - b1 ** self.t
         correction2 = 1.0 - b2 ** self.t
-        for name, arr in arrays.items():
+        for name, arr in params.arrays().items():
             g = grads[name]
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = self.m[name] / correction1
             v_hat = self.v[name] / correction2
-            arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _median_energies(mixture: Sequence[StatementSet], scores: Sequence[float]) -> dict[str, float]:

@@ -27,11 +27,12 @@ verification strategies use it when present and score copies otherwise.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet
-from .logic import CompiledFormulas, is_satisfiable
+from .logic import AtomBudgetError, CompiledFormulas, is_satisfiable
 from .model import ModelParams, TokenCounts, count_rows, energy_from_counts, logits_from_counts, softmax
 
 
@@ -113,6 +114,15 @@ def _subset_counts(params: ModelParams, s: StatementSet, keeps: Sequence[Sequenc
     return [TokenCounts.of_rows(rows[list(keep)]) for keep in keeps]
 
 
+@contextmanager
+def _naming(s: StatementSet) -> Iterator[None]:
+    """Re-raise an :class:`AtomBudgetError` with the id of the set being compiled."""
+    try:
+        yield
+    except AtomBudgetError as exc:
+        raise AtomBudgetError(f"set {s.id!r}: {exc}") from None
+
+
 @dataclass
 class OracleScorer:
     """Truth-table ground truth: 1.0 if jointly unsatisfiable, else 0.0."""
@@ -120,10 +130,12 @@ class OracleScorer:
     threshold: float = 0.5
 
     def score(self, s: StatementSet) -> float:
-        return 0.0 if is_satisfiable(s.all_formulas()) else 1.0
+        with _naming(s):
+            return 0.0 if is_satisfiable(s.all_formulas()) else 1.0
 
     def score_many(self, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[float]:
-        compiled = CompiledFormulas(s.formulas(), s.context_semantics)
+        with _naming(s):
+            compiled = CompiledFormulas(s.formulas(), s.context_semantics)
         return [0.0 if compiled.satisfiable(keep) else 1.0 for keep in keeps]
 
 
@@ -138,7 +150,8 @@ class GradedOracleScorer:
     threshold: float = 0.5
 
     def score(self, s: StatementSet) -> float:
-        compiled = CompiledFormulas(s.formulas(), s.context_semantics)
+        with _naming(s):
+            compiled = CompiledFormulas(s.formulas(), s.context_semantics)
         pairs = _pairs(len(s.statements))
         return sum(not compiled.satisfiable(pair) for pair in pairs) / len(pairs)
 

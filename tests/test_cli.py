@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import pytest
 from setcoh import cli
 from setcoh.cli import load_corpus, load_threshold, main
 from setcoh.datagen import QA_FLIPS, GenerationError, compose_union, pools, save_jsonl
+from setcoh.logic import AtomRef, Implies
 from setcoh.trainer import Threshold
 
 
@@ -224,6 +227,23 @@ class TestExitCodes:
         for command, *flags in commands:
             assert run(command, "--data", data, "--out", tmp_path / "o", *flags) == 3
             assert f"{split}-union-0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "locate"])
+    def test_component_over_the_atom_bound_exit_3(self, tmp_path, qa_dir, command, capsys):
+        # Each test set gains a 25-implication chain in its own namespace: one 26-atom component.
+        corpus = load_corpus(qa_dir)
+        test = []
+        for s in corpus.test:
+            ns = next(iter(s.namespaces()))
+            chain = tuple(Implies(AtomRef(f"{ns}.c{i}"), AtomRef(f"{ns}.c{i + 1}")) for i in range(25))
+            test.append(dataclasses.replace(s, context_semantics=s.context_semantics + chain))
+        data = tmp_path / "chains"
+        data.mkdir()
+        save_jsonl(corpus.train + corpus.validation1 + corpus.validation2 + test, data / "data.jsonl")
+        code = run(command, "--data", data, "--out", tmp_path / "o", "--scorer", "oracle",
+                   "--mixture-per-class", "2")
+        assert code == 3
+        assert re.search(r"set '[^']+': 26 atoms in one connected component", capsys.readouterr().err)
 
     @pytest.mark.parametrize("content", [b"", b"abc\nsource=energy\n", b"0.5\nepoch=x\n", b"0.5\nsource=softmax\n",
                                          b"nan\n", b"\xff\n"])

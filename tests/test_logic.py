@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -67,9 +68,12 @@ def test_satisfiability_empty_collection():
 
 
 def test_atom_budget_exceeded():
-    formulas = [AtomRef(f"a{i}") for i in range(25)]
+    # The bound applies per connected component: 25 chained atoms exceed it,
+    # 25 independent atoms do not.
+    chain = [Implies(AtomRef(f"a{i}"), AtomRef(f"a{i + 1}")) for i in range(24)]
     with pytest.raises(AtomBudgetError, match="25"):
-        is_satisfiable(formulas)
+        is_satisfiable(chain)
+    assert is_satisfiable([AtomRef(f"a{i}") for i in range(25)]) is True
 
 
 def test_atom_budget_boundary_ok():
@@ -117,33 +121,78 @@ def test_oracle_matches_brute_force_enumeration(formulas, context, masks):
         assert compiled.satisfiable(keep) == brute_force_satisfiable([formulas[i] for i in keep] + context)
 
 
-def _budget_outcome(check):
-    try:
-        return check()
-    except AtomBudgetError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("chained", [False, True])
 def test_compiled_budget_counts_the_kept_formulas_and_the_context(chained):
-    # 13 statements over 26 atoms (over the bound) whose pairs are far within it; chained,
-    # they form one 26-atom component, so no whole-collection table may be built.
+    # Statements and context over 28 atoms in all.  Disjoint, every component
+    # is within the bound, so every subset is decided; chained, 26 atoms form
+    # one component, so the collection cannot be compiled.
     if chained:
         statements = [Implies(AtomRef(f"a{i}"), AtomRef(f"a{i + 1}")) for i in range(0, 26, 2)]
         statements += [Implies(AtomRef(f"a{i}"), AtomRef(f"a{i + 1}")) for i in range(1, 25, 2)]
     else:
         statements = [Or(AtomRef(f"a{i}"), Not(AtomRef(f"b{i}"))) for i in range(13)]
     context = [Not(AtomRef("a0")), Or(AtomRef("c0"), AtomRef("c1"))]
+    if chained:
+        with pytest.raises(AtomBudgetError, match="26"):
+            CompiledFormulas(statements, context)
+        return
     compiled = CompiledFormulas(statements, context)
     n = len(statements)
     subsets = [None, [], [0], [0, 1], [0, n - 1], list(range(9)), list(range(10)), list(range(n - 1))]
     for keep in subsets:
         kept = statements if keep is None else [statements[i] for i in keep]
-        expected = _budget_outcome(lambda: is_satisfiable(kept + context))
-        assert _budget_outcome(lambda: compiled.satisfiable(keep)) == expected
-    with pytest.raises(AtomBudgetError):
-        compiled.satisfiable()
-    assert compiled.satisfiable([0, 1]) is True
+        assert compiled.satisfiable(keep) == is_satisfiable(kept + context)
+    assert compiled.satisfiable() is True
+
+
+block_formula_strategy = st.recursive(
+    st.sampled_from([AtomRef(n) for n in "abcdefgh"]),
+    lambda children: st.one_of(
+        st.builds(Not, children), st.builds(Or, children, children), st.builds(Implies, children, children)
+    ),
+    max_leaves=6,
+)
+
+# Statements and context of one block, over at most 8 atoms.
+block_strategy = st.tuples(st.lists(block_formula_strategy, min_size=1, max_size=4),
+                           st.lists(block_formula_strategy, max_size=1))
+
+
+def _prefixed(f, prefix):
+    if isinstance(f, AtomRef):
+        return AtomRef(prefix + f.name)
+    if isinstance(f, Not):
+        return Not(_prefixed(f.operand, prefix))
+    return type(f)(*(_prefixed(getattr(f, field.name), prefix) for field in dataclasses.fields(f)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(block_strategy, min_size=2, max_size=2), min_size=2, max_size=4), st.data())
+def test_compiled_decides_disjoint_collections_over_the_bound_part_by_part(parts, data):
+    # 2-4 namespace-disjoint collections of two 8-atom blocks each: 32-64 atoms
+    # in all, no component over 8.  Tautologies bring every block to 8 atoms.
+    blocks = []
+    for i, part in enumerate(parts):
+        for j, (statements, context) in enumerate(part):
+            prefix = f"p{i}.b{j}"
+            statements = [_prefixed(f, prefix) for f in statements]
+            context = [_prefixed(f, prefix) for f in context]
+            used = frozenset().union(*map(atoms_of, statements + context))
+            context += [Or(AtomRef(prefix + n), Not(AtomRef(prefix + n))) for n in "abcdefgh"
+                        if prefix + n not in used]
+            blocks.append((statements, context))
+    statements = [f for block, _ in blocks for f in block]
+    context = [f for _, block in blocks for f in block]
+    assert len(frozenset().union(*map(atoms_of, statements + context))) > 24
+    compiled = CompiledFormulas(statements, context)
+    for _ in range(3):
+        keep = data.draw(st.sets(st.sampled_from(range(len(statements)))))
+        expected, offset = True, 0
+        for block_statements, block_context in blocks:
+            kept = [f for k, f in enumerate(block_statements) if offset + k in keep]
+            expected = expected and brute_force_satisfiable(kept + block_context)
+            offset += len(block_statements)
+        assert compiled.satisfiable(sorted(keep)) == expected
 
 
 def test_compiled_unsatisfiable_context_fails_every_subset():

@@ -264,9 +264,9 @@ class TestFineTune:
         calls = []
         original = trainer_mod.build_contrast_batch
 
-        def spy(pool_c, pool_i, regime, rng_seed, pairs=None, paired=True):
+        def spy(pool_c, pool_i, regime, rng_seed, pairs=None):
             calls.append(pairs)
-            return original(pool_c, pool_i, regime, rng_seed, pairs, paired)
+            return original(pool_c, pool_i, regime, rng_seed, pairs)
 
         monkeypatch.setattr(trainer_mod, "build_contrast_batch", spy)
         vocab = build_vocabulary(small_qa_corpus.train + small_snli_corpus.train)
@@ -309,8 +309,6 @@ def test_trainer_config_validation():
         TrainerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainerConfig(regime="nine")
-    with pytest.raises(ValueError):
-        TrainerConfig(optimizer="rmsprop")
 
 
 # Reference copy of the per-instance training loop the trainer used to run:

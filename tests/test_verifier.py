@@ -11,8 +11,9 @@ from setcoh.datagen import (
     gen_qa_set,
     gen_qa_world,
     gen_seed_pair,
+    validate_with_oracle,
 )
-from setcoh.logic import is_satisfiable, parse_formula
+from setcoh.logic import AtomBudgetError, AtomRef, Implies, atoms_of, is_satisfiable, parse_formula
 from setcoh.rules import RULES_BY_ID
 from setcoh.model import ModelParams, build_vocabulary
 from setcoh.verifier import (
@@ -265,6 +266,33 @@ class TestExternalScorer:
         path.write_text("0.5\nid1,0.9\n")
         with pytest.raises(ValueError):
             external_scorer_from_file(path)
+
+
+class TestAtomBudget:
+    def test_union_of_three_eight_distractor_qa_sets_is_decided(self):
+        # 27 atoms in all, 9 per world: every component is far within the bound.
+        sets = [gen_qa_set(gen_qa_world(seed, 8)) for seed in (1, 2, 3)]
+        union = compose_union([sets[0], sets[1], corrupt_qa(sets[2], rng_seed=0)], shuffle_seed=4)
+        assert len(frozenset().union(*map(atoms_of, union.all_formulas()))) == 27
+        assert is_satisfiable(union.all_formulas()) is False
+        assert is_satisfiable(compose_union(sets, shuffle_seed=4).all_formulas()) is True
+        assert validate_with_oracle(union)
+        oracle = OracleScorer()
+        assert verify_set(oracle, union).label == "inconsistent"
+        assert verify_elementwise(oracle, union, mtr=0.0).label == "inconsistent"
+        result = locate(oracle, union)
+        assert result.removed_indices == union.gold_inconsistent_indices
+        assert result.terminal == CONSISTENT_REACHED
+
+    def test_oracle_scorers_name_the_set_over_the_bound(self):
+        # A 26-atom chain in one component: no subset of it can be compiled.
+        chain = tuple(Implies(AtomRef(f"x{i}"), AtomRef(f"x{i + 1}")) for i in range(25))
+        s = StatementSet(id="chained", label="consistent", provenance="C",
+                         statements=TRAIN_SET.statements[1:], context_semantics=chain)
+        for check in (lambda: OracleScorer().score(s), lambda: OracleScorer().score_many(s, [(0,)]),
+                      lambda: GradedOracleScorer().score(s)):
+            with pytest.raises(AtomBudgetError, match="set 'chained': 26 atoms"):
+                check()
 
 
 def test_locate_result_rejects_duplicates():
