@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -278,7 +279,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "count": report.count,
     })
     if args.dump_scores:
-        scores = {s.id: scorer.score(s) for s in mixture.sets}
+        # Every row the strategy reads: each set, or each pair under its subset id.
+        scores = {}
+        for s in mixture.sets:
+            n, score = len(s.statements), scorer.compile(s)
+            keeps = [range(n)] if args.strategy == "set" else itertools.combinations(range(n), 2)
+            scores.update((verifier.subset_id(s, keep), score(keep)) for keep in keeps)
         verifier.write_scores_file(out / "scores.csv", scorer.threshold, scores)
     print(f"macro_f1={report.macro_f1:.4f} ({args.strategy})")
     return 0

@@ -7,6 +7,11 @@ inconsistent).  Concrete scorers wrap the trained energy model, the
 binary classifier's softmax, the exact truth-table oracle, or an
 externally produced score file.
 
+Every strategy scores subsets of one set: ``compile(s)`` returns a
+function from the kept indices of ``s`` to that subset's score (from
+token-count rows for the model, truth-table masks for the oracle, and
+:func:`subset_id` rows for a score file); ``score(s)`` scores all of ``s``.
+
 Element-wise verification scores all N(N-1)/2 statement pairs and
 tolerates up to a given fraction of inconsistent pairs (the maximum
 tolerance rate).  Subsets inherit the parent set's context formulas:
@@ -15,13 +20,7 @@ world knowledge stays in force when statements are dropped.
 Localization removes, while the set is judged inconsistent and larger
 than two statements, the statement whose exclusion yields the lowest
 score, reusing that score as the next verification (so a full run
-costs at most 1 + sum(k for k in 3..N) scorer calls).
-
-A scorer may also offer ``score_many(s, keeps)``: the scores of the
-subsets of ``s`` that keep each index tuple in ``keeps``.  The model and
-oracle scorers compile ``s`` once for it (token-count rows, truth-table
-masks) and give exactly the scores of the subset copies; both
-verification strategies use it when present and score copies otherwise.
+costs at most 1 + sum(k for k in 3..N) subset scores, from one compile).
 """
 
 from __future__ import annotations
@@ -29,14 +28,15 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Protocol, Sequence
+from itertools import combinations
+from typing import Callable, Iterator, Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet
 from .logic import AtomBudgetError, CompiledFormulas, is_satisfiable
 from .model import ModelParams, TokenCounts, count_rows, energy_from_counts, logits_from_counts, softmax
 
 
-class UnknownSetIdError(KeyError):
+class UnknownSetIdError(LookupError):
     """An external score file has no row for the requested set id."""
 
 
@@ -44,8 +44,13 @@ class MalformedScoreFileError(ValueError):
     """An external score file has a bad header or row, a non-finite number or a repeated id."""
 
 
+SubsetScore = Callable[[Sequence[int]], float]
+
+
 class Scorer(Protocol):
     threshold: float
+
+    def compile(self, s: StatementSet) -> SubsetScore: ...
 
     def score(self, s: StatementSet) -> float: ...
 
@@ -86,11 +91,12 @@ class EnergyScorer:
     params: ModelParams
     threshold: float
 
-    def score(self, s: StatementSet) -> float:
-        return self.score_many(s, [range(len(s.statements))])[0]
+    def compile(self, s: StatementSet) -> SubsetScore:
+        rows = count_rows(self.params.vocab, s.statements)
+        return lambda keep: energy_from_counts(self.params, TokenCounts.of_rows(rows[list(keep)]))
 
-    def score_many(self, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[float]:
-        return [energy_from_counts(self.params, tc) for tc in _subset_counts(self.params, s, keeps)]
+    def score(self, s: StatementSet) -> float:
+        return self.compile(s)(range(len(s.statements)))
 
 
 @dataclass
@@ -100,18 +106,12 @@ class BinarySoftmaxScorer:
     params: ModelParams
     threshold: float
 
+    def compile(self, s: StatementSet) -> SubsetScore:
+        rows = count_rows(self.params.vocab, s.statements)
+        return lambda keep: float(softmax(logits_from_counts(self.params, TokenCounts.of_rows(rows[list(keep)])))[1])
+
     def score(self, s: StatementSet) -> float:
-        return self.score_many(s, [range(len(s.statements))])[0]
-
-    def score_many(self, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[float]:
-        return [float(softmax(logits_from_counts(self.params, tc))[1])
-                for tc in _subset_counts(self.params, s, keeps)]
-
-
-def _subset_counts(params: ModelParams, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[TokenCounts]:
-    """Token counts of each subset of ``s`` in ``keeps``, from one tokenization of ``s``."""
-    rows = count_rows(params.vocab, s.statements)
-    return [TokenCounts.of_rows(rows[list(keep)]) for keep in keeps]
+        return self.compile(s)(range(len(s.statements)))
 
 
 @contextmanager
@@ -129,45 +129,44 @@ class OracleScorer:
 
     threshold: float = 0.5
 
+    def compile(self, s: StatementSet) -> SubsetScore:
+        with _naming(s):
+            compiled = CompiledFormulas(s.formulas(), s.context_semantics)
+        return lambda keep: 0.0 if compiled.satisfiable(keep) else 1.0
+
     def score(self, s: StatementSet) -> float:
         with _naming(s):
             return 0.0 if is_satisfiable(s.all_formulas()) else 1.0
 
-    def score_many(self, s: StatementSet, keeps: Sequence[Sequence[int]]) -> list[float]:
-        with _naming(s):
-            compiled = CompiledFormulas(s.formulas(), s.context_semantics)
-        return [0.0 if compiled.satisfiable(keep) else 1.0 for keep in keeps]
-
-
-@dataclass
-class GradedOracleScorer:
-    """Fraction of unsatisfiable 2-subsets; richer ties for locate testing.
-
-    Not a ground-truth consistency oracle: collectively inconsistent
-    sets whose pairs are all satisfiable score 0.
-    """
-
-    threshold: float = 0.5
-
-    def score(self, s: StatementSet) -> float:
-        with _naming(s):
-            compiled = CompiledFormulas(s.formulas(), s.context_semantics)
-        pairs = _pairs(len(s.statements))
-        return sum(not compiled.satisfiable(pair) for pair in pairs) / len(pairs)
-
 
 @dataclass
 class ExternalScorer:
-    """Scores looked up by set id from an external file."""
+    """Scores looked up by set id from an external file; a subset's id is :func:`subset_id`."""
 
     scores: dict[str, float]
     threshold: float
+    path: str
+
+    def compile(self, s: StatementSet) -> SubsetScore:
+        return lambda keep: self._lookup(subset_id(s, keep))
 
     def score(self, s: StatementSet) -> float:
+        return self._lookup(s.id)
+
+    def _lookup(self, set_id: str) -> float:
         try:
-            return self.scores[s.id]
+            return self.scores[set_id]
         except KeyError:
-            raise UnknownSetIdError(s.id) from None
+            raise UnknownSetIdError(f"{self.path}: no score for set id {set_id!r}") from None
+
+
+def subset_id(s: StatementSet, keep: Sequence[int]) -> str:
+    """The id of the subset of ``s`` that keeps the ascending indices ``keep``.
+
+    The whole set keeps ``s.id``; a proper subset is ``s.id``, ``#`` and
+    its kept indices joined by ``-`` (``u#0-3`` keeps statements 0 and 3).
+    """
+    return s.id if len(keep) == len(s.statements) else f"{s.id}#{'-'.join(map(str, keep))}"
 
 
 def external_scorer_from_file(path) -> ExternalScorer:
@@ -201,7 +200,7 @@ def external_scorer_from_file(path) -> ExternalScorer:
                 f"{path}:{lineno}: set id {set_id!r} repeats line {first_seen[set_id]}")
         first_seen[set_id] = lineno
         scores[set_id] = _finite(value, f"{path}:{lineno}: score")
-    return ExternalScorer(scores=scores, threshold=threshold)
+    return ExternalScorer(scores=scores, threshold=threshold, path=str(path))
 
 
 def _finite(text: str, what: str) -> float:
@@ -231,44 +230,20 @@ def verify_set(scorer: Scorer, s: StatementSet) -> Verdict:
     return Verdict(label=classify(score, scorer.threshold), score=score)
 
 
-def _subset(s: StatementSet, keep: Sequence[int], suffix: str) -> StatementSet:
-    return replace(
-        s,
-        id=f"{s.id}#{suffix}",
-        statements=[s.statements[i] for i in keep],
-        gold_inconsistent_indices=None,
-    )
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def pair_subsets(s: StatementSet) -> list[tuple[tuple[int, int], StatementSet]]:
-    return [((i, j), _subset(s, (i, j), f"p{i}-{j}")) for i, j in _pairs(len(s.statements))]
-
-
-def _subset_scores(scorer: Scorer, s: StatementSet, keeps: list[tuple[int, ...]],
-                   suffixes: list[str]) -> list[float]:
-    """Scores of the subsets of ``s`` that keep each index tuple in ``keeps``.
-
-    A scorer with ``score_many`` compiles ``s`` once and scores them all
-    from that; any other scorer gets each subset as a copy of ``s``
-    whose id is ``s.id`` plus ``#`` and the subset's suffix.
-    """
-    score_many = getattr(scorer, "score_many", None)
-    if score_many is not None:
-        return score_many(s, keeps)
-    return [scorer.score(_subset(s, keep, suffix)) for keep, suffix in zip(keeps, suffixes)]
+    """Each pair of ``s`` as a copy of ``s`` with the pair's :func:`subset_id`."""
+    return [(pair, replace(s, id=subset_id(s, pair), statements=[s.statements[i] for i in pair],
+                           gold_inconsistent_indices=None))
+            for pair in combinations(range(len(s.statements)), 2)]
 
 
 def verify_elementwise(scorer: Scorer, s: StatementSet, mtr: float) -> Verdict:
     """Pairwise verdict: consistent iff the inconsistent-pair ratio is at most ``mtr``."""
     if not 0.0 <= mtr <= 1.0:
         raise ValueError("mtr must be in [0, 1]")
-    pairs = _pairs(len(s.statements))
-    scores = _subset_scores(scorer, s, pairs, [f"p{i}-{j}" for i, j in pairs])
-    bad = sum(score >= scorer.threshold for score in scores)
+    score = scorer.compile(s)
+    pairs = list(combinations(range(len(s.statements)), 2))
+    bad = sum(score(pair) >= scorer.threshold for pair in pairs)
     ratio = bad / len(pairs)
     detail = PairwiseDetail(pair_count=len(pairs), inconsistent_pairs=bad, ratio=ratio)
     label = CONSISTENT if ratio <= mtr else INCONSISTENT
@@ -282,8 +257,9 @@ def locate(scorer: Scorer, s: StatementSet) -> LocateResult:
     inconsistent remainder has only two statements left.  Ties in the
     leave-one-out argmin break toward the smallest original index.
     """
+    score = scorer.compile(s)
     remaining = list(range(len(s.statements)))
-    current_score = scorer.score(s)
+    current_score = score(remaining)
     removed: list[int] = []
     trace: list[tuple[tuple[int, float], ...]] = []
     while True:
@@ -291,9 +267,8 @@ def locate(scorer: Scorer, s: StatementSet) -> LocateResult:
             return LocateResult(tuple(removed), CONSISTENT_REACHED, tuple(trace))
         if len(remaining) == 2:
             return LocateResult(tuple(removed), SIZE_TWO_STOP, tuple(trace))
-        keeps = [tuple(remaining[:p] + remaining[p + 1:]) for p in range(len(remaining))]
-        scores = _subset_scores(scorer, s, keeps, [f"loo{original}" for original in remaining])
-        scored = tuple(zip(remaining, scores))
+        scored = tuple((original, score(remaining[:p] + remaining[p + 1:]))
+                       for p, original in enumerate(remaining))
         trace.append(scored)
         best_original, best_score = min(scored, key=lambda item: (item[1], item[0]))
         removed.append(best_original)

@@ -114,22 +114,26 @@ class TestVerify:
         assert summary["macro_f1"] < 1.0
 
     def test_model_scorer_and_external_round_trip(self, tmp_path, qa_dir, model_dir):
-        out1 = tmp_path / "m"
-        code = run(
-            "verify", "--data", qa_dir, "--out", out1, "--seed", "5",
-            "--scorer", model_dir / "model.bin", "--mixture-per-class", "3",
-            "--dump-scores",
-        )
-        assert code == 0
-        out2 = tmp_path / "x"
-        code = run(
-            "verify", "--data", qa_dir, "--out", out2, "--seed", "5",
-            "--scorer", f"external:{out1 / 'scores.csv'}", "--mixture-per-class", "3",
-        )
-        assert code == 0
-        s1 = json.loads((out1 / "summary.json").read_text())
-        s2 = json.loads((out2 / "summary.json").read_text())
-        assert s1["macro_f1"] == s2["macro_f1"]
+        # The dump holds every row the strategy reads: the sets, or their pairs.
+        for strategy in ("set", "elementwise"):
+            out1 = tmp_path / f"m-{strategy}"
+            code = run(
+                "verify", "--data", qa_dir, "--out", out1, "--seed", "5", "--strategy", strategy,
+                "--scorer", model_dir / "model.bin", "--mixture-per-class", "3",
+                "--dump-scores",
+            )
+            assert code == 0
+            out2 = tmp_path / f"x-{strategy}"
+            code = run(
+                "verify", "--data", qa_dir, "--out", out2, "--seed", "5", "--strategy", strategy,
+                "--scorer", f"external:{out1 / 'scores.csv'}", "--mixture-per-class", "3",
+            )
+            assert code == 0
+            s1 = json.loads((out1 / "summary.json").read_text())
+            s2 = json.loads((out2 / "summary.json").read_text())
+            assert s1["macro_f1"] == s2["macro_f1"]
+            ids = [line.split(",")[0] for line in (out1 / "scores.csv").read_text().splitlines()[1:]]
+            assert all(("#" in set_id) == (strategy == "elementwise") for set_id in ids)
 
 
 class TestLocate:
@@ -269,6 +273,16 @@ class TestExitCodes:
                    "--mixture-per-class", "2")
         assert code == 3
         assert f"{bad}:{line}:" in capsys.readouterr().err
+
+    def test_missing_score_id_exit_3(self, tmp_path, qa_dir, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("threshold=0.5\nnot-a-set,0.1\n")
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", f"external:{scores}",
+                   "--mixture-per-class", "2")
+        assert code == 3
+        err = capsys.readouterr().err
+        missing = re.fullmatch(rf"error: {re.escape(str(scores))}: no score for set id '([^']+)'\n", err)
+        assert missing and missing.group(1) in {s.id for s in load_corpus(qa_dir).test}
 
     def test_unknown_qa_flip_exit_2(self, tmp_path, capsys):
         out = tmp_path / "g"

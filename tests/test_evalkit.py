@@ -170,16 +170,23 @@ class TestSweep:
 
 class TestBestMtr:
     class CountingOracle:
-        """The oracle without ``score_many``, counting each subset it scores."""
+        """The oracle, counting each subset it scores."""
 
         threshold = 0.5
 
         def __init__(self):
             self.calls = 0
 
+        def compile(self, s):
+            score = OracleScorer().compile(s)
+
+            def counted(keep):
+                self.calls += 1
+                return score(keep)
+            return counted
+
         def score(self, s):
-            self.calls += 1
-            return OracleScorer().score(s)
+            return self.compile(s)(range(len(s.statements)))
 
     def test_scores_each_pair_once(self, qa_mixture):
         scorer = self.CountingOracle()

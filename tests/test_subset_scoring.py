@@ -1,6 +1,6 @@
 """Compiled subset scoring against the reference paths.
 
-``score_many`` compiles a set once (token-count rows for the model
+A scorer's ``compile`` reads a set once (token-count rows for the model
 scorers, truth-table masks for the oracle) and must give exactly the
 scores of the subset copies that the reference path serializes or
 hands to :func:`is_satisfiable`.  Verification and localization must
@@ -29,7 +29,6 @@ from setcoh.model import (
 from setcoh.verifier import (
     BinarySoftmaxScorer,
     EnergyScorer,
-    GradedOracleScorer,
     OracleScorer,
     locate,
     pair_subsets,
@@ -38,11 +37,14 @@ from setcoh.verifier import (
 
 
 class Hidden:
-    """The wrapped scorer without ``score_many``: the verifier copies each subset."""
+    """The reference path: each subset is scored as a copy, through the wrapped scorer's ``score``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.threshold = inner.threshold
+
+    def compile(self, s):
+        return lambda keep: self.inner.score(_copy(s, keep))
 
     def score(self, s):
         return self.inner.score(s)
@@ -72,8 +74,8 @@ def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
     energy_scorer, binary_scorer = EnergyScorer(params, 0.0), BinarySoftmaxScorer(params, 0.5)
     for s in _evaluation_sets(corpus):
         keeps = [tuple(range(len(s.statements)))] + _subsets(s)
-        energies = energy_scorer.score_many(s, keeps)
-        softmaxes = binary_scorer.score_many(s, keeps)
+        energy_of, softmax_of = energy_scorer.compile(s), binary_scorer.compile(s)
+        energies, softmaxes = map(energy_of, keeps), map(softmax_of, keeps)
         rows = count_rows(params.vocab, s.statements)
         for keep, e, p in zip(keeps, energies, softmaxes):
             subset = _copy(s, keep)
@@ -101,7 +103,7 @@ def test_oracle_score_many_equals_is_satisfiable_on_copies(corpus_name, request)
             else 1.0
             for keep in keeps
         ]
-        assert oracle.score_many(s, keeps) == expected
+        assert list(map(oracle.compile(s), keeps)) == expected
         assert expected[0] == oracle.score(s)
 
 
@@ -123,10 +125,3 @@ def test_verification_and_locate_equal_with_and_without_score_many(mixture_and_m
             assert verify_elementwise(scorer, s, 0.2) == verify_elementwise(Hidden(scorer), s, 0.2)
             assert locate(scorer, s) == locate(Hidden(scorer), s)
 
-
-def test_graded_oracle_counts_unsatisfiable_pairs(mixture_and_model):
-    sets, _, _ = mixture_and_model
-    for s in sets:
-        pairs = pair_subsets(s)
-        bad = sum(not is_satisfiable(p.all_formulas()) for _, p in pairs)
-        assert GradedOracleScorer().score(s) == bad / len(pairs)

@@ -19,7 +19,6 @@ from setcoh.model import ModelParams, build_vocabulary
 from setcoh.verifier import (
     CONSISTENT_REACHED,
     EnergyScorer,
-    GradedOracleScorer,
     LocateResult,
     OracleScorer,
     SIZE_TWO_STOP,
@@ -27,6 +26,7 @@ from setcoh.verifier import (
     external_scorer_from_file,
     locate,
     pair_subsets,
+    subset_id,
     verify_elementwise,
     verify_set,
     write_scores_file,
@@ -46,12 +46,22 @@ TRAIN_SET = StatementSet(
 
 
 class FixedScorer:
+    """Scores every subset ``value``, counting compiles and subset scores."""
+
     def __init__(self, value, threshold=0.5):
         self.value = value
         self.threshold = threshold
         self.calls = 0
+        self.compiles = 0
+
+    def compile(self, s):
+        self.compiles += 1
+        return self._score
 
     def score(self, s):
+        return self._score(range(len(s.statements)))
+
+    def _score(self, keep):
         self.calls += 1
         return self.value
 
@@ -90,7 +100,10 @@ class TestVerifyElementwise:
             def __init__(self):
                 self.n = 0
 
-            def score(self, subset):
+            def compile(self, s):
+                return self.score_subset
+
+            def score_subset(self, keep):
                 self.n += 1
                 return 1.0 if self.n == 1 else 0.0
 
@@ -177,6 +190,13 @@ class TestLocate:
         n = len(s)
         assert scorer.calls <= 1 + sum(range(3, n + 1))
 
+    def test_each_set_is_compiled_once(self):
+        s = gen_qa_set(gen_qa_world(854, 4))  # size 6: locate runs four iterations
+        for strategy in (lambda scorer: verify_elementwise(scorer, s, mtr=0.2), lambda scorer: locate(scorer, s)):
+            scorer = FixedScorer(1.0)
+            strategy(scorer)
+            assert scorer.compiles == 1 and scorer.calls > 1
+
     def test_trace_length_equals_iterations(self):
         si = corrupt_qa(gen_qa_set(gen_qa_world(855, 2)), 0, flips=("no-to-yes",))
         result = locate(OracleScorer(), si)
@@ -224,12 +244,6 @@ class TestLocate:
             )).label
         )
 
-    def test_graded_oracle_scores_fraction_of_bad_pairs(self):
-        out = apply_rule("SE-28", gen_seed_pair(880, "entailment"))
-        assert GradedOracleScorer().score(out) == 0.0  # pairwise-blind
-        si = corrupt_qa(gen_qa_set(gen_qa_world(881, 1)), 0, flips=("no-to-yes",))
-        assert GradedOracleScorer().score(si) > 0.0
-
 
 class TestExternalScorer:
     def test_round_trip_identical_verdicts(self, tmp_path):
@@ -248,8 +262,37 @@ class TestExternalScorer:
         path = tmp_path / "scores.csv"
         write_scores_file(path, 0.5, {"known": 0.9})
         scorer = external_scorer_from_file(path)
-        with pytest.raises(UnknownSetIdError):
+        with pytest.raises(UnknownSetIdError) as raised:
             scorer.score(TRAIN_SET)
+        assert str(raised.value) == f"{path}: no score for set id 'train-or'"
+        with pytest.raises(UnknownSetIdError, match="set id 'train-or#0-1'"):
+            verify_elementwise(scorer, TRAIN_SET, mtr=0.0)
+
+    def test_subset_ids(self):
+        pairs = [sub for _, sub in pair_subsets(TRAIN_SET)]
+        assert [sub.id for sub in pairs] == ["train-or#0-1", "train-or#0-2", "train-or#1-2"]
+        assert subset_id(TRAIN_SET, (0, 1, 2)) == "train-or"
+        assert subset_id(pairs[0], (0, 1)) == pairs[0].id  # a whole set keeps its own id
+
+    def test_every_subset_from_a_file_equals_the_oracle(self, tmp_path):
+        # Two corrupted parts: locate runs several iterations over subsets of falling size.
+        parts = [corrupt_qa(gen_qa_set(gen_qa_world(895 + k, 2)), k, flips=("no-to-yes",)) for k in range(2)]
+        union = compose_union(parts, shuffle_seed=7)
+        n = len(union)
+        oracle = OracleScorer()
+        score = oracle.compile(union)
+        keeps = [keep for r in range(1, n + 1) for keep in itertools.combinations(range(n), r)]
+        ids = {subset_id(union, keep) for keep in keeps}
+        assert len(ids) == len(keeps)  # no two subsets share an id
+        path = tmp_path / "scores.csv"
+        write_scores_file(path, oracle.threshold, {subset_id(union, keep): score(keep) for keep in keeps})
+        external = external_scorer_from_file(path)
+        expected = locate(oracle, union)
+        assert len(expected.trace) >= 2
+        assert locate(external, union) == expected
+        for mtr in (0.0, 0.2):
+            assert verify_elementwise(external, union, mtr) == verify_elementwise(oracle, union, mtr)
+        assert verify_set(external, union) == verify_set(oracle, union)
 
     def test_header_flags_verdict(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -289,8 +332,7 @@ class TestAtomBudget:
         chain = tuple(Implies(AtomRef(f"x{i}"), AtomRef(f"x{i + 1}")) for i in range(25))
         s = StatementSet(id="chained", label="consistent", provenance="C",
                          statements=TRAIN_SET.statements[1:], context_semantics=chain)
-        for check in (lambda: OracleScorer().score(s), lambda: OracleScorer().score_many(s, [(0,)]),
-                      lambda: GradedOracleScorer().score(s)):
+        for check in (lambda: OracleScorer().score(s), lambda: OracleScorer().compile(s)):
             with pytest.raises(AtomBudgetError, match="set 'chained': 26 atoms"):
                 check()
 
