@@ -24,7 +24,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 from . import wordbank
@@ -33,6 +35,7 @@ from .logic import (
     AtomRef,
     CompiledFormulas,
     Formula,
+    FormulaChecker,
     Implies,
     Not,
     Or,
@@ -99,30 +102,73 @@ class GenerationError(RuntimeError):
     """Internal certification failure: a generated label disagreed with the oracle."""
 
 
+class _ReadOnFirstUse:
+    """Default of a dataclass field whose value may be computed on first read.
+
+    It is a non-data descriptor, so the value ``__init__`` stores on an
+    instance shadows it: reading a value stored that way runs no Python
+    code.  :func:`_defer` removes a stored value and keeps its
+    source instead; the first read then stores ``compute(source)`` on the
+    instance, drops the source and returns the value.  The JSONL reader
+    defers formulas so that they are parsed only where something reads them.
+    """
+
+    def __init__(self, default, compute) -> None:
+        self.default, self.compute = default, compute
+
+    def __set_name__(self, owner, name: str) -> None:
+        # Interned, so that instances keep their attributes in the class's shared
+        # key table: under a fresh string each instance built its own dict (~0.5 KB).
+        self.name, self.source = name, sys.intern(f"_{name}_source")
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.default
+        value = self.compute(getattr(obj, self.source))
+        object.__setattr__(obj, self.name, value)
+        object.__delattr__(obj, self.source)
+        return value
+
+
+def _defer(obj, name: str, source) -> None:
+    """Drop ``obj``'s value of the :class:`_ReadOnFirstUse` field ``name``; keep ``source``."""
+    object.__delattr__(obj, name)
+    object.__setattr__(obj, vars(type(obj))[name].source, source)
+
+
 @dataclass(frozen=True)
 class Statement:
-    """One unit of information: a sentence, or a question-answer pair."""
+    """One unit of information: a sentence, or a question-answer pair.
+
+    A loaded statement keeps its formula's text and parses it on first read.
+    """
 
     kind: str
     text: str | None = None
     question: str | None = None
     answer: str | None = None
-    semantics: Formula | None = None
+    semantics: Formula | None = _ReadOnFirstUse(None, lambda text: parse_formula(text))  # the module's, at read time
 
     def __post_init__(self) -> None:
         if self.kind == SENTENCE:
-            if not self.text or self.question is not None or self.answer is not None:
-                raise ValueError("sentence statements carry text only")
+            if type(self.text) is not str or not self.text or self.question is not None or self.answer is not None:
+                raise ValueError("sentence statements carry a non-empty text string only")
         elif self.kind == QA:
-            if self.text is not None or not self.question or not self.answer:
-                raise ValueError("qa statements carry a question and a non-empty answer")
+            if (self.text is not None or type(self.question) is not str or not self.question
+                    or type(self.answer) is not str or not self.answer):
+                raise ValueError("qa statements carry a question and a non-empty answer, both strings")
         else:
             raise ValueError(f"unknown statement kind {self.kind!r}")
 
 
 @dataclass
 class StatementSet:
-    """A labeled, provenance-tagged collection of statements."""
+    """A labeled, provenance-tagged collection of statements.
+
+    A loaded set, and a union, computes its context formulas on first read
+    (a union from its parts'); a loaded set, and a union of loaded parts,
+    keeps its atom namespaces from construction.
+    """
 
     id: str
     statements: list[Statement]
@@ -131,18 +177,31 @@ class StatementSet:
     rule_id: str | None = None
     difficulty: str = "medium"
     gold_inconsistent_indices: tuple[int, ...] | None = None
-    context_semantics: tuple[Formula, ...] = ()
+    context_semantics: tuple[Formula, ...] = _ReadOnFirstUse((), lambda make: make())
+    _namespaces = None  # kept by load_jsonl, and by compose_union from loaded parts; not a field
 
     def __post_init__(self) -> None:
+        if type(self.id) is not str:
+            raise ValueError(f"set id {self.id!r} is not a string")
         if len(self.statements) < 2:
             raise ValueError(f"set {self.id!r}: need at least 2 statements")
         if self.label not in (CONSISTENT, INCONSISTENT):
             raise ValueError(f"set {self.id!r}: bad label {self.label!r}")
-        if not self.provenance or set(self.provenance) - {"C", "I"}:
+        if type(self.provenance) is not str or not self.provenance or set(self.provenance) - {"C", "I"}:
             raise ValueError(f"set {self.id!r}: bad provenance {self.provenance!r}")
         expected = CONSISTENT if "I" not in self.provenance else INCONSISTENT
         if self.label != expected:
             raise ValueError(f"set {self.id!r}: label {self.label!r} contradicts provenance {self.provenance!r}")
+        gold = self.gold_inconsistent_indices
+        if gold:
+            if self.label == CONSISTENT:
+                raise ValueError(f"set {self.id!r}: a consistent set has no gold inconsistent indices")
+            for k, g in enumerate(gold):
+                if not 0 <= g < len(self.statements):
+                    raise ValueError(f"set {self.id!r}: gold index {g} is not a statement index "
+                                     f"(0..{len(self.statements) - 1})")
+                if g in gold[:k]:
+                    raise ValueError(f"set {self.id!r}: gold index {g} repeats")
 
     def __len__(self) -> int:
         return len(self.statements)
@@ -160,6 +219,9 @@ class StatementSet:
         return self.formulas() + list(self.context_semantics)
 
     def namespaces(self) -> frozenset[str]:
+        """Namespaces (id up to the first ``.``) of the atoms of the statements and context."""
+        if self._namespaces is not None:
+            return self._namespaces
         names: set[str] = set()
         for f in [s.semantics for s in self.statements if s.semantics is not None] + list(self.context_semantics):
             names |= atoms_of(f)
@@ -544,15 +606,22 @@ def compose_union(
     provenance = "".join(sorted(part.provenance for part in parts))
     label = CONSISTENT if "I" not in provenance else INCONSISTENT
     has_gold = any(part.gold_inconsistent_indices is not None for part in parts)
-    return StatementSet(
+    union = StatementSet(
         id=set_id or "u." + ".".join(part.id for part in parts),
         statements=statements,
         label=label,
         provenance=provenance,
         difficulty="easy" if any(p.difficulty == "easy" for p in parts) else "medium",
         gold_inconsistent_indices=remapped if has_gold else None,
-        context_semantics=tuple(f for part in parts for f in part.context_semantics),
     )
+    if all(part._namespaces is not None for part in parts):
+        union._namespaces = frozenset(seen)  # loaded parts: answer namespaces() without parsing
+    _defer(union, "context_semantics", partial(_joint_context, parts))
+    return union
+
+
+def _joint_context(parts: Sequence[StatementSet]) -> tuple[Formula, ...]:
+    return tuple(f for part in parts for f in part.context_semantics)
 
 
 def derive_pairwise_dataset(
@@ -751,17 +820,6 @@ def _statement_to_json(s: Statement) -> dict:
     return record
 
 
-def _statement_from_json(record: dict) -> Statement:
-    semantics = record.get("semantics")
-    return Statement(
-        kind=record["kind"],
-        text=record.get("text"),
-        question=record.get("question"),
-        answer=record.get("answer"),
-        semantics=parse_formula(semantics) if semantics is not None else None,
-    )
-
-
 def set_to_json(s: StatementSet) -> dict:
     record: dict = {
         "id": s.id,
@@ -779,18 +837,73 @@ def set_to_json(s: StatementSet) -> dict:
     return record
 
 
-def set_from_json(record: dict) -> StatementSet:
-    gold = record.get("gold_inconsistent_indices")
-    return StatementSet(
-        id=record["id"],
-        statements=[_statement_from_json(r) for r in record["statements"]],
-        label=record["label"],
-        provenance=record["provenance"],
-        rule_id=record.get("rule_id"),
-        difficulty=record.get("difficulty", "medium"),
+def _parse_all(texts: Sequence[str]) -> tuple[Formula, ...]:
+    return tuple(parse_formula(text) for text in texts)
+
+
+_LIST_ITEMS = {dict: "objects", int: "integers", str: "strings"}
+
+
+def _list(record: dict, key: str, item: type) -> list | None:
+    """``record[key]``, None if absent or null, checked to be a list of JSON ``item`` values."""
+    value = record.get(key)
+    if value is not None and (type(value) is not list or not {item}.issuperset(map(type, value))):
+        raise MalformedRecordError(f"field {key!r} must be a list of {_LIST_ITEMS[item]}")
+    return value
+
+
+def _string(record: dict, key: str, default: str | None = None) -> str | None:
+    """``record[key]``, ``default`` if absent or null, checked to be a JSON string."""
+    value = record.get(key)
+    if value is None:
+        return default
+    if type(value) is not str:
+        raise MalformedRecordError(f"field {key!r} must be a string")
+    return value
+
+
+def set_from_json(record, check: FormulaChecker) -> StatementSet:
+    """Inverse of :func:`set_to_json`; a field of the wrong JSON type is a :class:`MalformedRecordError`.
+
+    Every formula text is checked here by ``check`` (a reader shares one
+    across its records, so each distinct shape is parsed once); the text
+    itself is parsed only when its ``semantics`` or ``context_semantics``
+    is first read.
+    The string fields that :class:`Statement` and :class:`StatementSet`
+    validate themselves are passed to them as read.
+    """
+    if type(record) is not dict:
+        raise MalformedRecordError("a record must be a JSON object")
+    entries = _list(record, "statements", dict)
+    if entries is None:
+        raise MalformedRecordError("missing field 'statements'")
+    texts = []
+    statements = []
+    for i, entry in enumerate(entries):
+        try:
+            statement = Statement(entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"))
+            formula = _string(entry, "semantics")
+        except ValueError as exc:
+            raise MalformedRecordError(f"statement {i}: {exc}") from exc
+        if formula is not None:
+            texts.append(formula)
+            _defer(statement, "semantics", formula)
+        statements.append(statement)
+    context = _list(record, "context_semantics", str)
+    gold = _list(record, "gold_inconsistent_indices", int)
+    out = StatementSet(
+        id=record.get("id"),
+        statements=statements,
+        label=record.get("label"),
+        provenance=record.get("provenance"),
+        rule_id=_string(record, "rule_id"),
+        difficulty=_string(record, "difficulty", "medium"),
         gold_inconsistent_indices=tuple(gold) if gold is not None else None,
-        context_semantics=tuple(parse_formula(f) for f in record.get("context_semantics", [])),
     )
+    out._namespaces = check.namespaces(texts + context if context else texts)
+    if context:
+        _defer(out, "context_semantics", partial(_parse_all, context))
+    return out
 
 
 def save_jsonl(sets: Iterable[StatementSet], path) -> None:
@@ -801,20 +914,26 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
 
 
 def load_jsonl(path) -> list[StatementSet]:
-    """Inverse of :func:`save_jsonl`; reports the line number on bad records.
+    """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
 
     Set ids must be unique: scores, caches and score files refer to sets
-    by id, so a repeated id is rejected like any other bad record.
+    by id, so a repeated id is rejected like any other bad record.  One
+    :class:`FormulaChecker` serves the whole file, so each distinct formula
+    shape is parsed once; formulas are parsed where they are read (see
+    :func:`set_from_json`).
     """
     out = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    check = FormulaChecker()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                record = json.loads(line)
-                out.append(set_from_json(record))
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                out.append(set_from_json(json.loads(line), check))
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
             set_id = out[-1].id

@@ -310,3 +310,44 @@ def parse_formula(text: str) -> Formula:
     if pos != len(tokens):
         raise FormulaSyntaxError(f"trailing tokens in {text!r}")
     return result
+
+
+_DOTTED_TOKEN = re.compile(r"([A-Za-z0-9_:@-]*)\.[A-Za-z0-9_.:@-]*")
+
+
+class FormulaChecker:
+    """Checks the formula texts of many sets, parsing each distinct *shape* once.
+
+    Texts that differ only in their dotted tokens (atom ids ``ns.name``)
+    share a shape: the text with each dotted token replaced by ``.``.  No
+    connective has a dot, so a text and its shape parse alike: a text is
+    accepted iff its shape is, and its atoms' namespaces (ids up to the
+    first ``.``) are those of its dotted tokens plus the undotted atoms of
+    its shape.  One regex split of a set's joined texts yields both its
+    shapes and its dotted namespaces; a corpus has only a handful of shapes.
+    """
+
+    def __init__(self) -> None:
+        self._shapes: dict[str, frozenset[str]] = {}  # shape -> its undotted atoms
+
+    def namespaces(self, texts: list[str]) -> frozenset[str]:
+        """Namespaces of the atoms of ``texts``; a :class:`FormulaSyntaxError` names the first bad text."""
+        if not texts:
+            return frozenset()
+        # Text between dotted tokens, alternating with those tokens' namespaces.
+        pieces = _DOTTED_TOKEN.split("\0".join(texts))
+        shapes = ".".join(pieces[::2]).split("\0")
+        if len(shapes) != len(texts):  # a text holds the separator, which no formula may
+            for text in texts:
+                parse_formula(text)  # raises, for that text or an earlier bad one
+        names = set(pieces[1::2])
+        for shape, text in zip(shapes, texts):
+            undotted = self._shapes.get(shape)
+            if undotted is None:
+                try:
+                    undotted = self._shapes[shape] = atoms_of(parse_formula(shape)) - {"."}
+                except FormulaSyntaxError:
+                    parse_formula(text)  # raises the same error, naming the text itself
+                    raise
+            names |= undotted
+        return frozenset(names)

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from setcoh import cli
+from setcoh import cli, datagen, evalkit, trainer
 from setcoh.cli import load_corpus, load_threshold, main
 from setcoh.datagen import QA_FLIPS, GenerationError, compose_union, pools, save_jsonl
-from setcoh.logic import AtomRef, Implies
+from setcoh.logic import AtomRef, Implies, format_formula, parse_formula
 from setcoh.trainer import Threshold
 
 
@@ -305,3 +305,94 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-m", "setcoh.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The formula texts the reader's lazy fields parse, in order."""
+    texts = []
+
+    def spy(text):
+        texts.append(text)
+        return parse_formula(text)
+
+    monkeypatch.setattr(datagen, "parse_formula", spy)
+    return texts
+
+
+class TestLazyParsing:
+    @pytest.mark.parametrize("command", [
+        ("train", "--epochs", "1", "--pairs-per-epoch", "8", "--val-per-class", "4", "--dim", "8", "--hidden", "8"),
+        ("train", "--arch", "binary", "--epochs", "1", "--pairs-per-epoch", "8", "--val-per-class", "4",
+         "--dim", "8", "--hidden", "8"),
+        ("verify", "--strategy", "set", "--mixture-per-class", "3"),
+        ("verify", "--strategy", "elementwise", "--mixture-per-class", "3"),
+        ("locate", "--mixture-per-class", "3"),
+        ("sweep", "--mixture-per-class", "2", "--mtr-grid", "0,0.5"),
+    ], ids=["train-energy", "train-binary", "verify-set", "verify-elementwise", "locate", "sweep"])
+    def test_model_commands_parse_no_formula(self, tmp_path, qa_dir, model_dir, parsed, command):
+        name, *flags = command
+        if name != "train":
+            flags += ["--scorer", model_dir / "model.bin"]
+        assert run(name, "--data", qa_dir, "--out", tmp_path / "o", "--seed", "5", *flags) == 0
+        assert parsed == []
+
+    def test_oracle_verify_parses_only_its_mixture(self, tmp_path, qa_dir, parsed):
+        assert run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--seed", "5",
+                   "--scorer", "oracle", "--mixture-per-class", "2") == 0
+        seen = list(parsed)
+        corpus = load_corpus(qa_dir)
+        mixture = evalkit.build_eval_mixture(*trainer.base_pools(corpus.test), 2, rng_seed=5).sets
+        assert set(seen) == {format_formula(f) for s in mixture for f in s.all_formulas()}
+        assert len(seen) < sum(len(s.all_formulas()) for split in corpus.splits().values() for s in split) / 2
+
+    def test_syntax_error_in_a_train_set_exit_3(self, tmp_path, qa_dir, model_dir, capsys):
+        lines = (qa_dir / "data.jsonl").read_text().splitlines()
+        record = json.loads(lines[4])
+        assert record["id"].startswith("train-")
+        record["statements"][1]["semantics"] = "(nand a b)"
+        lines[4] = json.dumps(record)
+        data = tmp_path / "bad"
+        data.mkdir()
+        (data / "data.jsonl").write_text("\n".join(lines) + "\n")
+        for command, *flags in [("train", "--epochs", "1"),
+                                ("verify", "--scorer", model_dir / "model.bin", "--mixture-per-class", "2")]:
+            assert run(command, "--data", data, "--out", tmp_path / "o", *flags) == 3
+            assert f"error: {data / 'data.jsonl'}:5: unknown connective 'nand'" in capsys.readouterr().err
+
+
+def _setting(key, value):
+    return lambda record: json.dumps({**record, key: value})
+
+
+# Line 2 of a generated corpus is an inconsistent set with one gold index; line 3 a consistent set.
+@pytest.mark.parametrize("line, edit", [
+    (2, lambda record: json.dumps(record).encode("utf-8").replace(b"what", b"wh\xffat", 1)),
+    (2, lambda record: json.dumps([record])),
+    (2, _setting("statements", "is desk pink?")),
+    (2, _setting("statements", ["is desk pink?", "no"])),
+    (2, _setting("id", 3)),
+    (2, _setting("context_semantics", "ab")),
+    (2, _setting("context_semantics", [1])),
+    (2, _setting("gold_inconsistent_indices", "01")),
+    (2, _setting("gold_inconsistent_indices", [True])),
+    (2, _setting("gold_inconsistent_indices", [99])),
+    (2, lambda record: json.dumps({**record, "gold_inconsistent_indices": record["gold_inconsistent_indices"] * 2})),
+    (3, _setting("gold_inconsistent_indices", [0])),
+], ids=["not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
+        "context-string", "context-of-ints", "gold-string", "gold-bool", "gold-out-of-range",
+        "gold-repeated", "gold-on-consistent"])
+def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
+    lines = (qa_dir / "data.jsonl").read_bytes().splitlines()
+    record = json.loads(lines[line - 1])
+    assert record["label"] == ("inconsistent" if line == 2 else "consistent")
+    bad = edit(record)
+    lines[line - 1] = bad if isinstance(bad, bytes) else bad.encode("utf-8")
+    data = tmp_path / "bad"
+    data.mkdir()
+    (data / "data.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    code = run("verify", "--data", data, "--out", tmp_path / "o", "--scorer", "oracle", "--mixture-per-class", "2")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {data / 'data.jsonl'}:{line}: ")
+    assert "Traceback" not in err

@@ -1,8 +1,12 @@
 import itertools
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from setcoh import datagen
 from setcoh.datagen import (
     DEFAULT_FLIPS,
     GenConfig,
@@ -26,7 +30,20 @@ from setcoh.datagen import (
     save_jsonl,
     validate_with_oracle,
 )
-from setcoh.logic import Implies, Not, Or, is_satisfiable, negate
+from setcoh.evalkit import build_eval_mixture
+from setcoh.logic import (
+    AtomRef,
+    FormulaChecker,
+    FormulaSyntaxError,
+    Implies,
+    Not,
+    Or,
+    atoms_of,
+    format_formula,
+    is_satisfiable,
+    negate,
+    parse_formula,
+)
 from setcoh.rules import ALL_RULES
 
 
@@ -366,3 +383,185 @@ class TestPairwiseBlindWitness:
 
     def test_default_flip_modes(self):
         assert DEFAULT_FLIPS == ("no-to-yes", "open-replace")
+
+
+def reference_namespaces(formulas):
+    """Namespaces of built formulas, from their atoms."""
+    return frozenset(name.split(".", 1)[0] for f in formulas for name in atoms_of(f))
+
+
+def expected_check(text):
+    """What the load-time check must give for ``text``: parse_formula's namespaces, or its error."""
+    try:
+        return reference_namespaces([parse_formula(text)])
+    except FormulaSyntaxError as exc:
+        return str(exc)
+
+
+def outcome(check, text):
+    try:
+        return check(text)
+    except FormulaSyntaxError as exc:
+        return str(exc)
+
+
+def assert_check_agrees_with_parser(text):
+    expected = expected_check(text)
+    assert outcome(lambda t: FormulaChecker().namespaces([t]), text) == expected
+
+
+ATOM_IDS = ["p", "h", "not", "or", "x1", "q1a.brown", "q1a.pink", "e9.p", "a.b.c", ".", "a.", ".b", "ns:x@y-z_1.v"]
+TOKENS = ["(", ")", "not", "or", "implies", "and", *ATOM_IDS, "!", "\x00"]
+SEPARATORS = ["", " ", "  ", "\t", "\n"]
+formula_strategy = st.recursive(
+    st.sampled_from(ATOM_IDS).map(AtomRef),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.builds(Or, children, children),
+        st.builds(Implies, children, children),
+    ),
+    max_leaves=6,
+)
+token_soup = st.lists(st.tuples(st.sampled_from(SEPARATORS), st.sampled_from(TOKENS)), max_size=10).map(
+    lambda pairs: "".join(sep + tok for sep, tok in pairs))
+
+
+@st.composite
+def formula_texts(draw):
+    """Well-formed formulas, the same with one token dropped, added or swapped, and token soup."""
+    text = format_formula(draw(formula_strategy))
+    tokens = re.findall(r"\(|\)|[^()\s]+", text)
+    edit = draw(st.sampled_from(["none", "drop", "insert", "swap", "spaces", "soup"]))
+    k = draw(st.integers(0, len(tokens)))
+    if edit == "drop" and k < len(tokens):
+        del tokens[k]
+    elif edit == "insert":
+        tokens.insert(k, draw(st.sampled_from(TOKENS)))
+    elif edit == "swap" and k < len(tokens):
+        tokens[k] = draw(st.sampled_from(TOKENS))
+    elif edit == "soup":
+        return draw(token_soup)
+    sep = draw(st.sampled_from(SEPARATORS[1:])) if edit == "spaces" else " "
+    return sep.join(tokens)
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "p", "q1a.brown", "(not p)", "( not\tp )", "(not(or a.x b))", "(not not)", "not", "a.b.c",
+    "(and p q)", "(nand a.b c)", "(not p", "(not p q)", "(or p)", "(implies p)", "((not p))", "(not)",
+    ")", "p)", "p q", "(or p q", "(or p q))", "(not p!)", "(not \x00p)", "(", "(.x .y)",
+])
+def test_load_time_check_on_known_texts(text):
+    assert_check_agrees_with_parser(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(formula_texts())
+def test_load_time_check_accepts_exactly_what_the_parser_accepts(text):
+    assert_check_agrees_with_parser(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(formula_texts(), min_size=1, max_size=5))
+def test_checker_over_a_set_reports_its_first_bad_text(texts):
+    # One checker for all examples would carry shapes between them; a set's texts share one.
+    results = [expected_check(t) for t in texts]
+    errors = [r for r in results if isinstance(r, str)]
+    expected = errors[0] if errors else frozenset().union(*results)
+    assert outcome(FormulaChecker().namespaces, texts) == expected
+    check = FormulaChecker()
+    for text in texts:  # shapes parsed for earlier texts decide later ones
+        outcome(check.namespaces, [text])
+    assert outcome(check.namespaces, texts) == expected
+
+
+@pytest.fixture(params=["qa_corpus", "snli_corpus"])
+def desk_corpus(request, tmp_path_factory):
+    """A desk-scale corpus in memory and as loaded back from its JSONL file."""
+    corpus = request.getfixturevalue(request.param)
+    sets = [s for split in corpus.splits().values() for s in split]
+    path = tmp_path_factory.mktemp("desk") / "data.jsonl"
+    save_jsonl(sets, path)
+    return sets, load_jsonl(path)
+
+
+class TestLazyReader:
+    def test_loaded_formulas_equal_the_generated_ones(self, desk_corpus):
+        generated, loaded = desk_corpus
+        assert len(loaded) == len(generated)
+        for g, s in zip(generated, loaded):
+            assert s.id == g.id
+            assert [st.semantics for st in s.statements] == [st.semantics for st in g.statements]
+            assert s.context_semantics == g.context_semantics
+            assert s == g
+
+    def test_namespaces_from_text_equal_those_of_the_formulas(self, desk_corpus, monkeypatch):
+        generated, loaded = desk_corpus
+        expected = [reference_namespaces(g.all_formulas()) for g in generated]
+
+        def no_parse(text):
+            raise AssertionError(f"parsed {text!r}")
+
+        monkeypatch.setattr(datagen, "parse_formula", no_parse)
+        assert [s.namespaces() for s in loaded] == expected
+        assert [g.namespaces() for g in generated] == expected
+        # Unions of loaded parts: every class, composed without parsing.
+        test = [s for s in loaded if s.id.startswith("test-")]
+        mixture = build_eval_mixture(*pools(test), 6, rng_seed=1).sets
+        namespaces = [u.namespaces() for u in mixture]
+        monkeypatch.undo()
+        assert namespaces == [reference_namespaces(u.all_formulas()) for u in mixture]
+        generated_test = [g for g in generated if g.id.startswith("test-")]
+        assert mixture == build_eval_mixture(*pools(generated_test), 6, rng_seed=1).sets
+
+    def test_formulas_are_parsed_on_first_read_only(self, tmp_path, small_qa_corpus, monkeypatch):
+        path = tmp_path / "sets.jsonl"
+        save_jsonl(small_qa_corpus.test[:2], path)
+        parsed = []
+        monkeypatch.setattr(datagen, "parse_formula", lambda text: parsed.append(text) or parse_formula(text))
+        s = load_jsonl(path)[1]
+        assert parsed == []
+        first = s.statements[0].semantics
+        assert s.statements[0].semantics is first and parsed == [format_formula(first)]
+        assert s.context_semantics is s.context_semantics
+        assert parsed[1:] == [format_formula(f) for f in s.context_semantics]
+
+
+GOOD = {"id": "a", "label": "consistent", "provenance": "C",
+        "statements": [{"kind": "qa", "question": "q?", "answer": "x", "semantics": "w.x"},
+                       {"kind": "qa", "question": "r?", "answer": "yes", "semantics": "w.x"}]}
+BAD_BASE = {"id": "b", "label": "inconsistent", "provenance": "I", "gold_inconsistent_indices": [1],
+            "statements": [{"kind": "qa", "question": "q?", "answer": "x", "semantics": "v.x"},
+                           {"kind": "qa", "question": "r?", "answer": "yes", "semantics": "(not v.x)"}]}
+
+
+class TestStrictRecords:
+    def write(self, path, record):
+        path.write_text(json.dumps(GOOD) + "\n" + json.dumps(record) + "\n")
+        return path
+
+    @pytest.mark.parametrize("change, message", [
+        ({"gold_inconsistent_indices": [99]}, "gold index 99 is not a statement index (0..1)"),
+        ({"gold_inconsistent_indices": [1, 1]}, "gold index 1 repeats"),
+        ({"label": "consistent", "provenance": "C"}, "a consistent set has no gold inconsistent indices"),
+        ({"gold_inconsistent_indices": "01"}, "field 'gold_inconsistent_indices' must be a list of integers"),
+        ({"gold_inconsistent_indices": [True]}, "field 'gold_inconsistent_indices' must be a list of integers"),
+        ({"context_semantics": "ab"}, "field 'context_semantics' must be a list of strings"),
+        ({"statements": "xy"}, "field 'statements' must be a list of objects"),
+        ({"id": 7}, "set id 7 is not a string"),
+        ({"context_semantics": ["(nand a b)"]}, "unknown connective 'nand' in '(nand a b)'"),
+    ], ids=["gold-out-of-range", "gold-repeated", "gold-on-consistent", "gold-string", "gold-bool",
+            "context-string", "statements-string", "id-int", "context-syntax"])
+    def test_bad_record_names_its_line(self, tmp_path, change, message):
+        path = self.write(tmp_path / "bad.jsonl", {**BAD_BASE, **change})
+        with pytest.raises(MalformedRecordError) as excinfo:
+            load_jsonl(path)
+        assert str(excinfo.value).startswith(f"{path}:2: ")
+        assert str(excinfo.value).endswith(message)
+
+    def test_gold_indices_are_checked_on_construction(self):
+        statements = gen_qa_set(desk_world()).statements
+        for gold, label in (((3,), "inconsistent"), ((0, 0), "inconsistent"), ((0,), "consistent")):
+            with pytest.raises(ValueError, match="gold"):
+                StatementSet(id="x", statements=statements, label=label, provenance=label[0].upper(),
+                             gold_inconsistent_indices=gold)
+
