@@ -19,11 +19,13 @@ from pathlib import Path
 
 from . import __version__, evalkit, trainer, verifier
 from .datagen import (
+    DEFAULT_FLIPS,
     DatasetSplit,
     GenConfig,
     GenerationError,
     MalformedRecordError,
     MissingSemanticsError,
+    SPLIT_NAMES,
     StatementSet,
     build_splits,
     load_jsonl,
@@ -31,6 +33,8 @@ from .datagen import (
 )
 from .logic import AtomBudgetError
 from .model import (
+    EMBED_DIM,
+    HIDDEN_DIM,
     CorruptFileError,
     ModelParams,
     VersionMismatchError,
@@ -81,11 +85,14 @@ def _default_seed() -> int:
     return int(os.environ.get("SETCOH_SEED", "0"))
 
 
-def _write_snapshot(out: Path, command: str, args: argparse.Namespace) -> None:
+def _write_snapshot(args: argparse.Namespace) -> Path:
+    """Write the resolved flags to ``--out``/config.snapshot; returns ``--out``."""
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    snapshot = {"command": command, "version": __version__, "args": resolved}
+    snapshot = {"command": args.command, "version": __version__, "args": resolved}
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / SNAPSHOT_FILE).write_text(json.dumps(snapshot, indent=2, sort_keys=True, default=str) + "\n")
+    return out
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -108,7 +115,7 @@ def load_corpus(data_dir: Path) -> DatasetSplit:
         prefix = s.id.split("-", 1)[0]
         if prefix not in buckets:
             raise MalformedRecordError(
-                f"set id {s.id!r} does not start with a split name (train/validation1/validation2/test)"
+                f"set id {s.id!r} does not start with a split name ({'/'.join(SPLIT_NAMES)})"
             )
         buckets[prefix].append(s)
     return split
@@ -122,7 +129,6 @@ def _split_sets(corpus: DatasetSplit, name: str) -> list[StatementSet]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     train_count, eval_count = (int(x) for x in args.counts.split(","))
     config = GenConfig(
         style=args.style,
@@ -130,7 +136,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         eval_count=eval_count,
         qa_flips=tuple(args.qa_flips.split(",")),
     )
-    _write_snapshot(out, "gen", args)
+    out = _write_snapshot(args)
     corpus = build_splits(config, args.seed)
     ordered = corpus.train + corpus.validation1 + corpus.validation2 + corpus.test
     save_jsonl(ordered, out / DATA_FILE)
@@ -184,9 +190,6 @@ def load_threshold(path: Path) -> Threshold:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    _write_snapshot(out, "train", args)
-    corpus = load_corpus(Path(args.data))
     config = TrainerConfig(
         alpha=args.alpha,
         learning_rate=args.lr,
@@ -197,6 +200,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         pairs_per_epoch=args.pairs_per_epoch,
         val_per_class=args.val_per_class,
     )
+    out = _write_snapshot(args)
+    corpus = load_corpus(Path(args.data))
     vocab = build_vocabulary(_split_sets(corpus, "train"))
     params = ModelParams.init(vocab, d=args.dim, h=args.hidden, seed=args.seed)
     if args.arch == "energy":
@@ -242,13 +247,22 @@ def resolve_scorer(spec: str, threshold_file: str | None) -> verifier.Scorer:
     return verifier.EnergyScorer(params, threshold.value)
 
 
-def _mixture_for(args: argparse.Namespace, corpus: DatasetSplit,
-                 classes=None) -> evalkit.EvalMixture:
+def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES,
+                    min_size: int = 0) -> tuple[Path, verifier.Scorer, evalkit.EvalMixture]:
+    """The set-up ``verify``, ``locate`` and ``sweep`` share: snapshot, corpus, scorer, mixture.
+
+    The mixture draws ``--mixture-per-class`` sets of each of ``classes``
+    from the ``--split`` base sets with at least ``min_size`` statements.
+    """
+    out = _write_snapshot(args)
+    corpus = load_corpus(Path(args.data))
+    scorer = resolve_scorer(args.scorer, args.threshold_file)
     base_c, base_i = trainer.base_pools(_split_sets(corpus, args.split))
-    return evalkit.build_eval_mixture(
-        base_c, base_i, args.mixture_per_class, rng_seed=args.seed,
-        classes=classes or evalkit.PROVENANCE_CLASSES,
+    mixture = evalkit.build_eval_mixture(
+        [s for s in base_c if len(s) >= min_size], [s for s in base_i if len(s) >= min_size],
+        args.mixture_per_class, rng_seed=args.seed, classes=classes,
     )
+    return out, scorer, mixture
 
 
 def _metrics_rows(report: evalkit.MetricsReport) -> list[list]:
@@ -262,11 +276,7 @@ def _metrics_rows(report: evalkit.MetricsReport) -> list[list]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    _write_snapshot(out, "verify", args)
-    corpus = load_corpus(Path(args.data))
-    scorer = resolve_scorer(args.scorer, args.threshold_file)
-    mixture = _mixture_for(args, corpus)
+    out, scorer, mixture = _scored_mixture(args)
     report = evalkit.verification_report(scorer, mixture.sets, strategy=args.strategy, mtr=args.mtr)
     _write_csv(out / METRICS_FILE, ["class", "precision", "recall", "f1", "support"],
                _metrics_rows(report))
@@ -291,17 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    _write_snapshot(out, "locate", args)
-    corpus = load_corpus(Path(args.data))
-    scorer = resolve_scorer(args.scorer, args.threshold_file)
-    base_c, base_i = trainer.base_pools(_split_sets(corpus, args.split))
-    base_c = [s for s in base_c if len(s) >= args.min_size]
-    base_i = [s for s in base_i if len(s) >= args.min_size]
-    classes = tuple(args.classes.split(","))
-    mixture = evalkit.build_eval_mixture(
-        base_c, base_i, args.mixture_per_class, rng_seed=args.seed, classes=classes
-    )
+    out, scorer, mixture = _scored_mixture(args, args.classes.split(","), args.min_size)
     results = []
     for s in mixture.sets:
         gold = s.gold_inconsistent_indices
@@ -321,11 +321,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    _write_snapshot(out, "sweep", args)
-    corpus = load_corpus(Path(args.data))
-    scorer = resolve_scorer(args.scorer, args.threshold_file)
-    mixture = _mixture_for(args, corpus)
+    out, scorer, mixture = _scored_mixture(args)
     grid = [float(x) for x in args.mtr_grid.split(",")]
     rows = evalkit.mtr_sweep(scorer, mixture, grid)
     _write_csv(out / "sweep.csv", ["mtr", "size_bucket", "macro_f1", "count"],
@@ -337,15 +333,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    _write_snapshot(out, "ablate", args)
-    corpus = load_corpus(Path(args.data))
     config = TrainerConfig(
         epochs=args.epochs,
         rng_seed=args.seed,
         pairs_per_epoch=args.pairs_per_epoch,
         val_per_class=args.val_per_class,
     )
+    out = _write_snapshot(args)
+    corpus = load_corpus(Path(args.data))
     vocab = build_vocabulary(_split_sets(corpus, "train"))
 
     def params_factory() -> ModelParams:
@@ -379,66 +374,63 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("--data", required=True, help="directory containing data.jsonl")
 
+    def training(p: argparse.ArgumentParser, epochs: int) -> None:
+        p.add_argument("--epochs", type=int, default=epochs)
+        p.add_argument("--pairs-per-epoch", type=int, default=TrainerConfig.pairs_per_epoch)
+        p.add_argument("--val-per-class", type=int, default=TrainerConfig.val_per_class)
+        p.add_argument("--dim", type=int, default=EMBED_DIM)
+        p.add_argument("--hidden", type=int, default=HIDDEN_DIM)
+
+    def scored(p: argparse.ArgumentParser, per_class: int, split: str) -> None:
+        p.add_argument("--scorer", required=True, help="oracle | model.bin path | external:scores.csv")
+        p.add_argument("--threshold-file", default=None)
+        p.add_argument("--mixture-per-class", type=int, default=per_class)
+        p.add_argument("--split", choices=SPLIT_NAMES, default=split)
+
     p = sub.add_parser("gen", help="generate a corpus")
     common(p, data=False)
     p.add_argument("--style", choices=["snli", "qa"], required=True)
-    p.add_argument("--counts", default="2000,200", help="train,eval pair counts per label")
-    p.add_argument("--qa-flips", default="no-to-yes,open-replace")
+    p.add_argument("--counts", default=f"{GenConfig.train_count},{GenConfig.eval_count}",
+                   help="train,eval pair counts per label")
+    p.add_argument("--qa-flips", default=",".join(DEFAULT_FLIPS))
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a scorer")
     common(p)
+    training(p, epochs=TrainerConfig.epochs)
     p.add_argument("--arch", choices=["energy", "binary"], default="energy")
-    p.add_argument("--regime", choices=sorted(trainer.REGIMES), default="eight")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--pairs-per-epoch", type=int, default=None)
-    p.add_argument("--val-per-class", type=int, default=None)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--regime", choices=sorted(trainer.REGIMES), default=TrainerConfig.regime)
+    p.add_argument("--alpha", type=float, default=TrainerConfig.alpha)
+    p.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainerConfig.batch_size)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="verification metrics on a class-balanced mixture")
     common(p)
-    p.add_argument("--scorer", required=True, help="oracle | model.bin path | external:scores.csv")
-    p.add_argument("--threshold-file", default=None)
+    scored(p, per_class=50, split="test")
     p.add_argument("--strategy", choices=["set", "elementwise"], default="set")
     p.add_argument("--mtr", type=float, default=0.0)
-    p.add_argument("--mixture-per-class", type=int, default=50)
-    p.add_argument("--split", choices=["train", "validation1", "validation2", "test"], default="test")
     p.add_argument("--dump-scores", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("locate", help="localization metrics over corrupted-QA mixtures")
     common(p)
-    p.add_argument("--scorer", required=True)
-    p.add_argument("--threshold-file", default=None)
-    p.add_argument("--mixture-per-class", type=int, default=25)
+    scored(p, per_class=25, split="test")
     p.add_argument("--classes", default=",".join(SINGLE_GOLD_CLASSES))
     p.add_argument("--min-size", type=int, default=4)
-    p.add_argument("--split", choices=["train", "validation1", "validation2", "test"], default="test")
     p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("sweep", help="element-wise macro-F1 over a tolerance-rate grid")
     common(p)
-    p.add_argument("--scorer", required=True)
-    p.add_argument("--threshold-file", default=None)
+    scored(p, per_class=25, split="validation2")
     p.add_argument("--mtr-grid", default="0,0.1,0.2,0.3,0.4,0.5")
-    p.add_argument("--mixture-per-class", type=int, default=25)
-    p.add_argument("--split", choices=["train", "validation1", "validation2", "test"], default="validation2")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="compare contrast regimes")
     common(p)
+    training(p, epochs=8)
     p.add_argument("--regimes", default="basic,six,eight")
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--pairs-per-epoch", type=int, default=None)
-    p.add_argument("--val-per-class", type=int, default=None)
     p.add_argument("--mixture-per-class", type=int, default=25)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--hidden", type=int, default=64)
     p.set_defaults(func=cmd_ablate)
 
     return parser

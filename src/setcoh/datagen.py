@@ -94,10 +94,6 @@ class MalformedRecordError(ValueError):
     """A JSONL record failed validation; message carries the line number."""
 
 
-class InsufficientRuleCoverageError(ValueError):
-    """The requested rule families provide no rule for a needed label."""
-
-
 class GenerationError(RuntimeError):
     """Internal certification failure: a generated label disagreed with the oracle."""
 
@@ -262,16 +258,6 @@ class QAWorld:
 
     def atom_id(self, value: str) -> str:
         return f"{self.namespace}.{value}"
-
-    def value_atoms(self) -> dict[str, Atom]:
-        out = {}
-        for value in (self.true_value, *self.distractor_values):
-            out[self.atom_id(value)] = Atom(
-                id=self.atom_id(value),
-                surface_pos=f"the {self.obj} is {value}",
-                surface_neg=f"the {self.obj} is not {value}",
-            )
-        return out
 
     def context(self) -> tuple[Formula, ...]:
         """Exactly-one-value constraints: an at-least-one chain plus pairwise exclusions."""
@@ -731,8 +717,6 @@ class GenConfig:
     style: str = QA                          # "qa" or "snli"
     train_count: int = 2000                  # consistent/inconsistent pairs in train
     eval_count: int = 200                    # pairs in each of validation1/validation2/test
-    families: tuple[str, ...] = ("SE", "SC", "SN", "DE")
-    qa_distractors: tuple[int, int] = (1, 4)
     qa_flips: tuple[str, ...] = DEFAULT_FLIPS
 
     def __post_init__(self) -> None:
@@ -745,27 +729,31 @@ class GenConfig:
             raise ValueError(f"unknown qa flip {unknown[0]!r}; valid flips: {', '.join(QA_FLIPS)}")
 
 
-_SPLIT_NAMES = ("train", "validation1", "validation2", "test")
+SPLIT_NAMES = ("train", "validation1", "validation2", "test")
 
 
 def _item_seed(master: int, split_idx: int, item: int) -> int:
     return ((master * 4 + split_idx) * 2_000_003 + item) * 8
 
 
-def _gen_snli_pair(itemseed: int, rule_rng: random.Random, config: GenConfig,
+def _family(rule: Rule) -> str:
+    return rule.rule_id.split("-")[0]
+
+
+# A sentence-style pair draws a consistent rule, then an inconsistent rule of its family.
+_SNLI_CONSISTENT = [r for r in ALL_RULES if r.label == CONSISTENT]
+_SNLI_INCONSISTENT = {
+    family: [r for r in ALL_RULES if r.label == INCONSISTENT and _family(r) == family]
+    for family in dict.fromkeys(map(_family, ALL_RULES))
+}
+QA_DISTRACTORS = (1, 4)    # distractor values per QA world, an inclusive range
+
+
+def _gen_snli_pair(itemseed: int, rule_rng: random.Random,
                    split: str, item: int) -> tuple[StatementSet, StatementSet]:
-    c_rules = [r for r in ALL_RULES if r.label == CONSISTENT and r.rule_id.split("-")[0] in config.families]
-    i_by_family = {
-        fam: [r for r in ALL_RULES if r.label == INCONSISTENT and r.rule_id.startswith(fam + "-")]
-        for fam in config.families
-    }
-    if not c_rules or not any(i_by_family.values()):
-        raise InsufficientRuleCoverageError(f"families {config.families} lack rules for both labels")
-    c_rule = c_rules[rule_rng.randrange(len(c_rules))]
-    family = c_rule.rule_id.split("-")[0]
-    if not i_by_family[family]:
-        raise InsufficientRuleCoverageError(f"family {family} has no inconsistent rules")
-    i_rule = i_by_family[family][rule_rng.randrange(len(i_by_family[family]))]
+    c_rule = _SNLI_CONSISTENT[rule_rng.randrange(len(_SNLI_CONSISTENT))]
+    i_rules = _SNLI_INCONSISTENT[_family(c_rule)]
+    i_rule = i_rules[rule_rng.randrange(len(i_rules))]
     seeds = [gen_seed_pair(itemseed, c_rule.relation)]
     if c_rule.seeds_required == 2:
         seeds.append(gen_seed_pair(itemseed + 3, c_rule.relation))
@@ -776,8 +764,7 @@ def _gen_snli_pair(itemseed: int, rule_rng: random.Random, config: GenConfig,
 
 def _gen_qa_pair(itemseed: int, size_rng: random.Random, config: GenConfig,
                  split: str, item: int) -> tuple[StatementSet, StatementSet]:
-    lo, hi = config.qa_distractors
-    world = gen_qa_world(itemseed, size_rng.randint(lo, hi))
+    world = gen_qa_world(itemseed, size_rng.randint(*QA_DISTRACTORS))
     consistent = gen_qa_set(world, set_id=f"{split}-qa-c{item:06d}")
     inconsistent = corrupt_qa(
         consistent, itemseed + 2, flips=config.qa_flips, set_id=f"{split}-qa-i{item:06d}"
@@ -793,7 +780,7 @@ def build_splits(config: GenConfig, rng_seed: int) -> DatasetSplit:
     counts of both labels.
     """
     out = DatasetSplit()
-    for split_idx, split in enumerate(_SPLIT_NAMES):
+    for split_idx, split in enumerate(SPLIT_NAMES):
         count = config.train_count if split == "train" else config.eval_count
         bucket = out.splits()[split]
         for item in range(count):
@@ -802,7 +789,7 @@ def build_splits(config: GenConfig, rng_seed: int) -> DatasetSplit:
             if config.style == QA:
                 c, i = _gen_qa_pair(itemseed, aux_rng, config, split, item)
             else:
-                c, i = _gen_snli_pair(itemseed, aux_rng, config, split, item)
+                c, i = _gen_snli_pair(itemseed, aux_rng, split, item)
             bucket.append(c)
             bucket.append(i)
     return out

@@ -52,7 +52,6 @@ class EvalMixture:
     """Equal per-class sample over the 14 provenance classes."""
 
     sets: tuple[StatementSet, ...]
-    per_class: int
 
     def classes(self) -> dict[str, list[StatementSet]]:
         out: dict[str, list[StatementSet]] = {tag: [] for tag in PROVENANCE_CLASSES}
@@ -81,12 +80,14 @@ def build_eval_mixture(
         if tag not in PROVENANCE_CLASSES:
             raise ValueError(f"unknown provenance class {tag!r}")
     rng = random.Random(f"eval-mixture:{rng_seed}")
+    pool_of = {"C": base_C_pool, "I": base_I_pool}
     namespaces = _namespaces([*base_C_pool, *base_I_pool])
     sets: list[StatementSet] = []
     for tag in classes:
-        pool_first = base_C_pool if tag[0] == "C" else base_I_pool
-        if not pool_first:
-            raise PoolExhaustedError("empty base pool")
+        empty = next((ch for ch in tag if not pool_of[ch]), None)
+        if empty is not None:
+            raise PoolExhaustedError(f"class {tag!r} needs {empty!r} base sets, and the {empty!r} pool is empty")
+        pool_first = pool_of[tag[0]]
         for k in range(per_class_count):
             first = pool_first[k % len(pool_first)]
             if len(tag) == 1:
@@ -95,8 +96,7 @@ def build_eval_mixture(
             parts = [first]
             taken = set(namespaces[id(first)])
             for ch in tag[1:]:
-                pool = base_C_pool if ch == "C" else base_I_pool
-                partner = _sample_partner(pool, rng, frozenset(taken), namespaces)
+                partner = _sample_partner(pool_of[ch], rng, frozenset(taken), namespaces)
                 taken |= namespaces[id(partner)]
                 parts.append(partner)
             # Provenance sorts C before I regardless of part order.
@@ -107,7 +107,7 @@ def build_eval_mixture(
                     shuffle_seed=rng.randrange(2**31),
                 )
             )
-    return EvalMixture(sets=tuple(sets), per_class=per_class_count)
+    return EvalMixture(sets=tuple(sets))
 
 
 @dataclass(frozen=True)
@@ -219,12 +219,18 @@ def mtr_sweep(
     grid: Sequence[float],
 ) -> list[SweepRow]:
     """Element-wise macro-F1 per tolerance rate and per composed-set size bucket."""
-    ratios = _pair_ratios(scorer, mixture.sets)
+    if not grid:
+        raise ValueError("empty mtr grid")
+    if any(not 0.0 <= mtr <= 1.0 for mtr in grid):
+        raise ValueError("mtr must be in [0, 1]")
+    # One element-wise pass gives each set's inconsistent-pair ratio; a verdict at
+    # tolerance rate mtr is then decided as verify_elementwise decides it.
+    ratios = [verify_elementwise(scorer, s, mtr=0.0).detail.ratio for s in mixture.sets]
     golds = [s.label for s in mixture.sets]
     buckets = [str(len(s.provenance)) for s in mixture.sets]
     rows: list[SweepRow] = []
     for mtr in grid:
-        predictions = _tolerance_labels(ratios, mtr)
+        predictions = [CONSISTENT if ratio <= mtr else INCONSISTENT for ratio in ratios]
         for bucket in sorted(set(buckets)) + ["all"]:
             keep = [i for i, b in enumerate(buckets) if bucket == "all" or b == bucket]
             report = macro_f1([predictions[i] for i in keep], [golds[i] for i in keep])
@@ -237,28 +243,8 @@ def best_mtr(scorer: Scorer, sets: Sequence[StatementSet], grid: Sequence[float]
 
     Each set's pairs are scored once; ties keep the earliest grid value.
     """
-    if not grid:
-        raise ValueError("empty mtr grid")
-    if any(not 0.0 <= mtr <= 1.0 for mtr in grid):
-        raise ValueError("mtr must be in [0, 1]")
-    ratios = _pair_ratios(scorer, sets)
-    golds = [s.label for s in sets]
-    best = None
-    for mtr in grid:
-        f1 = macro_f1(_tolerance_labels(ratios, mtr), golds).macro_f1
-        if best is None or f1 > best[0]:
-            best = (f1, float(mtr))
-    return best[1]
-
-
-def _pair_ratios(scorer: Scorer, sets: Sequence[StatementSet]) -> list[float]:
-    """Each set's inconsistent-pair ratio, from one element-wise pass."""
-    return [verify_elementwise(scorer, s, mtr=0.0).detail.ratio for s in sets]
-
-
-def _tolerance_labels(ratios: Sequence[float], mtr: float) -> list[str]:
-    """Element-wise verdicts at tolerance rate ``mtr``, as :func:`verify_elementwise` decides them."""
-    return [CONSISTENT if ratio <= mtr else INCONSISTENT for ratio in ratios]
+    rows = mtr_sweep(scorer, EvalMixture(tuple(sets)), grid)
+    return max((r for r in rows if r.size_bucket == "all"), key=lambda r: r.macro_f1).mtr
 
 
 @dataclass(frozen=True)

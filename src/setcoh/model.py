@@ -38,6 +38,9 @@ UNK_INDEX = 1
 
 QA_JOINER = "The answer is"
 
+EMBED_DIM = 64      # default embedding width d
+HIDDEN_DIM = 64     # default hidden-layer width h
+
 _WORD_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
 _MAGIC = b"SCOH"
@@ -186,7 +189,7 @@ class ModelParams:
             raise ValueError(f"embedding rows {v} != vocabulary size {len(self.vocab)}")
 
     @staticmethod
-    def init(vocab: Vocabulary, d: int = 64, h: int = 64, seed: int = 0) -> "ModelParams":
+    def init(vocab: Vocabulary, d: int = EMBED_DIM, h: int = HIDDEN_DIM, seed: int = 0) -> "ModelParams":
         rng = np.random.default_rng(seed)
         params = ModelParams(
             vocab=vocab,

@@ -115,6 +115,10 @@ class TrainerConfig:
             raise ValueError("learning_rate must be positive")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        for name in ("epochs", "batch_size", "pairs_per_epoch", "val_per_class"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

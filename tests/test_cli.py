@@ -156,6 +156,18 @@ class TestLocate:
         )
         assert code == 3
 
+    def test_empty_partner_pool_exit_3(self, tmp_path, qa_dir, capsys):
+        # A test split without inconsistent base sets cannot compose a CI union.
+        corpus = load_corpus(qa_dir)
+        data = tmp_path / "no-i"
+        data.mkdir()
+        consistent = [s for s in corpus.test if s.label == "consistent"]
+        save_jsonl(corpus.train + corpus.validation1 + corpus.validation2 + consistent, data / "data.jsonl")
+        code = run("locate", "--data", data, "--out", tmp_path / "o", "--seed", "5",
+                   "--scorer", "oracle", "--classes", "CI", "--mixture-per-class", "2")
+        assert code == 3
+        assert "class 'CI' needs 'I' base sets, and the 'I' pool is empty" in capsys.readouterr().err
+
 
 class TestSweepAndAblate:
     def test_sweep(self, tmp_path, qa_dir):
@@ -168,6 +180,13 @@ class TestSweepAndAblate:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "mtr,size_bucket,macro_f1,count"
         assert len(lines) == 1 + 2 * 5  # 2 grid points x (4 buckets + all)
+
+    @pytest.mark.parametrize("grid", ["1.5,-1", "nan"])
+    def test_mtr_grid_outside_0_1_exit_2(self, tmp_path, qa_dir, grid, capsys):
+        code = run("sweep", "--data", qa_dir, "--out", tmp_path / "sw", "--seed", "5",
+                   "--scorer", "oracle", "--mtr-grid", grid, "--mixture-per-class", "2")
+        assert code == 2
+        assert "error: mtr must be in [0, 1]" in capsys.readouterr().err
 
     def test_ablate(self, tmp_path, qa_dir):
         out = tmp_path / "ab"
@@ -199,6 +218,21 @@ class TestExitCodes:
                    "--scorer", "oracle", "--strategy", "elementwise", "--mtr", "1.5",
                    "--mixture-per-class", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--epochs", "0"),
+        ("train", "--epochs", "-1"),
+        ("train", "--batch-size", "0"),
+        ("train", "--pairs-per-epoch", "0"),
+        ("train", "--val-per-class", "0"),
+        ("ablate", "--epochs", "0"),
+    ])
+    def test_training_setting_below_1_exit_2(self, tmp_path, qa_dir, command, flag, value, capsys):
+        out = tmp_path / "o"
+        assert run(command, "--data", qa_dir, "--out", out, flag, value) == 2
+        field = flag[2:].replace("-", "_")
+        assert f"error: {field} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_set_id_exit_3(self, tmp_path, qa_dir, capsys):
         lines = (qa_dir / "data.jsonl").read_text().splitlines()

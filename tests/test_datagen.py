@@ -10,7 +10,6 @@ from setcoh import datagen
 from setcoh.datagen import (
     DEFAULT_FLIPS,
     GenConfig,
-    InsufficientRuleCoverageError,
     MalformedRecordError,
     MissingSemanticsError,
     NamespaceCollisionError,
@@ -316,11 +315,6 @@ class TestBuildSplits:
         cs, is_ = pools(small_snli_corpus.train)
         for c, i in zip(cs, is_):
             assert c.namespaces() == i.namespaces()
-
-    def test_insufficient_rule_coverage(self):
-        config = GenConfig(style="snli", train_count=2, eval_count=1, families=())
-        with pytest.raises(InsufficientRuleCoverageError):
-            build_splits(config, rng_seed=0)
 
     def test_pairwise_blind_sets_present(self, small_snli_corpus):
         blind_rules = {"SE-28", "SC-6", "SN-3"}

@@ -208,6 +208,11 @@ class TestBestMtr:
             best_mtr(OracleScorer(), qa_mixture.sets, [])
         with pytest.raises(ValueError):
             best_mtr(OracleScorer(), qa_mixture.sets, [0.0, 1.5])
+        for grid in ([0.5, -1.0], [float("nan")]):
+            with pytest.raises(ValueError, match=r"mtr must be in \[0, 1\]"):
+                best_mtr(OracleScorer(), qa_mixture.sets, grid)
+            with pytest.raises(ValueError, match=r"mtr must be in \[0, 1\]"):
+                mtr_sweep(OracleScorer(), qa_mixture, grid)
 
 
 def test_energy_quartiles_ordering_keys(qa_mixture):

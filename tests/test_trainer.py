@@ -309,6 +309,9 @@ def test_trainer_config_validation():
         TrainerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainerConfig(regime="nine")
+    for field in ("epochs", "batch_size", "pairs_per_epoch", "val_per_class"):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            TrainerConfig(**{field: 0})
 
 
 # Reference copy of the per-instance training loop the trainer used to run:
