@@ -129,7 +129,10 @@ def _split_sets(corpus: DatasetSplit, name: str) -> list[StatementSet]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    train_count, eval_count = (int(x) for x in args.counts.split(","))
+    try:
+        train_count, eval_count = (int(x) for x in args.counts.split(","))
+    except ValueError:
+        raise ValueError(f"--counts must be TRAIN,EVAL (two integers), got {args.counts!r}") from None
     config = GenConfig(
         style=args.style,
         train_count=train_count,
@@ -189,7 +192,14 @@ def load_threshold(path: Path) -> Threshold:
     )
 
 
+def _check_widths(args: argparse.Namespace) -> None:
+    for flag in ("dim", "hidden"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_widths(args)
     config = TrainerConfig(
         alpha=args.alpha,
         learning_rate=args.lr,
@@ -333,6 +343,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    _check_widths(args)
     config = TrainerConfig(
         epochs=args.epochs,
         rng_seed=args.seed,

@@ -205,19 +205,6 @@ class ModelParams:
         params.validate()
         return params
 
-    @staticmethod
-    def zeros(vocab: Vocabulary, d: int = 64, h: int = 64) -> "ModelParams":
-        return ModelParams(
-            vocab=vocab,
-            emb=np.zeros((len(vocab), d)),
-            w_hidden=np.zeros((d, h)),
-            b_hidden=np.zeros(h),
-            w_energy=np.zeros(h),
-            b_energy=np.zeros(()),
-            w_class=np.zeros((h, 2)),
-            b_class=np.zeros(2),
-        )
-
 
 @dataclass(frozen=True)
 class TokenCounts:

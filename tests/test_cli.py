@@ -234,6 +234,26 @@ class TestExitCodes:
         assert f"error: {field} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--dim", "0"),
+        ("train", "--hidden", "0"),
+        ("train", "--dim", "-3"),
+        ("ablate", "--hidden", "0"),
+    ])
+    def test_width_below_1_exit_2(self, tmp_path, qa_dir, command, flag, value, capsys):
+        out = tmp_path / "o"
+        assert run(command, "--data", qa_dir, "--out", out, flag, value) == 2
+        assert f"error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counts", ["5", "a,b", "1,2,3"])
+    def test_malformed_counts_exit_2(self, tmp_path, counts, capsys):
+        out = tmp_path / "g"
+        assert run("gen", "--style", "qa", "--counts", counts, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--counts" in err and "TRAIN,EVAL" in err and repr(counts) in err
+        assert not out.exists()
+
     def test_duplicate_set_id_exit_3(self, tmp_path, qa_dir, capsys):
         lines = (qa_dir / "data.jsonl").read_text().splitlines()
         first, second = json.loads(lines[0]), json.loads(lines[1])

@@ -87,8 +87,15 @@ def test_oov_maps_to_unk(vocab):
     assert vocab.tokens[UNK_INDEX] == "<unk>"
 
 
+def _zero_params(vocab, d, h):
+    params = ModelParams.init(vocab, d=d, h=h)
+    for arr in params.arrays().values():
+        arr[...] = 0.0
+    return params
+
+
 def test_zero_params_energy_is_head_bias(qa_pair_set, vocab):
-    params = ModelParams.zeros(vocab, d=6, h=5)
+    params = _zero_params(vocab, d=6, h=5)
     t = serialize_set(vocab, qa_pair_set, 0)
     assert energy(params, t) == 0.0
     params.b_energy[()] = -1.75
@@ -102,7 +109,7 @@ def test_permutation_invariance_is_exact(qa_pair_set, vocab):
 
 
 def test_zero_params_softmax_is_uniform(qa_pair_set, vocab):
-    params = ModelParams.zeros(vocab, d=6, h=5)
+    params = _zero_params(vocab, d=6, h=5)
     logits = binary_logits(params, serialize_set(vocab, qa_pair_set, 0))
     assert softmax(logits) == pytest.approx([0.5, 0.5])
 

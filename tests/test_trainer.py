@@ -7,6 +7,8 @@ import pytest
 
 from setcoh.datagen import compose_union, pools
 from setcoh.model import (
+    EMBED_DIM,
+    HIDDEN_DIM,
     ModelParams,
     TokenCounts,
     accumulate_grad_energy,
@@ -29,7 +31,6 @@ from setcoh.trainer import (
     Threshold,
     TrainerConfig,
     TrainingDivergedError,
-    _Optimizer,
     _threshold_scan,
     build_contrast_batch,
     build_threshold_mixture,
@@ -354,13 +355,31 @@ def _ref_counts(vocab, s):
     return TokenCounts.of(serialize_set(vocab, s, 0), len(vocab))
 
 
+class _RefAdam:
+    """Adam (betas 0.9 / 0.999, epsilon 1e-8) stepping each parameter array on its own."""
+
+    def __init__(self, params, config):
+        self.lr, self.t = config.learning_rate, 0
+        self.m, self.v = zero_grads(params), zero_grads(params)
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, arr in params.arrays().items():
+            g = grads[name]
+            self.m[name] = 0.9 * self.m[name] + (1.0 - 0.9) * g
+            self.v[name] = 0.999 * self.v[name] + (1.0 - 0.999) * g * g
+            m_hat = self.m[name] / (1.0 - 0.9 ** self.t)
+            v_hat = self.v[name] / (1.0 - 0.999 ** self.t)
+            arr -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
 def _ref_fit(params, config, epoch_batches, binary=False, anchor=None, l2_weight=0.0, mixture=None):
     """Returns (params, best (acc, params, threshold value, epoch) or None, mean losses)."""
     vocab = params.vocab
     if mixture is not None:
         val_counts = [_ref_counts(vocab, s) for s in mixture]
         labels = [s.label for s in mixture]
-    optimizer = _Optimizer(params, config)
+    optimizer = _RefAdam(params, config)
     best, mean_losses = None, []
     for epoch in range(config.epochs):
         examples = epoch_batches(epoch)
@@ -413,72 +432,95 @@ def _assert_same_params(a, b):
 
 
 TINY = dict(epochs=2, batch_size=12, pairs_per_epoch=6, val_per_class=4, learning_rate=2e-3)
+# One short epoch at the CLI's widths and batch size, where BLAS runs its d = h = 64 kernels.
+CLI_SHORT = dict(epochs=1, pairs_per_epoch=8, val_per_class=6, learning_rate=2e-3)
+
+
+def _check_train(corpus, regime, seed, dims, settings):
+    vocab = build_vocabulary(corpus.train)
+    config = TrainerConfig(rng_seed=seed, regime=regime, **settings)
+    result = train(ModelParams.init(vocab, *dims, seed=seed), corpus, config)
+    pool_c, pool_i = pools(corpus.train)
+    mixture = build_threshold_mixture(corpus.validation1, rng_seed=seed, per_class=config.val_per_class)
+
+    def instances(epoch):
+        groups = _ref_contrast_groups(pool_c, pool_i, regime, seed * 1_000 + epoch, config.pairs_per_epoch)
+        return [inst for group in groups for inst in group]
+
+    _, best, losses = _ref_fit(ModelParams.init(vocab, *dims, seed=seed), config, instances, mixture=mixture)
+    _assert_same_params(result.params, best[1])
+    assert (result.threshold.value, result.threshold.learned_epoch) == (best[2], best[3])
+    assert [stats.mean_hinge_loss for stats in result.log] == losses
+
+
+def _check_train_binary(corpus, seed, dims, settings):
+    vocab = build_vocabulary(corpus.train)
+    config = TrainerConfig(rng_seed=seed, **settings)
+    trained, threshold = train_binary(ModelParams.init(vocab, *dims, seed=seed), corpus, config)
+    pool_c, pool_i = pools(corpus.train)
+    mixture = build_threshold_mixture(corpus.validation1, rng_seed=seed, per_class=config.val_per_class)
+
+    def examples(epoch):
+        out = []
+        for group in _ref_contrast_groups(pool_c, pool_i, "eight", seed * 1_000 + epoch, config.pairs_per_epoch):
+            seen = set()
+            for more, less, (more_tag, less_tag) in group:
+                for s, tag in ((more, more_tag), (less, less_tag)):
+                    if id(s) not in seen:
+                        seen.add(id(s))
+                        out.append((s, int("I" in tag)))
+        return out
+
+    _, best, _ = _ref_fit(ModelParams.init(vocab, *dims, seed=seed), config, examples,
+                          binary=True, mixture=mixture)
+    _assert_same_params(trained, best[1])
+    assert (threshold.value, threshold.learned_epoch) == (best[2], best[3])
+
+
+def _check_fine_tune(source, target, anchor_mode, seed, dims, settings):
+    vocab = build_vocabulary(source + target)
+    config = TrainerConfig(rng_seed=seed, regime="eight", l2_weight=0.05, l2_anchor=anchor_mode, **settings)
+    start = ModelParams.init(vocab, *dims, seed=seed)
+    tuned = fine_tune(start, source, target, n=4, config=config)
+    src, tgt = pools(source), pools(target)
+
+    def instances(epoch):
+        rng = random.Random(f"fine-tune:{seed}:{epoch}")
+        out = []
+        for (pool_c, pool_i), offset in ((src, 0), (tgt, 1)):
+            indices = rng.sample(range(min(len(pool_c), len(pool_i))), 4)
+            groups = _ref_contrast_groups([pool_c[i] for i in indices], [pool_i[i] for i in indices],
+                                          "eight", seed * 10_000 + epoch * 10 + offset, 4)
+            out.extend(inst for group in groups for inst in group)
+        rng.shuffle(out)
+        return out
+
+    params = start.copy()
+    anchor = {name: arr.copy() for name, arr in params.arrays().items()} if anchor_mode == "start" else None
+    reference, _, _ = _ref_fit(params, config, instances, anchor=anchor, l2_weight=0.05)
+    _assert_same_params(tuned, reference)
 
 
 class TestDifferential:
     @pytest.mark.parametrize("regime", ["basic", "eight"])
     def test_train_matches_reference_loop(self, small_qa_corpus, regime):
-        vocab = build_vocabulary(small_qa_corpus.train)
-        config = TrainerConfig(rng_seed=3, regime=regime, **TINY)
-        result = train(ModelParams.init(vocab, d=8, h=6, seed=3), small_qa_corpus, config)
-        pool_c, pool_i = pools(small_qa_corpus.train)
-        mixture = build_threshold_mixture(small_qa_corpus.validation1, rng_seed=3, per_class=4)
-
-        def instances(epoch):
-            groups = _ref_contrast_groups(pool_c, pool_i, regime, 3 * 1_000 + epoch, config.pairs_per_epoch)
-            return [inst for group in groups for inst in group]
-
-        _, best, losses = _ref_fit(ModelParams.init(vocab, d=8, h=6, seed=3), config, instances, mixture=mixture)
-        _assert_same_params(result.params, best[1])
-        assert (result.threshold.value, result.threshold.learned_epoch) == (best[2], best[3])
-        assert [stats.mean_hinge_loss for stats in result.log] == losses
+        _check_train(small_qa_corpus, regime, 3, (8, 6), TINY)
 
     def test_train_binary_matches_reference_loop(self, small_qa_corpus):
-        vocab = build_vocabulary(small_qa_corpus.train)
-        config = TrainerConfig(rng_seed=4, **TINY)
-        trained, threshold = train_binary(ModelParams.init(vocab, d=8, h=6, seed=4), small_qa_corpus, config)
-        pool_c, pool_i = pools(small_qa_corpus.train)
-        mixture = build_threshold_mixture(small_qa_corpus.validation1, rng_seed=4, per_class=4)
-
-        def examples(epoch):
-            out = []
-            for group in _ref_contrast_groups(pool_c, pool_i, "eight", 4 * 1_000 + epoch, config.pairs_per_epoch):
-                seen = set()
-                for more, less, (more_tag, less_tag) in group:
-                    for s, tag in ((more, more_tag), (less, less_tag)):
-                        if id(s) not in seen:
-                            seen.add(id(s))
-                            out.append((s, int("I" in tag)))
-            return out
-
-        _, best, _ = _ref_fit(ModelParams.init(vocab, d=8, h=6, seed=4), config, examples,
-                              binary=True, mixture=mixture)
-        _assert_same_params(trained, best[1])
-        assert (threshold.value, threshold.learned_epoch) == (best[2], best[3])
+        _check_train_binary(small_qa_corpus, 4, (8, 6), TINY)
 
     @pytest.mark.parametrize("anchor_mode", ["zero", "start"])
     def test_fine_tune_matches_reference_loop(self, small_qa_corpus, small_snli_corpus, anchor_mode):
-        vocab = build_vocabulary(small_qa_corpus.train + small_snli_corpus.train)
-        config = TrainerConfig(rng_seed=5, regime="eight", l2_weight=0.05, l2_anchor=anchor_mode, **TINY)
-        start = ModelParams.init(vocab, d=8, h=6, seed=5)
-        tuned = fine_tune(start, small_qa_corpus.train, small_snli_corpus.train, n=4, config=config)
-        src, tgt = pools(small_qa_corpus.train), pools(small_snli_corpus.train)
+        _check_fine_tune(small_qa_corpus.train, small_snli_corpus.train, anchor_mode, 5, (8, 6), TINY)
 
-        def instances(epoch):
-            rng = random.Random(f"fine-tune:5:{epoch}")
-            out = []
-            for (pool_c, pool_i), offset in ((src, 0), (tgt, 1)):
-                indices = rng.sample(range(min(len(pool_c), len(pool_i))), 4)
-                groups = _ref_contrast_groups([pool_c[i] for i in indices], [pool_i[i] for i in indices],
-                                              "eight", 5 * 10_000 + epoch * 10 + offset, 4)
-                out.extend(inst for group in groups for inst in group)
-            rng.shuffle(out)
-            return out
+    def test_train_matches_reference_loop_at_cli_widths(self, qa_corpus):
+        _check_train(qa_corpus, "eight", 11, (EMBED_DIM, HIDDEN_DIM), CLI_SHORT)
 
-        params = start.copy()
-        anchor = {name: arr.copy() for name, arr in params.arrays().items()} if anchor_mode == "start" else None
-        reference, _, _ = _ref_fit(params, config, instances, anchor=anchor, l2_weight=0.05)
-        _assert_same_params(tuned, reference)
+    def test_train_binary_matches_reference_loop_at_cli_widths(self, qa_corpus):
+        _check_train_binary(qa_corpus, 11, (EMBED_DIM, HIDDEN_DIM), CLI_SHORT)
+
+    def test_fine_tune_matches_reference_loop_at_cli_widths(self, qa_corpus):
+        _check_fine_tune(qa_corpus.train, qa_corpus.validation2, "start", 11, (EMBED_DIM, HIDDEN_DIM), CLI_SHORT)
 
     def test_on_demand_unions_match_the_partner_seed_stream(self, small_qa_corpus):
         pool_c, pool_i = pools(small_qa_corpus.train)
@@ -514,6 +556,21 @@ class TestTrainingInputs:
             assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
             assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
             assert got.total == want.total
+
+    def test_batch_counts_equal_per_side_counts(self, small_qa_corpus):
+        pool_c, pool_i = pools(small_qa_corpus.train)
+        vocab = build_vocabulary(small_qa_corpus.train)
+        sides = [parts for inst in build_contrast_batch(pool_c, pool_i, "eight", rng_seed=8, pairs=4)
+                 for parts in (inst.more_parts, inst.less_parts)]
+        assert {len(parts) for parts in sides} == {1, 2}
+        batch = CountsCache(vocab).batch(sides)
+        for r, parts in enumerate(sides):
+            got = batch.side(r)
+            union = parts[0] if len(parts) == 1 else compose_union(parts)
+            for want in (CountsCache(vocab).counts(parts), _ref_counts(vocab, union)):
+                assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
+                assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
+                assert got.total == want.total
 
     def test_training_pools_take_base_sets_only(self, small_qa_corpus):
         pool_c, _ = pools(small_qa_corpus.train)
