@@ -302,9 +302,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Every row the strategy reads: each set, or each pair under its subset id.
         scores = {}
         for s in mixture.sets:
-            n, score = len(s.statements), scorer.compile(s)
-            keeps = [range(n)] if args.strategy == "set" else itertools.combinations(range(n), 2)
-            scores.update((verifier.subset_id(s, keep), score(keep)) for keep in keeps)
+            n = len(s.statements)
+            keeps = [range(n)] if args.strategy == "set" else list(itertools.combinations(range(n), 2))
+            scores.update(zip((verifier.subset_id(s, keep) for keep in keeps), scorer.compile(s)(keeps)))
         verifier.write_scores_file(out / "scores.csv", scorer.threshold, scores)
     print(f"macro_f1={report.macro_f1:.4f} ({args.strategy})")
     return 0

@@ -14,6 +14,11 @@ token multisets produce bit-identical scores.  Scoring therefore never
 builds the stream: :func:`count_rows` counts each statement's tokens
 once, and any subset's counts are CLS plus the sum of its rows.
 
+:func:`encode` runs the forward pass for a whole batch of streams
+(:func:`subset_counts` for subsets of one set, ``trainer.CountsCache``
+for training sides) and gives the same bits as :func:`forward` on each;
+training and the model scorers both call it.
+
 Gradients are analytic (backprop through the three layers) and are
 checked against central finite differences in the test suite.
 """
@@ -25,7 +30,8 @@ import random
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,7 +134,7 @@ def count_rows(vocab: Vocabulary, statements: Sequence[Statement]) -> np.ndarray
     """``(n, V)`` float token counts, one row per statement's tokenized text.
 
     The stream of any subset of the statements is CLS plus their tokens,
-    so its counts are :meth:`TokenCounts.of_rows` of their rows.
+    so :func:`subset_counts` counts a batch of subsets from these rows.
     """
     v = len(vocab)
     flat = [k * v + vocab.encode(w)
@@ -220,17 +226,36 @@ class TokenCounts:
         ids = np.nonzero(hist)[0]
         return TokenCounts(ids=ids, counts=hist[ids].astype(np.float64), total=len(t.tokens))
 
-    @staticmethod
-    def of_rows(rows: np.ndarray) -> "TokenCounts":
-        """Counts of CLS plus the statements whose :func:`count_rows` rows are ``rows``.
 
-        Equal, ids, counts and total, to :meth:`of` on their serialized stream.
-        """
-        row = rows.sum(axis=0)
-        row[CLS_INDEX] += 1.0
-        ids = np.nonzero(row)[0]
-        counts = row[ids]
-        return TokenCounts(ids=ids, counts=counts, total=int(counts.sum()))
+class BatchCounts(NamedTuple):
+    """Token counts of several streams, flat: stream ``r`` owns ``ids[bounds[r]:bounds[r + 1]]``."""
+
+    ids: np.ndarray
+    counts: np.ndarray
+    bounds: np.ndarray
+    totals: np.ndarray                   # stream lengths, as floats
+
+    def side(self, r: int) -> TokenCounts:
+        a, b = self.bounds[r], self.bounds[r + 1]
+        return TokenCounts(self.ids[a:b], self.counts[a:b], int(self.totals[r]))
+
+
+def subset_counts(rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> BatchCounts:
+    """Counts of CLS plus each kept subset of the statements whose :func:`count_rows` are ``rows``.
+
+    One ``(B, n)`` 0/1 keep mask times ``rows``: the counts are integers,
+    so the product's summation order cannot change them, and each subset's
+    ids, counts and total equal :meth:`TokenCounts.of` on its serialized stream.
+    """
+    b, v = len(keeps), rows.shape[1]
+    mask = np.zeros((b, len(rows)))
+    mask[np.repeat(np.arange(b), [len(keep) for keep in keeps]),
+         np.fromiter(chain.from_iterable(keeps), dtype=np.intp)] = 1.0
+    dense = mask @ rows
+    dense[:, CLS_INDEX] += 1.0
+    cells = np.flatnonzero(dense)
+    bounds = np.searchsorted(cells // v, np.arange(b + 1))
+    return BatchCounts(cells % v, dense.ravel()[cells], bounds, dense.sum(axis=1))
 
 
 Activations = tuple[np.ndarray, np.ndarray]
@@ -274,6 +299,34 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits)
     exp = np.exp(shifted)
     return exp / exp.sum()
+
+
+def encode(params: ModelParams, streams: BatchCounts) -> Activations:
+    """Stacked :func:`forward` of each stream, bit-identical to it stream by stream.
+
+    Only ``counts @ emb[ids]`` runs per stream, over one gather of ``emb``:
+    a stacked ``np.matmul`` calls the same BLAS routine once per row, where
+    one dense (B, V) @ (V, d) gemm or a gather padded to a common length
+    would sum in another order.
+    """
+    rows, b = params.emb[streams.ids], streams.bounds.tolist()
+    pooled = np.array([streams.counts[b[r]:b[r + 1]] @ rows[b[r]:b[r + 1]] for r in range(len(b) - 1)])
+    pooled = pooled.reshape(len(b) - 1, params.emb.shape[1])   # (0, d) for an empty batch
+    pooled /= streams.totals[:, None]
+    hidden = np.tanh(np.matmul(pooled[:, None, :], params.w_hidden)[:, 0] + params.b_hidden)
+    return pooled, hidden
+
+
+def energies(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
+    """:func:`energy_from_counts` of each row of :func:`encode`'s ``hidden``."""
+    return np.matmul(hidden[:, None, :], params.w_energy)[:, 0] + params.b_energy
+
+
+def class_softmax(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
+    """:func:`softmax` of :func:`logits_from_counts` for each row of :func:`encode`'s ``hidden``."""
+    logits = np.matmul(hidden[:, None, :], params.w_class)[:, 0] + params.b_class
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:

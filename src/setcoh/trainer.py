@@ -18,8 +18,9 @@ the starting weights.
 
 All three share one minibatch loop, :func:`_fit`, which reads a union
 only as the sum of its parts' token counts and runs each batch as stacked
-arrays: one ``counts @ emb[ids]`` product per distinct set, everything else
-once per batch.  A stacked ``np.matmul`` calls the same BLAS routine once per row
+arrays through :func:`model.encode`, the forward the scorers use too: one
+``counts @ emb[ids]`` product per distinct set, everything else once per
+batch.  A stacked ``np.matmul`` calls the same BLAS routine once per row
 and the gradients are added in the per-example order, so the trained
 models are bit-identical to a per-instance loop over serialized unions.
 """
@@ -40,10 +41,13 @@ from .datagen import (
 )
 from .model import (
     CLS_INDEX,
-    Activations,
+    BatchCounts,
     ModelParams,
     TokenCounts,
+    class_softmax,
     count_rows,
+    encode,
+    energies,
     energy_from_counts,
     softmax,
 )
@@ -173,19 +177,6 @@ def hinge_loss(e_more_consistent: float, e_less_consistent: float, alpha: float)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return max(e_more_consistent - e_less_consistent + alpha, 0.0)
-
-
-class BatchCounts(NamedTuple):
-    """Token counts of several sides, flat: side ``r`` owns ``ids[bounds[r]:bounds[r + 1]]``."""
-
-    ids: np.ndarray
-    counts: np.ndarray
-    bounds: np.ndarray
-    totals: np.ndarray                   # stream lengths, as floats
-
-    def side(self, r: int) -> TokenCounts:
-        a, b = self.bounds[r], self.bounds[r + 1]
-        return TokenCounts(self.ids[a:b], self.counts[a:b], int(self.totals[r]))
 
 
 class CountsCache:
@@ -319,7 +310,7 @@ def _threshold_scan(scores: Sequence[float], labels: Sequence[str]) -> tuple[flo
     acc_c = below_c / n_cons if n_cons else 0.0
     acc_i = (n_incons - below_i) / n_incons if n_incons else 0.0
     macro = (acc_c + acc_i) / 2.0
-    best_acc = macro.max()
+    best_acc = float(macro.max())
     finite_best = np.flatnonzero(macro[:-2] == best_acc)
     if finite_best.size:
         return float(midpoints[finite_best[0]]), best_acc, False
@@ -438,30 +429,6 @@ def _in_order(values: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, values))[-1])
 
 
-def _encode(params: ModelParams, sides: BatchCounts) -> Activations:
-    """Stacked :func:`model.forward` of each side, bit-identical to it side by side.
-
-    Only ``counts @ emb[ids]`` runs per side: a stacked ``np.matmul`` calls
-    the same BLAS routine once per row, where one dense (S, V) @ (V, d) gemm
-    or a gather padded to a common length would sum in another order.
-    """
-    rows, b = params.emb[sides.ids], sides.bounds.tolist()
-    pooled = np.array([sides.counts[b[r]:b[r + 1]] @ rows[b[r]:b[r + 1]] for r in range(len(b) - 1)])
-    pooled /= sides.totals[:, None]
-    hidden = np.tanh(np.matmul(pooled[:, None, :], params.w_hidden)[:, 0] + params.b_hidden)
-    return pooled, hidden
-
-
-def _energies(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
-    return np.matmul(hidden[:, None, :], params.w_energy)[:, 0] + params.b_energy
-
-
-def _softmax_of_logits(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
-    logits = np.matmul(hidden[:, None, :], params.w_class)[:, 0] + params.b_class
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def _backprop(params: ModelParams, grads: dict[str, np.ndarray], sides: BatchCounts,
               pooled: np.ndarray, hidden: np.ndarray, calls: np.ndarray, d_hidden: np.ndarray) -> None:
     """Write the encoder's gradient of every call: side ``calls[c]`` with upstream ``d_hidden[c]``.
@@ -501,11 +468,11 @@ def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], cache: Counts
     index: dict[tuple[int, ...], int] = {}
     at = np.array([index.setdefault(key, len(index)) for key in keys])
     counts = cache.batch(list(dict(zip(keys, sides)).values()))
-    pooled, hidden = _encode(params, counts)
+    pooled, hidden = encode(params, counts)
     scale = 1.0 / len(batch)
     if hinge:
         pairs = at.reshape(-1, 2)
-        energy = _energies(params, hidden)
+        energy = energies(params, hidden)
         losses = np.maximum(energy[pairs[:, 0]] - energy[pairs[:, 1]] + alpha, 0.0)
         calls = pairs[losses > 0.0].ravel()
         signs = np.tile([scale, -scale], len(calls) // 2)
@@ -514,7 +481,7 @@ def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], cache: Counts
         grads["b_energy"][...] = _in_order(signs)
     else:
         calls, labels, rows = at, np.array([label for _, label in batch]), np.arange(len(batch))
-        upstream = _softmax_of_logits(params, hidden)[calls]
+        upstream = class_softmax(params, hidden)[calls]
         losses = -np.log(np.maximum(upstream[rows, labels], 1e-300))
         upstream[rows, labels] -= 1.0
         d_hidden = scale * np.matmul(params.w_class, upstream[:, :, None])[:, :, 0]
@@ -563,7 +530,7 @@ def _fit(params: ModelParams, config: TrainerConfig, epoch_examples: Callable[[i
             _check_finite(losses[-1], params, optimizer.flat, epoch, step)
         if validation is None:
             continue
-        scores = [x for counts in val_counts for x in validation.score(params, _encode(params, counts)[1]).tolist()]
+        scores = [x for counts in val_counts for x in validation.score(params, encode(params, counts)[1]).tolist()]
         value, acc, degenerate = _threshold_scan(scores, val_labels)
         threshold = Threshold(value, epoch, validation.source, degenerate)
         history.append((float(np.mean(losses)), acc, threshold, scores))
@@ -583,7 +550,7 @@ def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
     best, threshold, history = _fit(
         params.copy(), config, lambda epoch: _epoch_instances(pool_c, pool_i, config, epoch, namespaces),
-        _Validation(mixture, _energies, "energy"),
+        _Validation(mixture, energies, "energy"),
     )
     log = [EpochStats(epoch, loss, acc, t.value, _median_energies(mixture, scores))
            for epoch, (loss, acc, t, scores) in enumerate(history)]
@@ -597,7 +564,7 @@ def train_binary(params: ModelParams, splits, config: TrainerConfig) -> tuple[Mo
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
     best, threshold, _ = _fit(
         params.copy(), config, lambda epoch: _binary_instances(pool_c, pool_i, config, epoch, namespaces),
-        _Validation(mixture, lambda p, hidden: _softmax_of_logits(p, hidden)[:, 1], "inconsistent-softmax"),
+        _Validation(mixture, lambda p, hidden: class_softmax(p, hidden)[:, 1], "inconsistent-softmax"),
     )
     return best, threshold
 

@@ -8,9 +8,11 @@ binary classifier's softmax, the exact truth-table oracle, or an
 externally produced score file.
 
 Every strategy scores subsets of one set: ``compile(s)`` returns a
-function from the kept indices of ``s`` to that subset's score (from
-token-count rows for the model, truth-table masks for the oracle, and
-:func:`subset_id` rows for a score file); ``score(s)`` scores all of ``s``.
+function from a batch of kept-index tuples of ``s`` to their scores, in
+order (from token-count rows for the model, truth-table masks for the
+oracle, and :func:`subset_id` rows for a score file); ``score(s)`` scores
+all of ``s``.  The model scorers run a whole batch through one stacked
+:func:`model.encode`, with the bits of scoring each subset alone.
 
 Element-wise verification scores all N(N-1)/2 statement pairs and
 tolerates up to a given fraction of inconsistent pairs (the maximum
@@ -20,7 +22,8 @@ world knowledge stays in force when statements are dropped.
 Localization removes, while the set is judged inconsistent and larger
 than two statements, the statement whose exclusion yields the lowest
 score, reusing that score as the next verification (so a full run
-costs at most 1 + sum(k for k in 3..N) subset scores, from one compile).
+costs at most 1 + sum(k for k in 3..N) subset scores, from one compile
+and one batch per iteration).
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterator, Protocol, Sequence
 
+import numpy as np
+
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet
 from .logic import AtomBudgetError, CompiledFormulas, is_satisfiable
-from .model import ModelParams, TokenCounts, count_rows, energy_from_counts, logits_from_counts, softmax
+from .model import ModelParams, class_softmax, count_rows, encode, energies, subset_counts
 
 
 class UnknownSetIdError(LookupError):
@@ -44,13 +49,13 @@ class MalformedScoreFileError(ValueError):
     """An external score file has a bad header or row, a non-finite number or a repeated id."""
 
 
-SubsetScore = Callable[[Sequence[int]], float]
+SubsetScores = Callable[[Sequence[Sequence[int]]], list[float]]
 
 
 class Scorer(Protocol):
     threshold: float
 
-    def compile(self, s: StatementSet) -> SubsetScore: ...
+    def compile(self, s: StatementSet) -> SubsetScores: ...
 
     def score(self, s: StatementSet) -> float: ...
 
@@ -84,6 +89,11 @@ CONSISTENT_REACHED = "consistent-reached"
 SIZE_TWO_STOP = "size-two-stop"
 
 
+def _hidden(params: ModelParams, rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
+    """The encoder's hidden layer for each kept subset of the statements whose count rows are ``rows``."""
+    return encode(params, subset_counts(rows, keeps))[1]
+
+
 @dataclass
 class EnergyScorer:
     """Energy model with its learned threshold."""
@@ -91,12 +101,12 @@ class EnergyScorer:
     params: ModelParams
     threshold: float
 
-    def compile(self, s: StatementSet) -> SubsetScore:
+    def compile(self, s: StatementSet) -> SubsetScores:
         rows = count_rows(self.params.vocab, s.statements)
-        return lambda keep: energy_from_counts(self.params, TokenCounts.of_rows(rows[list(keep)]))
+        return lambda keeps: energies(self.params, _hidden(self.params, rows, keeps)).tolist()
 
     def score(self, s: StatementSet) -> float:
-        return self.compile(s)(range(len(s.statements)))
+        return self.compile(s)([range(len(s.statements))])[0]
 
 
 @dataclass
@@ -106,12 +116,12 @@ class BinarySoftmaxScorer:
     params: ModelParams
     threshold: float
 
-    def compile(self, s: StatementSet) -> SubsetScore:
+    def compile(self, s: StatementSet) -> SubsetScores:
         rows = count_rows(self.params.vocab, s.statements)
-        return lambda keep: float(softmax(logits_from_counts(self.params, TokenCounts.of_rows(rows[list(keep)])))[1])
+        return lambda keeps: class_softmax(self.params, _hidden(self.params, rows, keeps))[:, 1].tolist()
 
     def score(self, s: StatementSet) -> float:
-        return self.compile(s)(range(len(s.statements)))
+        return self.compile(s)([range(len(s.statements))])[0]
 
 
 @contextmanager
@@ -129,10 +139,10 @@ class OracleScorer:
 
     threshold: float = 0.5
 
-    def compile(self, s: StatementSet) -> SubsetScore:
+    def compile(self, s: StatementSet) -> SubsetScores:
         with _naming(s):
             compiled = CompiledFormulas(s.formulas(), s.context_semantics)
-        return lambda keep: 0.0 if compiled.satisfiable(keep) else 1.0
+        return lambda keeps: [0.0 if compiled.satisfiable(keep) else 1.0 for keep in keeps]
 
     def score(self, s: StatementSet) -> float:
         with _naming(s):
@@ -147,8 +157,8 @@ class ExternalScorer:
     threshold: float
     path: str
 
-    def compile(self, s: StatementSet) -> SubsetScore:
-        return lambda keep: self._lookup(subset_id(s, keep))
+    def compile(self, s: StatementSet) -> SubsetScores:
+        return lambda keeps: [self._lookup(subset_id(s, keep)) for keep in keeps]
 
     def score(self, s: StatementSet) -> float:
         return self._lookup(s.id)
@@ -241,9 +251,8 @@ def verify_elementwise(scorer: Scorer, s: StatementSet, mtr: float) -> Verdict:
     """Pairwise verdict: consistent iff the inconsistent-pair ratio is at most ``mtr``."""
     if not 0.0 <= mtr <= 1.0:
         raise ValueError("mtr must be in [0, 1]")
-    score = scorer.compile(s)
     pairs = list(combinations(range(len(s.statements)), 2))
-    bad = sum(score(pair) >= scorer.threshold for pair in pairs)
+    bad = sum(score >= scorer.threshold for score in scorer.compile(s)(pairs))
     ratio = bad / len(pairs)
     detail = PairwiseDetail(pair_count=len(pairs), inconsistent_pairs=bad, ratio=ratio)
     label = CONSISTENT if ratio <= mtr else INCONSISTENT
@@ -259,7 +268,7 @@ def locate(scorer: Scorer, s: StatementSet) -> LocateResult:
     """
     score = scorer.compile(s)
     remaining = list(range(len(s.statements)))
-    current_score = score(remaining)
+    [current_score] = score([remaining])
     removed: list[int] = []
     trace: list[tuple[tuple[int, float], ...]] = []
     while True:
@@ -267,8 +276,8 @@ def locate(scorer: Scorer, s: StatementSet) -> LocateResult:
             return LocateResult(tuple(removed), CONSISTENT_REACHED, tuple(trace))
         if len(remaining) == 2:
             return LocateResult(tuple(removed), SIZE_TWO_STOP, tuple(trace))
-        scored = tuple((original, score(remaining[:p] + remaining[p + 1:]))
-                       for p, original in enumerate(remaining))
+        scored = tuple(zip(remaining, score([remaining[:p] + remaining[p + 1:]
+                                             for p in range(len(remaining))])))
         trace.append(scored)
         best_original, best_score = min(scored, key=lambda item: (item[1], item[0]))
         removed.append(best_original)

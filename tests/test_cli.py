@@ -79,6 +79,12 @@ class TestTrain:
         assert log[0].startswith("epoch,mean_hinge_loss,val1_macro_acc,threshold,median_C")
         assert len(log) == 4  # header + 3 epochs
 
+    def test_log_cells_are_numbers(self, model_dir):
+        rows = (model_dir / "train_log.csv").read_text().splitlines()[1:]
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)  # raises on a cell such as "np.float64(0.9)"
+
     def test_binary_arch(self, tmp_path, qa_dir):
         out = tmp_path / "bin"
         code = run(

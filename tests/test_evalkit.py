@@ -180,13 +180,13 @@ class TestBestMtr:
         def compile(self, s):
             score = OracleScorer().compile(s)
 
-            def counted(keep):
-                self.calls += 1
-                return score(keep)
+            def counted(keeps):
+                self.calls += len(keeps)
+                return score(keeps)
             return counted
 
         def score(self, s):
-            return self.compile(s)(range(len(s.statements)))
+            return self.compile(s)([range(len(s.statements))])[0]
 
     def test_scores_each_pair_once(self, qa_mixture):
         scorer = self.CountingOracle()

@@ -3,10 +3,12 @@
 A scorer's ``compile`` reads a set once (token-count rows for the model
 scorers, truth-table masks for the oracle) and must give exactly the
 scores of the subset copies that the reference path serializes or
-hands to :func:`is_satisfiable`.  Verification and localization must
-give the same results, traces included, whichever path they take.
+hands to :func:`is_satisfiable`, whatever batch a subset is scored in.
+Verification and localization must give the same results, traces
+included, whichever path they take.
 """
 
+import random
 import zlib
 from dataclasses import replace
 
@@ -25,6 +27,7 @@ from setcoh.model import (
     energy,
     serialize_set,
     softmax,
+    subset_counts,
 )
 from setcoh.verifier import (
     BinarySoftmaxScorer,
@@ -44,7 +47,7 @@ class Hidden:
         self.threshold = inner.threshold
 
     def compile(self, s):
-        return lambda keep: self.inner.score(_copy(s, keep))
+        return lambda keeps: [self.inner.score(_copy(s, keep)) for keep in keeps]
 
     def score(self, s):
         return self.inner.score(s)
@@ -74,17 +77,17 @@ def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
     energy_scorer, binary_scorer = EnergyScorer(params, 0.0), BinarySoftmaxScorer(params, 0.5)
     for s in _evaluation_sets(corpus):
         keeps = [tuple(range(len(s.statements)))] + _subsets(s)
-        energy_of, softmax_of = energy_scorer.compile(s), binary_scorer.compile(s)
-        energies, softmaxes = map(energy_of, keeps), map(softmax_of, keeps)
-        rows = count_rows(params.vocab, s.statements)
-        for keep, e, p in zip(keeps, energies, softmaxes):
+        energies, softmaxes = energy_scorer.compile(s)(keeps), binary_scorer.compile(s)(keeps)
+        batch = subset_counts(count_rows(params.vocab, s.statements), keeps)
+        for r, (keep, e, p) in enumerate(zip(keeps, energies, softmaxes)):
             subset = _copy(s, keep)
             # The old scoring path: a shuffled stream seeded from the subset's id.
             t = serialize_set(params.vocab, subset, zlib.crc32(subset.id.encode("utf-8")))
-            reference, counts = TokenCounts.of(t, len(params.vocab)), TokenCounts.of_rows(rows[list(keep)])
+            reference, counts = TokenCounts.of(t, len(params.vocab)), batch.side(r)
             assert np.array_equal(counts.ids, reference.ids) and counts.ids.dtype == reference.ids.dtype
             assert np.array_equal(counts.counts, reference.counts)
             assert counts.counts.dtype == reference.counts.dtype and counts.total == reference.total
+            assert batch.totals[r] == reference.total
             assert e == energy(params, t)
             assert p == float(softmax(binary_logits(params, t))[1])
     for s in corpus.train:
@@ -103,8 +106,23 @@ def test_oracle_score_many_equals_is_satisfiable_on_copies(corpus_name, request)
             else 1.0
             for keep in keeps
         ]
-        assert list(map(oracle.compile(s), keeps)) == expected
+        assert oracle.compile(s)(keeps) == expected
         assert expected[0] == oracle.score(s)
+
+
+@pytest.mark.parametrize("corpus_name", ["qa_corpus", "snli_corpus"])
+def test_a_subset_scores_the_same_alone_and_in_any_batch(corpus_name, request):
+    corpus = request.getfixturevalue(corpus_name)
+    params = ModelParams.init(build_vocabulary(corpus.train), seed=11)
+    rng = random.Random(11)
+    for scorer in (EnergyScorer(params, 0.0), BinarySoftmaxScorer(params, 0.5), OracleScorer()):
+        for s in _evaluation_sets(corpus):
+            score = scorer.compile(s)
+            keeps = [tuple(range(len(s.statements)))] + _subsets(s)
+            alone = {keep: score([keep])[0] for keep in keeps}
+            rng.shuffle(keeps)  # mixed sizes, in a different order for every set
+            assert dict(zip(keeps, score(keeps))) == alone
+            assert score([]) == []
 
 
 @pytest.fixture(scope="module", params=["qa", "snli"])

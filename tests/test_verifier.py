@@ -46,12 +46,13 @@ TRAIN_SET = StatementSet(
 
 
 class FixedScorer:
-    """Scores every subset ``value``, counting compiles and subset scores."""
+    """Scores every subset ``value``, counting compiles, batches and subset scores."""
 
     def __init__(self, value, threshold=0.5):
         self.value = value
         self.threshold = threshold
         self.calls = 0
+        self.batches = 0
         self.compiles = 0
 
     def compile(self, s):
@@ -59,11 +60,12 @@ class FixedScorer:
         return self._score
 
     def score(self, s):
-        return self._score(range(len(s.statements)))
+        return self._score([range(len(s.statements))])[0]
 
-    def _score(self, keep):
-        self.calls += 1
-        return self.value
+    def _score(self, keeps):
+        self.batches += 1
+        self.calls += len(keeps)
+        return [self.value] * len(keeps)
 
 
 class TestVerifySet:
@@ -101,11 +103,14 @@ class TestVerifyElementwise:
                 self.n = 0
 
             def compile(self, s):
-                return self.score_subset
+                return self.score_subsets
 
-            def score_subset(self, keep):
-                self.n += 1
-                return 1.0 if self.n == 1 else 0.0
+            def score_subsets(self, keeps):
+                scores = []
+                for _ in keeps:
+                    self.n += 1
+                    scores.append(1.0 if self.n == 1 else 0.0)
+                return scores
 
         verdict = verify_elementwise(OnePairFlagged(), s, mtr=0.2)
         assert verdict.detail.pair_count == 6
@@ -197,6 +202,17 @@ class TestLocate:
             strategy(scorer)
             assert scorer.compiles == 1 and scorer.calls > 1
 
+    def test_one_batch_per_set_and_per_iteration(self):
+        s = gen_qa_set(gen_qa_world(854, 4))  # size 6
+        scorer = FixedScorer(1.0)
+        verify_elementwise(scorer, s, mtr=0.2)
+        assert scorer.batches == 1 and scorer.calls == len(pair_subsets(s))
+        scorer = FixedScorer(1.0)
+        result = locate(scorer, s)
+        assert len(result.trace) == 4
+        assert scorer.batches == 1 + len(result.trace)
+        assert scorer.calls == 1 + sum(range(3, len(s) + 1))
+
     def test_trace_length_equals_iterations(self):
         si = corrupt_qa(gen_qa_set(gen_qa_world(855, 2)), 0, flips=("no-to-yes",))
         result = locate(OracleScorer(), si)
@@ -280,12 +296,11 @@ class TestExternalScorer:
         union = compose_union(parts, shuffle_seed=7)
         n = len(union)
         oracle = OracleScorer()
-        score = oracle.compile(union)
         keeps = [keep for r in range(1, n + 1) for keep in itertools.combinations(range(n), r)]
-        ids = {subset_id(union, keep) for keep in keeps}
-        assert len(ids) == len(keeps)  # no two subsets share an id
+        ids = [subset_id(union, keep) for keep in keeps]
+        assert len(set(ids)) == len(keeps)  # no two subsets share an id
         path = tmp_path / "scores.csv"
-        write_scores_file(path, oracle.threshold, {subset_id(union, keep): score(keep) for keep in keeps})
+        write_scores_file(path, oracle.threshold, dict(zip(ids, oracle.compile(union)(keeps))))
         external = external_scorer_from_file(path)
         expected = locate(oracle, union)
         assert len(expected.trace) >= 2
