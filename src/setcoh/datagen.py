@@ -516,17 +516,21 @@ def corrupt_qa(
     ``flips``) are filtered by the oracle: the flipped set must be
     unsatisfiable, removing the flipped statement must restore
     satisfiability, and for sets of size >= 4 that removal must be the
-    only one that does.  One valid flip is then chosen at random.
+    only one that does.  One valid flip is then chosen at random.  The
+    unflipped set is compiled once, and each candidate swaps in only its
+    flipped statement's truth mask.
     """
     if sc.label != CONSISTENT or any(s.kind != QA for s in sc.statements):
         raise ValueError("corrupt_qa needs a consistent QA set")
-    sc.formulas()  # every statement must carry semantics
+    formulas = sc.formulas()  # every statement must carry semantics
+    unflipped = CompiledFormulas(formulas, sc.context_semantics)
     valid: list[tuple[int, Statement]] = []
     n = len(sc.statements)
     for idx, flipped in _qa_flip_candidates(sc, flips):
-        formulas = [s.semantics for s in sc.statements]
-        formulas[idx] = flipped.semantics
-        compiled = CompiledFormulas(formulas, sc.context_semantics)
+        compiled = unflipped.with_statement(idx, flipped.semantics)
+        if compiled is None:
+            compiled = CompiledFormulas([*formulas[:idx], flipped.semantics, *formulas[idx + 1:]],
+                                        sc.context_semantics)
         if compiled.satisfiable():
             continue
         fixes = [j for j in range(n) if compiled.satisfiable([k for k in range(n) if k != j])]

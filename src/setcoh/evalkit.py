@@ -30,8 +30,8 @@ from .trainer import (
     PoolExhaustedError,
     TrainerConfig,
     TrainResult,
-    _namespaces,
-    _sample_partner,
+    _base_rows,
+    _draw_partner,
     base_pools,
     build_threshold_mixture,
     train,
@@ -80,25 +80,26 @@ def build_eval_mixture(
         if tag not in PROVENANCE_CLASSES:
             raise ValueError(f"unknown provenance class {tag!r}")
     rng = random.Random(f"eval-mixture:{rng_seed}")
-    pool_of = {"C": base_C_pool, "I": base_I_pool}
-    namespaces = _namespaces([*base_C_pool, *base_I_pool])
+    (pools,) = _base_rows((base_C_pool, base_I_pool))
+    rows_of = {"C": pools.c, "I": pools.i}
     sets: list[StatementSet] = []
     for tag in classes:
-        empty = next((ch for ch in tag if not pool_of[ch]), None)
+        empty = next((ch for ch in tag if not rows_of[ch]), None)
         if empty is not None:
             raise PoolExhaustedError(f"class {tag!r} needs {empty!r} base sets, and the {empty!r} pool is empty")
-        pool_first = pool_of[tag[0]]
+        rows_first = rows_of[tag[0]]
         for k in range(per_class_count):
-            first = pool_first[k % len(pool_first)]
+            row = rows_first[k % len(rows_first)]
+            first = pools.sets[row]
             if len(tag) == 1:
                 sets.append(first)
                 continue
             parts = [first]
-            taken = set(namespaces[id(first)])
+            taken = pools.namespaces[row]
             for ch in tag[1:]:
-                partner = _sample_partner(pool_of[ch], rng, frozenset(taken), namespaces)
-                taken |= namespaces[id(partner)]
-                parts.append(partner)
+                partner = _draw_partner(rows_of[ch], pools.namespaces, taken, rng, tag, ch, first)
+                taken |= pools.namespaces[partner]
+                parts.append(pools.sets[partner])
             # Provenance sorts C before I regardless of part order.
             sets.append(
                 compose_union(

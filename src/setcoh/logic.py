@@ -25,6 +25,7 @@ deterministic and injective as long as atom surfaces are distinct.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -175,12 +176,28 @@ class CompiledFormulas:
         names: list[set[str]] = [set() for _ in range(max(self._component, default=-1) + 1)]
         for c, formula_atoms in zip(self._component, atoms):
             names[c] |= formula_atoms
-        tables = [_table(sorted(component_names)) for component_names in names]
-        self._masks = [_truth_mask(f, *tables[c]) for f, c in zip(formulas, self._component)]
+        self._tables = [_table(sorted(component_names)) for component_names in names]
+        self._masks = [_truth_mask(f, *self._tables[c]) for f, c in zip(formulas, self._component)]
         # Joint mask of each component's context: all ones where it has none.
-        self._context = [full for _, full in tables]
+        self._context = [full for _, full in self._tables]
         for k in range(len(self.statements), len(formulas)):
             self._context[self._component[k]] &= self._masks[k]
+
+    def with_statement(self, index: int, statement: Formula) -> "CompiledFormulas | None":
+        """This compile with statement ``index`` replaced: one new truth mask, over that statement's component.
+
+        Returns None when ``statement`` has an atom outside the component;
+        compile the new collection afresh then.  Without the old statement
+        the component may split in two, but one table over both parts
+        decides every subset as their separate tables would.
+        """
+        columns, full = self._tables[self._component[index]]
+        if not atoms_of(statement) <= columns.keys():
+            return None
+        other = copy.copy(self)
+        other.statements = [*self.statements[:index], statement, *self.statements[index + 1:]]
+        other._masks = [*self._masks[:index], _truth_mask(statement, columns, full), *self._masks[index + 1:]]
+        return other
 
     def satisfiable(self, keep: Iterable[int] | None = None) -> bool:
         """Whether the statements at ``keep`` (default: all) and the context are jointly satisfiable."""

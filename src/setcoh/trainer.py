@@ -16,9 +16,13 @@ Fine-tuning mixes n source with n target pairs per epoch (re-sampled
 every epoch) and adds an L2 penalty, anchored at zero by default or at
 the starting weights.
 
-All three share one minibatch loop, :func:`_fit`, which reads a union
-only as the sum of its parts' token counts and runs each batch as stacked
-arrays through :func:`model.encode`, the forward the scorers use too: one
+All three share one minibatch loop, :func:`_fit`.  An epoch is a plan of
+integers: :func:`_plan` draws the base pairs and partners and names each
+side (a set, or the union of two) by the rows of its parts in one
+:class:`CountsCache`, the token histograms of every pool set.  A union's
+counts are the sum of its parts', so a batch counts its distinct sides
+with one ``bincount`` and runs as stacked arrays through
+:func:`model.encode`, the forward the scorers use too: one
 ``counts @ emb[ids]`` product per distinct set, everything else once per
 batch.  A stacked ``np.matmul`` calls the same BLAS routine once per row
 and the gradients are added in the per-example order, so the trained
@@ -44,12 +48,14 @@ from .model import (
     BatchCounts,
     ModelParams,
     TokenCounts,
+    Vocabulary,
     class_softmax,
-    count_rows,
     encode,
     energies,
     energy_from_counts,
     softmax,
+    statement_text,
+    tokenize,
 )
 
 # Ordered (more-consistent, less-consistent) comparisons; the first is
@@ -71,6 +77,10 @@ REGIMES = {
     "six": CONTRAST_KINDS[:6],
     "eight": CONTRAST_KINDS[:8],
 }
+
+# The sides of a base pair, in the order the eight kinds first name them: the
+# columns of an epoch plan, and the binary baseline's examples per pair.
+SIDE_TAGS = tuple(dict.fromkeys(tag for kind in CONTRAST_KINDS for tag in kind))
 
 THRESHOLD_CLASSES_CONSISTENT = ("C", "CC")
 THRESHOLD_CLASSES_INCONSISTENT = ("I", "CI", "II")
@@ -179,42 +189,62 @@ def hinge_loss(e_more_consistent: float, e_less_consistent: float, alpha: float)
     return max(e_more_consistent - e_less_consistent + alpha, 0.0)
 
 
-class CountsCache:
-    """Per-set sparse token histograms; a union's counts are the sum of its parts'.
+# A side, a set or the union of two, is one int64 key over a CountsCache's rows:
+# its first part's row times _PART, plus one more than its second part's row
+# (so a single set's key is its row times _PART).
+_PART = 1 << 32
 
-    Sets are keyed by identity, and each entry keeps its set alive.
+
+class CountsCache:
+    """Token histograms of a fixed list of sets, as one CSR table: row ``r`` is ``sets[r]``.
+
+    Row ``r`` owns ``flat_ids[offsets[r]:offsets[r + 1]]`` (ascending
+    token ids) and the matching ``flat_counts``, from one tokenization
+    pass.  A union's counts are the sum of its parts' rows.  Sets are named
+    by row, never by id, so two sets that share an id keep their own counts.
     """
 
-    def __init__(self, vocab) -> None:
-        self.vocab = vocab
-        self._by_set: dict[int, tuple[np.ndarray, np.ndarray, StatementSet]] = {}
+    def __init__(self, vocab: Vocabulary, sets: Sequence[StatementSet]) -> None:
+        self.vocab_size = v = len(vocab)
+        stream: list[int] = []               # every set's token ids, set after set
+        lengths = []
+        for s in sets:
+            start = len(stream)
+            for st in s.statements:
+                stream += [vocab.encode(w) for w in tokenize(statement_text(st))]
+            lengths.append(len(stream) - start)
+        cells = np.repeat(np.arange(len(sets), dtype=np.int64) * v, lengths) + np.array(stream, dtype=np.int64)
+        cells, counts = np.unique(cells, return_counts=True)
+        self.flat_ids, self.flat_counts = cells % v, counts.astype(np.float64)
+        self.offsets = np.searchsorted(cells // v, np.arange(len(sets) + 1))
 
-    def counts(self, parts: Sequence[StatementSet]) -> TokenCounts:
-        """Token counts of the serialized union of ``parts`` (CLS included)."""
-        return self.batch([parts]).side(0)
+    def counts(self, rows: Sequence[int]) -> TokenCounts:
+        """Token counts of the serialized union of the sets at ``rows`` (CLS included)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return self._count(rows, np.zeros(len(rows), dtype=np.int64), 1).side(0)
 
-    def batch(self, sides: Sequence[Sequence[StatementSet]]) -> BatchCounts:
-        """:meth:`counts` of each side, from one bincount over its parts' histograms.
+    def batch(self, sides: np.ndarray) -> BatchCounts:
+        """:meth:`counts` of each side, given by its key, from one bincount over its parts' rows."""
+        first, second = np.divmod(sides, _PART)
+        union = np.flatnonzero(second)
+        return self._count(np.concatenate([first, second[union] - 1]),
+                           np.concatenate([np.arange(len(sides)), union]), len(sides))
+
+    def _count(self, rows: np.ndarray, owners: np.ndarray, n: int) -> BatchCounts:
+        """CLS plus the counts of the ``rows`` each of the ``n`` streams owns.
 
         The counts are integers, so any summation order gives the same floats.
         """
-        v, n = len(self.vocab), len(sides)
-        hists = [self._hist(part) for parts in sides for part in parts]
-        keys = np.concatenate([np.arange(n) * v + CLS_INDEX, *(nz for nz, _ in hists)])
-        keys[n:] += np.repeat(np.repeat(np.arange(n) * v, [len(parts) for parts in sides]),
-                              [len(nz) for nz, _ in hists])
-        dense = np.bincount(keys, np.concatenate([np.ones(n), *(hist for _, hist in hists)]), minlength=n * v)
-        cells = np.flatnonzero(dense)
-        bounds = np.searchsorted(cells // v, np.arange(n + 1))
-        return BatchCounts(cells % v, dense[cells], bounds, dense.reshape(n, v).sum(axis=1))
-
-    def _hist(self, part: StatementSet) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._by_set.get(id(part))
-        if cached is None:
-            hist = count_rows(self.vocab, part.statements).sum(axis=0)
-            nz = np.nonzero(hist)[0]
-            cached = self._by_set[id(part)] = (nz, hist[nz], part)
-        return cached[0], cached[1]
+        v = self.vocab_size
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        cells = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        dense = np.bincount(np.repeat(owners * v, lengths) + self.flat_ids[cells], self.flat_counts[cells],
+                            minlength=n * v).reshape(n, v)
+        dense[:, CLS_INDEX] += 1.0
+        nonzero = np.flatnonzero(dense)
+        bounds = np.searchsorted(nonzero // v, np.arange(n + 1))
+        return BatchCounts(nonzero % v, dense.ravel()[nonzero], bounds, dense.sum(axis=1))
 
 
 def base_pools(sets: Sequence[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
@@ -226,18 +256,102 @@ def base_pools(sets: Sequence[StatementSet]) -> tuple[list[StatementSet], list[S
     return pools(sets)
 
 
-def _namespaces(sets: Sequence[StatementSet]) -> dict[int, frozenset[str]]:
-    """Atom namespaces of each set, keyed by identity."""
-    return {id(s): s.namespaces() for s in sets}
+def _draw_partner(pool: Sequence[int], namespaces: Sequence[frozenset[str]], taken: frozenset[str],
+                  rng: random.Random, tag: str, letter: str, blocked: StatementSet) -> int:
+    """The first of up to 200 uniform draws from ``pool`` whose namespaces miss ``taken``.
 
-
-def _sample_partner(pool: Sequence[StatementSet], rng: random.Random, taken: frozenset[str],
-                    namespaces: dict[int, frozenset[str]]) -> StatementSet:
+    ``pool`` holds the rows of the ``letter`` base pool and ``namespaces``
+    every row's atom namespaces; the error names the class ``tag`` and the
+    set ``blocked`` a partner was sought for.
+    """
     for _ in range(200):
-        candidate = pool[rng.randrange(len(pool))]
-        if not (namespaces[id(candidate)] & taken):
-            return candidate
-    raise PoolExhaustedError("no namespace-disjoint partner after 200 draws")
+        row = pool[rng.randrange(len(pool))]
+        if namespaces[row].isdisjoint(taken):
+            return row
+    raise PoolExhaustedError(f"class {tag!r}: no namespace-disjoint partner for set {blocked.id!r} "
+                             f"in the {letter} pool of size {len(pool)} after 200 draws")
+
+
+class _Pools(NamedTuple):
+    """C and I base pools as rows of one list of sets; in training, ``c[k]`` and ``i[k]`` are a matched pair."""
+
+    sets: list[StatementSet]
+    namespaces: list[frozenset[str]]     # each set's atom namespaces
+    c: Sequence[int]
+    i: Sequence[int]
+
+
+def _base_rows(*groups: tuple[Sequence[StatementSet], Sequence[StatementSet]]) -> list[_Pools]:
+    """Each (C pool, I pool) group as rows of one list of all their sets, in order."""
+    sets = [s for pool_c, pool_i in groups for s in (*pool_c, *pool_i)]
+    namespaces = [s.namespaces() for s in sets]
+    out, start = [], 0
+    for pool_c, pool_i in groups:
+        mid, stop = start + len(pool_c), start + len(pool_c) + len(pool_i)
+        out.append(_Pools(sets, namespaces, range(start, mid), range(mid, stop)))
+        start = stop
+    return out
+
+
+class _Plan(NamedTuple):
+    """An epoch's base pairs as integers, one column per :data:`SIDE_TAGS` side."""
+
+    sides: np.ndarray    # (pairs, 5) side keys; -1 where the regime needs no such side
+    seeds: np.ndarray    # (pairs, 5) union shuffle seeds; -1 for single sets and absent sides
+
+
+def _plan(pools: _Pools, regime: str, rng_seed: int, pairs: int | None) -> _Plan:
+    """Sampled base pairs and their union partners, as rows of ``pools.sets``.
+
+    For every base pair (S_C, S_I) the union parts of S_CC, S_CI, S_II are
+    drawn once, from independently sampled namespace-disjoint partners,
+    each union with its own shuffle seed.  S_C and S_I are sampled at the
+    same pool index (pools generated as matched pairs).
+    """
+    sets, namespaces, pool_c, pool_i = pools
+    if not pool_c or not pool_i:
+        raise PoolExhaustedError("empty base pool")
+    needed = {tag for kind in REGIMES[regime] for tag in kind}
+    # Separate streams so the base-pair sequence is identical across
+    # regimes for one seed (partner draws consume the second stream only).
+    pair_rng = random.Random(f"contrast-pairs:{rng_seed}")
+    rng = random.Random(f"contrast-partners:{rng_seed}")
+    size = min(len(pool_c), len(pool_i))
+    # Per union: its tag, its base set (0: S_C, 1: S_I), and the pool and letter of its partner.
+    unions = [(tag, base, pool, letter) for tag, base, pool, letter in
+              (("CC", 0, pool_c, "C"), ("CI", 1, pool_c, "C"), ("II", 1, pool_i, "I")) if tag in needed]
+    drawn: list[list[int]] = []          # per pair: S_C, S_I, each union's partner, each union's seed
+    for _ in range(size if pairs is None else pairs):
+        k = pair_rng.randrange(size)
+        base_rows = (pool_c[k], pool_i[k])
+        taken = namespaces[base_rows[0]] | namespaces[base_rows[1]]
+        row = [*base_rows]
+        for tag, base, pool, letter in unions:
+            row.append(_draw_partner(pool, namespaces, taken, rng, tag, letter, sets[base_rows[base]]))
+        row += [rng.randrange(2**31) for _ in unions]
+        drawn.append(row)
+    table = np.array(drawn, dtype=np.int64).reshape(-1, 2 + 2 * len(unions))
+    sides = np.full((len(table), len(SIDE_TAGS)), -1, dtype=np.int64)
+    seeds = sides.copy()
+    sides[:, [SIDE_TAGS.index("C"), SIDE_TAGS.index("I")]] = table[:, :2] * _PART
+    for u, (tag, base, _, _) in enumerate(unions):
+        partner = table[:, 2 + u]
+        # The parts follow the tag's letters: CC is (S_C, partner), CI (partner, S_I), II (S_I, partner).
+        first, second = (partner, table[:, base]) if tag == "CI" else (table[:, base], partner)
+        sides[:, SIDE_TAGS.index(tag)] = first * _PART + second + 1
+        seeds[:, SIDE_TAGS.index(tag)] = table[:, 2 + len(unions) + u]
+    return _Plan(sides, seeds)
+
+
+def _hinge_sides(plan: _Plan, regime: str) -> np.ndarray:
+    """(more, less) side keys of every contrast instance: pair by pair, kinds in regime order."""
+    columns = [[SIDE_TAGS.index(tag) for tag in kind] for kind in REGIMES[regime]]
+    return plan.sides[:, columns].reshape(-1, 2)
+
+
+def _parts(sets: Sequence[StatementSet], key: int) -> tuple[StatementSet, ...]:
+    first, second = divmod(key, _PART)
+    return (sets[first],) if second == 0 else (sets[first], sets[second - 1])
 
 
 def build_contrast_batch(
@@ -246,46 +360,21 @@ def build_contrast_batch(
     regime: str,
     rng_seed: int,
     pairs: int | None = None,
-    namespaces: dict[int, frozenset[str]] | None = None,
 ) -> list[ContrastInstance]:
-    """Contrast instances for sampled base pairs.
+    """Contrast instances for sampled base pairs: :func:`_plan`'s draws as objects.
 
-    For every base pair (S_C, S_I) one instance per contrast kind in the
-    regime is emitted; the union parts of S_CC, S_CI, S_II are drawn
-    once per base pair from independently sampled namespace-disjoint
-    partners, each union with its own shuffle seed.  S_C and S_I are
-    sampled at the same pool index (pools generated as matched pairs).
-    ``namespaces`` maps each pool set's identity to its atom namespaces;
-    it is computed here when not given.
+    For every base pair one instance per contrast kind in the regime is
+    emitted, in regime order.  Training reads the plan itself; this view
+    names the sets and composes a union on demand.
     """
-    if not pool_C or not pool_I:
-        raise PoolExhaustedError("empty base pool")
-    if namespaces is None:
-        namespaces = _namespaces([*pool_C, *pool_I])
-    kinds = REGIMES[regime]
-    # Separate streams so the base-pair sequence is identical across
-    # regimes for one seed (partner draws consume the second stream only).
-    pair_rng = random.Random(f"contrast-pairs:{rng_seed}")
-    rng = random.Random(f"contrast-partners:{rng_seed}")
-    if pairs is None:
-        pairs = min(len(pool_C), len(pool_I))
-    needed = {tag for pair in kinds for tag in pair}
+    (pools,) = _base_rows((pool_C, pool_I))
+    plan = _plan(pools, regime, rng_seed, pairs)
     out: list[ContrastInstance] = []
-    for _ in range(pairs):
-        i = pair_rng.randrange(min(len(pool_C), len(pool_I)))
-        base_c, base_i = pool_C[i], pool_I[i]
-        taken = namespaces[id(base_c)] | namespaces[id(base_i)]
-        by_tag: dict[str, tuple[StatementSet, ...]] = {"C": (base_c,), "I": (base_i,)}
-        if "CC" in needed:
-            by_tag["CC"] = (base_c, _sample_partner(pool_C, rng, taken, namespaces))
-        if "CI" in needed:
-            by_tag["CI"] = (_sample_partner(pool_C, rng, taken, namespaces), base_i)
-        if "II" in needed:
-            by_tag["II"] = (base_i, _sample_partner(pool_I, rng, taken, namespaces))
-        seeds = {tag: rng.randrange(2**31) for tag, parts in by_tag.items() if len(parts) > 1}
-        for kind in kinds:
-            more, less = kind
-            out.append(ContrastInstance(kind, by_tag[more], by_tag[less], seeds.get(more), seeds.get(less)))
+    for keys, seeds in zip(plan.sides.tolist(), plan.seeds.tolist()):
+        parts = {tag: _parts(pools.sets, key) for tag, key in zip(SIDE_TAGS, keys) if key >= 0}
+        seed = {tag: value for tag, value in zip(SIDE_TAGS, seeds) if value >= 0}
+        out += [ContrastInstance((more, less), parts[more], parts[less], seed.get(more), seed.get(less))
+                for more, less in REGIMES[regime]]
     return out
 
 
@@ -327,25 +416,27 @@ def build_threshold_mixture(
     if not pool_c or not pool_i:
         raise EmptyValidationError("validation split lacks one of the labels")
     rng = random.Random(f"threshold-mixture:{rng_seed}")
-    namespaces = _namespaces(pool_c + pool_i)
+    (pools,) = _base_rows((pool_c, pool_i))
+    sets, namespaces, rows = pools.sets, pools.namespaces, {"C": pools.c, "I": pools.i}
     n = per_class or min(len(pool_c), len(pool_i))
     out: list[StatementSet] = []
     for tag in THRESHOLD_CLASSES_CONSISTENT + THRESHOLD_CLASSES_INCONSISTENT:
         for k in range(n):
-            first = pool_c[k % len(pool_c)] if tag[0] == "C" else pool_i[k % len(pool_i)]
+            first = rows[tag[0]][k % len(rows[tag[0]])]
             if len(tag) == 1:
-                out.append(first)
+                out.append(sets[first])
                 continue
-            partner = _sample_partner(pool_c if tag[1] == "C" else pool_i, rng, namespaces[id(first)], namespaces)
-            out.append(compose_union([first, partner], set_id=f"thr-{tag}-{k}", shuffle_seed=rng.randrange(2**31)))
+            partner = _draw_partner(rows[tag[1]], namespaces, namespaces[first], rng, tag, tag[1], sets[first])
+            out.append(compose_union([sets[first], sets[partner]], set_id=f"thr-{tag}-{k}",
+                                     shuffle_seed=rng.randrange(2**31)))
     return out
 
 
 def learn_threshold(params: ModelParams, validation_sets: Sequence[StatementSet],
                     epoch: int = -1) -> Threshold:
     """Threshold over model energies maximizing macro accuracy on the given sets."""
-    cache = CountsCache(params.vocab)
-    scores = [energy_from_counts(params, cache.counts([s])) for s in validation_sets]
+    table = CountsCache(params.vocab, validation_sets)
+    scores = [energy_from_counts(params, table.counts([r])) for r in range(len(validation_sets))]
     labels = [s.label for s in validation_sets]
     value, _, degenerate = _threshold_scan(scores, labels)
     return Threshold(value=value, learned_epoch=epoch, source="energy", degenerate=degenerate)
@@ -359,7 +450,8 @@ class _Adam:
     """Adam with the default betas and epsilon over one flat buffer.
 
     ``params``' arrays become views into :attr:`flat`, and :attr:`grads`
-    holds the matching views into the gradient buffer.
+    holds the matching views into the gradient buffer.  A step writes into
+    preallocated buffers, in the operation order of the textbook update.
     """
 
     def __init__(self, params: ModelParams, learning_rate: float) -> None:
@@ -367,6 +459,7 @@ class _Adam:
         self.flat = np.concatenate([arr.ravel() for arr in arrays.values()])
         self.grad = np.zeros_like(self.flat)
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self._scratch = np.empty_like(self.flat), np.empty_like(self.flat)
         self.grads: dict[str, np.ndarray] = {}
         start = 0
         for name, arr in arrays.items():
@@ -380,12 +473,21 @@ class _Adam:
     def step(self) -> None:
         self.t += 1
         b1, b2 = _ADAM_BETAS
-        g = self.grad
-        self.m = b1 * self.m + (1.0 - b1) * g
-        self.v = b2 * self.v + (1.0 - b2) * g * g
-        m_hat = self.m / (1.0 - b1 ** self.t)
-        v_hat = self.v / (1.0 - b2 ** self.t)
-        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        g, (step, denom) = self.grad, self._scratch
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        self.m *= b1
+        self.m += np.multiply(g, 1.0 - b1, out=step)
+        self.v *= b2
+        np.multiply(g, 1.0 - b2, out=denom)
+        self.v += np.multiply(denom, g, out=denom)
+        # flat -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(self.m, 1.0 - b1 ** self.t, out=step)
+        np.divide(self.v, 1.0 - b2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step *= self.learning_rate
+        step /= denom
+        self.flat -= step
 
 
 def _median_energies(mixture: Sequence[StatementSet], scores: Sequence[float]) -> dict[str, float]:
@@ -395,25 +497,24 @@ def _median_energies(mixture: Sequence[StatementSet], scores: Sequence[float]) -
     return {tag: float(np.median(vals)) for tag, vals in sorted(by_class.items())}
 
 
-def _epoch_instances(pool_c: Sequence[StatementSet], pool_i: Sequence[StatementSet], config: TrainerConfig,
-                     epoch: int, namespaces: dict[int, frozenset[str]] | None = None) -> list[ContrastInstance]:
-    return build_contrast_batch(pool_c, pool_i, config.regime, rng_seed=config.rng_seed * 1_000 + epoch,
-                                pairs=config.pairs_per_epoch, namespaces=namespaces)
+class _Examples(NamedTuple):
+    """An epoch's training examples as :class:`CountsCache` side keys."""
+
+    sides: np.ndarray                    # (N, 2) (more, less) pairs for the hinge; (N,) for cross-entropy
+    labels: np.ndarray | None = None     # cross-entropy labels
 
 
-def _binary_instances(pool_c: Sequence[StatementSet], pool_i: Sequence[StatementSet], config: TrainerConfig,
-                      epoch: int, namespaces: dict[int, frozenset[str]]) -> list[tuple[tuple[StatementSet, ...], int]]:
-    """(parts, label) for each of the C/CC/I/CI/II sides of every base pair."""
-    instances = build_contrast_batch(pool_c, pool_i, "eight", rng_seed=config.rng_seed * 1_000 + epoch,
-                                     pairs=config.pairs_per_epoch, namespaces=namespaces)
-    out: list[tuple[tuple[StatementSet, ...], int]] = []
-    seen_parts: set[int] = set()  # part tuples are shared within a base pair
-    for inst in instances:
-        for parts, tag in zip((inst.more_parts, inst.less_parts), inst.kind):
-            if id(parts) not in seen_parts:
-                seen_parts.add(id(parts))
-                out.append((parts, int("I" in tag)))
-    return out
+def _epoch_instances(pools: _Pools, config: TrainerConfig, epoch: int) -> _Examples:
+    """The contrast instances of one energy-training epoch."""
+    plan = _plan(pools, config.regime, config.rng_seed * 1_000 + epoch, config.pairs_per_epoch)
+    return _Examples(_hinge_sides(plan, config.regime))
+
+
+def _binary_instances(pools: _Pools, config: TrainerConfig, epoch: int) -> _Examples:
+    """Every side of every base pair, labelled, pair by pair in :data:`SIDE_TAGS` order."""
+    plan = _plan(pools, "eight", config.rng_seed * 1_000 + epoch, config.pairs_per_epoch)
+    labels = np.tile([int("I" in tag) for tag in SIDE_TAGS], len(plan.sides))
+    return _Examples(plan.sides.ravel(), labels)
 
 
 def _check_finite(value: float, params: ModelParams, flat: np.ndarray, epoch: int, step: int) -> None:
@@ -434,13 +535,14 @@ def _backprop(params: ModelParams, grads: dict[str, np.ndarray], sides: BatchCou
     """Write the encoder's gradient of every call: side ``calls[c]`` with upstream ``d_hidden[c]``.
 
     Each array receives the calls' terms in call order, as successive
-    per-example ``+=`` would: axis-0 sums run row by row, and ``bincount``
-    adds its weights in the order given.
+    per-example ``+=`` would: axis-0 sums run row by row, ``einsum`` over
+    the calls adds one outer product after another onto zeros, and
+    ``bincount`` adds its weights in the order given.
     """
     h = hidden[calls]
     d_pre = (1.0 - h * h) * d_hidden
     grads["b_hidden"][...] = d_pre.sum(axis=0)
-    grads["w_hidden"][...] = (pooled[calls][:, :, None] * d_pre[:, None, :]).sum(axis=0)
+    grads["w_hidden"][...] = np.einsum("ci,cj->ij", pooled[calls], d_pre)
     d_pooled = np.matmul(params.w_hidden, d_pre[:, :, None])[:, :, 0]
     lengths = np.diff(sides.bounds)
     per_call = lengths[calls]
@@ -453,34 +555,31 @@ def _backprop(params: ModelParams, grads: dict[str, np.ndarray], sides: BatchCou
     emb[...] = np.bincount(cells.ravel(), terms.ravel(), minlength=emb.size).reshape(emb.shape)
 
 
-def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], cache: CountsCache,
-                batch: Sequence, alpha: float) -> float:
+def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], table: CountsCache,
+                batch: _Examples, alpha: float) -> float:
     """Write a batch's summed-loss gradient to the zeroed ``grads``; returns the summed loss.
 
-    A batch of :class:`ContrastInstance` pays the margin hinge, and each
-    active pair adds its ``more`` then its ``less`` gradient; a batch of
-    (parts, label) pays the cross-entropy, in batch order.  Each distinct
-    side (a set or a union, keyed by its parts) is encoded once.
+    A batch of (more, less) pairs pays the margin hinge, and each active
+    pair adds its ``more`` then its ``less`` gradient; a labelled batch
+    pays the cross-entropy, in batch order.  Each distinct side is encoded
+    once; the sides' order changes no sum, which follow the calls' order.
     """
-    hinge = isinstance(batch[0], ContrastInstance)
-    sides = [p for inst in batch for p in (inst.more_parts, inst.less_parts)] if hinge else [p for p, _ in batch]
-    keys = [tuple(map(id, parts)) for parts in sides]
-    index: dict[tuple[int, ...], int] = {}
-    at = np.array([index.setdefault(key, len(index)) for key in keys])
-    counts = cache.batch(list(dict(zip(keys, sides)).values()))
+    keys, at = np.unique(batch.sides, return_inverse=True)
+    counts = table.batch(keys)
     pooled, hidden = encode(params, counts)
-    scale = 1.0 / len(batch)
-    if hinge:
+    scale = 1.0 / len(batch.sides)
+    if batch.labels is None:
         pairs = at.reshape(-1, 2)
         energy = energies(params, hidden)
         losses = np.maximum(energy[pairs[:, 0]] - energy[pairs[:, 1]] + alpha, 0.0)
         calls = pairs[losses > 0.0].ravel()
-        signs = np.tile([scale, -scale], len(calls) // 2)
+        signs = np.full(len(calls), scale)
+        signs[1::2] = -scale
         d_hidden = signs[:, None] * params.w_energy
         grads["w_energy"][...] = (signs[:, None] * hidden[calls]).sum(axis=0)
         grads["b_energy"][...] = _in_order(signs)
     else:
-        calls, labels, rows = at, np.array([label for _, label in batch]), np.arange(len(batch))
+        calls, labels, rows = at, batch.labels, np.arange(len(batch.sides))
         upstream = class_softmax(params, hidden)[calls]
         losses = -np.log(np.maximum(upstream[rows, labels], 1e-300))
         upstream[rows, labels] -= 1.0
@@ -497,20 +596,21 @@ class _Validation(NamedTuple):
     source: str                          # the fitted Threshold's source
 
 
-def _fit(params: ModelParams, config: TrainerConfig, epoch_examples: Callable[[int], list],
+def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_examples: Callable[[int], _Examples],
          validation: _Validation | None = None, penalty: Callable | None = None):
     """The minibatch loop of every trainer; updates ``params`` in place.
 
+    ``epoch_examples(epoch)`` names its sides by their keys in ``table``.
     Each batch runs :func:`_batch_step`; ``penalty(params, grads, loss)``,
     when given, adds its gradient to ``grads`` and returns ``loss`` plus
     its value.  Returns the best validated epoch's parameters and threshold
     (the last epoch's parameters and None without validation) and, per
     validated epoch, (mean batch loss, macro accuracy, threshold, validation scores).
     """
-    cache = CountsCache(params.vocab)
     if validation is not None:
         # In batches: one gather over a 1,000-set mixture's rows adds 18 MB of peak RSS.
-        val_counts = [cache.batch([(s,) for s in validation.mixture[start : start + config.batch_size]])
+        val_table, val_keys = CountsCache(params.vocab, validation.mixture), np.arange(len(validation.mixture)) * _PART
+        val_counts = [val_table.batch(val_keys[start : start + config.batch_size])
                       for start in range(0, len(validation.mixture), config.batch_size)]
         val_labels = [s.label for s in validation.mixture]
     optimizer = _Adam(params, config.learning_rate)
@@ -519,13 +619,15 @@ def _fit(params: ModelParams, config: TrainerConfig, epoch_examples: Callable[[i
     for epoch in range(config.epochs):
         examples = epoch_examples(epoch)
         losses: list[float] = []
-        for step, start in enumerate(range(0, len(examples), config.batch_size)):
-            batch = examples[start : start + config.batch_size]
+        for step, start in enumerate(range(0, len(examples.sides), config.batch_size)):
+            stop = start + config.batch_size
+            labels = None if examples.labels is None else examples.labels[start:stop]
+            batch = _Examples(examples.sides[start:stop], labels)
             optimizer.grad.fill(0.0)
-            loss = _batch_step(params, optimizer.grads, cache, batch, config.alpha)
+            loss = _batch_step(params, optimizer.grads, table, batch, config.alpha)
             if penalty is not None:
                 loss = penalty(params, optimizer.grads, loss)
-            losses.append(loss / len(batch))
+            losses.append(loss / len(batch.sides))
             optimizer.step()
             _check_finite(losses[-1], params, optimizer.flat, epoch, step)
         if validation is None:
@@ -545,12 +647,11 @@ def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
     ``splits`` needs ``train`` and ``validation1`` set lists.  The
     returned threshold is the one learned at the winning epoch.
     """
-    pool_c, pool_i = base_pools(splits.train)
-    namespaces = _namespaces(pool_c + pool_i)
+    (pools,) = _base_rows(base_pools(splits.train))
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
     best, threshold, history = _fit(
-        params.copy(), config, lambda epoch: _epoch_instances(pool_c, pool_i, config, epoch, namespaces),
-        _Validation(mixture, energies, "energy"),
+        params.copy(), config, CountsCache(params.vocab, pools.sets),
+        lambda epoch: _epoch_instances(pools, config, epoch), _Validation(mixture, energies, "energy"),
     )
     log = [EpochStats(epoch, loss, acc, t.value, _median_energies(mixture, scores))
            for epoch, (loss, acc, t, scores) in enumerate(history)]
@@ -559,11 +660,11 @@ def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
 
 def train_binary(params: ModelParams, splits, config: TrainerConfig) -> tuple[ModelParams, Threshold]:
     """Cross-entropy training of the 2-way head on the five set classes."""
-    pool_c, pool_i = base_pools(splits.train)
-    namespaces = _namespaces(pool_c + pool_i)
+    (pools,) = _base_rows(base_pools(splits.train))
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
     best, threshold, _ = _fit(
-        params.copy(), config, lambda epoch: _binary_instances(pool_c, pool_i, config, epoch, namespaces),
+        params.copy(), config, CountsCache(params.vocab, pools.sets),
+        lambda epoch: _binary_instances(pools, config, epoch),
         _Validation(mixture, lambda p, hidden: class_softmax(p, hidden)[:, 1], "inconsistent-softmax"),
     )
     return best, threshold
@@ -589,23 +690,22 @@ def fine_tune(
     distance to the anchor ("zero" or "start") to the loss.
     """
     params = source_params.copy()
-    src_c, src_i = base_pools(source_pool)
-    tgt_c, tgt_i = base_pools(target_pool)
-    if n > min(len(src_c), len(src_i)) or n > min(len(tgt_c), len(tgt_i)):
+    domains = _base_rows(base_pools(source_pool), base_pools(target_pool))
+    if any(n > min(len(pools.c), len(pools.i)) for pools in domains):
         raise ValueError("n exceeds a pool size")
     anchor = {name: arr.copy() for name, arr in params.arrays().items()} if config.l2_anchor == "start" else None
 
-    def epoch_instances(epoch: int) -> list[ContrastInstance]:
+    def epoch_instances(epoch: int) -> _Examples:
         rng = random.Random(f"fine-tune:{config.rng_seed}:{epoch}")
-        instances = []
-        for pool_c, pool_i, offset in ((src_c, src_i, 0), (tgt_c, tgt_i, 1)):
-            indices = rng.sample(range(min(len(pool_c), len(pool_i))), n)
-            instances.extend(build_contrast_batch(
-                [pool_c[i] for i in indices], [pool_i[i] for i in indices], config.regime,
-                rng_seed=config.rng_seed * 10_000 + epoch * 10 + offset, pairs=n,
-            ))
-        rng.shuffle(instances)
-        return instances
+        sides = []
+        for offset, pools in enumerate(domains):
+            indices = rng.sample(range(min(len(pools.c), len(pools.i))), n)
+            sample = pools._replace(c=[pools.c[k] for k in indices], i=[pools.i[k] for k in indices])
+            plan = _plan(sample, config.regime, config.rng_seed * 10_000 + epoch * 10 + offset, n)
+            sides.append(_hinge_sides(plan, config.regime))
+        order = list(range(sum(map(len, sides))))
+        rng.shuffle(order)                 # the shuffle of an instance list: its draws depend only on the length
+        return _Examples(np.concatenate(sides)[order])
 
     def penalty(params: ModelParams, grads: dict[str, np.ndarray], loss: float) -> float:
         for name, arr in params.arrays().items():
@@ -614,4 +714,5 @@ def fine_tune(
             loss += config.l2_weight * float((delta * delta).sum())
         return loss
 
-    return _fit(params, config, epoch_instances, penalty=penalty if config.l2_weight else None)[0]
+    table = CountsCache(params.vocab, domains[0].sets)
+    return _fit(params, config, table, epoch_instances, penalty=penalty if config.l2_weight else None)[0]

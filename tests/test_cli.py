@@ -174,6 +174,14 @@ class TestLocate:
         assert code == 3
         assert "class 'CI' needs 'I' base sets, and the 'I' pool is empty" in capsys.readouterr().err
 
+    def test_too_small_partner_pool_names_what_ran_out(self, tmp_path, capsys):
+        # A test split of two C sets cannot give a CCC union three namespace-disjoint parts.
+        data = tmp_path / "data"
+        assert run("gen", "--style", "qa", "--seed", "11", "--counts", "3,2", "--out", data) == 0
+        assert run("locate", "--data", data, "--out", tmp_path / "o", "--scorer", "oracle") == 3
+        assert ("error: class 'CCC': no namespace-disjoint partner for set 'test-qa-c000000' "
+                "in the C pool of size 2 after 200 draws") in capsys.readouterr().err
+
 
 class TestSweepAndAblate:
     def test_sweep(self, tmp_path, qa_dir):
@@ -259,6 +267,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--counts" in err and "TRAIN,EVAL" in err and repr(counts) in err
         assert not out.exists()
+
+    def test_too_small_threshold_pool_names_what_ran_out(self, tmp_path, capsys):
+        # validation1 holds one C set, which cannot be its own CC partner.
+        data = tmp_path / "data"
+        assert run("gen", "--style", "qa", "--seed", "11", "--counts", "5,1", "--out", data) == 0
+        assert run("train", "--data", data, "--out", tmp_path / "m", "--epochs", "1") == 3
+        assert ("error: class 'CC': no namespace-disjoint partner for set 'validation1-qa-c000000' "
+                "in the C pool of size 1 after 200 draws") in capsys.readouterr().err
 
     def test_duplicate_set_id_exit_3(self, tmp_path, qa_dir, capsys):
         lines = (qa_dir / "data.jsonl").read_text().splitlines()

@@ -32,6 +32,7 @@ from setcoh.datagen import (
 from setcoh.evalkit import build_eval_mixture
 from setcoh.logic import (
     AtomRef,
+    CompiledFormulas,
     FormulaChecker,
     FormulaSyntaxError,
     Implies,
@@ -172,6 +173,22 @@ class TestCorruptQA:
         out = corrupt_qa(sc, 3, flips=("yes-to-no",))
         assert out.statements[1].answer == "no"
         assert validate_with_oracle(out)
+
+    def test_swapped_compile_decides_like_a_fresh_compile(self, qa_corpus):
+        swapped = 0
+        for sc in (s for split in qa_corpus.splits().values() for s in split if s.label == "consistent"):
+            formulas, n = sc.formulas(), len(sc)
+            unflipped = CompiledFormulas(formulas, sc.context_semantics)
+            for idx, flipped in datagen._qa_flip_candidates(sc, DEFAULT_FLIPS):
+                compiled = unflipped.with_statement(idx, flipped.semantics)
+                if compiled is None:
+                    continue
+                swapped += 1
+                fresh = CompiledFormulas(formulas[:idx] + [flipped.semantics] + formulas[idx + 1:],
+                                         sc.context_semantics)
+                for keep in [None] + [[k for k in range(n) if k != j] for j in range(n)]:
+                    assert compiled.satisfiable(keep) == fresh.satisfiable(keep)
+        assert swapped
 
     def test_requires_consistent_qa_set(self):
         sc = gen_qa_set(desk_world(("pink", "teal")))

@@ -23,6 +23,7 @@ from setcoh.model import (
 )
 from setcoh.trainer import (
     CONTRAST_KINDS,
+    SIDE_TAGS,
     CountsCache,
     EmptyValidationError,
     NotABaseSetError,
@@ -31,6 +32,11 @@ from setcoh.trainer import (
     Threshold,
     TrainerConfig,
     TrainingDivergedError,
+    _base_rows,
+    _binary_instances,
+    _hinge_sides,
+    _parts,
+    _plan,
     _threshold_scan,
     build_contrast_batch,
     build_threshold_mixture,
@@ -41,6 +47,12 @@ from setcoh.trainer import (
     train,
     train_binary,
 )
+
+
+def _rows(sets, parts):
+    """The rows of ``parts`` in a table over ``sets``."""
+    row = {id(s): r for r, s in enumerate(sets)}
+    return [row[id(part)] for part in parts]
 
 
 class TestHinge:
@@ -119,12 +131,12 @@ class TestContrastBatch:
     def test_counts_cache_matches_serialization(self, small_qa_corpus):
         pool_c, pool_i = pools(small_qa_corpus.train)
         vocab = build_vocabulary(small_qa_corpus.train)
-        cache = CountsCache(vocab)
+        cache = CountsCache(vocab, pool_c + pool_i)
         params = ModelParams.init(vocab, d=8, h=6, seed=0)
         batch = build_contrast_batch(pool_c, pool_i, "eight", rng_seed=3, pairs=2)
         from setcoh.model import energy_from_counts
         for inst in batch:
-            via_cache = energy_from_counts(params, cache.counts(inst.more_parts))
+            via_cache = energy_from_counts(params, cache.counts(_rows(pool_c + pool_i, inst.more_parts)))
             via_stream = energy(params, serialize_set(vocab, inst.more, 0))
             assert via_cache == via_stream
 
@@ -191,12 +203,12 @@ class TestTraining:
     def test_single_sgd_step_decreases_active_hinge(self, small_qa_corpus):
         pool_c, pool_i = pools(small_qa_corpus.train)
         vocab = build_vocabulary(small_qa_corpus.train)
-        cache = CountsCache(vocab)
+        cache = CountsCache(vocab, pool_c + pool_i)
         from setcoh.model import energy_from_counts, zero_grads, accumulate_grad_energy
 
         params = ModelParams.init(vocab, d=8, h=6, seed=2)
         inst = build_contrast_batch(pool_c, pool_i, "basic", rng_seed=0, pairs=1)[0]
-        tc_more, tc_less = cache.counts(inst.more_parts), cache.counts(inst.less_parts)
+        tc_more, tc_less = (cache.counts(_rows(pool_c + pool_i, parts)) for parts in (inst.more_parts, inst.less_parts))
         alpha = 10.0  # force the hinge active
         before = hinge_loss(
             energy_from_counts(params, tc_more), energy_from_counts(params, tc_less), alpha
@@ -263,18 +275,18 @@ class TestFineTune:
         import setcoh.trainer as trainer_mod
 
         calls = []
-        original = trainer_mod.build_contrast_batch
+        original = trainer_mod._plan
 
-        def spy(pool_c, pool_i, regime, rng_seed, pairs=None):
-            calls.append(pairs)
-            return original(pool_c, pool_i, regime, rng_seed, pairs)
+        def spy(pools, regime, rng_seed, pairs):
+            calls.append((len(pools.c), pairs))
+            return original(pools, regime, rng_seed, pairs)
 
-        monkeypatch.setattr(trainer_mod, "build_contrast_batch", spy)
+        monkeypatch.setattr(trainer_mod, "_plan", spy)
         vocab = build_vocabulary(small_qa_corpus.train + small_snli_corpus.train)
         params = ModelParams.init(vocab, d=8, h=6, seed=8)
         config = TrainerConfig(epochs=2, rng_seed=8, regime="basic")
         fine_tune(params, small_qa_corpus.train, small_snli_corpus.train, n=5, config=config)
-        assert calls == [5, 5, 5, 5]  # n source + n target, per epoch
+        assert calls == [(5, 5)] * 4  # n source + n target, per epoch
 
     def test_zero_l2_same_pool_is_continued_training(self, small_qa_corpus):
         vocab = build_vocabulary(small_qa_corpus.train)
@@ -536,38 +548,114 @@ class TestDifferential:
                     assert compose_union(parts, shuffle_seed=seed) == union
 
 
+def _plan_side(rows, plan, pair, tag):
+    """The set or the composed union a plan names for one side of one base pair."""
+    column = SIDE_TAGS.index(tag)
+    parts, seed = _parts(rows.sets, int(plan.sides[pair, column])), int(plan.seeds[pair, column])
+    return parts[0] if seed < 0 else compose_union(parts, shuffle_seed=seed)
+
+
+class TestPlan:
+    """The integer plan draws what the per-instance reference draws, in its order."""
+
+    @pytest.mark.parametrize("regime", ["basic", "six", "eight"])
+    def test_plan_rows_name_the_reference_parts_in_order(self, small_qa_corpus, regime):
+        pool_c, pool_i = pools(small_qa_corpus.train)
+        (rows,) = _base_rows((pool_c, pool_i))
+        kinds = REGIMES[regime]
+        for epoch in range(4):
+            plan = _plan(rows, regime, 3_000 + epoch, 9)
+            reference = [inst for group in _ref_contrast_groups(pool_c, pool_i, regime, 3_000 + epoch, 9)
+                         for inst in group]
+            hinge = _hinge_sides(plan, regime).tolist()
+            assert len(hinge) == len(reference) == 9 * len(kinds)
+            for j, (keys, (more, less, kind)) in enumerate(zip(hinge, reference)):
+                pair = j // len(kinds)
+                assert keys == [plan.sides[pair, SIDE_TAGS.index(tag)] for tag in kind]
+                assert [_plan_side(rows, plan, pair, tag) for tag in kind] == [more, less]
+            unused = [SIDE_TAGS.index(tag) for tag in SIDE_TAGS if not any(tag in kind for kind in kinds)]
+            assert (plan.sides[:, unused] == -1).all()
+
+    def test_binary_examples_are_the_reference_sides_in_order(self, small_qa_corpus):
+        pool_c, pool_i = pools(small_qa_corpus.train)
+        (rows,) = _base_rows((pool_c, pool_i))
+        config = TrainerConfig(rng_seed=4, pairs_per_epoch=7)
+        for epoch in range(3):
+            examples = _binary_instances(rows, config, epoch)
+            plan = _plan(rows, "eight", 4_000 + epoch, 7)
+            assert np.array_equal(examples.sides, plan.sides.ravel())
+            got = [(_plan_side(rows, plan, j // len(SIDE_TAGS), SIDE_TAGS[j % len(SIDE_TAGS)]), int(label))
+                   for j, label in enumerate(examples.labels)]
+            want = []
+            for group in _ref_contrast_groups(pool_c, pool_i, "eight", 4_000 + epoch, 7):
+                seen = set()
+                for more, less, (more_tag, less_tag) in group:
+                    for s, tag in ((more, more_tag), (less, less_tag)):
+                        if id(s) not in seen:
+                            seen.add(id(s))
+                            want.append((s, int("I" in tag)))
+            assert got == want
+
+    def test_pool_exhausted_at_the_same_draw(self, small_qa_corpus, monkeypatch):
+        pool_c, pool_i = (pool[:6] for pool in pools(small_qa_corpus.train))
+        # A C set sharing a namespace with every set: no partner is disjoint from its pair.
+        blocker = dataclasses.replace(pool_c[3], id="blocker")
+        object.__setattr__(blocker, "_namespaces", frozenset().union(*(s.namespaces() for s in pool_c + pool_i)))
+        pool_c[3] = blocker
+        draws = []
+
+        class Counting(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        streams = []
+        for build in (lambda: build_contrast_batch(pool_c, pool_i, "eight", rng_seed=1, pairs=12),
+                      lambda: _ref_contrast_groups(pool_c, pool_i, "eight", 1, 12)):
+            draws.clear()
+            with pytest.raises(PoolExhaustedError):
+                build()
+            streams.append(list(draws))
+        assert streams[0] == streams[1]
+        assert (2**31,) in streams[0]          # some base pairs were complete before the failing one
+        with pytest.raises(PoolExhaustedError, match="class 'CC': .* for set 'blocker' in the C pool of size 6"):
+            build_contrast_batch(pool_c, pool_i, "eight", rng_seed=1, pairs=12)
+
+
 class TestTrainingInputs:
     def test_counts_cache_keys_sets_by_identity(self, small_qa_corpus):
         vocab = build_vocabulary(small_qa_corpus.train)
         a, b = small_qa_corpus.train[0], small_qa_corpus.train[2]
         clash = dataclasses.replace(b, id=a.id)
-        cache = CountsCache(vocab)
-        for s, original in ((a, a), (clash, b)):
-            got, want = cache.counts([s]), _ref_counts(vocab, original)
+        cache = CountsCache(vocab, [a, clash])
+        for row, original in enumerate((a, b)):
+            got, want = cache.counts([row]), _ref_counts(vocab, original)
             assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
             assert got.total == want.total
 
     def test_union_counts_are_the_sum_of_the_parts(self, small_qa_corpus):
         pool_c, pool_i = pools(small_qa_corpus.train)
         vocab = build_vocabulary(small_qa_corpus.train)
-        cache = CountsCache(vocab)
+        cache = CountsCache(vocab, pool_c + pool_i)
         for inst in build_contrast_batch(pool_c, pool_i, "eight", rng_seed=7, pairs=3):
-            got, want = cache.counts(inst.less_parts), _ref_counts(vocab, inst.less)
+            got, want = cache.counts(_rows(pool_c + pool_i, inst.less_parts)), _ref_counts(vocab, inst.less)
             assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
             assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
             assert got.total == want.total
 
     def test_batch_counts_equal_per_side_counts(self, small_qa_corpus):
-        pool_c, pool_i = pools(small_qa_corpus.train)
+        (rows,) = _base_rows(pools(small_qa_corpus.train))
         vocab = build_vocabulary(small_qa_corpus.train)
-        sides = [parts for inst in build_contrast_batch(pool_c, pool_i, "eight", rng_seed=8, pairs=4)
-                 for parts in (inst.more_parts, inst.less_parts)]
+        keys = _hinge_sides(_plan(rows, "eight", 8, 4), "eight").ravel()
+        sides = [_parts(rows.sets, key) for key in keys.tolist()]
         assert {len(parts) for parts in sides} == {1, 2}
-        batch = CountsCache(vocab).batch(sides)
+        cache = CountsCache(vocab, rows.sets)
+        batch = cache.batch(keys)
         for r, parts in enumerate(sides):
             got = batch.side(r)
             union = parts[0] if len(parts) == 1 else compose_union(parts)
-            for want in (CountsCache(vocab).counts(parts), _ref_counts(vocab, union)):
+            for want in (cache.counts(_rows(rows.sets, parts)), _ref_counts(vocab, union)):
                 assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
                 assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
                 assert got.total == want.total
