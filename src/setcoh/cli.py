@@ -158,7 +158,12 @@ def _save_threshold(out: Path, threshold: Threshold) -> None:
 
 
 def load_threshold(path: Path) -> Threshold:
-    """Inverse of :func:`_save_threshold`; a malformed file raises MalformedRecordError."""
+    """Inverse of :func:`_save_threshold`; a malformed file raises MalformedRecordError.
+
+    The threshold must be finite unless the file marks it ``degenerate=True``:
+    training writes an infinite threshold only for a degenerate fit.  A
+    ``key=`` line may appear once.
+    """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -175,7 +180,12 @@ def load_threshold(path: Path) -> Threshold:
     for lineno, line in enumerate(lines[1:], start=2):
         if "=" in line:
             key, text = line.split("=", 1)
+            if key in meta:
+                raise MalformedRecordError(f"{path}:{lineno}: {key!r} repeats line {meta[key][1]}")
             meta[key] = (text, lineno)
+    degenerate = meta.get("degenerate", ("False",))[0] == "True"
+    if math.isinf(value) and not degenerate:
+        raise MalformedRecordError(f"{path}:1: threshold {lines[0]!r} is not finite")
     epoch, epoch_line = meta.get("epoch", ("-1", 2))
     try:
         learned_epoch = int(epoch)
@@ -188,7 +198,7 @@ def load_threshold(path: Path) -> Threshold:
         value=value,
         source=source,
         learned_epoch=learned_epoch,
-        degenerate=meta.get("degenerate", ("False",))[0] == "True",
+        degenerate=degenerate,
     )
 
 

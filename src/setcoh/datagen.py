@@ -853,7 +853,7 @@ def _string(record: dict, key: str, default: str | None = None) -> str | None:
     return value
 
 
-def set_from_json(record, check: FormulaChecker) -> StatementSet:
+def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement]) -> StatementSet:
     """Inverse of :func:`set_to_json`; a field of the wrong JSON type is a :class:`MalformedRecordError`.
 
     Every formula text is checked here by ``check`` (a reader shares one
@@ -862,6 +862,10 @@ def set_from_json(record, check: FormulaChecker) -> StatementSet:
     is first read.
     The string fields that :class:`Statement` and :class:`StatementSet`
     validate themselves are passed to them as read.
+    ``interned`` maps the (kind, text, question, answer, semantics) of each
+    statement already built and checked to that :class:`Statement`, which
+    an equal entry reuses (a reader shares one across its records); any
+    other entry is checked afresh.
     """
     if type(record) is not dict:
         raise MalformedRecordError("a record must be a JSON object")
@@ -871,14 +875,24 @@ def set_from_json(record, check: FormulaChecker) -> StatementSet:
     texts = []
     statements = []
     for i, entry in enumerate(entries):
+        key = (entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
+               entry.get("semantics"))
         try:
-            statement = Statement(entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"))
-            formula = _string(entry, "semantics")
-        except ValueError as exc:
-            raise MalformedRecordError(f"statement {i}: {exc}") from exc
-        if formula is not None:
-            texts.append(formula)
-            _defer(statement, "semantics", formula)
+            # Only checked keys are stored: strings and nulls, which no other JSON value equals.
+            statement = interned.get(key)
+        except TypeError:       # a list or an object is unhashable, and never checked
+            statement = None
+        if statement is None:
+            try:
+                statement = Statement(*key[:4])
+                formula = _string(entry, "semantics")
+            except ValueError as exc:
+                raise MalformedRecordError(f"statement {i}: {exc}") from exc
+            if formula is not None:
+                _defer(statement, "semantics", formula)
+            interned[key] = statement
+        if key[4] is not None:
+            texts.append(key[4])
         statements.append(statement)
     context = _list(record, "context_semantics", str)
     gold = _list(record, "gold_inconsistent_indices", int)
@@ -911,18 +925,20 @@ def load_jsonl(path) -> list[StatementSet]:
     by id, so a repeated id is rejected like any other bad record.  One
     :class:`FormulaChecker` serves the whole file, so each distinct formula
     shape is parsed once; formulas are parsed where they are read (see
-    :func:`set_from_json`).
+    :func:`set_from_json`).  Identical statement records within the file
+    share one :class:`Statement`, built, checked and parsed once.
     """
     out = []
     first_line: dict[str, int] = {}
     check = FormulaChecker()
+    interned: dict[tuple, Statement] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                out.append(set_from_json(json.loads(line), check))
+                out.append(set_from_json(json.loads(line), check, interned))
             except UnicodeDecodeError as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             except (ValueError, KeyError, TypeError) as exc:

@@ -10,14 +10,17 @@ included), applies one tanh hidden layer, and reads out either a scalar
 energy or a 2-way logit pair from separate affine heads.  Mean pooling
 makes the score exactly invariant under statement permutation, which is
 why the forward pass works from token counts: two streams with equal
-token multisets produce bit-identical scores.  Scoring therefore never
-builds the stream: :func:`count_rows` counts each statement's tokens
-once, and any subset's counts are CLS plus the sum of its rows.
+token multisets produce bit-identical scores.  Scoring and training
+therefore never build the stream.  Each vocabulary keeps one
+:class:`StatementTable`, the token counts of every distinct statement
+text it has met, each text tokenized once; the counts of any subset of
+a set, or of a whole training set, are CLS plus the sum of its
+statements' rows, from one counting routine (:meth:`TokenRows.count`).
 
 :func:`encode` runs the forward pass for a whole batch of streams
-(:func:`subset_counts` for subsets of one set, ``trainer.CountsCache``
-for training sides) and gives the same bits as :func:`forward` on each;
-training and the model scorers both call it.
+(:meth:`StatementTable.subsets` for subsets of one set,
+``trainer.CountsCache`` for training sides) and gives the same bits as
+:func:`forward` on each; training and the model scorers both call it.
 
 Gradients are analytic (backprop through the three layers) and are
 checked against central finite differences in the test suite.
@@ -76,6 +79,10 @@ def statement_text(s: Statement) -> str:
 class Vocabulary:
     tokens: tuple[str, ...]
     index: dict[str, int] = field(compare=False)
+    table: "StatementTable" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", StatementTable(self.index, len(self.tokens)))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -115,8 +122,8 @@ class TokenizedSet:
 def serialize_set(vocab: Vocabulary, s: StatementSet, shuffle_seed: int = 0) -> TokenizedSet:
     """Shuffle statements by ``shuffle_seed``, then tokenize the concatenation.
 
-    The spec-level stream; scoring works from :func:`count_rows`, whose
-    counts equal this stream's whatever the shuffle.
+    The spec-level stream; scoring and training work from a vocabulary's
+    :class:`StatementTable`, whose counts equal this stream's whatever the shuffle.
     """
     order = list(range(len(s.statements)))
     random.Random(f"serialize:{shuffle_seed}").shuffle(order)
@@ -128,19 +135,6 @@ def serialize_set(vocab: Vocabulary, s: StatementSet, shuffle_seed: int = 0) -> 
         tokens.extend(vocab.encode(w) for w in words)
         offsets.append((start, len(tokens)))
     return TokenizedSet(tokens=tuple(tokens), offsets=tuple(offsets), order=tuple(order))
-
-
-def count_rows(vocab: Vocabulary, statements: Sequence[Statement]) -> np.ndarray:
-    """``(n, V)`` float token counts, one row per statement's tokenized text.
-
-    The stream of any subset of the statements is CLS plus their tokens,
-    so :func:`subset_counts` counts a batch of subsets from these rows.
-    """
-    v = len(vocab)
-    flat = [k * v + vocab.encode(w)
-            for k, st in enumerate(statements) for w in tokenize(statement_text(st))]
-    hist = np.bincount(np.asarray(flat, dtype=np.int64), minlength=len(statements) * v)
-    return hist.reshape(len(statements), v).astype(np.float64)
 
 
 @dataclass
@@ -240,22 +234,96 @@ class BatchCounts(NamedTuple):
         return TokenCounts(self.ids[a:b], self.counts[a:b], int(self.totals[r]))
 
 
-def subset_counts(rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> BatchCounts:
-    """Counts of CLS plus each kept subset of the statements whose :func:`count_rows` are ``rows``.
+class TokenRows:
+    """Token histograms as one CSR table.
 
-    One ``(B, n)`` 0/1 keep mask times ``rows``: the counts are integers,
-    so the product's summation order cannot change them, and each subset's
-    ids, counts and total equal :meth:`TokenCounts.of` on its serialized stream.
+    Row ``r`` owns ``flat_ids[offsets[r]:offsets[r + 1]]`` (ascending
+    token ids) and the matching ``flat_counts``.
     """
-    b, v = len(keeps), rows.shape[1]
-    mask = np.zeros((b, len(rows)))
-    mask[np.repeat(np.arange(b), [len(keep) for keep in keeps]),
-         np.fromiter(chain.from_iterable(keeps), dtype=np.intp)] = 1.0
-    dense = mask @ rows
-    dense[:, CLS_INDEX] += 1.0
-    cells = np.flatnonzero(dense)
-    bounds = np.searchsorted(cells // v, np.arange(b + 1))
-    return BatchCounts(cells % v, dense.ravel()[cells], bounds, dense.sum(axis=1))
+
+    vocab_size: int
+    flat_ids: np.ndarray
+    flat_counts: np.ndarray
+    offsets: np.ndarray
+
+    def count(self, rows: np.ndarray, owners: np.ndarray, n: int, cls: int = 1) -> BatchCounts:
+        """``cls`` CLS tokens plus the counts of the ``rows`` that each of the ``n`` streams owns.
+
+        One ``bincount`` over the rows' cells.  The counts are integers, so
+        any summation order gives the same floats: with one CLS, a stream's
+        ids, counts and total equal :meth:`TokenCounts.of` on its serialized
+        stream.
+        """
+        v = self.vocab_size
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        cells = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        dense = np.bincount(np.repeat(owners * v, lengths) + self.flat_ids[cells], self.flat_counts[cells],
+                            minlength=n * v).reshape(n, v)
+        dense[:, CLS_INDEX] += cls
+        nonzero = np.flatnonzero(dense != 0)     # on the float array itself, about 3x slower
+        bounds = np.searchsorted(nonzero // v, np.arange(n + 1))
+        return BatchCounts(nonzero % v, dense.ravel()[nonzero], bounds, dense.sum(axis=1))
+
+
+def _reserve(array: np.ndarray, size: int) -> np.ndarray:
+    """``array``, or a copy of it at least twice as long, so that it holds ``size`` items."""
+    if size <= len(array):
+        return array
+    grown = np.empty(max(size, 2 * len(array)), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+class StatementTable(TokenRows):
+    """One row per distinct statement text, each tokenized once, on first use.
+
+    A statement's tokens depend only on :func:`statement_text`, so rows are
+    keyed by that string.  The arrays grow in blocks that at least double,
+    so adding a statement costs amortized time in its own tokens.
+    """
+
+    def __init__(self, index: dict[str, int], vocab_size: int) -> None:
+        self.vocab_size, self._index = vocab_size, index
+        self._row: dict[str, int] = {}
+        self._cells = 0
+        self.flat_ids = np.empty(0, dtype=np.int32)      # counted as int64 ids and float64 counts
+        self.flat_counts = np.empty(0, dtype=np.int32)
+        self.offsets = np.zeros(1, dtype=np.int64)
+
+    def rows(self, statements: Sequence[Statement]) -> np.ndarray:
+        """The row of each statement, adding the texts not met before."""
+        texts = [statement_text(st) for st in statements]
+        new = [text for text in texts if text not in self._row]
+        if new:
+            self._add(list(dict.fromkeys(new)))
+        return np.fromiter(map(self._row.__getitem__, texts), dtype=np.int64, count=len(texts))
+
+    def subsets(self, rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> BatchCounts:
+        """Counts of CLS plus each kept subset of the statements whose rows are ``rows``."""
+        owners = np.repeat(np.arange(len(keeps)), [len(keep) for keep in keeps])
+        kept = rows[np.fromiter(chain.from_iterable(keeps), dtype=np.intp, count=len(owners))]
+        return self.count(kept, owners, len(keeps))
+
+    def _add(self, texts: list[str]) -> None:
+        v, encode = self.vocab_size, self._index.get
+        stream: list[int] = []               # every text's token ids, text after text
+        lengths = []
+        for text in texts:
+            start = len(stream)
+            stream += [encode(w, UNK_INDEX) for w in tokenize(text)]
+            lengths.append(len(stream) - start)
+        cells = np.repeat(np.arange(len(texts), dtype=np.int64) * v, lengths) + np.array(stream, dtype=np.int64)
+        cells, counts = np.unique(cells, return_counts=True)
+        first, last, start, stop = len(self._row), len(self._row) + len(texts), self._cells, self._cells + len(cells)
+        self.flat_ids = _reserve(self.flat_ids, stop)
+        self.flat_counts = _reserve(self.flat_counts, stop)
+        self.offsets = _reserve(self.offsets, last + 1)
+        self.flat_ids[start:stop] = cells % v
+        self.flat_counts[start:stop] = counts
+        self.offsets[first + 1 : last + 1] = start + np.searchsorted(cells // v, np.arange(1, len(texts) + 1))
+        self._cells = stop
+        self._row.update(zip(texts, range(first, last)))
 
 
 Activations = tuple[np.ndarray, np.ndarray]

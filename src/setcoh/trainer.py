@@ -19,14 +19,15 @@ the starting weights.
 All three share one minibatch loop, :func:`_fit`.  An epoch is a plan of
 integers: :func:`_plan` draws the base pairs and partners and names each
 side (a set, or the union of two) by the rows of its parts in one
-:class:`CountsCache`, the token histograms of every pool set.  A union's
-counts are the sum of its parts', so a batch counts its distinct sides
-with one ``bincount`` and runs as stacked arrays through
-:func:`model.encode`, the forward the scorers use too: one
-``counts @ emb[ids]`` product per distinct set, everything else once per
-batch.  A stacked ``np.matmul`` calls the same BLAS routine once per row
-and the gradients are added in the per-example order, so the trained
-models are bit-identical to a per-instance loop over serialized unions.
+:class:`CountsCache`, the token histograms of every pool set, summed
+from the vocabulary's statement table.  A union's counts are the sum
+of its parts', so a batch counts its distinct sides with one
+``bincount`` and runs as stacked arrays through :func:`model.encode`,
+the forward the scorers use too: one ``counts @ emb[ids]`` product per
+distinct set, everything else once per batch.  A stacked ``np.matmul``
+calls the same BLAS routine once per row and the gradients are added in
+the per-example order, so the trained models are bit-identical to a
+per-instance loop over serialized unions.
 """
 
 from __future__ import annotations
@@ -44,18 +45,16 @@ from .datagen import (
     pools,
 )
 from .model import (
-    CLS_INDEX,
     BatchCounts,
     ModelParams,
     TokenCounts,
+    TokenRows,
     Vocabulary,
     class_softmax,
     encode,
     energies,
     energy_from_counts,
     softmax,
-    statement_text,
-    tokenize,
 )
 
 # Ordered (more-consistent, less-consistent) comparisons; the first is
@@ -195,56 +194,46 @@ def hinge_loss(e_more_consistent: float, e_less_consistent: float, alpha: float)
 _PART = 1 << 32
 
 
-class CountsCache:
+# Sets counted at a time when a CountsCache is built: each block counts through one
+# (sets x vocabulary) array, which for a whole 4,000-set pool added 7 MB of peak memory.
+_BLOCK = 256
+
+
+class CountsCache(TokenRows):
     """Token histograms of a fixed list of sets, as one CSR table: row ``r`` is ``sets[r]``.
 
-    Row ``r`` owns ``flat_ids[offsets[r]:offsets[r + 1]]`` (ascending
-    token ids) and the matching ``flat_counts``, from one tokenization
-    pass.  A union's counts are the sum of its parts' rows.  Sets are named
-    by row, never by id, so two sets that share an id keep their own counts.
+    Each row is counted from the vocabulary's statement table by the one
+    counting routine (:meth:`TokenRows.count`, without CLS), so no statement
+    is tokenized here.  A union's counts are the sum of its parts' rows.
+    Sets are named by row, never by id, so two sets that share an id keep
+    their own counts.
     """
 
     def __init__(self, vocab: Vocabulary, sets: Sequence[StatementSet]) -> None:
-        self.vocab_size = v = len(vocab)
-        stream: list[int] = []               # every set's token ids, set after set
-        lengths = []
-        for s in sets:
-            start = len(stream)
-            for st in s.statements:
-                stream += [vocab.encode(w) for w in tokenize(statement_text(st))]
-            lengths.append(len(stream) - start)
-        cells = np.repeat(np.arange(len(sets), dtype=np.int64) * v, lengths) + np.array(stream, dtype=np.int64)
-        cells, counts = np.unique(cells, return_counts=True)
-        self.flat_ids, self.flat_counts = cells % v, counts.astype(np.float64)
-        self.offsets = np.searchsorted(cells // v, np.arange(len(sets) + 1))
+        self.vocab_size = len(vocab)
+        ids, counts, lengths = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0, dtype=np.int64)]
+        for start in range(0, len(sets), _BLOCK):
+            block = sets[start : start + _BLOCK]
+            rows = vocab.table.rows([st for s in block for st in s.statements])
+            owners = np.repeat(np.arange(len(block)), [len(s.statements) for s in block])
+            counted = vocab.table.count(rows, owners, len(block), cls=0)
+            ids.append(counted.ids)
+            counts.append(counted.counts)
+            lengths.append(np.diff(counted.bounds))
+        self.flat_ids, self.flat_counts = np.concatenate(ids), np.concatenate(counts)
+        self.offsets = np.append(0, np.cumsum(np.concatenate(lengths)))
 
     def counts(self, rows: Sequence[int]) -> TokenCounts:
         """Token counts of the serialized union of the sets at ``rows`` (CLS included)."""
         rows = np.asarray(rows, dtype=np.int64)
-        return self._count(rows, np.zeros(len(rows), dtype=np.int64), 1).side(0)
+        return self.count(rows, np.zeros(len(rows), dtype=np.int64), 1).side(0)
 
     def batch(self, sides: np.ndarray) -> BatchCounts:
-        """:meth:`counts` of each side, given by its key, from one bincount over its parts' rows."""
+        """:meth:`counts` of each side, given by its key, from one count over its parts' rows."""
         first, second = np.divmod(sides, _PART)
         union = np.flatnonzero(second)
-        return self._count(np.concatenate([first, second[union] - 1]),
-                           np.concatenate([np.arange(len(sides)), union]), len(sides))
-
-    def _count(self, rows: np.ndarray, owners: np.ndarray, n: int) -> BatchCounts:
-        """CLS plus the counts of the ``rows`` each of the ``n`` streams owns.
-
-        The counts are integers, so any summation order gives the same floats.
-        """
-        v = self.vocab_size
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        cells = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        dense = np.bincount(np.repeat(owners * v, lengths) + self.flat_ids[cells], self.flat_counts[cells],
-                            minlength=n * v).reshape(n, v)
-        dense[:, CLS_INDEX] += 1.0
-        nonzero = np.flatnonzero(dense)
-        bounds = np.searchsorted(nonzero // v, np.arange(n + 1))
-        return BatchCounts(nonzero % v, dense.ravel()[nonzero], bounds, dense.sum(axis=1))
+        return self.count(np.concatenate([first, second[union] - 1]),
+                          np.concatenate([np.arange(len(sides)), union]), len(sides))
 
 
 def base_pools(sets: Sequence[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:

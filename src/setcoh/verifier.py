@@ -9,9 +9,9 @@ externally produced score file.
 
 Every strategy scores subsets of one set: ``compile(s)`` returns a
 function from a batch of kept-index tuples of ``s`` to their scores, in
-order (from token-count rows for the model, truth-table masks for the
-oracle, and :func:`subset_id` rows for a score file); ``score(s)`` scores
-all of ``s``.  The model scorers run a whole batch through one stacked
+order (from the vocabulary's statement-table rows for the model,
+truth-table masks for the oracle, and :func:`subset_id` rows for a score
+file); ``score(s)`` scores all of ``s``.  The model scorers run a whole batch through one stacked
 :func:`model.encode`, with the bits of scoring each subset alone.
 
 Element-wise verification scores all N(N-1)/2 statement pairs and
@@ -38,7 +38,7 @@ import numpy as np
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet
 from .logic import AtomBudgetError, CompiledFormulas, is_satisfiable
-from .model import ModelParams, class_softmax, count_rows, encode, energies, subset_counts
+from .model import ModelParams, class_softmax, encode, energies
 
 
 class UnknownSetIdError(LookupError):
@@ -90,8 +90,8 @@ SIZE_TWO_STOP = "size-two-stop"
 
 
 def _hidden(params: ModelParams, rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
-    """The encoder's hidden layer for each kept subset of the statements whose count rows are ``rows``."""
-    return encode(params, subset_counts(rows, keeps))[1]
+    """The encoder's hidden layer for each kept subset of the statements whose statement-table rows are ``rows``."""
+    return encode(params, params.vocab.table.subsets(rows, keeps))[1]
 
 
 @dataclass
@@ -102,7 +102,7 @@ class EnergyScorer:
     threshold: float
 
     def compile(self, s: StatementSet) -> SubsetScores:
-        rows = count_rows(self.params.vocab, s.statements)
+        rows = self.params.vocab.table.rows(s.statements)
         return lambda keeps: energies(self.params, _hidden(self.params, rows, keeps)).tolist()
 
     def score(self, s: StatementSet) -> float:
@@ -117,7 +117,7 @@ class BinarySoftmaxScorer:
     threshold: float
 
     def compile(self, s: StatementSet) -> SubsetScores:
-        rows = count_rows(self.params.vocab, s.statements)
+        rows = self.params.vocab.table.rows(s.statements)
         return lambda keeps: class_softmax(self.params, _hidden(self.params, rows, keeps))[:, 1].tolist()
 
     def score(self, s: StatementSet) -> float:

@@ -326,7 +326,8 @@ class TestExitCodes:
         assert re.search(r"set '[^']+': 26 atoms in one connected component", capsys.readouterr().err)
 
     @pytest.mark.parametrize("content", [b"", b"abc\nsource=energy\n", b"0.5\nepoch=x\n", b"0.5\nsource=softmax\n",
-                                         b"nan\n", b"\xff\n"])
+                                         b"nan\n", b"\xff\n", b"inf\n", b"-inf\n",
+                                         b"0.5\nsource=energy\nsource=energy\n"])
     def test_malformed_threshold_file_exit_3(self, tmp_path, qa_dir, model_dir, content, capsys):
         bad = tmp_path / "threshold.txt"
         bad.write_bytes(content)
@@ -334,6 +335,26 @@ class TestExitCodes:
                    "--threshold-file", bad, "--mixture-per-class", "2")
         assert code == 3
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"-inf\nsource=energy\n", ":1: threshold '-inf' is not finite"),
+        (b"0.5\nsource=energy\nepoch=1\nsource=energy\n", ":4: 'source' repeats line 2"),
+    ])
+    def test_threshold_file_errors_name_the_line(self, tmp_path, qa_dir, model_dir, content, message, capsys):
+        bad = tmp_path / "threshold.txt"
+        bad.write_bytes(content)
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", model_dir / "model.bin",
+                   "--threshold-file", bad, "--mixture-per-class", "2")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+
+    def test_a_degenerate_infinite_threshold_loads(self, tmp_path, qa_dir, model_dir):
+        # The form training writes when no finite threshold fits best.
+        degenerate = tmp_path / "threshold.txt"
+        degenerate.write_text("inf\nsource=energy\nepoch=0\ndegenerate=True\n")
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", model_dir / "model.bin",
+                   "--threshold-file", degenerate, "--mixture-per-class", "2")
+        assert code == 0
 
     @pytest.mark.parametrize("content, line", [
         (b"threshold=abc\nid1,0.9\n", 1),

@@ -569,6 +569,32 @@ class TestStrictRecords:
         assert str(excinfo.value).startswith(f"{path}:2: ")
         assert str(excinfo.value).endswith(message)
 
+    @pytest.mark.parametrize("change", [{"answer": 1}, {"answer": ["x"]}, {"semantics": 5}, {"text": "q?"}],
+                             ids=["answer-int", "answer-list", "semantics-int", "qa-with-text"])
+    def test_a_repeated_statement_record_is_checked_like_a_new_one(self, tmp_path, change):
+        statements = [{**GOOD["statements"][0], **change}, GOOD["statements"][1]]
+        bad = {**GOOD, "id": "b", "statements": statements}
+        messages = []
+        for path, lines, lineno in ((tmp_path / "after.jsonl", [GOOD, bad], 2), (tmp_path / "alone.jsonl", [bad], 1)):
+            path.write_text("".join(json.dumps(record) + "\n" for record in lines))
+            with pytest.raises(MalformedRecordError) as excinfo:
+                load_jsonl(path)
+            assert str(excinfo.value).startswith(f"{path}:{lineno}: statement 0: ")
+            messages.append(str(excinfo.value).split(": ", 2)[2])
+        assert messages[0] == messages[1]
+
+    def test_identical_statement_records_share_one_statement(self, tmp_path, monkeypatch):
+        path = tmp_path / "sets.jsonl"
+        path.write_text(json.dumps(GOOD) + "\n" + json.dumps({**BAD_BASE, "statements": GOOD["statements"][:1]
+                                                                 + BAD_BASE["statements"][1:]}) + "\n")
+        parsed = []
+        monkeypatch.setattr(datagen, "parse_formula", lambda text: parsed.append(text) or parse_formula(text))
+        a, b = load_jsonl(path)
+        assert b.statements[0] is a.statements[0]
+        assert a.statements[1] is not a.statements[0]      # equal semantics, different question
+        assert a.statements[0].semantics is b.statements[0].semantics
+        assert parsed == ["w.x"]
+
     def test_gold_indices_are_checked_on_construction(self):
         statements = gen_qa_set(desk_world()).statements
         for gold, label in (((3,), "inconsistent"), ((0, 0), "inconsistent"), ((0,), "consistent")):

@@ -98,13 +98,16 @@ def test_negate_involution_on_atoms():
         assert negate(negate(f)) == f
 
 
-formula_strategy = st.deferred(
-    lambda: st.one_of(
-        st.sampled_from([AtomRef(n) for n in "abcd"]),
-        st.builds(Not, formula_strategy),
-        st.builds(Or, formula_strategy, formula_strategy),
-        st.builds(Implies, formula_strategy, formula_strategy),
-    )
+# Up to 10 atom occurrences: the generators emit at most 5 (a QA world's
+# at-least-one chain at 4 distractors; sentence rules use 2), and
+# gen_qa_world allows 8 distractors, 9 occurrences.  An unbounded recursion
+# spent most of its time drawing and discarding oversized formulas.
+formula_strategy = st.recursive(
+    st.sampled_from([AtomRef(n) for n in "abcd"]),
+    lambda children: st.one_of(
+        st.builds(Not, children), st.builds(Or, children, children), st.builds(Implies, children, children)
+    ),
+    max_leaves=10,
 )
 
 

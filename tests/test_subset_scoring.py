@@ -1,7 +1,7 @@
 """Compiled subset scoring against the reference paths.
 
-A scorer's ``compile`` reads a set once (token-count rows for the model
-scorers, truth-table masks for the oracle) and must give exactly the
+A scorer's ``compile`` reads a set once (statement-table rows for the
+model scorers, truth-table masks for the oracle) and must give exactly the
 scores of the subset copies that the reference path serializes or
 hands to :func:`is_satisfiable`, whatever batch a subset is scored in.
 Verification and localization must give the same results, traces
@@ -10,12 +10,13 @@ included, whichever path they take.
 
 import random
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from setcoh import evalkit
+from setcoh import evalkit, model
 from setcoh.datagen import pools
 from setcoh.logic import is_satisfiable
 from setcoh.model import (
@@ -23,11 +24,10 @@ from setcoh.model import (
     TokenCounts,
     binary_logits,
     build_vocabulary,
-    count_rows,
     energy,
     serialize_set,
     softmax,
-    subset_counts,
+    statement_text,
 )
 from setcoh.verifier import (
     BinarySoftmaxScorer,
@@ -36,7 +36,9 @@ from setcoh.verifier import (
     locate,
     pair_subsets,
     verify_elementwise,
+    verify_set,
 )
+from token_reference import assert_batches_equal, count_rows, subset_counts
 
 
 class Hidden:
@@ -78,7 +80,7 @@ def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
     for s in _evaluation_sets(corpus):
         keeps = [tuple(range(len(s.statements)))] + _subsets(s)
         energies, softmaxes = energy_scorer.compile(s)(keeps), binary_scorer.compile(s)(keeps)
-        batch = subset_counts(count_rows(params.vocab, s.statements), keeps)
+        batch = params.vocab.table.subsets(params.vocab.table.rows(s.statements), keeps)
         for r, (keep, e, p) in enumerate(zip(keeps, energies, softmaxes)):
             subset = _copy(s, keep)
             # The old scoring path: a shuffled stream seeded from the subset's id.
@@ -93,6 +95,37 @@ def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
     for s in corpus.train:
         t = serialize_set(params.vocab, s, zlib.crc32(s.id.encode("utf-8")))
         assert energy_scorer.score(s) == energy(params, t)
+
+
+def _union_mixture(corpus, per_class=4):
+    return list(evalkit.build_eval_mixture(*pools(corpus.test), per_class_count=per_class, rng_seed=11).sets)
+
+
+@pytest.mark.parametrize("corpus_name", ["qa_corpus", "snli_corpus"])
+def test_statement_table_counts_equal_the_dense_reference(corpus_name, request):
+    corpus = request.getfixturevalue(corpus_name)
+    vocab = build_vocabulary(corpus.train)
+    for s in _evaluation_sets(corpus) + _union_mixture(corpus):
+        keeps = [tuple(range(len(s.statements)))] + _subsets(s)
+        got = vocab.table.subsets(vocab.table.rows(s.statements), keeps)
+        assert_batches_equal(got, subset_counts(count_rows(vocab, s.statements), keeps))
+
+
+def test_each_statement_text_is_tokenized_once_per_vocabulary(qa_corpus, monkeypatch):
+    sets = _union_mixture(qa_corpus, per_class=8)
+    texts = {statement_text(st) for s in sets for st in s.statements}
+    tokenized = []
+    tokenize = model.tokenize
+    monkeypatch.setattr(model, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    for seed in (11, 12):        # two vocabularies: each tokenizes every text once
+        params = ModelParams.init(build_vocabulary(qa_corpus.train), seed=seed)
+        tokenized.clear()
+        for scorer in (EnergyScorer(params, 0.0), BinarySoftmaxScorer(params, 0.5)):
+            for s in sets:
+                verify_set(scorer, s)
+                verify_elementwise(scorer, s, 0.0)
+                locate(scorer, s)
+        assert Counter(tokenized) == Counter(texts)
 
 
 @pytest.mark.parametrize("corpus_name", ["qa_corpus", "snli_corpus"])

@@ -34,6 +34,7 @@ from setcoh.trainer import (
     TrainingDivergedError,
     _base_rows,
     _binary_instances,
+    _epoch_instances,
     _hinge_sides,
     _parts,
     _plan,
@@ -47,6 +48,7 @@ from setcoh.trainer import (
     train,
     train_binary,
 )
+from token_reference import count_rows, set_table, subset_counts
 
 
 def _rows(sets, parts):
@@ -659,6 +661,21 @@ class TestTrainingInputs:
                 assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
                 assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
                 assert got.total == want.total
+
+    def test_counts_cache_equals_a_per_set_tokenization_pass(self, small_qa_corpus):
+        (rows,) = _base_rows(pools(small_qa_corpus.train))
+        vocab = build_vocabulary(small_qa_corpus.train)
+        cache = CountsCache(vocab, rows.sets)
+        for got, want in zip((cache.flat_ids, cache.flat_counts, cache.offsets), set_table(vocab, rows.sets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        keys = _epoch_instances(rows, TrainerConfig(regime="eight"), 0).sides.ravel()
+        batch = cache.batch(keys)
+        for r, key in enumerate(keys.tolist()):
+            statements = [st for part in _parts(rows.sets, key) for st in part.statements]
+            got, want = batch.side(r), subset_counts(count_rows(vocab, statements), [range(len(statements))]).side(0)
+            assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
+            assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
+            assert got.total == want.total
 
     def test_training_pools_take_base_sets_only(self, small_qa_corpus):
         pool_c, _ = pools(small_qa_corpus.train)

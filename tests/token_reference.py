@@ -1,0 +1,54 @@
+"""Reference token counting, each statement tokenized wherever it is used.
+
+The differential tests compare a vocabulary's statement table and
+``trainer.CountsCache`` against these dense paths, exactly: token counts
+are integers, so every path must give the same floats.
+"""
+
+from itertools import chain
+
+import numpy as np
+
+from setcoh.model import CLS_INDEX, BatchCounts, statement_text, tokenize
+
+
+def count_rows(vocab, statements):
+    """``(n, V)`` float token counts, one row per statement's tokenized text."""
+    v = len(vocab)
+    flat = [k * v + vocab.encode(w)
+            for k, st in enumerate(statements) for w in tokenize(statement_text(st))]
+    hist = np.bincount(np.asarray(flat, dtype=np.int64), minlength=len(statements) * v)
+    return hist.reshape(len(statements), v).astype(np.float64)
+
+
+def subset_counts(rows, keeps):
+    """Counts of CLS plus each kept subset of the statements whose :func:`count_rows` are ``rows``."""
+    b, v = len(keeps), rows.shape[1]
+    mask = np.zeros((b, len(rows)))
+    mask[np.repeat(np.arange(b), [len(keep) for keep in keeps]),
+         np.fromiter(chain.from_iterable(keeps), dtype=np.intp)] = 1.0
+    dense = mask @ rows
+    dense[:, CLS_INDEX] += 1.0
+    cells = np.flatnonzero(dense)
+    bounds = np.searchsorted(cells // v, np.arange(b + 1))
+    return BatchCounts(cells % v, dense.ravel()[cells], bounds, dense.sum(axis=1))
+
+
+def set_table(vocab, sets):
+    """``(flat_ids, flat_counts, offsets)``: each set's token histogram (no CLS) from one tokenization pass."""
+    v = len(vocab)
+    stream, lengths = [], []
+    for s in sets:
+        start = len(stream)
+        for st in s.statements:
+            stream += [vocab.encode(w) for w in tokenize(statement_text(st))]
+        lengths.append(len(stream) - start)
+    cells = np.repeat(np.arange(len(sets), dtype=np.int64) * v, lengths) + np.array(stream, dtype=np.int64)
+    cells, counts = np.unique(cells, return_counts=True)
+    return cells % v, counts.astype(np.float64), np.searchsorted(cells // v, np.arange(len(sets) + 1))
+
+
+def assert_batches_equal(got, want):
+    """Equal ids, counts, bounds and totals, in value and dtype."""
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
