@@ -34,6 +34,7 @@ from .datagen import (
 from .logic import AtomBudgetError
 from .model import (
     EMBED_DIM,
+    HEADS,
     HIDDEN_DIM,
     CorruptFileError,
     ModelParams,
@@ -56,15 +57,13 @@ MODEL_FILE = "model.bin"
 THRESHOLD_FILE = "threshold.txt"
 METRICS_FILE = "metrics.csv"
 SNAPSHOT_FILE = "config.snapshot"
-THRESHOLD_SOURCES = ("energy", "inconsistent-softmax")  # the scorers resolve_scorer builds
 
 # Classes whose union contains at most one corrupted part; the locate
 # default, where the gold index set has at most one element per set.
 SINGLE_GOLD_CLASSES = ("C", "I", "CC", "CI", "CCC", "CCI", "CCCC", "CCCI")
 
 _DATA_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     MalformedRecordError,
     MissingSemanticsError,
     GenerationError,
@@ -192,7 +191,7 @@ def load_threshold(path: Path) -> Threshold:
     except ValueError:
         raise MalformedRecordError(f"{path}:{epoch_line}: epoch {epoch!r} is not an integer") from None
     source, source_line = meta.get("source", ("energy", 2))
-    if source not in THRESHOLD_SOURCES:
+    if source not in HEADS:
         raise MalformedRecordError(f"{path}:{source_line}: unknown source {source!r}")
     return Threshold(
         value=value,
@@ -262,9 +261,7 @@ def resolve_scorer(spec: str, threshold_file: str | None) -> verifier.Scorer:
     if threshold_file is None:
         threshold_file = str(Path(spec).parent / THRESHOLD_FILE)
     threshold = load_threshold(Path(threshold_file))
-    if threshold.source == "inconsistent-softmax":
-        return verifier.BinarySoftmaxScorer(params, threshold.value)
-    return verifier.EnergyScorer(params, threshold.value)
+    return verifier.MODEL_SCORERS[threshold.source](params, threshold.value)
 
 
 def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES,

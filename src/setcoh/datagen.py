@@ -53,7 +53,7 @@ from .rules import (
     ENTAILMENT,
     INCONSISTENT,
     NEUTRAL,
-    PAIRWISE_INCONSISTENT_PATTERNS,
+    PAIRWISE_INCONSISTENT_RULES,
     RULES_BY_ID,
     Rule,
 )
@@ -639,24 +639,7 @@ def derive_pairwise_dataset(
     for seed in seeds:
         if seed.relation != ENTAILMENT:
             raise RelationMismatchError("pairwise sentence patterns need entailment seeds")
-        sub = _substitution([seed])
-        for pattern_id, members in PAIRWISE_INCONSISTENT_PATTERNS:
-            formulas = [_instantiate(parse_formula(m), sub) for m in members]
-            statements = [
-                Statement(kind=SENTENCE, text=realize(f, seed.atoms), semantics=f)
-                for f in formulas
-            ]
-            pair_set = StatementSet(
-                id=f"{pattern_id.lower()}.{seed.namespace}",
-                statements=statements,
-                label=INCONSISTENT,
-                provenance="I",
-                rule_id=pattern_id,
-                context_semantics=seed.axioms,
-            )
-            if not validate_with_oracle(pair_set):
-                raise GenerationError(f"pairwise pattern {pattern_id} failed certification")
-            out.append(pair_set)
+        out += [apply_rule(rule, seed) for rule in PAIRWISE_INCONSISTENT_RULES]
         donor = apply_rule(rng.choice(consistent_rules), seed)
         subsets = list(itertools.combinations(range(len(donor.statements)), 2))
         rng.shuffle(subsets)

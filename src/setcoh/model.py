@@ -21,6 +21,10 @@ statements' rows, from one counting routine (:meth:`TokenRows.count`).
 (:meth:`StatementTable.subsets` for subsets of one set,
 ``trainer.CountsCache`` for training sides) and gives the same bits as
 :func:`forward` on each; training and the model scorers both call it.
+:data:`HEADS` maps each threshold source (``"energy"``,
+``"inconsistent-softmax"``) to its head's score of ``encode``'s hidden
+rows; training, the scorers and the CLI look heads up there.  The
+per-stream :func:`forward` and its heads and gradients are the tests' reference.
 
 Gradients are analytic (backprop through the three layers) and are
 checked against central finite differences in the test suite.
@@ -29,12 +33,14 @@ checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import hashlib
+import io
+import math
 import random
 import re
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,11 +101,9 @@ class Vocabulary:
 
 
 def build_vocabulary(sets: Iterable[StatementSet]) -> Vocabulary:
-    """Vocabulary over the statement texts of the given sets (training split only)."""
-    seen: set[str] = set()
-    for s in sets:
-        for statement in s.statements:
-            seen.update(tokenize(statement_text(statement)))
+    """Vocabulary over the given sets' statement texts (training split only), each distinct text tokenized once."""
+    texts = {statement_text(statement) for s in sets for statement in s.statements}
+    seen = set(chain.from_iterable(map(tokenize, texts)))
     seen.discard(CLS_TOKEN)
     seen.discard(UNK_TOKEN)
     tokens = (CLS_TOKEN, UNK_TOKEN, *sorted(seen))
@@ -137,6 +141,12 @@ def serialize_set(vocab: Vocabulary, s: StatementSet, shuffle_seed: int = 0) -> 
     return TokenizedSet(tokens=tuple(tokens), offsets=tuple(offsets), order=tuple(order))
 
 
+def _layout(v: int, d: int, h: int) -> dict[str, tuple[int, ...]]:
+    """Each parameter array's shape, in file order, for ``v`` tokens, embedding width ``d`` and hidden width ``h``."""
+    return {"emb": (v, d), "w_hidden": (d, h), "b_hidden": (h,),
+            "w_energy": (h,), "b_energy": (), "w_class": (h, 2), "b_class": (2,)}
+
+
 @dataclass
 class ModelParams:
     """Embedding table, hidden layer, and the two output heads."""
@@ -156,15 +166,7 @@ class ModelParams:
         return self.emb.shape[1], self.w_hidden.shape[1]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "emb": self.emb,
-            "w_hidden": self.w_hidden,
-            "b_hidden": self.b_hidden,
-            "w_energy": self.w_energy,
-            "b_energy": self.b_energy,
-            "w_class": self.w_class,
-            "b_class": self.b_class,
-        }
+        return {name: getattr(self, name) for name in _layout(0, 0, 0)}
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -174,19 +176,12 @@ class ModelParams:
         )
 
     def validate(self) -> None:
-        v, d = self.emb.shape
-        h = self.w_hidden.shape[1]
-        expected = {
-            "emb": (v, d), "w_hidden": (d, h), "b_hidden": (h,),
-            "w_energy": (h,), "b_energy": (), "w_class": (h, 2), "b_class": (2,),
-        }
-        for name, arr in self.arrays().items():
-            if arr.shape != expected[name]:
-                raise ValueError(f"{name}: shape {arr.shape} != {expected[name]}")
+        for name, shape in _layout(len(self.vocab), *self.dims).items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"{name}: shape {arr.shape} != {shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name}: non-finite entries")
-        if v != len(self.vocab):
-            raise ValueError(f"embedding rows {v} != vocabulary size {len(self.vocab)}")
 
     @staticmethod
     def init(vocab: Vocabulary, d: int = EMBED_DIM, h: int = HIDDEN_DIM, seed: int = 0) -> "ModelParams":
@@ -330,20 +325,14 @@ Activations = tuple[np.ndarray, np.ndarray]
 
 
 def forward(params: ModelParams, tc: TokenCounts) -> Activations:
-    """``(pooled, hidden)``: the mean-pooled embedding and the tanh layer's output.
-
-    The heads and gradients below take these as ``activations`` so that a
-    caller scoring one set several times under unchanged parameters runs
-    the encoder once; passing them gives bit-identical results.
-    """
+    """``(pooled, hidden)``: the mean-pooled embedding and the tanh layer's output."""
     pooled = (tc.counts @ params.emb[tc.ids]) / tc.total
     hidden = np.tanh(pooled @ params.w_hidden + params.b_hidden)
     return pooled, hidden
 
 
-def energy_from_counts(params: ModelParams, tc: TokenCounts,
-                       activations: Activations | None = None) -> float:
-    _, hidden = activations or forward(params, tc)
+def energy_from_counts(params: ModelParams, tc: TokenCounts) -> float:
+    _, hidden = forward(params, tc)
     return float(hidden @ params.w_energy + params.b_energy)
 
 
@@ -352,9 +341,8 @@ def energy(params: ModelParams, t: TokenizedSet) -> float:
     return energy_from_counts(params, TokenCounts.of(t, len(params.vocab)))
 
 
-def logits_from_counts(params: ModelParams, tc: TokenCounts,
-                       activations: Activations | None = None) -> np.ndarray:
-    _, hidden = activations or forward(params, tc)
+def logits_from_counts(params: ModelParams, tc: TokenCounts) -> np.ndarray:
+    _, hidden = forward(params, tc)
     return hidden @ params.w_class + params.b_class
 
 
@@ -397,6 +385,14 @@ def class_softmax(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+# The score of each head, of each row of encode's hidden, by the name that
+# a threshold gives as its source; a set is consistent iff its score is below.
+HEADS: dict[str, Callable[[ModelParams, np.ndarray], np.ndarray]] = {
+    "energy": energies,
+    "inconsistent-softmax": lambda params, hidden: class_softmax(params, hidden)[:, 1],
+}
+
+
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
 
@@ -406,10 +402,9 @@ def accumulate_grad_energy(
     tc: TokenCounts,
     into: dict[str, np.ndarray],
     scale: float = 1.0,
-    activations: Activations | None = None,
 ) -> float:
     """Add ``scale`` times the energy gradient to ``into``; returns the energy."""
-    pooled, hidden = activations or forward(params, tc)
+    pooled, hidden = forward(params, tc)
     value = float(hidden @ params.w_energy + params.b_energy)
     d_hidden = scale * params.w_energy
     _backprop_common(params, tc, pooled, hidden, d_hidden, into)
@@ -424,10 +419,9 @@ def accumulate_grad_logits(
     upstream: np.ndarray,
     into: dict[str, np.ndarray],
     scale: float = 1.0,
-    activations: Activations | None = None,
 ) -> np.ndarray:
     """Add ``scale`` times the gradient of ``upstream @ logits``; returns the logits."""
-    pooled, hidden = activations or forward(params, tc)
+    pooled, hidden = forward(params, tc)
     logits = hidden @ params.w_class + params.b_class
     d_hidden = scale * (params.w_class @ upstream)
     _backprop_common(params, tc, pooled, hidden, d_hidden, into)
@@ -467,9 +461,6 @@ def grad_logits(
     return logits, grads
 
 
-_ARRAY_ORDER = ("emb", "w_hidden", "b_hidden", "w_energy", "b_energy", "w_class", "b_class")
-
-
 def save_params(params: ModelParams, path) -> None:
     """Versioned binary container: header, vocabulary listing, float64 matrices."""
     params.validate()
@@ -482,9 +473,8 @@ def save_params(params: ModelParams, path) -> None:
             raw = token.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        arrays = params.arrays()
-        for name in _ARRAY_ORDER:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        for arr in params.arrays().values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -495,8 +485,12 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_params(path) -> ModelParams:
-    """Inverse of :func:`save_params`."""
-    with open(path, "rb") as fh:
+    """Inverse of :func:`save_params`; any file it cannot load raises
+    :class:`VersionMismatchError` or :class:`CorruptFileError` as ``<path>: <reason>``.
+    """
+    with open(path, "rb") as raw:
+        fh = io.BytesIO(raw.read())      # so that no header size makes a read allocate more than the file
+    try:
         if _read_exact(fh, 4, "magic") != _MAGIC:
             raise CorruptFileError("not a parameter file (bad magic)")
         version, d, h, v, init_seed = struct.unpack("<IIIIQ", _read_exact(fh, 24, "header"))
@@ -510,18 +504,14 @@ def load_params(path) -> ModelParams:
         vocab = Vocabulary(tokens=tuple(tokens), index={t: i for i, t in enumerate(tokens)})
         if vocab.sha256() != stored_hash:
             raise VersionMismatchError("vocabulary hash does not match the stored listing")
-        shapes = {
-            "emb": (v, d), "w_hidden": (d, h), "b_hidden": (h,),
-            "w_energy": (h,), "b_energy": (), "w_class": (h, 2), "b_class": (2,),
-        }
-        arrays = {}
-        for name in _ARRAY_ORDER:
-            shape = shapes[name]
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, count * 8, name)
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        arrays = {name: np.frombuffer(_read_exact(fh, 8 * math.prod(shape), name), dtype="<f8").reshape(shape).copy()
+                  for name, shape in _layout(v, d, h).items()}
         if fh.read(1):
             raise CorruptFileError("trailing bytes after parameter arrays")
-    params = ModelParams(vocab=vocab, init_seed=init_seed, **arrays)
-    params.validate()
+        params = ModelParams(vocab=vocab, init_seed=init_seed, **arrays)
+        params.validate()
+    except VersionMismatchError as exc:
+        raise VersionMismatchError(f"{path}: {exc}") from None
+    except ValueError as exc:            # CorruptFileError, a token that is not UTF-8, a non-finite entry
+        raise CorruptFileError(f"{path}: {exc}") from None
     return params

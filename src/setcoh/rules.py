@@ -135,14 +135,15 @@ ALL_RULES: tuple[Rule, ...] = tuple(
 
 RULES_BY_ID = {rule.rule_id: rule for rule in ALL_RULES}
 
-# Element-wise inconsistency patterns over one entailment seed pair.
-# All four need the entailment as a side condition except the first two,
-# which are direct self-contradictions; the condition is attached
-# uniformly so downstream oracle checks stay uniform.
-PAIRWISE_INCONSISTENT_PATTERNS = [
-    ("EW-1", ("p", "(not p)")),
-    ("EW-2", ("h", "(not h)")),
-    ("EW-3", ("p", "(not h)")),
-    ("EW-4", ("(or p h)", "(not h)")),
-]
-
+# Element-wise inconsistency patterns over one entailment seed pair, kept out
+# of ALL_RULES.  All four need the entailment as a side condition except the
+# first two, which are direct self-contradictions; the condition is attached
+# uniformly so downstream oracle checks stay uniform.  Every row is MED, the
+# difficulty these sets have always carried, though EW-1 and EW-2 pair a
+# statement with its negation, which makes an ALL_RULES row EZ.
+PAIRWISE_INCONSISTENT_RULES = _rows("EW", ENTAILMENT, 1, [
+    (["p", "(not p)"], I, MED, "premise against its negation", True),
+    (["h", "(not h)"], I, MED, "hypothesis against its negation", True),
+    (["p", "(not h)"], I, MED, "premise with negated hypothesis", True),
+    (["(or p h)", "(not h)"], I, MED, "disjunction with negated hypothesis", True),
+])

@@ -45,6 +45,7 @@ from .datagen import (
     pools,
 )
 from .model import (
+    HEADS,
     BatchCounts,
     ModelParams,
     TokenCounts,
@@ -53,7 +54,6 @@ from .model import (
     class_softmax,
     encode,
     energies,
-    energy_from_counts,
     softmax,
 )
 
@@ -134,7 +134,7 @@ class TrainerConfig:
 class Threshold:
     value: float
     learned_epoch: int = -1
-    source: str = "energy"               # "energy" or "inconsistent-softmax"
+    source: str = "energy"               # the model.HEADS score it applies to
     degenerate: bool = False
 
 
@@ -224,7 +224,7 @@ class CountsCache(TokenRows):
         self.offsets = np.append(0, np.cumsum(np.concatenate(lengths)))
 
     def counts(self, rows: Sequence[int]) -> TokenCounts:
-        """Token counts of the serialized union of the sets at ``rows`` (CLS included)."""
+        """Token counts of the serialized union of the sets at ``rows`` (CLS included); the tests' reference."""
         rows = np.asarray(rows, dtype=np.int64)
         return self.count(rows, np.zeros(len(rows), dtype=np.int64), 1).side(0)
 
@@ -421,13 +421,20 @@ def build_threshold_mixture(
     return out
 
 
+def _scorer(vocab: Vocabulary, sets: Sequence[StatementSet], source: str,
+            size: int) -> Callable[[ModelParams], list[float]]:
+    """A function from parameters to the ``HEADS[source]`` score of each of ``sets``, counted once,
+    ``size`` sets a batch: one gather over a 1,000-set mixture's rows adds 18 MB of peak RSS."""
+    table, keys, head = CountsCache(vocab, sets), np.arange(len(sets)) * _PART, HEADS[source]
+    batches = [table.batch(keys[start : start + size]) for start in range(0, len(sets), size)]
+    return lambda params: [x for counts in batches for x in head(params, encode(params, counts)[1]).tolist()]
+
+
 def learn_threshold(params: ModelParams, validation_sets: Sequence[StatementSet],
                     epoch: int = -1) -> Threshold:
     """Threshold over model energies maximizing macro accuracy on the given sets."""
-    table = CountsCache(params.vocab, validation_sets)
-    scores = [energy_from_counts(params, table.counts([r])) for r in range(len(validation_sets))]
-    labels = [s.label for s in validation_sets]
-    value, _, degenerate = _threshold_scan(scores, labels)
+    scores = _scorer(params.vocab, validation_sets, "energy", TrainerConfig.batch_size)(params)
+    value, _, degenerate = _threshold_scan(scores, [s.label for s in validation_sets])
     return Threshold(value=value, learned_epoch=epoch, source="energy", degenerate=degenerate)
 
 
@@ -581,8 +588,7 @@ def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], table: Counts
 
 class _Validation(NamedTuple):
     mixture: list[StatementSet]
-    score: Callable[[ModelParams, np.ndarray], np.ndarray]   # stacked hidden -> scores
-    source: str                          # the fitted Threshold's source
+    source: str                          # the model.HEADS score the per-epoch threshold is fit on
 
 
 def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_examples: Callable[[int], _Examples],
@@ -597,10 +603,7 @@ def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_e
     validated epoch, (mean batch loss, macro accuracy, threshold, validation scores).
     """
     if validation is not None:
-        # In batches: one gather over a 1,000-set mixture's rows adds 18 MB of peak RSS.
-        val_table, val_keys = CountsCache(params.vocab, validation.mixture), np.arange(len(validation.mixture)) * _PART
-        val_counts = [val_table.batch(val_keys[start : start + config.batch_size])
-                      for start in range(0, len(validation.mixture), config.batch_size)]
+        val_scores = _scorer(params.vocab, validation.mixture, validation.source, config.batch_size)
         val_labels = [s.label for s in validation.mixture]
     optimizer = _Adam(params, config.learning_rate)
     history: list[tuple[float, float, Threshold, list[float]]] = []
@@ -621,7 +624,7 @@ def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_e
             _check_finite(losses[-1], params, optimizer.flat, epoch, step)
         if validation is None:
             continue
-        scores = [x for counts in val_counts for x in validation.score(params, encode(params, counts)[1]).tolist()]
+        scores = val_scores(params)
         value, acc, degenerate = _threshold_scan(scores, val_labels)
         threshold = Threshold(value, epoch, validation.source, degenerate)
         history.append((float(np.mean(losses)), acc, threshold, scores))
@@ -640,7 +643,7 @@ def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
     best, threshold, history = _fit(
         params.copy(), config, CountsCache(params.vocab, pools.sets),
-        lambda epoch: _epoch_instances(pools, config, epoch), _Validation(mixture, energies, "energy"),
+        lambda epoch: _epoch_instances(pools, config, epoch), _Validation(mixture, "energy"),
     )
     log = [EpochStats(epoch, loss, acc, t.value, _median_energies(mixture, scores))
            for epoch, (loss, acc, t, scores) in enumerate(history)]
@@ -654,7 +657,7 @@ def train_binary(params: ModelParams, splits, config: TrainerConfig) -> tuple[Mo
     best, threshold, _ = _fit(
         params.copy(), config, CountsCache(params.vocab, pools.sets),
         lambda epoch: _binary_instances(pools, config, epoch),
-        _Validation(mixture, lambda p, hidden: class_softmax(p, hidden)[:, 1], "inconsistent-softmax"),
+        _Validation(mixture, "inconsistent-softmax"),
     )
     return best, threshold
 

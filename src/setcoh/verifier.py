@@ -32,13 +32,11 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Iterator, Protocol, Sequence
-
-import numpy as np
+from typing import Callable, ClassVar, Iterator, Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet
 from .logic import AtomBudgetError, CompiledFormulas, is_satisfiable
-from .model import ModelParams, class_softmax, encode, energies
+from .model import HEADS, ModelParams, encode
 
 
 class UnknownSetIdError(LookupError):
@@ -89,39 +87,40 @@ CONSISTENT_REACHED = "consistent-reached"
 SIZE_TWO_STOP = "size-two-stop"
 
 
-def _hidden(params: ModelParams, rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
-    """The encoder's hidden layer for each kept subset of the statements whose statement-table rows are ``rows``."""
-    return encode(params, params.vocab.table.subsets(rows, keeps))[1]
-
-
 @dataclass
-class EnergyScorer:
+class _ModelScorer:
+    """A trained model with its learned threshold, scored by the :data:`model.HEADS` entry ``head``."""
+
+    params: ModelParams
+    threshold: float
+    head: ClassVar[str]
+
+    def compile(self, s: StatementSet) -> SubsetScores:
+        params, head, table = self.params, HEADS[self.head], self.params.vocab.table
+        rows = table.rows(s.statements)
+        return lambda keeps: head(params, encode(params, table.subsets(rows, keeps))[1]).tolist()
+
+
+class EnergyScorer(_ModelScorer):
     """Energy model with its learned threshold."""
 
-    params: ModelParams
-    threshold: float
-
-    def compile(self, s: StatementSet) -> SubsetScores:
-        rows = self.params.vocab.table.rows(s.statements)
-        return lambda keeps: energies(self.params, _hidden(self.params, rows, keeps)).tolist()
+    head = "energy"
 
     def score(self, s: StatementSet) -> float:
         return self.compile(s)([range(len(s.statements))])[0]
 
 
-@dataclass
-class BinarySoftmaxScorer:
+class BinarySoftmaxScorer(_ModelScorer):
     """Binary classifier scored on the softmax of the inconsistent class."""
 
-    params: ModelParams
-    threshold: float
-
-    def compile(self, s: StatementSet) -> SubsetScores:
-        rows = self.params.vocab.table.rows(s.statements)
-        return lambda keeps: class_softmax(self.params, _hidden(self.params, rows, keeps))[:, 1].tolist()
+    head = "inconsistent-softmax"
 
     def score(self, s: StatementSet) -> float:
         return self.compile(s)([range(len(s.statements))])[0]
+
+
+# The model scorer for each threshold source.
+MODEL_SCORERS: dict[str, type[_ModelScorer]] = {cls.head: cls for cls in (EnergyScorer, BinarySoftmaxScorer)}
 
 
 @contextmanager

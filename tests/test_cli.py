@@ -1,16 +1,20 @@
 import dataclasses
+import importlib
 import json
+import math
 import re
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from setcoh import cli, datagen, evalkit, trainer
+from setcoh import cli, datagen, evalkit, model, trainer, verifier
 from setcoh.cli import load_corpus, load_threshold, main
-from setcoh.datagen import QA_FLIPS, GenerationError, compose_union, pools, save_jsonl
+from setcoh.datagen import QA_FLIPS, GenerationError, MalformedRecordError, compose_union, pools, save_jsonl
 from setcoh.logic import AtomRef, Implies, format_formula, parse_formula
-from setcoh.trainer import Threshold
+from setcoh.model import HEADS, ModelParams, build_vocabulary, encode, load_params
+from setcoh.trainer import Threshold, TrainerConfig
 
 
 def run(*argv):
@@ -70,6 +74,18 @@ class TestGen:
         assert args.seed == 123
 
 
+@pytest.fixture(scope="module")
+def binary_dir(tmp_path_factory, qa_dir):
+    out = tmp_path_factory.mktemp("binary")
+    code = run(
+        "train", "--data", qa_dir, "--out", out, "--seed", "5", "--arch", "binary",
+        "--epochs", "2", "--dim", "12", "--hidden", "8",
+        "--pairs-per-epoch", "12", "--val-per-class", "6",
+    )
+    assert code == 0
+    return out
+
+
 class TestTrain:
     def test_outputs(self, model_dir):
         assert (model_dir / "model.bin").exists()
@@ -85,15 +101,41 @@ class TestTrain:
             for cell in row.split(","):
                 float(cell)  # raises on a cell such as "np.float64(0.9)"
 
-    def test_binary_arch(self, tmp_path, qa_dir):
-        out = tmp_path / "bin"
-        code = run(
-            "train", "--data", qa_dir, "--out", out, "--seed", "5", "--arch", "binary",
-            "--epochs", "2", "--dim", "12", "--hidden", "8",
-            "--pairs-per-epoch", "12", "--val-per-class", "6",
-        )
-        assert code == 0
-        assert load_threshold(out / "threshold.txt").source == "inconsistent-softmax"
+    def test_binary_arch(self, binary_dir):
+        assert load_threshold(binary_dir / "threshold.txt").source == "inconsistent-softmax"
+
+
+class TestHeads:
+    """``model.HEADS`` is the one table of threshold sources and the scores they apply to."""
+
+    def test_training_records_a_head(self, model_dir, binary_dir):
+        sources = [load_threshold(out / "threshold.txt").source for out in (model_dir, binary_dir)]
+        assert sources == ["energy", "inconsistent-softmax"]
+        assert set(sources) == set(HEADS) == set(verifier.MODEL_SCORERS)
+
+    def test_load_threshold_accepts_exactly_the_heads(self, tmp_path):
+        path = tmp_path / "threshold.txt"
+        for source in [*HEADS, "softmax", "Energy", "energy ", "", "binary"]:
+            path.write_text(f"0.5\nsource={source}\n")
+            if source in HEADS:
+                assert load_threshold(path).source == source
+            else:
+                with pytest.raises(MalformedRecordError, match="unknown source"):
+                    load_threshold(path)
+
+    def test_resolve_scorer_builds_the_class_of_the_head(self, tmp_path, qa_dir, model_dir):
+        params = load_params(model_dir / "model.bin")
+        s = load_corpus(qa_dir).test[0]
+        keeps = [range(len(s.statements)), (0, 1)]
+        path = tmp_path / "threshold.txt"
+        for source, head in HEADS.items():
+            path.write_text(f"0.25\nsource={source}\n")
+            scorer = cli.resolve_scorer(str(model_dir / "model.bin"), str(path))
+            assert type(scorer) is verifier.MODEL_SCORERS[source] and scorer.head == source
+            assert scorer.threshold == 0.25
+            rows = params.vocab.table.rows(s.statements)
+            expected = head(params, encode(params, params.vocab.table.subsets(rows, keeps))[1]).tolist()
+            assert scorer.compile(s)(keeps) == expected
 
 
 class TestVerify:
@@ -356,6 +398,40 @@ class TestExitCodes:
                    "--threshold-file", degenerate, "--mixture-per-class", "2")
         assert code == 0
 
+    # Bytes 4-27 hold the header (embedding width at 8-11), 28-59 the vocabulary hash; token 0 starts
+    # at 64, and the arrays, emb first, fill the end.
+    @pytest.mark.parametrize("corrupt", [
+        lambda data, emb: data[:-7],
+        lambda data, emb: b"NOPE" + data[4:],
+        lambda data, emb: data[:28] + bytes([data[28] ^ 0xFF]) + data[29:],
+        lambda data, emb: data + b"junk",
+        lambda data, emb: data[:emb] + struct.pack("<d", math.nan) + data[emb + 8:],
+        lambda data, emb: data[:64] + b"\xff" + data[65:],
+        lambda data, emb: data[:8] + struct.pack("<I", 2**31 - 1) + data[12:],
+    ], ids=["truncated", "bad-magic", "hash-mismatch", "trailing-bytes", "nan-entry", "token-not-utf8",
+            "huge-width"])
+    def test_corrupt_model_file_exit_3(self, tmp_path, qa_dir, model_dir, corrupt, capsys):
+        data = (model_dir / "model.bin").read_bytes()
+        floats = sum(arr.size for arr in load_params(model_dir / "model.bin").arrays().values())
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(corrupt(data, emb=len(data) - 8 * floats))
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", bad,
+                   "--threshold-file", model_dir / "threshold.txt", "--mixture-per-class", "2")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--data", "--out"])
+    def test_a_path_under_a_regular_file_exit_3(self, tmp_path, qa_dir, flag, capsys):
+        # --data names the corpus file itself; --out a directory inside it.
+        paths = {"--data": qa_dir, "--out": tmp_path / "o"}
+        paths[flag] = qa_dir / "data.jsonl" if flag == "--data" else qa_dir / "data.jsonl" / "x"
+        code = run("verify", "--data", paths["--data"], "--out", paths["--out"], "--scorer", "oracle",
+                   "--mixture-per-class", "2")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert str(qa_dir / "data.jsonl") in err and "Traceback" not in err
+
     @pytest.mark.parametrize("content, line", [
         (b"threshold=abc\nid1,0.9\n", 1),
         (b"threshold=0.5\nid1,0.9\n\xff\xfe,0.1\n", 3),
@@ -402,6 +478,51 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-m", "setcoh.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+# The per-stream reference layer in setcoh.model: the tests compare the batched paths against it.
+REFERENCE_FUNCTIONS = ("forward", "energy_from_counts", "logits_from_counts",
+                       "accumulate_grad_energy", "accumulate_grad_logits", "serialize_set")
+
+
+def test_no_command_calls_the_reference_layer(tmp_path, monkeypatch, small_qa_corpus):
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} is the tests' reference, and production code called it")
+        return call
+
+    modules = [importlib.import_module(f"setcoh.{m}") for m in ("datagen", "model", "trainer", "verifier", "evalkit", "cli")]
+    for name in REFERENCE_FUNCTIONS:
+        original = getattr(model, name)
+        for module in modules:
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, bound, refuse(f"model.{name}"))
+    monkeypatch.setattr(model.TokenCounts, "of", staticmethod(refuse("TokenCounts.of")))
+    monkeypatch.setattr(model.BatchCounts, "side", refuse("BatchCounts.side"))
+    monkeypatch.setattr(trainer.CountsCache, "counts", refuse("CountsCache.counts"))
+
+    corpus = small_qa_corpus
+    params = ModelParams.init(build_vocabulary(corpus.train), d=8, h=6, seed=1)
+    trainer.learn_threshold(params, trainer.build_threshold_mixture(corpus.validation1, per_class=4))
+    config = TrainerConfig(epochs=1, pairs_per_epoch=4, l2_anchor="start")
+    trainer.fine_tune(params, corpus.train, corpus.validation2, n=4, config=config)
+
+    data, energy, binary = tmp_path / "data", tmp_path / "energy" / "model.bin", tmp_path / "binary" / "model.bin"
+    assert run("gen", "--style", "qa", "--seed", "3", "--counts", "16,8", "--out", data) == 0
+    widths = ("--dim", "8", "--hidden", "6", "--pairs-per-epoch", "8", "--val-per-class", "4")
+    for arch, model_file in (("energy", energy), ("binary", binary)):
+        assert run("train", "--arch", arch, "--data", data, "--out", model_file.parent, "--epochs", "2", *widths) == 0
+    for k, (command, *flags) in enumerate([
+        ("verify", "--scorer", energy),
+        ("verify", "--scorer", energy, "--strategy", "elementwise"),
+        ("verify", "--scorer", binary, "--strategy", "elementwise"),
+        ("verify", "--scorer", "oracle"),
+        ("locate", "--scorer", energy),
+        ("sweep", "--scorer", energy, "--mtr-grid", "0,0.5"),
+        ("ablate", "--regimes", "basic,eight", "--epochs", "1", *widths),
+    ]):
+        assert run(command, "--data", data, "--out", tmp_path / f"{command}-{k}", "--mixture-per-class", "3", *flags) == 0
 
 
 @pytest.fixture

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from setcoh import model
 from setcoh.datagen import Statement, StatementSet
 from setcoh.model import (
     CLS_INDEX,
+    CLS_TOKEN,
     CorruptFileError,
     ModelParams,
     UNK_INDEX,
+    UNK_TOKEN,
     VersionMismatchError,
     binary_logits,
     build_vocabulary,
@@ -45,6 +48,20 @@ def test_tokenize_lowercases_and_splits_punctuation():
 
 def test_statement_text_joins_qa_pairs(qa_pair_set):
     assert statement_text(qa_pair_set.statements[0]) == "what color is desk? The answer is brown."
+
+
+def test_vocabulary_tokenizes_each_distinct_text_once(qa_corpus, snli_corpus, monkeypatch):
+    for corpus in (qa_corpus, snli_corpus):
+        texts = [statement_text(st) for s in corpus.train for st in s.statements]
+        seen = set()
+        for text in texts:                   # the per-statement pass
+            seen.update(tokenize(text))
+        calls = []
+        monkeypatch.setattr(model, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        vocab = build_vocabulary(corpus.train)
+        monkeypatch.undo()
+        assert vocab.tokens == (CLS_TOKEN, UNK_TOKEN, *sorted(seen - {CLS_TOKEN, UNK_TOKEN}))
+        assert sorted(calls) == sorted(set(texts)) and len(calls) < len(texts)
 
 
 def test_serialized_stream_matches_worked_example(qa_pair_set, vocab):

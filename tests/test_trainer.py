@@ -195,6 +195,17 @@ class TestThresholdScan:
         assert threshold.source == "energy"
         assert math.isfinite(threshold.value) or threshold.degenerate
 
+    @pytest.mark.parametrize("dims", [(8, 6), (EMBED_DIM, HIDDEN_DIM)], ids=["small", "cli-widths"])
+    def test_learn_threshold_equals_the_scan_of_reference_energies(self, small_qa_corpus, dims):
+        # 70 sets: two full batches of TrainerConfig.batch_size and a short one.
+        vocab = build_vocabulary(small_qa_corpus.train)
+        params = ModelParams.init(vocab, *dims, seed=2)
+        mixture = build_threshold_mixture(small_qa_corpus.validation1, rng_seed=0, per_class=14)
+        threshold = learn_threshold(params, mixture, epoch=1)
+        reference = [energy_from_counts(params, _ref_counts(vocab, s)) for s in mixture]
+        value, _, degenerate = _threshold_scan(reference, [s.label for s in mixture])
+        assert (threshold.value, threshold.degenerate) == (value, degenerate)
+
     def test_threshold_mixture_has_expected_classes(self, small_qa_corpus):
         mixture = build_threshold_mixture(small_qa_corpus.validation1, rng_seed=0, per_class=3)
         tags = {s.provenance for s in mixture}
