@@ -146,13 +146,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# The lines of a threshold file after its value, each ``key=value``.
+_THRESHOLD_KEYS = ("source", "epoch", "degenerate")
+
+
 def _save_threshold(out: Path, threshold: Threshold) -> None:
-    lines = [
-        repr(threshold.value),
-        f"source={threshold.source}",
-        f"epoch={threshold.learned_epoch}",
-        f"degenerate={threshold.degenerate}",
-    ]
+    values = (threshold.source, threshold.learned_epoch, threshold.degenerate)
+    lines = [repr(threshold.value), *(f"{key}={value}" for key, value in zip(_THRESHOLD_KEYS, values))]
     (out / THRESHOLD_FILE).write_text("\n".join(lines) + "\n")
 
 
@@ -160,8 +160,8 @@ def load_threshold(path: Path) -> Threshold:
     """Inverse of :func:`_save_threshold`; a malformed file raises MalformedRecordError.
 
     The threshold must be finite unless the file marks it ``degenerate=True``:
-    training writes an infinite threshold only for a degenerate fit.  A
-    ``key=`` line may appear once.
+    training writes an infinite threshold only for a degenerate fit.  Each
+    later line is one of :data:`_THRESHOLD_KEYS` ``=`` its value, once.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -177,12 +177,17 @@ def load_threshold(path: Path) -> Threshold:
         raise MalformedRecordError(f"{path}:1: threshold is NaN")
     meta = {}  # key -> (value, line number)
     for lineno, line in enumerate(lines[1:], start=2):
-        if "=" in line:
-            key, text = line.split("=", 1)
-            if key in meta:
-                raise MalformedRecordError(f"{path}:{lineno}: {key!r} repeats line {meta[key][1]}")
-            meta[key] = (text, lineno)
-    degenerate = meta.get("degenerate", ("False",))[0] == "True"
+        key, equals, text = line.partition("=")
+        if not equals or key not in _THRESHOLD_KEYS:
+            raise MalformedRecordError(f"{path}:{lineno}: line {line!r} is not one of "
+                                       + ", ".join(f"{k}=" for k in _THRESHOLD_KEYS))
+        if key in meta:
+            raise MalformedRecordError(f"{path}:{lineno}: {key!r} repeats line {meta[key][1]}")
+        meta[key] = (text, lineno)
+    flag, flag_line = meta.get("degenerate", ("False", 2))
+    if flag not in ("True", "False"):
+        raise MalformedRecordError(f"{path}:{flag_line}: degenerate {flag!r} is not True or False")
+    degenerate = flag == "True"
     if math.isinf(value) and not degenerate:
         raise MalformedRecordError(f"{path}:1: threshold {lines[0]!r} is not finite")
     epoch, epoch_line = meta.get("epoch", ("-1", 2))
@@ -201,14 +206,15 @@ def load_threshold(path: Path) -> Threshold:
     )
 
 
-def _check_widths(args: argparse.Namespace) -> None:
-    for flag in ("dim", "hidden"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+def _check_positive(args: argparse.Namespace, *names: str) -> None:
+    """Exit 2 through ValueError, naming the flag, when one of ``names`` is below 1."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _check_widths(args)
+    _check_positive(args, "dim", "hidden")
     config = TrainerConfig(
         alpha=args.alpha,
         learning_rate=args.lr,
@@ -271,6 +277,7 @@ def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES
     The mixture draws ``--mixture-per-class`` sets of each of ``classes``
     from the ``--split`` base sets with at least ``min_size`` statements.
     """
+    _check_positive(args, "mixture_per_class")
     out = _write_snapshot(args)
     corpus = load_corpus(Path(args.data))
     scorer = resolve_scorer(args.scorer, args.threshold_file)
@@ -350,7 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    _check_widths(args)
+    _check_positive(args, "dim", "hidden", "mixture_per_class")
     config = TrainerConfig(
         epochs=args.epochs,
         rng_seed=args.seed,

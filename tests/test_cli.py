@@ -302,6 +302,14 @@ class TestExitCodes:
         assert f"error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "locate", "sweep", "ablate"])
+    def test_mixture_per_class_below_1_names_the_flag(self, tmp_path, qa_dir, command, capsys):
+        out = tmp_path / "o"
+        scorer = () if command == "ablate" else ("--scorer", "oracle")
+        assert run(command, "--data", qa_dir, "--out", out, *scorer, "--mixture-per-class", "0") == 2
+        assert capsys.readouterr().err == "error: --mixture-per-class must be >= 1, got 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("counts", ["5", "a,b", "1,2,3"])
     def test_malformed_counts_exit_2(self, tmp_path, counts, capsys):
         out = tmp_path / "g"
@@ -381,6 +389,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("content, message", [
         (b"-inf\nsource=energy\n", ":1: threshold '-inf' is not finite"),
         (b"0.5\nsource=energy\nepoch=1\nsource=energy\n", ":4: 'source' repeats line 2"),
+        (b"0.5\ngarbage line\nsorce=binary\n", ":2: line 'garbage line' is not one of source=, epoch=, degenerate="),
+        (b"0.5\nsource=energy\nsorce=binary\n", ":3: line 'sorce=binary' is not one of source=, epoch=, degenerate="),
+        (b"0.5\nsource=energy\n\n", ":3: line '' is not one of source=, epoch=, degenerate="),
+        (b"0.5\nepoch=3\ndegenerate=yes\n", ":3: degenerate 'yes' is not True or False"),
+        (b"inf\ndegenerate=true\n", ":2: degenerate 'true' is not True or False"),
     ])
     def test_threshold_file_errors_name_the_line(self, tmp_path, qa_dir, model_dir, content, message, capsys):
         bad = tmp_path / "threshold.txt"
@@ -389,6 +402,14 @@ class TestExitCodes:
                    "--threshold-file", bad, "--mixture-per-class", "2")
         assert code == 3
         assert capsys.readouterr().err == f"error: {bad}{message}\n"
+
+    @pytest.mark.parametrize("threshold", [
+        Threshold(0.25), Threshold(-1.5, 7, "inconsistent-softmax"), Threshold(math.inf, 0, "energy", True),
+        Threshold(-math.inf, 3, "inconsistent-softmax", True), Threshold(0.0, 2, "energy", True),
+    ])
+    def test_every_saved_threshold_loads(self, tmp_path, threshold):
+        cli._save_threshold(tmp_path, threshold)
+        assert load_threshold(tmp_path / cli.THRESHOLD_FILE) == threshold
 
     def test_a_degenerate_infinite_threshold_loads(self, tmp_path, qa_dir, model_dir):
         # The form training writes when no finite threshold fits best.

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import setcoh.trainer as trainer_mod
 from setcoh.datagen import compose_union, pools
 from setcoh.model import (
     EMBED_DIM,
@@ -32,9 +33,12 @@ from setcoh.trainer import (
     Threshold,
     TrainerConfig,
     TrainingDivergedError,
+    _backprop,
     _base_rows,
     _binary_instances,
+    _compile,
     _epoch_instances,
+    _fit,
     _hinge_sides,
     _parts,
     _plan,
@@ -547,6 +551,17 @@ class TestDifferential:
     def test_fine_tune_matches_reference_loop_at_cli_widths(self, qa_corpus):
         _check_fine_tune(qa_corpus.train, qa_corpus.validation2, "start", 11, (EMBED_DIM, HIDDEN_DIM), CLI_SHORT)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_chunked_epochs_match_reference_loop(self, small_qa_corpus, small_snli_corpus, chunk, monkeypatch):
+        # Batches of 4 across chunks: 12 per eight-regime epoch, and 8 per binary one, the last partial.
+        # 4 is coprime to the 5 sides a pair gives the binary baseline, so neighbouring batches' labels differ.
+        monkeypatch.setattr(trainer_mod, "_CHUNK", chunk)
+        settings = dict(TINY, batch_size=4)
+        _check_train(small_qa_corpus, "eight", 3, (8, 6), settings)
+        _check_train(small_qa_corpus, "basic", 3, (8, 6), dict(settings, batch_size=2))
+        _check_train_binary(small_qa_corpus, 4, (8, 6), settings)
+        _check_fine_tune(small_qa_corpus.train, small_snli_corpus.train, "start", 5, (8, 6), settings)
+
     def test_on_demand_unions_match_the_partner_seed_stream(self, small_qa_corpus):
         pool_c, pool_i = pools(small_qa_corpus.train)
         reference = [inst for group in _ref_contrast_groups(pool_c, pool_i, "eight", 9, 5) for inst in group]
@@ -699,3 +714,105 @@ class TestTrainingInputs:
                 fit(ModelParams.init(vocab, d=8, h=6), splits, config)
         with pytest.raises(NotABaseSetError, match="'train-cc-x'"):
             fine_tune(ModelParams.init(vocab, d=8, h=6), splits.train, small_qa_corpus.train, n=2, config=config)
+
+
+def _ref_backprop(params, grads, sides, pooled, hidden, calls, d_hidden):
+    """Reference for ``_backprop`` from a batch's own counts: the embedding rows as one weighted
+    ``bincount`` over (rows x d) cells, which adds its weights in the order given."""
+    h = hidden[calls]
+    d_pre = (1.0 - h * h) * d_hidden
+    grads["b_hidden"][...] = d_pre.sum(axis=0)
+    grads["w_hidden"][...] = np.einsum("ci,cj->ij", pooled[calls], d_pre)
+    d_pooled = np.matmul(params.w_hidden, d_pre[:, :, None])[:, :, 0]
+    lengths = np.diff(sides.bounds)
+    per_call = lengths[calls]
+    rows = np.arange(per_call.sum()) + np.repeat(sides.bounds[calls] - np.cumsum(per_call) + per_call, per_call)
+    d = d_pooled.shape[1]
+    cells = sides.ids[rows][:, None] * d + np.arange(d)
+    terms = d_pooled[np.repeat(np.arange(len(calls)), per_call)]
+    terms *= (sides.counts / np.repeat(sides.totals, lengths))[rows, None]
+    emb = grads["emb"]
+    emb[...] = np.bincount(cells.ravel(), terms.ravel(), minlength=emb.size).reshape(emb.shape)
+
+
+def _training_inputs(corpus, snli_corpus, mode, monkeypatch):
+    """The start parameters, and the config, table and epoch examples that one trainer gives ``_fit``."""
+    captured = []
+
+    def spy(params, config, table, epoch_examples, *rest, **kwargs):
+        captured.append((config, table, epoch_examples))
+        return params, None, []
+
+    monkeypatch.setattr(trainer_mod, "_fit", spy)
+    vocab = build_vocabulary(corpus.train + snli_corpus.train)
+    config = TrainerConfig(rng_seed=6, regime="basic" if mode == "basic" else "eight", batch_size=4,
+                           pairs_per_epoch=12, val_per_class=4)
+    params = ModelParams.init(vocab, d=8, h=6, seed=6)
+    if mode == "binary":
+        train_binary(params, corpus, config)
+    elif mode == "fine_tune":
+        fine_tune(params, corpus.train, snli_corpus.train, n=4, config=config)
+    else:
+        train(params, corpus, config)
+    monkeypatch.undo()
+    return params, captured[0]
+
+
+class TestCompiledEpochs:
+    """Each compiled batch equals what a step works out from its own examples."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["basic", "eight", "binary", "fine_tune"])
+    def test_compiled_batches_equal_the_per_batch_path(self, small_qa_corpus, small_snli_corpus, mode, chunk,
+                                                       monkeypatch):
+        params, (config, table, epoch_examples) = _training_inputs(small_qa_corpus, small_snli_corpus, mode,
+                                                                   monkeypatch)
+        monkeypatch.setattr(trainer_mod, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        hinge = mode != "binary"
+        for epoch in range(2):
+            examples = epoch_examples(epoch)
+            steps = list(_compile(table, examples, config.batch_size))
+            assert len(steps) == -(-len(examples.sides) // config.batch_size) >= 3
+            for b, step in enumerate(steps):
+                batch = slice(b * config.batch_size, (b + 1) * config.batch_size)
+                sides = examples.sides[batch]
+                keys, at = np.unique(sides, return_inverse=True)
+                want = table.batch(keys)
+                for got_array, want_array in zip(step.counts, want):
+                    assert got_array.dtype == want_array.dtype and np.array_equal(got_array, want_array)
+                assert np.array_equal(step.at, at.reshape(sides.shape))
+                if examples.labels is None:
+                    assert step.labels is None
+                else:
+                    assert np.array_equal(step.labels, examples.labels[batch])
+                if hinge:
+                    # The first batch has no active pair; the rest a random half of theirs.
+                    active = rng.random(len(step.at)) < (0.5 if b else 0.0)
+                    calls = step.at[active].ravel()
+                else:
+                    calls = step.at
+                n, (d, h) = len(keys), params.dims
+                pooled, hidden = rng.normal(size=(n, d)), np.tanh(rng.normal(size=(n, h)))
+                d_hidden = rng.normal(size=(len(calls), h))
+                d_hidden[rng.random(len(calls)) < 0.3] = -0.0       # signed zeros through the scatter
+                got, ref = zero_grads(params), zero_grads(params)
+                _backprop(params, got, step, pooled, hidden, calls, d_hidden)
+                _ref_backprop(params, ref, want, pooled, hidden, calls, d_hidden)
+                for name in ("b_hidden", "w_hidden", "emb"):
+                    assert np.array_equal(got[name], ref[name]), name
+                    assert np.array_equal(np.signbit(got[name]), np.signbit(ref[name])), name
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_an_energy_epoch_counts_once_per_chunk(self, small_qa_corpus, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(trainer_mod, "_CHUNK", chunk)
+        (rows,) = _base_rows(pools(small_qa_corpus.train))
+        config = TrainerConfig(epochs=1, batch_size=5, pairs_per_epoch=12)       # 96 instances: 20 batches
+        vocab = build_vocabulary(small_qa_corpus.train)
+        table = CountsCache(vocab, rows.sets)
+        counted = []
+        batch = table.batch
+        table.batch = lambda keys: counted.append(len(keys)) or batch(keys)
+        _fit(ModelParams.init(vocab, d=8, h=6), config, table, lambda epoch: _epoch_instances(rows, config, epoch))
+        assert len(counted) == math.ceil(20 / trainer_mod._CHUNK)
