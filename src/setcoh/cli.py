@@ -300,6 +300,8 @@ def _metrics_rows(report: evalkit.MetricsReport) -> list[list]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.mtr <= 1.0:
+        raise ValueError(f"--mtr must be in [0, 1], got {args.mtr}")
     out, scorer, mixture = _scored_mixture(args)
     report = evalkit.verification_report(scorer, mixture.sets, strategy=args.strategy, mtr=args.mtr)
     _write_csv(out / METRICS_FILE, ["class", "precision", "recall", "f1", "support"],
@@ -358,6 +360,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     _check_positive(args, "dim", "hidden", "mixture_per_class")
+    regimes = args.regimes.split(",")
+    for name in regimes:
+        if name not in trainer.REGIMES:
+            raise ValueError(f"--regimes must name regimes from {', '.join(sorted(trainer.REGIMES))}, got {name!r}")
     config = TrainerConfig(
         epochs=args.epochs,
         rng_seed=args.seed,
@@ -371,7 +377,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     def params_factory() -> ModelParams:
         return ModelParams.init(vocab, d=args.dim, h=args.hidden, seed=args.seed)
 
-    regimes = args.regimes.split(",")
     reports = evalkit.ablation_report(
         corpus, regimes, config, params_factory, eval_per_class=args.mixture_per_class
     )

@@ -14,8 +14,9 @@ token multisets produce bit-identical scores.  Scoring and training
 therefore never build the stream.  Each vocabulary keeps one
 :class:`StatementTable`, the token counts of every distinct statement
 text it has met, each text tokenized once; the counts of any subset of
-a set, or of a whole training set, are CLS plus the sum of its
-statements' rows, from one counting routine (:meth:`TokenRows.count`).
+a set, or of a training side (a set or a union), are CLS plus the sum
+of its statements' rows, from one counting routine
+(:meth:`StatementTable.count`).  Only this module reads the table's arrays.
 
 :func:`encode` runs the forward pass for a whole batch of streams
 (:meth:`StatementTable.subsets` for subsets of one set,
@@ -229,36 +230,11 @@ class BatchCounts(NamedTuple):
         return TokenCounts(self.ids[a:b], self.counts[a:b], int(self.totals[r]))
 
 
-class TokenRows:
-    """Token histograms as one CSR table.
-
-    Row ``r`` owns ``flat_ids[offsets[r]:offsets[r + 1]]`` (ascending
-    token ids) and the matching ``flat_counts``.
-    """
-
-    vocab_size: int
-    flat_ids: np.ndarray
-    flat_counts: np.ndarray
-    offsets: np.ndarray
-
-    def count(self, rows: np.ndarray, owners: np.ndarray, n: int, cls: int = 1) -> BatchCounts:
-        """``cls`` CLS tokens plus the counts of the ``rows`` that each of the ``n`` streams owns.
-
-        One ``bincount`` over the rows' cells.  The counts are integers, so
-        any summation order gives the same floats: with one CLS, a stream's
-        ids, counts and total equal :meth:`TokenCounts.of` on its serialized
-        stream.
-        """
-        v = self.vocab_size
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        cells = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        dense = np.bincount(np.repeat(owners * v, lengths) + self.flat_ids[cells], self.flat_counts[cells],
-                            minlength=n * v).reshape(n, v)
-        dense[:, CLS_INDEX] += cls
-        nonzero = np.flatnonzero(dense != 0)     # on the float array itself, about 3x slower
-        bounds = np.searchsorted(nonzero // v, np.arange(n + 1))
-        return BatchCounts(nonzero % v, dense.ravel()[nonzero], bounds, dense.sum(axis=1))
+def csr_ranges(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``offsets[r]:offsets[r + 1]`` of each of ``rows``, concatenated, and each row's length."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths), lengths
 
 
 def _reserve(array: np.ndarray, size: int) -> np.ndarray:
@@ -270,12 +246,14 @@ def _reserve(array: np.ndarray, size: int) -> np.ndarray:
     return grown
 
 
-class StatementTable(TokenRows):
+class StatementTable:
     """One row per distinct statement text, each tokenized once, on first use.
 
-    A statement's tokens depend only on :func:`statement_text`, so rows are
-    keyed by that string.  The arrays grow in blocks that at least double,
-    so adding a statement costs amortized time in its own tokens.
+    A CSR table: row ``r`` owns ``flat_ids[offsets[r]:offsets[r + 1]]``
+    (ascending token ids) and the matching ``flat_counts``.  A statement's
+    tokens depend only on :func:`statement_text`, so rows are keyed by that
+    string.  The arrays grow in blocks that at least double, so adding a
+    statement costs amortized time in its own tokens.
     """
 
     def __init__(self, index: dict[str, int], vocab_size: int) -> None:
@@ -293,6 +271,22 @@ class StatementTable(TokenRows):
         if new:
             self._add(list(dict.fromkeys(new)))
         return np.fromiter(map(self._row.__getitem__, texts), dtype=np.int64, count=len(texts))
+
+    def count(self, rows: np.ndarray, owners: np.ndarray, n: int) -> BatchCounts:
+        """CLS plus the counts of the ``rows`` that each of the ``n`` streams owns.
+
+        One ``bincount`` over the rows' cells.  The counts are integers, so
+        any summation order gives the same floats: a stream's ids, counts
+        and total equal :meth:`TokenCounts.of` on its serialized stream.
+        """
+        v = self.vocab_size
+        cells, lengths = csr_ranges(self.offsets, rows)
+        dense = np.bincount(np.repeat(owners * v, lengths) + self.flat_ids[cells], self.flat_counts[cells],
+                            minlength=n * v).reshape(n, v)
+        dense[:, CLS_INDEX] += 1
+        nonzero = np.flatnonzero(dense != 0)     # on the float array itself, about 3x slower
+        bounds = np.searchsorted(nonzero // v, np.arange(n + 1))
+        return BatchCounts(nonzero % v, dense.ravel()[nonzero], bounds, dense.sum(axis=1))
 
     def subsets(self, rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> BatchCounts:
         """Counts of CLS plus each kept subset of the statements whose rows are ``rows``."""

@@ -19,20 +19,21 @@ the starting weights.
 All three share one minibatch loop, :func:`_fit`.  An epoch is a plan of
 integers: :func:`_plan` draws the base pairs and partners and names each
 side (a set, or the union of two) by the rows of its parts in one
-:class:`CountsCache`, the token histograms of every pool set, summed
-from the vocabulary's statement table.  A union's counts are the sum
-of its parts'.  :func:`_compile` works out, ``_CHUNK`` batches at a
-time, all of a batch that no parameter changes: its distinct sides and
-their counts (one ``np.unique`` and one ``bincount`` per chunk), the
-tokens they touch and a dense (sides x tokens) block of count / total
-weights.  A step then runs only parameter math: stacked arrays through
-:func:`model.encode`, the forward the scorers use too (one
-``counts.dot(emb[ids])`` product per distinct set, everything else once
-per batch), and a backward pass whose embedding gradient is one
-``einsum`` of the weight block with the calls' pooled gradients.  A
-stacked ``np.matmul`` calls the same BLAS routine once per row and the
-gradients are added in the per-example order, so the trained models are
-bit-identical to a per-instance loop over serialized unions.
+:class:`CountsCache`, each pool set's rows in the vocabulary's statement
+table.  A side's counts are CLS plus its parts' statement rows, from
+the table's one counting routine.  :func:`_compile` works out,
+``_CHUNK`` batches at a time, all of a batch that no parameter changes:
+its distinct sides and their counts (one ``np.unique`` and one
+``bincount`` per chunk), the tokens they touch and a dense (sides x
+tokens) block of count / total weights.  A step then runs only
+parameter math: stacked arrays through :func:`model.encode`, the
+forward the scorers use too (one ``counts.dot(emb[ids])`` product per
+distinct set, everything else once per batch), and a backward pass
+whose embedding gradient is one ``einsum`` of the weight block with the
+calls' pooled gradients.  A stacked ``np.matmul`` calls the same BLAS
+routine once per row and the gradients are added in the per-example
+order, so the trained models are bit-identical to a per-instance loop
+over serialized unions.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from .model import (
     BatchCounts,
     ModelParams,
     TokenCounts,
-    TokenRows,
     Vocabulary,
     class_softmax,
+    csr_ranges,
     encode,
     energies,
     softmax,
@@ -129,6 +130,8 @@ class TrainerConfig:
             raise ValueError("learning_rate must be positive")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        if self.l2_anchor not in ("zero", "start"):
+            raise ValueError(f"l2_anchor must be 'zero' or 'start', got {self.l2_anchor!r}")
         for name in ("epochs", "batch_size", "pairs_per_epoch", "val_per_class"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -199,46 +202,40 @@ def hinge_loss(e_more_consistent: float, e_less_consistent: float, alpha: float)
 _PART = 1 << 32
 
 
-# Sets counted at a time when a CountsCache is built: each block counts through one
-# (sets x vocabulary) array, which for a whole 4,000-set pool added 7 MB of peak memory.
+# Sets looked up at a time when a CountsCache is built: looking up a whole pool's
+# statement texts at once raised the peak RSS of the README's QA `train` (a 4,000-set
+# pool) from 60.4 to 62.3 MB.
 _BLOCK = 256
 
 
-class CountsCache(TokenRows):
-    """Token histograms of a fixed list of sets, as one CSR table: row ``r`` is ``sets[r]``.
+class CountsCache:
+    """A fixed list of sets as statement rows of the vocabulary's table: set ``r`` is ``sets[r]``.
 
-    Each row is counted from the vocabulary's statement table by the one
-    counting routine (:meth:`TokenRows.count`, without CLS), so no statement
-    is tokenized here.  A union's counts are the sum of its parts' rows.
-    Sets are named by row, never by id, so two sets that share an id keep
-    their own counts.
+    Set ``r`` owns ``rows[offsets[r]:offsets[r + 1]]``; no token is counted
+    or kept here.  A side, a set or the union of two, is counted over the
+    concatenation of its parts' rows by :meth:`StatementTable.count`.  Sets
+    are named by row, never by id, so two sets that share an id keep their own.
     """
 
     def __init__(self, vocab: Vocabulary, sets: Sequence[StatementSet]) -> None:
-        self.vocab_size = len(vocab)
-        ids, counts, lengths = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0, dtype=np.int64)]
-        for start in range(0, len(sets), _BLOCK):
-            block = sets[start : start + _BLOCK]
-            rows = vocab.table.rows([st for s in block for st in s.statements])
-            owners = np.repeat(np.arange(len(block)), [len(s.statements) for s in block])
-            counted = vocab.table.count(rows, owners, len(block), cls=0)
-            ids.append(counted.ids)
-            counts.append(counted.counts)
-            lengths.append(np.diff(counted.bounds))
-        self.flat_ids, self.flat_counts = np.concatenate(ids), np.concatenate(counts)
-        self.offsets = np.append(0, np.cumsum(np.concatenate(lengths)))
+        self.table, self.vocab_size = vocab.table, len(vocab)
+        self.rows = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            vocab.table.rows([st for s in sets[start : start + _BLOCK] for st in s.statements])
+            for start in range(0, len(sets), _BLOCK)])
+        self.offsets = np.append(0, np.cumsum([len(s.statements) for s in sets], dtype=np.int64))
 
     def counts(self, rows: Sequence[int]) -> TokenCounts:
         """Token counts of the serialized union of the sets at ``rows`` (CLS included); the tests' reference."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return self.count(rows, np.zeros(len(rows), dtype=np.int64), 1).side(0)
+        at, _ = csr_ranges(self.offsets, np.asarray(rows, dtype=np.int64))
+        return self.table.count(self.rows[at], np.zeros(len(at), dtype=np.int64), 1).side(0)
 
     def batch(self, sides: np.ndarray) -> BatchCounts:
-        """:meth:`counts` of each side, given by its key, from one count over its parts' rows."""
+        """:meth:`counts` of each side, given by its key, from one count over its parts' statement rows."""
         first, second = np.divmod(sides, _PART)
         union = np.flatnonzero(second)
-        return self.count(np.concatenate([first, second[union] - 1]),
-                          np.concatenate([np.arange(len(sides)), union]), len(sides))
+        at, lengths = csr_ranges(self.offsets, np.concatenate([first, second[union] - 1]))
+        owners = np.repeat(np.concatenate([np.arange(len(sides)), union]), lengths)
+        return self.table.count(self.rows[at], owners, len(sides))
 
 
 def base_pools(sets: Sequence[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
@@ -426,19 +423,22 @@ def build_threshold_mixture(
     return out
 
 
-def _scorer(vocab: Vocabulary, sets: Sequence[StatementSet], source: str,
-            size: int) -> Callable[[ModelParams], list[float]]:
-    """A function from parameters to the ``HEADS[source]`` score of each of ``sets``, counted once,
-    ``size`` sets a batch: one gather over a 1,000-set mixture's rows adds 18 MB of peak RSS."""
+# Sets that one validation encode gathers: one gather over a 1,000-set mixture's
+# rows adds 18 MB of peak RSS.  encode gives each stream the same bits whatever the batch.
+_SCORE_BATCH = 32
+
+
+def _scorer(vocab: Vocabulary, sets: Sequence[StatementSet], source: str) -> Callable[[ModelParams], list[float]]:
+    """A function from parameters to the ``HEADS[source]`` score of each of ``sets``, counted once."""
     table, keys, head = CountsCache(vocab, sets), np.arange(len(sets)) * _PART, HEADS[source]
-    batches = [table.batch(keys[start : start + size]) for start in range(0, len(sets), size)]
+    batches = [table.batch(keys[start : start + _SCORE_BATCH]) for start in range(0, len(sets), _SCORE_BATCH)]
     return lambda params: [x for counts in batches for x in head(params, encode(params, counts)[1]).tolist()]
 
 
 def learn_threshold(params: ModelParams, validation_sets: Sequence[StatementSet],
                     epoch: int = -1) -> Threshold:
     """Threshold over model energies maximizing macro accuracy on the given sets."""
-    scores = _scorer(params.vocab, validation_sets, "energy", TrainerConfig.batch_size)(params)
+    scores = _scorer(params.vocab, validation_sets, "energy")(params)
     value, _, degenerate = _threshold_scan(scores, [s.label for s in validation_sets])
     return Threshold(value=value, learned_epoch=epoch, source="energy", degenerate=degenerate)
 
@@ -661,7 +661,7 @@ def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_e
     (mean batch loss, macro accuracy, threshold, validation scores).
     """
     if validation is not None:
-        val_scores = _scorer(params.vocab, validation.mixture, validation.source, config.batch_size)
+        val_scores = _scorer(params.vocab, validation.mixture, validation.source)
         val_labels = [s.label for s in validation.mixture]
     optimizer = _Adam(params, config.learning_rate)
     history: list[tuple[float, float, Threshold, list[float]]] = []

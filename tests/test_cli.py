@@ -310,6 +310,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: --mixture-per-class must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("regimes", ["basic,bogus", "bogus", "basic,,eight"])
+    def test_unknown_regime_names_the_flag_before_training(self, tmp_path, qa_dir, regimes, capsys):
+        out = tmp_path / "o"
+        assert run("ablate", "--data", qa_dir, "--out", out, "--regimes", regimes, "--epochs", "200") == 2
+        bad = next(name for name in regimes.split(",") if name not in trainer.REGIMES)
+        assert capsys.readouterr().err == f"error: --regimes must name regimes from basic, eight, six, got {bad!r}\n"
+        assert not (out / cli.SNAPSHOT_FILE).exists()
+
+    @pytest.mark.parametrize("strategy", ["set", "elementwise"])
+    @pytest.mark.parametrize("mtr", ["5", "-0.1", "nan"])
+    def test_mtr_outside_0_1_names_the_flag_before_writing(self, tmp_path, qa_dir, strategy, mtr, capsys):
+        out = tmp_path / "o"
+        assert run("verify", "--data", qa_dir, "--out", out, "--scorer", "oracle", "--strategy", strategy,
+                   "--mtr", mtr, "--mixture-per-class", "2") == 2
+        assert capsys.readouterr().err == f"error: --mtr must be in [0, 1], got {float(mtr)}\n"
+        assert not (out / cli.SNAPSHOT_FILE).exists()
+
     @pytest.mark.parametrize("counts", ["5", "a,b", "1,2,3"])
     def test_malformed_counts_exit_2(self, tmp_path, counts, capsys):
         out = tmp_path / "g"

@@ -52,7 +52,7 @@ from setcoh.trainer import (
     train,
     train_binary,
 )
-from token_reference import count_rows, set_table, subset_counts
+from token_reference import assert_batches_equal, count_rows, subset_counts
 
 
 def _rows(sets, parts):
@@ -342,6 +342,12 @@ def test_trainer_config_validation():
     for field in ("epochs", "batch_size", "pairs_per_epoch", "val_per_class"):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             TrainerConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("anchor", ["strat", "", "Start", None])
+def test_an_unknown_l2_anchor_is_rejected(anchor):
+    with pytest.raises(ValueError, match="l2_anchor must be 'zero' or 'start'"):
+        TrainerConfig(l2_anchor=anchor)
 
 
 # Reference copy of the per-instance training loop the trainer used to run:
@@ -692,8 +698,6 @@ class TestTrainingInputs:
         (rows,) = _base_rows(pools(small_qa_corpus.train))
         vocab = build_vocabulary(small_qa_corpus.train)
         cache = CountsCache(vocab, rows.sets)
-        for got, want in zip((cache.flat_ids, cache.flat_counts, cache.offsets), set_table(vocab, rows.sets)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
         keys = _epoch_instances(rows, TrainerConfig(regime="eight"), 0).sides.ravel()
         batch = cache.batch(keys)
         for r, key in enumerate(keys.tolist()):
@@ -702,6 +706,16 @@ class TestTrainingInputs:
             assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
             assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
             assert got.total == want.total
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_counts_cache_blocks_change_no_count(self, small_qa_corpus, monkeypatch, block):
+        (rows,) = _base_rows(pools(small_qa_corpus.train))
+        keys = _epoch_instances(rows, TrainerConfig(regime="eight"), 0).sides.ravel()
+        want = CountsCache(build_vocabulary(small_qa_corpus.train), rows.sets).batch(keys)
+        monkeypatch.setattr(trainer_mod, "_BLOCK", block)
+        cache = CountsCache(build_vocabulary(small_qa_corpus.train), rows.sets)
+        assert len(rows.sets) > 3 * block
+        assert_batches_equal(cache.batch(keys), want)
 
     def test_training_pools_take_base_sets_only(self, small_qa_corpus):
         pool_c, _ = pools(small_qa_corpus.train)

@@ -34,20 +34,6 @@ def subset_counts(rows, keeps):
     return BatchCounts(cells % v, dense.ravel()[cells], bounds, dense.sum(axis=1))
 
 
-def set_table(vocab, sets):
-    """``(flat_ids, flat_counts, offsets)``: each set's token histogram (no CLS) from one tokenization pass."""
-    v = len(vocab)
-    stream, lengths = [], []
-    for s in sets:
-        start = len(stream)
-        for st in s.statements:
-            stream += [vocab.encode(w) for w in tokenize(statement_text(st))]
-        lengths.append(len(stream) - start)
-    cells = np.repeat(np.arange(len(sets), dtype=np.int64) * v, lengths) + np.array(stream, dtype=np.int64)
-    cells, counts = np.unique(cells, return_counts=True)
-    return cells % v, counts.astype(np.float64), np.searchsorted(cells // v, np.arange(len(sets) + 1))
-
-
 def assert_batches_equal(got, want):
     """Equal ids, counts, bounds and totals, in value and dtype."""
     for a, b in zip(got, want):
