@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -303,7 +302,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not 0.0 <= args.mtr <= 1.0:
         raise ValueError(f"--mtr must be in [0, 1], got {args.mtr}")
     out, scorer, mixture = _scored_mixture(args)
-    report = evalkit.verification_report(scorer, mixture.sets, strategy=args.strategy, mtr=args.mtr)
+    scores = {} if args.dump_scores else None       # every row the verdicts read
+    report = evalkit.verification_report(scorer, mixture.sets, args.strategy, args.mtr, scores)
     _write_csv(out / METRICS_FILE, ["class", "precision", "recall", "f1", "support"],
                _metrics_rows(report))
     _write_summary(out, {
@@ -314,20 +314,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "mtr": args.mtr,
         "count": report.count,
     })
-    if args.dump_scores:
-        # Every row the strategy reads: each set, or each pair under its subset id.
-        scores = {}
-        for s in mixture.sets:
-            n = len(s.statements)
-            keeps = [range(n)] if args.strategy == "set" else list(itertools.combinations(range(n), 2))
-            scores.update(zip((verifier.subset_id(s, keep) for keep in keeps), scorer.compile(s)(keeps)))
+    if scores is not None:
         verifier.write_scores_file(out / "scores.csv", scorer.threshold, scores)
     print(f"macro_f1={report.macro_f1:.4f} ({args.strategy})")
     return 0
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    out, scorer, mixture = _scored_mixture(args, args.classes.split(","), args.min_size)
+    classes = args.classes.split(",")
+    for tag in classes:
+        if tag not in evalkit.PROVENANCE_CLASSES:
+            raise ValueError(f"--classes must name classes from {', '.join(evalkit.PROVENANCE_CLASSES)}, "
+                             f"got {tag!r}")
+    out, scorer, mixture = _scored_mixture(args, classes, args.min_size)
     results = []
     for s in mixture.sets:
         gold = s.gold_inconsistent_indices
@@ -347,8 +346,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    grid = [_grid_value(text) for text in args.mtr_grid.split(",")]
     out, scorer, mixture = _scored_mixture(args)
-    grid = [float(x) for x in args.mtr_grid.split(",")]
     rows = evalkit.mtr_sweep(scorer, mixture, grid)
     _write_csv(out / "sweep.csv", ["mtr", "size_bucket", "macro_f1", "count"],
                [[repr(r.mtr), r.size_bucket, repr(r.macro_f1), r.count] for r in rows])
@@ -356,6 +355,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _write_summary(out, {"best_mtr": best.mtr, "best_macro_f1": best.macro_f1})
     print(f"best mtr={best.mtr} macro_f1={best.macro_f1:.4f}")
     return 0
+
+
+def _grid_value(text: str) -> float:
+    """One ``--mtr-grid`` entry; exits 2 through ValueError, naming the flag, unless it is a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"--mtr-grid must be comma-separated numbers in [0, 1], got {text!r}")
+    return value
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:

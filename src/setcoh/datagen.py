@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 from . import wordbank
 from .logic import (
     Atom,
+    AtomBudgetError,
     AtomRef,
     CompiledFormulas,
     Formula,
@@ -163,7 +164,8 @@ class StatementSet:
 
     A loaded set, and a union, computes its context formulas on first read
     (a union from its parts'); a loaded set, and a union of loaded parts,
-    keeps its atom namespaces from construction.
+    keeps its atom namespaces from construction.  A union keeps its parts,
+    and a part keeps its oracle compile (see :func:`compile_formulas`).
     """
 
     id: str
@@ -177,6 +179,9 @@ class StatementSet:
     _namespaces = None  # kept by load_jsonl, and by compose_union from loaded parts; not a field
 
     def __post_init__(self) -> None:
+        # Not fields: set here, so that every set's instance dict shares its class's key table.
+        self._parts = None      # a union's parts, set by compose_union
+        self._compiled = None   # a part's oracle compile, set by compile_formulas
         if type(self.id) is not str:
             raise ValueError(f"set id {self.id!r} is not a string")
         if len(self.statements) < 2:
@@ -336,13 +341,18 @@ def gen_seed_pair(rng_seed: int, relation: str) -> SeedPair:
     return pair
 
 
-def _certify_seed_pair(pair: SeedPair) -> None:
+def _relation_checks(pair: SeedPair) -> tuple[bool, ...]:
+    """Whether (p, h), (p, not h), (not p, h) and (not p, not h) each hold with the axioms.
+
+    All four are subsets of one compile of p, h, their negations and the axioms.
+    """
     p, h = pair.premise[0], pair.hypothesis[0]
-    ax = list(pair.axioms)
-    joint = is_satisfiable([p, h] + ax)
-    p_not_h = is_satisfiable([p, negate(h)] + ax)
-    not_p_h = is_satisfiable([negate(p), h] + ax)
-    not_both = is_satisfiable([negate(p), negate(h)] + ax)
+    compiled = CompiledFormulas([p, h, negate(p), negate(h)], pair.axioms)
+    return tuple(map(compiled.satisfiable, ((0, 1), (0, 3), (2, 1), (2, 3))))
+
+
+def _certify_seed_pair(pair: SeedPair) -> None:
+    joint, p_not_h, not_p_h, not_both = _relation_checks(pair)
     if pair.relation == ENTAILMENT:
         ok = (not p_not_h) and joint and not_p_h and not_both
     elif pair.relation == CONTRADICTION:
@@ -604,6 +614,7 @@ def compose_union(
         difficulty="easy" if any(p.difficulty == "easy" for p in parts) else "medium",
         gold_inconsistent_indices=remapped if has_gold else None,
     )
+    union._parts = tuple(parts)
     if all(part._namespaces is not None for part in parts):
         union._namespaces = frozenset(seen)  # loaded parts: answer namespaces() without parsing
     _defer(union, "context_semantics", partial(_joint_context, parts))
@@ -612,6 +623,34 @@ def compose_union(
 
 def _joint_context(parts: Sequence[StatementSet]) -> tuple[Formula, ...]:
     return tuple(f for part in parts for f in part.context_semantics)
+
+
+def compile_formulas(s: StatementSet) -> CompiledFormulas:
+    """``s``'s statements and context, compiled for the oracle.
+
+    A union from :func:`compose_union` joins its parts' compiles
+    (:meth:`CompiledFormulas.join`): each part is compiled the first time it
+    is met as a part and keeps that compile for as long as it lives.  The
+    parts are namespace-disjoint, so each union statement is found in its
+    part by identity.  Any other set is compiled afresh and keeps nothing.
+    Errors are those of compiling ``s`` afresh.
+    """
+    parts = s._parts
+    if parts is not None:
+        try:
+            compiles = [_part_compile(part) for part in parts]
+        except (AtomBudgetError, MissingSemanticsError):
+            pass        # compiled afresh below, to raise the union's own error
+        else:
+            where = {id(st): (p, j) for p, part in enumerate(parts) for j, st in enumerate(part.statements)}
+            return CompiledFormulas.join(compiles, [where[id(st)] for st in s.statements])
+    return CompiledFormulas(s.formulas(), s.context_semantics)
+
+
+def _part_compile(part: StatementSet) -> CompiledFormulas:
+    if part._compiled is None:
+        part._compiled = CompiledFormulas(part.formulas(), part.context_semantics)
+    return part._compiled
 
 
 def derive_pairwise_dataset(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .trainer import (
     build_threshold_mixture,
     train,
 )
-from .verifier import LocateResult, Scorer, verify_elementwise, verify_set
+from .verifier import LocateResult, Scorer, subset_id, verify_elementwise, verify_set
 
 
 class LengthMismatchError(ValueError):
@@ -195,14 +196,30 @@ def verification_report(
     sets: Sequence[StatementSet],
     strategy: str = "set",
     mtr: float = 0.0,
+    scores: dict[str, float] | None = None,
 ) -> MetricsReport:
-    """Run one verification strategy over labeled sets and score it."""
+    """Run one verification strategy over labeled sets and score it.
+
+    ``scores``, when given, receives every score the verdicts were decided
+    from under its :func:`subset_id`: each set's, or each of its pairs'.
+    """
+    # Verdicts are made one at a time and dropped after use: a pairwise one holds every pair's score.
     if strategy == "set":
-        predictions = [verify_set(scorer, s).label for s in sets]
+        verdicts = (verify_set(scorer, s) for s in sets)
     elif strategy == "elementwise":
-        predictions = [verify_elementwise(scorer, s, mtr).label for s in sets]
+        verdicts = (verify_elementwise(scorer, s, mtr) for s in sets)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    predictions = []
+    for s, verdict in zip(sets, verdicts):
+        predictions.append(verdict.label)
+        if scores is None:
+            continue
+        if verdict.detail is None:
+            scores[s.id] = verdict.score
+        else:
+            pairs = combinations(range(len(s)), 2)
+            scores.update(zip((subset_id(s, pair) for pair in pairs), verdict.detail.scores))
     return macro_f1(predictions, [s.label for s in sets])
 
 

@@ -13,10 +13,13 @@ shared atoms, and the bound of 24 atoms applies to each component, so
 collections assembled from independently-named worlds cost the sum of
 tiny tables rather than one huge one.  The enumeration itself runs over
 bitmask columns (one big integer per atom), which keeps the inner loop
-in C.  :class:`CompiledFormulas` builds every formula's truth mask once,
-so the subsets of one collection (pairs, leave-one-out checks) are
-decided by ANDing masks already built; :func:`is_satisfiable` is one
-compile and one check.
+in C.  :class:`CompiledFormulas` walks each formula once for its atoms
+and builds its truth mask once, so the subsets of one collection (pairs,
+leave-one-out checks) are decided by ANDing masks already built;
+:func:`is_satisfiable` is one compile and one check.  Compiles over
+disjoint atoms join side by side (:meth:`CompiledFormulas.join`) with no
+formula walked again: a union of namespace-disjoint sets is decided from
+its parts' compiles.
 
 Atoms carry two English surface templates (affirmative / negated) used
 by :func:`realize` to render formulas as sentences.  Rendering is
@@ -28,7 +31,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class MissingAssignmentError(ValueError):
@@ -94,20 +97,26 @@ Valuation = Mapping[str, bool]
 
 def atoms_of(f: Formula) -> frozenset[str]:
     """Atom ids appearing in ``f``."""
-    if isinstance(f, AtomRef):
-        return frozenset((f.name,))
-    if isinstance(f, Not):
-        return atoms_of(f.operand)
-    if isinstance(f, (Or, Implies)):
-        left, right = _children(f)
-        return atoms_of(left) | atoms_of(right)
-    raise TypeError(f"not a formula: {f!r}")
+    names: list[str] = []
+    _gather(f, names)
+    return frozenset(names)
 
 
-def _children(f: Formula) -> tuple[Formula, Formula]:
-    if isinstance(f, Or):
-        return f.left, f.right
-    return f.antecedent, f.consequent  # type: ignore[union-attr]
+def _gather(f: Formula, names: list[str]) -> None:
+    """Append the atom id of each leaf of ``f`` to ``names``, left to right."""
+    t = type(f)
+    if t is AtomRef:
+        names.append(f.name)
+    elif t is Not:
+        _gather(f.operand, names)
+    elif t is Or:
+        _gather(f.left, names)
+        _gather(f.right, names)
+    elif t is Implies:
+        _gather(f.antecedent, names)
+        _gather(f.consequent, names)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
 
 
 def evaluate(f: Formula, v: Valuation) -> bool:
@@ -143,15 +152,15 @@ def _column_mask(bit: int, n_atoms: int) -> int:
 
 
 def _truth_mask(f: Formula, columns: Mapping[str, int], full: int) -> int:
-    if isinstance(f, AtomRef):
+    t = type(f)
+    if t is AtomRef:
         return columns[f.name]
-    if isinstance(f, Not):
+    if t is Not:
         return _truth_mask(f.operand, columns, full) ^ full
-    if isinstance(f, Or):
+    if t is Or:
         return _truth_mask(f.left, columns, full) | _truth_mask(f.right, columns, full)
-    if isinstance(f, Implies):
-        ante = _truth_mask(f.antecedent, columns, full)
-        return (ante ^ full) | _truth_mask(f.consequent, columns, full)
+    if t is Implies:
+        return (_truth_mask(f.antecedent, columns, full) ^ full) | _truth_mask(f.consequent, columns, full)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -159,29 +168,55 @@ class CompiledFormulas:
     """Statements and context compiled once for satisfiability checks on subsets.
 
     :meth:`satisfiable` decides a subset of ``statements`` (given by index)
-    together with every ``context`` formula.  Construction collects each
-    formula's atoms, numbers the components of the whole collection, and
-    builds every formula's truth mask over its component's table and each
-    component's joint context mask.  Dropping statements can only split a
-    component, never join two, so a subset is satisfiable iff each
-    whole-collection component is.  Raises :class:`AtomBudgetError` when a
-    component has more than :data:`ATOM_BUDGET` atoms.
+    together with every ``context`` formula.  Construction walks each
+    formula once for its atoms, numbers the components of the whole
+    collection, and builds every formula's truth mask over its component's
+    table and each component's joint context mask.  Dropping statements can
+    only split a component, never join two, so a subset is satisfiable iff
+    each whole-collection component is.  Raises :class:`AtomBudgetError`
+    when a component has more than :data:`ATOM_BUDGET` atoms.
     """
 
     def __init__(self, statements: Iterable[Formula], context: Iterable[Formula] = ()) -> None:
         self.statements = list(statements)
         formulas = self.statements + list(context)
-        atoms = [atoms_of(f) for f in formulas]
-        self._component = _component_ids(atoms)
-        names: list[set[str]] = [set() for _ in range(max(self._component, default=-1) + 1)]
-        for c, formula_atoms in zip(self._component, atoms):
-            names[c] |= formula_atoms
-        self._tables = [_table(sorted(component_names)) for component_names in names]
-        self._masks = [_truth_mask(f, *self._tables[c]) for f, c in zip(formulas, self._component)]
+        atoms = []
+        for f in formulas:
+            names: list[str] = []
+            _gather(f, names)
+            atoms.append(names)
+        component, members = _components(atoms)
+        tables = self._tables = [_table(sorted(names)) for names in members]
+        masks = [_truth_mask(f, *tables[c]) for f, c in zip(formulas, component)]
+        n = len(self.statements)
+        self._component, self._masks = component[:n], masks[:n]
         # Joint mask of each component's context: all ones where it has none.
-        self._context = [full for _, full in self._tables]
-        for k in range(len(self.statements), len(formulas)):
-            self._context[self._component[k]] &= self._masks[k]
+        self._context = [full for _, full in tables]
+        for k in range(n, len(formulas)):
+            self._context[component[k]] &= masks[k]
+
+    @classmethod
+    def join(cls, parts: Sequence["CompiledFormulas"], order: Sequence[tuple[int, int]]) -> "CompiledFormulas":
+        """Compiles over pairwise disjoint atoms, side by side.
+
+        Statement ``k`` of the join is statement ``j`` of ``parts[p]``, where
+        ``(p, j)`` is the ``k``-th entry of ``order``; every part's context
+        stays in force, in part order.  With no atom shared across parts, each
+        part's components, tables and masks are those of compiling the join's
+        statements and all the contexts afresh, so every subset is decided
+        alike.  Nothing is walked or recomputed.
+        """
+        joined = cls.__new__(cls)
+        offsets: list[int] = []
+        joined._tables, joined._context = [], []
+        for part in parts:
+            offsets.append(len(joined._tables))
+            joined._tables += part._tables
+            joined._context += part._context
+        joined.statements = [parts[p].statements[j] for p, j in order]
+        joined._component = [offsets[p] + parts[p]._component[j] for p, j in order]
+        joined._masks = [parts[p]._masks[j] for p, j in order]
+        return joined
 
     def with_statement(self, index: int, statement: Formula) -> "CompiledFormulas | None":
         """This compile with statement ``index`` replaced: one new truth mask, over that statement's component.
@@ -201,12 +236,14 @@ class CompiledFormulas:
 
     def satisfiable(self, keep: Iterable[int] | None = None) -> bool:
         """Whether the statements at ``keep`` (default: all) and the context are jointly satisfiable."""
-        joint = list(self._context)
-        for i in range(len(self.statements)) if keep is None else keep:
-            c = self._component[i]
-            joint[c] &= self._masks[i]
-            if not joint[c]:
+        joint = self._context[:]
+        component, masks = self._component, self._masks
+        for i in range(len(masks)) if keep is None else keep:
+            c = component[i]
+            mask = joint[c] & masks[i]
+            if not mask:
                 return False
+            joint[c] = mask
         return all(joint)
 
 
@@ -220,23 +257,37 @@ def _table(names: list[str]) -> tuple[dict[str, int], int]:
     return columns, (1 << (1 << len(names))) - 1
 
 
-def _component_ids(per_formula: list[frozenset[str]]) -> list[int]:
-    """Component number of each formula, over shared atoms, numbered by first appearance."""
+def _components(atoms: list[list[str]]) -> tuple[list[int], list[set[str]]]:
+    """Component of each formula (given by its atoms) over shared atoms, and each component's atoms.
+
+    Components are numbered by their first formula; a union-find over atom
+    ids, with path halving, joins the atoms of each formula.
+    """
     parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for atoms in per_formula:
-        roots = {find(parent.setdefault(name, name)) for name in atoms}
-        first = roots.pop()
-        for root in roots:
-            parent[root] = first
+    for names in atoms:
+        first = None
+        for name in names:
+            root = parent.setdefault(name, name)
+            while parent[root] != root:
+                parent[root] = parent[parent[root]]
+                root = parent[root]
+            if first is None:
+                first = root
+            elif root != first:
+                parent[root] = first
     numbers: dict[str, int] = {}
-    return [numbers.setdefault(find(next(iter(atoms))), len(numbers)) for atoms in per_formula]
+    component: list[int] = []
+    members: list[set[str]] = []
+    for names in atoms:
+        root = names[0]
+        while parent[root] != root:
+            root = parent[root]
+        c = numbers.setdefault(root, len(numbers))
+        if c == len(members):
+            members.append(set())
+        members[c].update(names)
+        component.append(c)
+    return component, members
 
 
 def is_satisfiable(fs: Iterable[Formula]) -> bool:

@@ -11,8 +11,10 @@ Every strategy scores subsets of one set: ``compile(s)`` returns a
 function from a batch of kept-index tuples of ``s`` to their scores, in
 order (from the vocabulary's statement-table rows for the model,
 truth-table masks for the oracle, and :func:`subset_id` rows for a score
-file); ``score(s)`` scores all of ``s``.  The model scorers run a whole batch through one stacked
-:func:`model.encode`, with the bits of scoring each subset alone.
+file); ``score(s)`` scores all of ``s``.  The model scorers run a whole
+batch through one stacked :func:`model.encode`, with the bits of scoring
+each subset alone; the oracle decides a union from its parts' compiles
+(:func:`datagen.compile_formulas`).
 
 Element-wise verification scores all N(N-1)/2 statement pairs and
 tolerates up to a given fraction of inconsistent pairs (the maximum
@@ -34,8 +36,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, ClassVar, Iterator, Protocol, Sequence
 
-from .datagen import CONSISTENT, INCONSISTENT, StatementSet
-from .logic import AtomBudgetError, CompiledFormulas, is_satisfiable
+from .datagen import CONSISTENT, INCONSISTENT, StatementSet, compile_formulas
+from .logic import AtomBudgetError, is_satisfiable  # noqa: F401 (bench/test_bench.py checks this binding)
 from .model import HEADS, ModelParams, encode
 
 
@@ -63,6 +65,7 @@ class PairwiseDetail:
     pair_count: int
     inconsistent_pairs: int
     ratio: float
+    scores: tuple[float, ...]       # each pair's score, in itertools.combinations order
 
 
 @dataclass(frozen=True)
@@ -140,12 +143,11 @@ class OracleScorer:
 
     def compile(self, s: StatementSet) -> SubsetScores:
         with _naming(s):
-            compiled = CompiledFormulas(s.formulas(), s.context_semantics)
+            compiled = compile_formulas(s)
         return lambda keeps: [0.0 if compiled.satisfiable(keep) else 1.0 for keep in keeps]
 
     def score(self, s: StatementSet) -> float:
-        with _naming(s):
-            return 0.0 if is_satisfiable(s.all_formulas()) else 1.0
+        return self.compile(s)([range(len(s.statements))])[0]
 
 
 @dataclass
@@ -251,9 +253,10 @@ def verify_elementwise(scorer: Scorer, s: StatementSet, mtr: float) -> Verdict:
     if not 0.0 <= mtr <= 1.0:
         raise ValueError("mtr must be in [0, 1]")
     pairs = list(combinations(range(len(s.statements)), 2))
-    bad = sum(score >= scorer.threshold for score in scorer.compile(s)(pairs))
+    scores = tuple(scorer.compile(s)(pairs))
+    bad = sum(score >= scorer.threshold for score in scores)
     ratio = bad / len(pairs)
-    detail = PairwiseDetail(pair_count=len(pairs), inconsistent_pairs=bad, ratio=ratio)
+    detail = PairwiseDetail(pair_count=len(pairs), inconsistent_pairs=bad, ratio=ratio, scores=scores)
     label = CONSISTENT if ratio <= mtr else INCONSISTENT
     return Verdict(label=label, score=ratio, detail=detail)
 

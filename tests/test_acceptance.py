@@ -340,6 +340,12 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
                      "--scorer", str(model_dir / "model.bin"), "--mixture-per-class", "4"]) == 0
         assert main(["locate", "--data", str(gen_dir), "--out", str(locate_dir), "--seed", "3",
                      "--scorer", str(model_dir / "model.bin"), "--mixture-per-class", "3"]) == 0
+        oracle_verify_dir, oracle_locate_dir = root / "oracle-verify", root / "oracle-locate"
+        assert main(["verify", "--data", str(gen_dir), "--out", str(oracle_verify_dir), "--seed", "3",
+                     "--scorer", "oracle", "--strategy", "elementwise", "--mixture-per-class", "4",
+                     "--dump-scores"]) == 0
+        assert main(["locate", "--data", str(gen_dir), "--out", str(oracle_locate_dir), "--seed", "3",
+                     "--scorer", "oracle", "--mixture-per-class", "3"]) == 0
         outputs.append({
             "data.jsonl": (gen_dir / "data.jsonl").read_bytes(),
             "model.bin": (model_dir / "model.bin").read_bytes(),
@@ -347,6 +353,9 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
             "train_log.csv": (model_dir / "train_log.csv").read_bytes(),
             "metrics.csv": (verify_dir / "metrics.csv").read_bytes(),
             "locate_report.csv": (locate_dir / "locate_report.csv").read_bytes(),
+            "oracle scores.csv": (oracle_verify_dir / "scores.csv").read_bytes(),
+            "oracle metrics.csv": (oracle_verify_dir / "metrics.csv").read_bytes(),
+            "oracle locate_report.csv": (oracle_locate_dir / "locate_report.csv").read_bytes(),
         })
     differing = [name for name in outputs[0] if outputs[0][name] != outputs[1][name]]
     report(10, not differing,

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import re
@@ -184,6 +185,32 @@ class TestVerify:
             assert all(("#" in set_id) == (strategy == "elementwise") for set_id in ids)
 
 
+    @pytest.mark.parametrize("strategy", ["set", "elementwise"])
+    @pytest.mark.parametrize("scorer", ["model", "oracle"])
+    def test_dump_scores_reuses_the_verdicts_scores(self, tmp_path, qa_dir, model_dir, monkeypatch,
+                                                    strategy, scorer):
+        # One compile per mixture set, and the dump holds what a fresh compile of each set scores.
+        spec = model_dir / "model.bin" if scorer == "model" else "oracle"
+        cls = type(cli.resolve_scorer(str(spec), None))
+        compiled = []
+        original = cls.compile
+        monkeypatch.setattr(cls, "compile", lambda self, s: compiled.append(s.id) or original(self, s))
+        out = tmp_path / "o"
+        assert run("verify", "--data", qa_dir, "--out", out, "--seed", "5", "--strategy", strategy,
+                   "--scorer", spec, "--mixture-per-class", "3", "--dump-scores") == 0
+        mixture = evalkit.build_eval_mixture(*trainer.base_pools(load_corpus(qa_dir).test), 3, rng_seed=5).sets
+        assert sorted(compiled) == sorted(s.id for s in mixture)
+        monkeypatch.setattr(cls, "compile", original)
+        reference = cli.resolve_scorer(str(spec), None)
+        lines = [f"threshold={reference.threshold!r}"]
+        for s in mixture:
+            n = len(s)
+            keeps = [range(n)] if strategy == "set" else list(itertools.combinations(range(n), 2))
+            lines += [f"{verifier.subset_id(s, keep)},{value!r}"
+                      for keep, value in zip(keeps, reference.compile(s)(keeps))]
+        assert (out / "scores.csv").read_text() == "\n".join(lines) + "\n"
+
+
 class TestLocate:
     def test_oracle_locate_perfect(self, tmp_path, qa_dir):
         out = tmp_path / "loc"
@@ -239,10 +266,13 @@ class TestSweepAndAblate:
 
     @pytest.mark.parametrize("grid", ["1.5,-1", "nan"])
     def test_mtr_grid_outside_0_1_exit_2(self, tmp_path, qa_dir, grid, capsys):
-        code = run("sweep", "--data", qa_dir, "--out", tmp_path / "sw", "--seed", "5",
+        out = tmp_path / "sw"
+        code = run("sweep", "--data", qa_dir, "--out", out, "--seed", "5",
                    "--scorer", "oracle", "--mtr-grid", grid, "--mixture-per-class", "2")
         assert code == 2
-        assert "error: mtr must be in [0, 1]" in capsys.readouterr().err
+        bad = grid.split(",")[0]
+        assert capsys.readouterr().err == f"error: --mtr-grid must be comma-separated numbers in [0, 1], got {bad!r}\n"
+        assert not (out / cli.SNAPSHOT_FILE).exists()
 
     def test_ablate(self, tmp_path, qa_dir):
         out = tmp_path / "ab"
@@ -325,6 +355,23 @@ class TestExitCodes:
         assert run("verify", "--data", qa_dir, "--out", out, "--scorer", "oracle", "--strategy", strategy,
                    "--mtr", mtr, "--mixture-per-class", "2") == 2
         assert capsys.readouterr().err == f"error: --mtr must be in [0, 1], got {float(mtr)}\n"
+        assert not (out / cli.SNAPSHOT_FILE).exists()
+
+    @pytest.mark.parametrize("grid, bad", [("1.5", "1.5"), ("abc", "abc"), ("0,0.5,2", "2"), ("0,", "")])
+    def test_bad_mtr_grid_names_the_flag_before_writing(self, tmp_path, qa_dir, grid, bad, capsys):
+        out = tmp_path / "o"
+        assert run("sweep", "--data", qa_dir, "--out", out, "--scorer", "oracle", "--mtr-grid", grid,
+                   "--mixture-per-class", "2") == 2
+        assert capsys.readouterr().err == f"error: --mtr-grid must be comma-separated numbers in [0, 1], got {bad!r}\n"
+        assert not (out / cli.SNAPSHOT_FILE).exists()
+
+    @pytest.mark.parametrize("classes, bad", [("bogus", "bogus"), ("C,CI,X", "X"), ("", "")])
+    def test_unknown_class_names_the_flag_before_writing(self, tmp_path, qa_dir, classes, bad, capsys):
+        out = tmp_path / "o"
+        assert run("locate", "--data", qa_dir, "--out", out, "--scorer", "oracle", "--classes", classes,
+                   "--mixture-per-class", "2") == 2
+        assert capsys.readouterr().err == ("error: --classes must name classes from "
+                                           f"{', '.join(datagen.PROVENANCE_CLASSES)}, got {bad!r}\n")
         assert not (out / cli.SNAPSHOT_FILE).exists()
 
     @pytest.mark.parametrize("counts", ["5", "a,b", "1,2,3"])
