@@ -13,8 +13,12 @@ order (from the vocabulary's statement-table rows for the model,
 truth-table masks for the oracle, and :func:`subset_id` rows for a score
 file); ``score(s)`` scores all of ``s``.  The model scorers run a whole
 batch through one stacked :func:`model.encode`, with the bits of scoring
-each subset alone; the oracle decides a union from its parts' compiles
-(:func:`datagen.compile_formulas`).
+each subset alone, and keep each distinct pair of statement-table rows'
+score for the scorer's lifetime: a pair's stream is CLS plus its two rows'
+counts, so a later pair of the same two rows, in any order, set or
+context, is answered from the kept score, exactly.  The oracle decides a
+union from its parts' compiles (:func:`datagen.compile_formulas`); a pair
+there inherits its set's context, so the oracle keeps no pair scores.
 
 Element-wise verification scores all N(N-1)/2 statement pairs and
 tolerates up to a given fraction of inconsistent pairs (the maximum
@@ -31,8 +35,9 @@ and one batch per iteration).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, ClassVar, Iterator, Protocol, Sequence
 
@@ -90,18 +95,53 @@ CONSISTENT_REACHED = "consistent-reached"
 SIZE_TWO_STOP = "size-two-stop"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ModelScorer:
-    """A trained model with its learned threshold, scored by the :data:`model.HEADS` entry ``head``."""
+    """A trained model with its learned threshold, scored by the :data:`model.HEADS` entry ``head``.
+
+    A pair's score depends only on its two statement-table rows, and
+    :func:`model.encode` gives a stream the same bits in any batch, so each
+    distinct row pair is encoded once per scorer and its score kept.
+    ``counters`` counts the pairs encoded (``pairs_scored``) and the pairs
+    answered from the kept scores (``pairs_reused``).
+    """
 
     params: ModelParams
     threshold: float
     head: ClassVar[str]
+    # The score of each row pair scored so far, keyed by lo << 32 | hi of its two rows:
+    # one int per unordered pair, smaller than a tuple.
+    _pairs: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+    counters: Counter[str] = field(default_factory=Counter, init=False, repr=False, compare=False)
 
     def compile(self, s: StatementSet) -> SubsetScores:
-        params, head, table = self.params, HEADS[self.head], self.params.vocab.table
+        params, head, table, memo = self.params, HEADS[self.head], self.params.vocab.table, self._pairs
         rows = table.rows(s.statements)
-        return lambda keeps: head(params, encode(params, table.subsets(rows, keeps))[1]).tolist()
+        row = rows.tolist()
+
+        def score(keeps: Sequence[Sequence[int]]) -> list[float]:
+            keys: list[int | None] = []                     # each pair's key, None for other sizes
+            misses: dict[int, Sequence[int]] = {}           # each new row pair, with a keep of it
+            others = []
+            for keep in keeps:
+                key = None
+                if len(keep) == 2:
+                    a, b = row[keep[0]], row[keep[1]]
+                    key = a << 32 | b if a <= b else b << 32 | a
+                    if key not in memo:
+                        misses.setdefault(key, keep)
+                else:
+                    others.append(keep)
+                keys.append(key)
+            batch = [*misses.values(), *others]
+            scores = head(params, encode(params, table.subsets(rows, batch))[1]).tolist() if batch else []
+            memo.update(zip(misses, scores))
+            self.counters["pairs_scored"] += len(misses)
+            self.counters["pairs_reused"] += len(keeps) - len(others) - len(misses)
+            rest = iter(scores[len(misses):])
+            return [next(rest) if key is None else memo[key] for key in keys]
+
+        return score
 
 
 class EnergyScorer(_ModelScorer):
