@@ -527,23 +527,22 @@ def corrupt_qa(
     unsatisfiable, removing the flipped statement must restore
     satisfiability, and for sets of size >= 4 that removal must be the
     only one that does.  One valid flip is then chosen at random.  The
-    unflipped set is compiled once, and each candidate swaps in only its
-    flipped statement's truth mask.
+    set and every candidate's flipped statement are compiled once,
+    together, with candidate ``c`` as statement ``n + c``: each flipped set
+    and its leave-one-outs are subsets of that compile.
     """
     if sc.label != CONSISTENT or any(s.kind != QA for s in sc.statements):
         raise ValueError("corrupt_qa needs a consistent QA set")
     formulas = sc.formulas()  # every statement must carry semantics
-    unflipped = CompiledFormulas(formulas, sc.context_semantics)
+    candidates = _qa_flip_candidates(sc, flips)
+    compiled = CompiledFormulas(formulas + [flipped.semantics for _, flipped in candidates], sc.context_semantics)
     valid: list[tuple[int, Statement]] = []
     n = len(sc.statements)
-    for idx, flipped in _qa_flip_candidates(sc, flips):
-        compiled = unflipped.with_statement(idx, flipped.semantics)
-        if compiled is None:
-            compiled = CompiledFormulas([*formulas[:idx], flipped.semantics, *formulas[idx + 1:]],
-                                        sc.context_semantics)
-        if compiled.satisfiable():
+    for c, (idx, flipped) in enumerate(candidates):
+        keep = [n + c if k == idx else k for k in range(n)]
+        if compiled.satisfiable(keep):
             continue
-        fixes = [j for j in range(n) if compiled.satisfiable([k for k in range(n) if k != j])]
+        fixes = [j for j in range(n) if compiled.satisfiable(keep[:j] + keep[j + 1:])]
         certified = fixes == [idx] if n >= 4 else idx in fixes
         if certified:
             valid.append((idx, flipped))

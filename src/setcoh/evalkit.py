@@ -14,7 +14,7 @@ micro-aggregated precision/recall/F1 over predicted indices.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -25,19 +25,18 @@ from .datagen import (
     INCONSISTENT,
     PROVENANCE_CLASSES,
     StatementSet,
-    compose_union,
 )
+from .datagen import compose_union  # noqa: F401 (bench/test_bench.py checks this binding)
 from .trainer import (
-    PoolExhaustedError,
     TrainerConfig,
     TrainResult,
     _base_rows,
-    _draw_partner,
+    _draw_mixture,
     base_pools,
     build_threshold_mixture,
     train,
 )
-from .verifier import LocateResult, Scorer, subset_id, verify_elementwise, verify_set
+from .verifier import EnergyScorer, LocateResult, Scorer, subset_id, verify_elementwise, verify_set
 
 
 class LengthMismatchError(ValueError):
@@ -72,44 +71,17 @@ def build_eval_mixture(
 
     Within a union all parts come from distinct atom namespaces; across
     sets the pools are reused round-robin, with partners drawn at
-    random.  Raises :class:`PoolExhaustedError` when a pool cannot
-    supply enough disjoint parts.
+    random (:func:`trainer._draw_mixture`).  Raises
+    :class:`trainer.PoolExhaustedError` when a pool cannot supply enough
+    disjoint parts.
     """
-    if per_class_count < 1:
-        raise ValueError("per_class_count must be >= 1")
     for tag in classes:
         if tag not in PROVENANCE_CLASSES:
             raise ValueError(f"unknown provenance class {tag!r}")
-    rng = random.Random(f"eval-mixture:{rng_seed}")
     (pools,) = _base_rows((base_C_pool, base_I_pool))
-    rows_of = {"C": pools.c, "I": pools.i}
-    sets: list[StatementSet] = []
-    for tag in classes:
-        empty = next((ch for ch in tag if not rows_of[ch]), None)
-        if empty is not None:
-            raise PoolExhaustedError(f"class {tag!r} needs {empty!r} base sets, and the {empty!r} pool is empty")
-        rows_first = rows_of[tag[0]]
-        for k in range(per_class_count):
-            row = rows_first[k % len(rows_first)]
-            first = pools.sets[row]
-            if len(tag) == 1:
-                sets.append(first)
-                continue
-            parts = [first]
-            taken = pools.namespaces[row]
-            for ch in tag[1:]:
-                partner = _draw_partner(rows_of[ch], pools.namespaces, taken, rng, tag, ch, first)
-                taken |= pools.namespaces[partner]
-                parts.append(pools.sets[partner])
-            # Provenance sorts C before I regardless of part order.
-            sets.append(
-                compose_union(
-                    sorted(parts, key=lambda p: p.provenance),
-                    set_id=f"mix-{tag.lower()}-{k:05d}",
-                    shuffle_seed=rng.randrange(2**31),
-                )
-            )
-    return EvalMixture(sets=tuple(sets))
+    rng = random.Random(f"eval-mixture:{rng_seed}")
+    return EvalMixture(tuple(_draw_mixture(pools, classes, per_class_count, rng,
+                                           lambda tag, k: f"mix-{tag.lower()}-{k:05d}")))
 
 
 @dataclass(frozen=True)
@@ -314,16 +286,12 @@ def ablation_report(
     per-provenance energy quartiles on a validation2 mixture and
     verification macro-F1 on a held-out 14-class test mixture.
     """
-    from dataclasses import replace as dc_replace
-
-    from .verifier import EnergyScorer
-
     test_c, test_i = base_pools(splits.test)
     test_mixture = build_eval_mixture(test_c, test_i, eval_per_class, rng_seed=config.rng_seed)
     val2_mixture = build_threshold_mixture(splits.validation2, rng_seed=config.rng_seed)
     reports = []
     for regime in regimes:
-        result: TrainResult = train(params_factory(), splits, dc_replace(config, regime=regime))
+        result: TrainResult = train(params_factory(), splits, replace(config, regime=regime))
         scorer = EnergyScorer(result.params, result.threshold.value)
         report = verification_report(scorer, test_mixture.sets, strategy="set")
         reports.append(

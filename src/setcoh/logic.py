@@ -28,7 +28,6 @@ deterministic and injective as long as atom surfaces are distinct.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -217,22 +216,6 @@ class CompiledFormulas:
         joined._component = [offsets[p] + parts[p]._component[j] for p, j in order]
         joined._masks = [parts[p]._masks[j] for p, j in order]
         return joined
-
-    def with_statement(self, index: int, statement: Formula) -> "CompiledFormulas | None":
-        """This compile with statement ``index`` replaced: one new truth mask, over that statement's component.
-
-        Returns None when ``statement`` has an atom outside the component;
-        compile the new collection afresh then.  Without the old statement
-        the component may split in two, but one table over both parts
-        decides every subset as their separate tables would.
-        """
-        columns, full = self._tables[self._component[index]]
-        if not atoms_of(statement) <= columns.keys():
-            return None
-        other = copy.copy(self)
-        other.statements = [*self.statements[:index], statement, *self.statements[index + 1:]]
-        other._masks = [*self._masks[:index], _truth_mask(statement, columns, full), *self._masks[index + 1:]]
-        return other
 
     def satisfiable(self, keep: Iterable[int] | None = None) -> bool:
         """Whether the statements at ``keep`` (default: all) and the context are jointly satisfiable."""

@@ -38,6 +38,7 @@ over serialized unions.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -124,10 +125,11 @@ class TrainerConfig:
     val_per_class: int | None = None     # threshold-mixture size per class
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name, value in (("alpha", self.alpha), ("learning_rate", self.learning_rate)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
+        if not (math.isfinite(self.l2_weight) and self.l2_weight >= 0):
+            raise ValueError(f"l2_weight must be a finite number >= 0, got {self.l2_weight}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.l2_anchor not in ("zero", "start"):
@@ -397,6 +399,37 @@ def _threshold_scan(scores: Sequence[float], labels: Sequence[str]) -> tuple[flo
     return (float("inf") if macro[-2] == best_acc else float("-inf")), best_acc, True
 
 
+def _draw_mixture(pools: _Pools, classes: Sequence[str], per_class: int | None, rng: random.Random,
+                  set_id: Callable[[str, int], str]) -> list[StatementSet]:
+    """``per_class`` sets of each class in ``classes``, in order (default: as many as the smaller pool has).
+
+    Set ``k`` of a class starts from the ``k``-th row, round robin, of the
+    pool of the tag's first letter; each further letter adds a
+    namespace-disjoint partner from its pool (:func:`_draw_partner`), and
+    a union named ``set_id(tag, k)`` then draws its shuffle seed.  Parts
+    follow the tag's letters, which sort C before I.
+    """
+    per_class = min(len(pools.c), len(pools.i)) if per_class is None else per_class
+    if per_class < 1:
+        raise ValueError("per_class_count must be >= 1")
+    sets, namespaces, rows = pools.sets, pools.namespaces, {"C": pools.c, "I": pools.i}
+    out: list[StatementSet] = []
+    for tag in classes:
+        empty = next((ch for ch in tag if not rows[ch]), None)
+        if empty is not None:
+            raise PoolExhaustedError(f"class {tag!r} needs {empty!r} base sets, and the {empty!r} pool is empty")
+        for k in range(per_class):
+            first = rows[tag[0]][k % len(rows[tag[0]])]
+            parts, taken = [sets[first]], namespaces[first]
+            for ch in tag[1:]:
+                partner = _draw_partner(rows[ch], namespaces, taken, rng, tag, ch, sets[first])
+                taken |= namespaces[partner]
+                parts.append(sets[partner])
+            out.append(parts[0] if len(parts) == 1 else
+                       compose_union(parts, set_id=set_id(tag, k), shuffle_seed=rng.randrange(2**31)))
+    return out
+
+
 def build_threshold_mixture(
     validation_sets: Sequence[StatementSet],
     rng_seed: int = 0,
@@ -406,21 +439,9 @@ def build_threshold_mixture(
     pool_c, pool_i = base_pools(validation_sets)
     if not pool_c or not pool_i:
         raise EmptyValidationError("validation split lacks one of the labels")
-    rng = random.Random(f"threshold-mixture:{rng_seed}")
     (pools,) = _base_rows((pool_c, pool_i))
-    sets, namespaces, rows = pools.sets, pools.namespaces, {"C": pools.c, "I": pools.i}
-    n = per_class or min(len(pool_c), len(pool_i))
-    out: list[StatementSet] = []
-    for tag in THRESHOLD_CLASSES_CONSISTENT + THRESHOLD_CLASSES_INCONSISTENT:
-        for k in range(n):
-            first = rows[tag[0]][k % len(rows[tag[0]])]
-            if len(tag) == 1:
-                out.append(sets[first])
-                continue
-            partner = _draw_partner(rows[tag[1]], namespaces, namespaces[first], rng, tag, tag[1], sets[first])
-            out.append(compose_union([sets[first], sets[partner]], set_id=f"thr-{tag}-{k}",
-                                     shuffle_seed=rng.randrange(2**31)))
-    return out
+    return _draw_mixture(pools, THRESHOLD_CLASSES_CONSISTENT + THRESHOLD_CLASSES_INCONSISTENT, per_class,
+                         random.Random(f"threshold-mixture:{rng_seed}"), lambda tag, k: f"thr-{tag}-{k}")
 
 
 # Sets that one validation encode gathers: one gather over a 1,000-set mixture's

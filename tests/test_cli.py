@@ -320,6 +320,18 @@ class TestExitCodes:
         assert f"error: {field} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--lr", "learning_rate", "nan"),
+        ("--lr", "learning_rate", "inf"),
+        ("--alpha", "alpha", "nan"),
+        ("--alpha", "alpha", "-inf"),
+    ])
+    def test_non_finite_rate_exit_2(self, tmp_path, qa_dir, flag, field, value, capsys):
+        out = tmp_path / "o"
+        assert run("train", "--data", qa_dir, "--out", out, f"{flag}={value}") == 2
+        assert f"error: {field} must be a positive finite number, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--dim", "0"),
         ("train", "--hidden", "0"),

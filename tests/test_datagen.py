@@ -1,6 +1,8 @@
 import itertools
 import json
+import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from setcoh.datagen import (
     MissingSemanticsError,
     NamespaceCollisionError,
     PROVENANCE_CLASSES,
+    QA_FLIPS,
     QAWorld,
     StatementSet,
     apply_rule,
@@ -32,7 +35,6 @@ from setcoh.datagen import (
 from setcoh.evalkit import build_eval_mixture
 from setcoh.logic import (
     AtomRef,
-    CompiledFormulas,
     FormulaChecker,
     FormulaSyntaxError,
     Implies,
@@ -174,21 +176,42 @@ class TestCorruptQA:
         assert out.statements[1].answer == "no"
         assert validate_with_oracle(out)
 
-    def test_swapped_compile_decides_like_a_fresh_compile(self, qa_corpus):
-        swapped = 0
-        for sc in (s for split in qa_corpus.splits().values() for s in split if s.label == "consistent"):
-            formulas, n = sc.formulas(), len(sc)
-            unflipped = CompiledFormulas(formulas, sc.context_semantics)
-            for idx, flipped in datagen._qa_flip_candidates(sc, DEFAULT_FLIPS):
-                compiled = unflipped.with_statement(idx, flipped.semantics)
-                if compiled is None:
-                    continue
-                swapped += 1
-                fresh = CompiledFormulas(formulas[:idx] + [flipped.semantics] + formulas[idx + 1:],
-                                         sc.context_semantics)
-                for keep in [None] + [[k for k in range(n) if k != j] for j in range(n)]:
-                    assert compiled.satisfiable(keep) == fresh.satisfiable(keep)
-        assert swapped
+    @staticmethod
+    def certified_flips(sc):
+        """(index, answer) of each flip of ``sc``, under every mode, that ``is_satisfiable`` certifies."""
+        formulas, context, n = sc.formulas(), list(sc.context_semantics), len(sc)
+        certified = set()
+        for idx, flipped in datagen._qa_flip_candidates(sc, QA_FLIPS):
+            statements = formulas[:idx] + [flipped.semantics] + formulas[idx + 1:]
+            if is_satisfiable(statements + context):
+                continue
+            fixes = [j for j in range(n) if is_satisfiable(statements[:j] + statements[j + 1:] + context)]
+            if (fixes == [idx]) if n >= 4 else (idx in fixes):
+                certified.add((idx, flipped.answer))
+        return certified
+
+    def test_one_compile_decides_like_is_satisfiable(self, qa_corpus):
+        sets = [s for split in (qa_corpus.validation1, qa_corpus.validation2, qa_corpus.test)
+                for s in split if s.label == "consistent"]
+        # Without the worlds' exclusivity axioms, an open-replace flip's atom lies outside statement 0's component.
+        sets += [replace(gen_qa_set(gen_qa_world(500 + k, 1 + k % 4)), context_semantics=()) for k in range(12)]
+        modes = [flips for r in range(len(QA_FLIPS) + 1) for flips in itertools.combinations(QA_FLIPS, r)]
+        outcomes = set()
+        for sc in sets:
+            certified = self.certified_flips(sc)
+            for flips in modes:
+                valid = [(i, f) for i, f in datagen._qa_flip_candidates(sc, flips) if (i, f.answer) in certified]
+                for seed in range(3):
+                    outcomes.add(bool(valid))
+                    if not valid:
+                        with pytest.raises(datagen.GenerationError, match="no certified flip"):
+                            corrupt_qa(sc, seed, flips)
+                        continue
+                    idx, flipped = valid[random.Random(f"qa-flip:{seed}").randrange(len(valid))]
+                    out = corrupt_qa(sc, seed, flips)
+                    assert out.gold_inconsistent_indices == (idx,)
+                    assert out.statements == [*sc.statements[:idx], flipped, *sc.statements[idx + 1:]]
+        assert outcomes == {False, True}
 
     def test_requires_consistent_qa_set(self):
         sc = gen_qa_set(desk_world(("pink", "teal")))

@@ -205,19 +205,6 @@ def test_compiled_unsatisfiable_context_fails_every_subset():
     assert compiled.satisfiable([]) is False
 
 
-def test_with_statement_swaps_one_mask_within_its_component():
-    compiled = CompiledFormulas([Or(P, Q), Not(P), H])
-    swapped = compiled.with_statement(1, Not(Q))
-    assert swapped.statements == [Or(P, Q), Not(Q), H]
-    assert compiled.statements == [Or(P, Q), Not(P), H]     # the original compile is unchanged
-    for keep in ([0, 1], [1], [0, 1, 2]):
-        assert swapped.satisfiable(keep) == CompiledFormulas(swapped.statements).satisfiable(keep)
-    assert not compiled.with_statement(1, Not(Or(P, Q))).satisfiable()
-    # An atom outside statement 1's component: the caller compiles afresh.
-    assert compiled.with_statement(1, Not(H)) is None
-    assert compiled.with_statement(1, AtomRef("r")) is None
-
-
 @settings(max_examples=100, deadline=None)
 @given(formula_strategy, formula_strategy, st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
 def test_material_implication_equivalence(a, b, bits):

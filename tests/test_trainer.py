@@ -215,6 +215,10 @@ class TestThresholdScan:
         tags = {s.provenance for s in mixture}
         assert tags == {"C", "CC", "I", "CI", "II"}
 
+    def test_threshold_mixture_rejects_zero_per_class(self, small_qa_corpus):
+        with pytest.raises(ValueError, match="per_class_count must be >= 1"):
+            build_threshold_mixture(small_qa_corpus.validation1, per_class=0)
+
 
 class TestTraining:
     def test_single_sgd_step_decreases_active_hinge(self, small_qa_corpus):
@@ -342,6 +346,16 @@ def test_trainer_config_validation():
     for field in ("epochs", "batch_size", "pairs_per_epoch", "val_per_class"):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             TrainerConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("alpha", math.inf), ("alpha", -math.inf),
+    ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ("l2_weight", math.nan), ("l2_weight", math.inf), ("l2_weight", -1e-5),
+])
+def test_a_non_finite_or_negative_rate_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a .*, got {value}"):
+        TrainerConfig(**{field: value})
 
 
 @pytest.mark.parametrize("anchor", ["strat", "", "Start", None])
