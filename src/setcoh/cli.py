@@ -212,18 +212,23 @@ def _check_positive(args: argparse.Namespace, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
 
 
+def _trainer_config(args: argparse.Namespace, **dests: str) -> TrainerConfig:
+    """The TrainerConfig of ``--seed`` and of each field in ``dests`` from the flag that argparse stores as its dest.
+
+    A bad value exits 2 through ValueError: TrainerConfig's message, naming the flag in place of the field.
+    """
+    for field, dest in dests.items():
+        try:
+            TrainerConfig(**{field: getattr(args, dest)})
+        except ValueError as exc:
+            raise ValueError(str(exc).replace(field, f"--{dest.replace('_', '-')}", 1)) from None
+    return TrainerConfig(rng_seed=args.seed, **{field: getattr(args, dest) for field, dest in dests.items()})
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     _check_positive(args, "dim", "hidden")
-    config = TrainerConfig(
-        alpha=args.alpha,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        regime=args.regime,
-        rng_seed=args.seed,
-        pairs_per_epoch=args.pairs_per_epoch,
-        val_per_class=args.val_per_class,
-    )
+    config = _trainer_config(args, alpha="alpha", learning_rate="lr", epochs="epochs", batch_size="batch_size",
+                             regime="regime", pairs_per_epoch="pairs_per_epoch", val_per_class="val_per_class")
     out = _write_snapshot(args)
     corpus = load_corpus(Path(args.data))
     vocab = build_vocabulary(_split_sets(corpus, "train"))
@@ -374,12 +379,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     for name in regimes:
         if name not in trainer.REGIMES:
             raise ValueError(f"--regimes must name regimes from {', '.join(sorted(trainer.REGIMES))}, got {name!r}")
-    config = TrainerConfig(
-        epochs=args.epochs,
-        rng_seed=args.seed,
-        pairs_per_epoch=args.pairs_per_epoch,
-        val_per_class=args.val_per_class,
-    )
+    config = _trainer_config(args, epochs="epochs", pairs_per_epoch="pairs_per_epoch", val_per_class="val_per_class")
     out = _write_snapshot(args)
     corpus = load_corpus(Path(args.data))
     vocab = build_vocabulary(_split_sets(corpus, "train"))

@@ -53,12 +53,6 @@ class EvalMixture:
 
     sets: tuple[StatementSet, ...]
 
-    def classes(self) -> dict[str, list[StatementSet]]:
-        out: dict[str, list[StatementSet]] = {tag: [] for tag in PROVENANCE_CLASSES}
-        for s in self.sets:
-            out[s.provenance].append(s)
-        return out
-
 
 def build_eval_mixture(
     base_C_pool: Sequence[StatementSet],

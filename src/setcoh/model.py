@@ -16,12 +16,14 @@ therefore never build the stream.  Each vocabulary keeps one
 text it has met, each text tokenized once; the counts of any subset of
 a set, or of a training side (a set or a union), are CLS plus the sum
 of its statements' rows, from one counting routine
-(:meth:`StatementTable.count`).  Only this module reads the table's arrays.
+(:meth:`StatementTable.count`), as one row of a dense (streams, V) float
+array.  Only this module reads the table's arrays.
 
-:func:`encode` runs the forward pass for a whole batch of streams
-(:meth:`StatementTable.subsets` for subsets of one set,
-``trainer.CountsCache`` for training sides) and gives the same bits as
-:func:`forward` on each; training and the model scorers both call it.
+:func:`encode`, the one place that finds a batch's nonzero cells, runs the
+forward pass for a whole batch of streams (:meth:`StatementTable.subsets`
+for subsets of one set, ``trainer.CountsCache`` for training sides) and
+gives the same bits as :func:`forward` on each; training and the model
+scorers both call it.
 :data:`HEADS` maps each threshold source (``"energy"``,
 ``"inconsistent-softmax"``) to its head's score of ``encode``'s hidden
 rows; training, the scorers and the CLI look heads up there.  The
@@ -41,7 +43,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -217,19 +219,6 @@ class TokenCounts:
         return TokenCounts(ids=ids, counts=hist[ids].astype(np.float64), total=len(t.tokens))
 
 
-class BatchCounts(NamedTuple):
-    """Token counts of several streams, flat: stream ``r`` owns ``ids[bounds[r]:bounds[r + 1]]``."""
-
-    ids: np.ndarray
-    counts: np.ndarray
-    bounds: np.ndarray
-    totals: np.ndarray                   # stream lengths, as floats
-
-    def side(self, r: int) -> TokenCounts:
-        a, b = self.bounds[r], self.bounds[r + 1]
-        return TokenCounts(self.ids[a:b], self.counts[a:b], int(self.totals[r]))
-
-
 def csr_ranges(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions ``offsets[r]:offsets[r + 1]`` of each of ``rows``, concatenated, and each row's length."""
     starts = offsets[rows]
@@ -272,23 +261,21 @@ class StatementTable:
             self._add(list(dict.fromkeys(new)))
         return np.fromiter(map(self._row.__getitem__, texts), dtype=np.int64, count=len(texts))
 
-    def count(self, rows: np.ndarray, owners: np.ndarray, n: int) -> BatchCounts:
-        """CLS plus the counts of the ``rows`` that each of the ``n`` streams owns.
+    def count(self, rows: np.ndarray, owners: np.ndarray, n: int) -> np.ndarray:
+        """CLS plus the counts of the ``rows`` that each of the ``n`` streams owns, as (n, V) floats.
 
         One ``bincount`` over the rows' cells.  The counts are integers, so
-        any summation order gives the same floats: a stream's ids, counts
-        and total equal :meth:`TokenCounts.of` on its serialized stream.
+        any summation order gives the same floats: a row's nonzero ids, their
+        counts and its sum equal :meth:`TokenCounts.of` on its serialized stream.
         """
         v = self.vocab_size
         cells, lengths = csr_ranges(self.offsets, rows)
         dense = np.bincount(np.repeat(owners * v, lengths) + self.flat_ids[cells], self.flat_counts[cells],
                             minlength=n * v).reshape(n, v)
         dense[:, CLS_INDEX] += 1
-        nonzero = np.flatnonzero(dense != 0)     # on the float array itself, about 3x slower
-        bounds = np.searchsorted(nonzero // v, np.arange(n + 1))
-        return BatchCounts(nonzero % v, dense.ravel()[nonzero], bounds, dense.sum(axis=1))
+        return dense
 
-    def subsets(self, rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> BatchCounts:
+    def subsets(self, rows: np.ndarray, keeps: Sequence[Sequence[int]]) -> np.ndarray:
         """Counts of CLS plus each kept subset of the statements whose rows are ``rows``."""
         owners = np.repeat(np.arange(len(keeps)), [len(keep) for keep in keeps])
         kept = rows[np.fromiter(chain.from_iterable(keeps), dtype=np.intp, count=len(owners))]
@@ -351,19 +338,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-def encode(params: ModelParams, streams: BatchCounts) -> Activations:
-    """Stacked :func:`forward` of each stream, bit-identical to it stream by stream.
+def encode(params: ModelParams, counts: np.ndarray) -> Activations:
+    """Stacked :func:`forward` of each row of the (streams, V) ``counts``, bit-identical to it row by row.
 
-    Only ``counts @ emb[ids]`` runs per stream, over one gather of ``emb``,
-    as ``counts.dot(rows)``: the same gemv as ``@`` with less dispatch.  A
-    stacked ``np.matmul`` calls the same BLAS routine once per row, where
-    one dense (B, V) @ (V, d) gemm or a gather padded to a common length
-    would sum in another order.
+    Only ``counts @ emb[ids]`` runs per stream, over its nonzero ids in
+    ascending order and one gather of ``emb``, as ``counts.dot(rows)``: the
+    same gemv as ``@`` with less dispatch.  A stacked ``np.matmul`` calls
+    the same BLAS routine once per row, where one dense (B, V) @ (V, d)
+    gemm or a gather padded to a common length would sum in another order.
     """
-    rows, counts, b = params.emb[streams.ids], streams.counts, streams.bounds.tolist()
-    pooled = np.array([counts[b[r]:b[r + 1]].dot(rows[b[r]:b[r + 1]]) for r in range(len(b) - 1)])
-    pooled = pooled.reshape(len(b) - 1, params.emb.shape[1])   # (0, d) for an empty batch
-    pooled /= streams.totals[:, None]
+    n, v = counts.shape
+    nonzero = np.flatnonzero(counts != 0)    # on the float array itself, about 3x slower
+    rows, cells = params.emb[nonzero % v], counts.ravel()[nonzero]
+    b = np.searchsorted(nonzero // v, np.arange(n + 1)).tolist()
+    pooled = np.array([cells[b[r]:b[r + 1]].dot(rows[b[r]:b[r + 1]]) for r in range(n)])
+    pooled = pooled.reshape(n, params.emb.shape[1])   # (0, d) for an empty batch
+    pooled /= counts.sum(axis=1)[:, None]
     hidden = np.tanh(np.matmul(pooled[:, None, :], params.w_hidden)[:, 0] + params.b_hidden)
     return pooled, hidden
 

@@ -23,9 +23,10 @@ side (a set, or the union of two) by the rows of its parts in one
 table.  A side's counts are CLS plus its parts' statement rows, from
 the table's one counting routine.  :func:`_compile` works out,
 ``_CHUNK`` batches at a time, all of a batch that no parameter changes:
-its distinct sides and their counts (one ``np.unique`` and one
-``bincount`` per chunk), the tokens they touch and a dense (sides x
-tokens) block of count / total weights.  A step then runs only
+its distinct sides as rows of one dense (sides x vocabulary) count
+array (one ``np.unique`` and one ``bincount`` per chunk), the tokens
+they touch (its nonzero columns) and a dense (sides x tokens) block of
+count / total weights.  A step then runs only
 parameter math: stacked arrays through :func:`model.encode`, the
 forward the scorers use too (one ``counts.dot(emb[ids])`` product per
 distinct set, everything else once per batch), and a backward pass
@@ -53,7 +54,6 @@ from .datagen import (
 )
 from .model import (
     HEADS,
-    BatchCounts,
     ModelParams,
     TokenCounts,
     Vocabulary,
@@ -193,8 +193,8 @@ class TrainResult:
 
 def hinge_loss(e_more_consistent: float, e_less_consistent: float, alpha: float) -> float:
     """``max(e_more - e_less + alpha, 0)``: zero once the margin is satisfied."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a positive finite number, got {alpha}")
     return max(e_more_consistent - e_less_consistent + alpha, 0.0)
 
 
@@ -220,7 +220,7 @@ class CountsCache:
     """
 
     def __init__(self, vocab: Vocabulary, sets: Sequence[StatementSet]) -> None:
-        self.table, self.vocab_size = vocab.table, len(vocab)
+        self.table = vocab.table
         self.rows = np.concatenate([np.empty(0, dtype=np.int64)] + [
             vocab.table.rows([st for s in sets[start : start + _BLOCK] for st in s.statements])
             for start in range(0, len(sets), _BLOCK)])
@@ -229,10 +229,11 @@ class CountsCache:
     def counts(self, rows: Sequence[int]) -> TokenCounts:
         """Token counts of the serialized union of the sets at ``rows`` (CLS included); the tests' reference."""
         at, _ = csr_ranges(self.offsets, np.asarray(rows, dtype=np.int64))
-        return self.table.count(self.rows[at], np.zeros(len(at), dtype=np.int64), 1).side(0)
+        (hist,) = self.table.count(self.rows[at], np.zeros(len(at), dtype=np.int64), 1)
+        return TokenCounts(np.flatnonzero(hist), hist[hist != 0], int(hist.sum()))
 
-    def batch(self, sides: np.ndarray) -> BatchCounts:
-        """:meth:`counts` of each side, given by its key, from one count over its parts' statement rows."""
+    def batch(self, sides: np.ndarray) -> np.ndarray:
+        """(sides, V) :meth:`counts` of each side, given by its key, from one count over its parts' statement rows."""
         first, second = np.divmod(sides, _PART)
         union = np.flatnonzero(second)
         at, lengths = csr_ranges(self.offsets, np.concatenate([first, second[union] - 1]))
@@ -444,16 +445,17 @@ def build_threshold_mixture(
                          random.Random(f"threshold-mixture:{rng_seed}"), lambda tag, k: f"thr-{tag}-{k}")
 
 
-# Sets that one validation encode gathers: one gather over a 1,000-set mixture's
-# rows adds 18 MB of peak RSS.  encode gives each stream the same bits whatever the batch.
+# Sets that one validation encode gathers: one gather over a 1,000-set mixture's rows adds
+# 18 MB of peak RSS; keeping every batch's counts for a run added 0.6 MB (QA) and 1.9 MB
+# (SNLI) to the README trains'.  encode gives each stream the same bits whatever the batch.
 _SCORE_BATCH = 32
 
 
 def _scorer(vocab: Vocabulary, sets: Sequence[StatementSet], source: str) -> Callable[[ModelParams], list[float]]:
-    """A function from parameters to the ``HEADS[source]`` score of each of ``sets``, counted once."""
+    """A function from parameters to the ``HEADS[source]`` score of each of ``sets``, each batch counted anew."""
     table, keys, head = CountsCache(vocab, sets), np.arange(len(sets)) * _PART, HEADS[source]
-    batches = [table.batch(keys[start : start + _SCORE_BATCH]) for start in range(0, len(sets), _SCORE_BATCH)]
-    return lambda params: [x for counts in batches for x in head(params, encode(params, counts)[1]).tolist()]
+    return lambda params: [x for start in range(0, len(sets), _SCORE_BATCH) for x in
+                           head(params, encode(params, table.batch(keys[start : start + _SCORE_BATCH]))[1]).tolist()]
 
 
 def learn_threshold(params: ModelParams, validation_sets: Sequence[StatementSet],
@@ -552,9 +554,9 @@ def _in_order(values: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, values))[-1])
 
 
-# Batches compiled at a time.  A chunk counts its distinct sides through one
-# (sides x vocabulary) array and keeps every batch's weight block until the
-# chunk's last step.  On the desk pipelines, compiling whole epochs raised
+# Batches compiled at a time.  A chunk counts its distinct sides into one
+# (sides x vocabulary) array and keeps it and every batch's weight block until
+# the chunk's last step.  On the desk pipelines, compiling whole epochs raised
 # peak RSS by 14-21 MB, chunks of 16 batches by 0.8-2.0 MB and chunks of 8
 # by at most 0.4 MB, for about 4% more training time than 16.
 _CHUNK = 8
@@ -563,7 +565,7 @@ _CHUNK = 8
 class _Step(NamedTuple):
     """A batch compiled from an epoch's examples: all its step reads that no parameter changes."""
 
-    counts: BatchCounts                  # its distinct sides, in ascending key order
+    counts: np.ndarray                   # (sides, V) counts of its distinct sides, in ascending key order
     at: np.ndarray                       # each example's side(s), as rows of ``counts``
     labels: np.ndarray | None            # cross-entropy labels
     touched: np.ndarray                  # ascending ids of the tokens its sides hold
@@ -575,41 +577,29 @@ def _compile(table: CountsCache, examples: _Examples, batch_size: int) -> Iterat
 
     A chunk finds its distinct (batch, side) pairs with one ``np.unique``
     and counts them with one :meth:`CountsCache.batch`.  Each side is
-    counted on its own, so a batch's slice equals the count of its own
-    ``np.unique(sides)``; one more ``np.unique`` over (batch, token) gives
-    each batch's touched tokens and places every cell in its weight block.
+    counted on its own, so a batch's rows equal the count of its own
+    ``np.unique(sides)``; its touched tokens are the nonzero columns of
+    those rows, and its weight block their counts over the rows' sums.
     """
-    v = table.vocab_size
     for start in range(0, len(examples.sides), batch_size * _CHUNK):
         sides = examples.sides[start : start + batch_size * _CHUNK]
         n_batches = -(-len(sides) // batch_size)
         keys, rank = np.unique(sides, return_inverse=True)
         batch_of = np.arange(sides.size) // (sides.size // len(sides) * batch_size)    # per side, row-major
         pairs, at = np.unique(batch_of * len(keys) + rank.ravel(), return_inverse=True)
-        side_batch = pairs // len(keys)
         counts = table.batch(keys[pairs % len(keys)])
-        lengths = np.diff(counts.bounds)
-        cell_batch = np.repeat(side_batch, lengths)
-        tokens, column = np.unique(cell_batch * v + counts.ids, return_inverse=True)
-        side_start = np.searchsorted(side_batch, np.arange(n_batches + 1))
-        token_start = np.searchsorted(tokens // v, np.arange(n_batches + 1))
-        n_tokens = np.diff(token_start)
-        block_start = np.append(0, np.cumsum(np.diff(side_start) * n_tokens))
-        side_row = np.repeat(np.arange(len(pairs)) - side_start[side_batch], lengths)
-        weights = np.zeros(block_start[-1])
-        weights[block_start[cell_batch] + side_row * n_tokens[cell_batch] + column - token_start[cell_batch]] = (
-            counts.counts / np.repeat(counts.totals, lengths))
+        side_start = np.searchsorted(pairs // len(keys), np.arange(n_batches + 1))
         at = at.reshape(sides.shape)
         for b, (s0, s1) in enumerate(zip(side_start[:-1].tolist(), side_start[1:].tolist())):
-            first, last = counts.bounds[s0], counts.bounds[s1]
+            block = counts[s0:s1]
+            touched = np.flatnonzero(block.any(axis=0))
             lo, hi = b * batch_size, (b + 1) * batch_size
             yield _Step(
-                BatchCounts(counts.ids[first:last], counts.counts[first:last],
-                            counts.bounds[s0 : s1 + 1] - first, counts.totals[s0:s1]),
+                block,
                 at[lo:hi] - s0,
                 None if examples.labels is None else examples.labels[start + lo : start + hi],
-                tokens[token_start[b] : token_start[b + 1]] % v,
-                weights[block_start[b] : block_start[b + 1]].reshape(s1 - s0, -1),
+                touched,
+                block[:, touched] / block.sum(axis=1)[:, None],
             )
 
 

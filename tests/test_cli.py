@@ -312,12 +312,13 @@ class TestExitCodes:
         ("train", "--pairs-per-epoch", "0"),
         ("train", "--val-per-class", "0"),
         ("ablate", "--epochs", "0"),
+        ("ablate", "--pairs-per-epoch", "0"),
+        ("ablate", "--val-per-class", "-2"),
     ])
     def test_training_setting_below_1_exit_2(self, tmp_path, qa_dir, command, flag, value, capsys):
         out = tmp_path / "o"
         assert run(command, "--data", qa_dir, "--out", out, flag, value) == 2
-        field = flag[2:].replace("-", "_")
-        assert f"error: {field} must be >= 1, got {value}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, field, value", [
@@ -329,7 +330,9 @@ class TestExitCodes:
     def test_non_finite_rate_exit_2(self, tmp_path, qa_dir, flag, field, value, capsys):
         out = tmp_path / "o"
         assert run("train", "--data", qa_dir, "--out", out, f"{flag}={value}") == 2
-        assert f"error: {field} must be a positive finite number, got {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be a positive finite number, got {value}\n"
+        assert not err.startswith(f"error: {field} ")       # the flag, not TrainerConfig's field
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -596,7 +599,6 @@ def test_no_command_calls_the_reference_layer(tmp_path, monkeypatch, small_qa_co
                 if value is original:
                     monkeypatch.setattr(module, bound, refuse(f"model.{name}"))
     monkeypatch.setattr(model.TokenCounts, "of", staticmethod(refuse("TokenCounts.of")))
-    monkeypatch.setattr(model.BatchCounts, "side", refuse("BatchCounts.side"))
     monkeypatch.setattr(trainer.CountsCache, "counts", refuse("CountsCache.counts"))
 
     corpus = small_qa_corpus

@@ -45,7 +45,7 @@ class TestMixture:
         for size in range(1, 5):
             for combo in itertools.combinations_with_replacement("CI", size):
                 expected.add("".join(sorted(combo)))
-        assert set(qa_mixture.classes()) == expected
+        assert {s.provenance for s in qa_mixture.sets} == expected
 
     def test_labels_derive_from_provenance(self, qa_mixture):
         for s in qa_mixture.sets:

@@ -125,6 +125,12 @@ def test_permutation_invariance_is_exact(qa_pair_set, vocab):
     assert len(energies) == 1
 
 
+def test_encode_of_no_streams_is_empty(vocab):
+    pooled, hidden = model.encode(ModelParams.init(vocab, d=6, h=5), np.zeros((0, len(vocab))))
+    assert pooled.shape == (0, 6) and hidden.shape == (0, 5)
+    assert pooled.dtype == hidden.dtype == np.float64
+
+
 def test_zero_params_softmax_is_uniform(qa_pair_set, vocab):
     params = _zero_params(vocab, d=6, h=5)
     logits = binary_logits(params, serialize_set(vocab, qa_pair_set, 0))

@@ -38,7 +38,7 @@ from setcoh.verifier import (
     verify_elementwise,
     verify_set,
 )
-from token_reference import assert_batches_equal, count_rows, subset_counts
+from token_reference import assert_batches_equal, assert_row_is, count_rows, subset_counts
 
 
 class Hidden:
@@ -85,11 +85,7 @@ def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
             subset = _copy(s, keep)
             # The old scoring path: a shuffled stream seeded from the subset's id.
             t = serialize_set(params.vocab, subset, zlib.crc32(subset.id.encode("utf-8")))
-            reference, counts = TokenCounts.of(t, len(params.vocab)), batch.side(r)
-            assert np.array_equal(counts.ids, reference.ids) and counts.ids.dtype == reference.ids.dtype
-            assert np.array_equal(counts.counts, reference.counts)
-            assert counts.counts.dtype == reference.counts.dtype and counts.total == reference.total
-            assert batch.totals[r] == reference.total
+            assert_row_is(batch[r], TokenCounts.of(t, len(params.vocab)))
             assert e == energy(params, t)
             assert p == float(softmax(binary_logits(params, t))[1])
     for s in corpus.train:

@@ -52,7 +52,7 @@ from setcoh.trainer import (
     train,
     train_binary,
 )
-from token_reference import assert_batches_equal, count_rows, subset_counts
+from token_reference import assert_batches_equal, assert_row_is, count_rows, subset_counts
 
 
 def _rows(sets, parts):
@@ -72,9 +72,10 @@ class TestHinge:
         for x in (-3.0, 0.0, 17.5):
             assert hinge_loss(x, x, 0.01) == pytest.approx(0.01)
 
-    def test_rejects_nonpositive_margin(self):
-        with pytest.raises(ValueError):
-            hinge_loss(0.0, 0.0, 0.0)
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_nonpositive_margin(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+            hinge_loss(0.0, 0.0, alpha)
 
 
 class TestContrastKinds:
@@ -700,13 +701,11 @@ class TestTrainingInputs:
         assert {len(parts) for parts in sides} == {1, 2}
         cache = CountsCache(vocab, rows.sets)
         batch = cache.batch(keys)
+        assert batch.shape == (len(keys), len(vocab))
         for r, parts in enumerate(sides):
-            got = batch.side(r)
             union = parts[0] if len(parts) == 1 else compose_union(parts)
             for want in (cache.counts(_rows(rows.sets, parts)), _ref_counts(vocab, union)):
-                assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
-                assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
-                assert got.total == want.total
+                assert_row_is(batch[r], want)
 
     def test_counts_cache_equals_a_per_set_tokenization_pass(self, small_qa_corpus):
         (rows,) = _base_rows(pools(small_qa_corpus.train))
@@ -716,10 +715,8 @@ class TestTrainingInputs:
         batch = cache.batch(keys)
         for r, key in enumerate(keys.tolist()):
             statements = [st for part in _parts(rows.sets, key) for st in part.statements]
-            got, want = batch.side(r), subset_counts(count_rows(vocab, statements), [range(len(statements))]).side(0)
-            assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
-            assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
-            assert got.total == want.total
+            want = subset_counts(count_rows(vocab, statements), [range(len(statements))])
+            assert_batches_equal(batch[r : r + 1], want)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_counts_cache_blocks_change_no_count(self, small_qa_corpus, monkeypatch, block):
@@ -745,20 +742,21 @@ class TestTrainingInputs:
 
 
 def _ref_backprop(params, grads, sides, pooled, hidden, calls, d_hidden):
-    """Reference for ``_backprop`` from a batch's own counts: the embedding rows as one weighted
+    """Reference for ``_backprop`` from a batch's own (sides, V) counts: the embedding rows as one weighted
     ``bincount`` over (rows x d) cells, which adds its weights in the order given."""
     h = hidden[calls]
     d_pre = (1.0 - h * h) * d_hidden
     grads["b_hidden"][...] = d_pre.sum(axis=0)
     grads["w_hidden"][...] = np.einsum("ci,cj->ij", pooled[calls], d_pre)
     d_pooled = np.matmul(params.w_hidden, d_pre[:, :, None])[:, :, 0]
-    lengths = np.diff(sides.bounds)
-    per_call = lengths[calls]
-    rows = np.arange(per_call.sum()) + np.repeat(sides.bounds[calls] - np.cumsum(per_call) + per_call, per_call)
+    side, ids = np.nonzero(sides)                # side by side, each side's ids ascending
+    bounds = np.searchsorted(side, np.arange(len(sides) + 1))
+    per_call = np.diff(bounds)[calls]
+    rows = np.arange(per_call.sum()) + np.repeat(bounds[calls] - np.cumsum(per_call) + per_call, per_call)
     d = d_pooled.shape[1]
-    cells = sides.ids[rows][:, None] * d + np.arange(d)
+    cells = ids[rows][:, None] * d + np.arange(d)
     terms = d_pooled[np.repeat(np.arange(len(calls)), per_call)]
-    terms *= (sides.counts / np.repeat(sides.totals, lengths))[rows, None]
+    terms *= (sides[side, ids] / sides.sum(axis=1)[side])[rows, None]
     emb = grads["emb"]
     emb[...] = np.bincount(cells.ravel(), terms.ravel(), minlength=emb.size).reshape(emb.shape)
 
@@ -807,8 +805,13 @@ class TestCompiledEpochs:
                 sides = examples.sides[batch]
                 keys, at = np.unique(sides, return_inverse=True)
                 want = table.batch(keys)
-                for got_array, want_array in zip(step.counts, want):
-                    assert got_array.dtype == want_array.dtype and np.array_equal(got_array, want_array)
+                assert_batches_equal(step.counts, want)
+                side, ids = np.nonzero(want)
+                touched = np.unique(ids)
+                weights = np.zeros((len(want), len(touched)))
+                weights[side, np.searchsorted(touched, ids)] = want[side, ids] / want.sum(axis=1)[side]
+                assert_batches_equal(step.touched, touched)
+                assert_batches_equal(step.weights, weights)
                 assert np.array_equal(step.at, at.reshape(sides.shape))
                 if examples.labels is None:
                     assert step.labels is None

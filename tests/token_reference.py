@@ -9,7 +9,7 @@ from itertools import chain
 
 import numpy as np
 
-from setcoh.model import CLS_INDEX, BatchCounts, statement_text, tokenize
+from setcoh.model import CLS_INDEX, statement_text, tokenize
 
 
 def count_rows(vocab, statements):
@@ -22,19 +22,27 @@ def count_rows(vocab, statements):
 
 
 def subset_counts(rows, keeps):
-    """Counts of CLS plus each kept subset of the statements whose :func:`count_rows` are ``rows``."""
-    b, v = len(keeps), rows.shape[1]
+    """(len(keeps), V) counts of CLS plus each kept subset of the statements whose :func:`count_rows` are ``rows``."""
+    b = len(keeps)
     mask = np.zeros((b, len(rows)))
     mask[np.repeat(np.arange(b), [len(keep) for keep in keeps]),
          np.fromiter(chain.from_iterable(keeps), dtype=np.intp)] = 1.0
     dense = mask @ rows
     dense[:, CLS_INDEX] += 1.0
-    cells = np.flatnonzero(dense)
-    bounds = np.searchsorted(cells // v, np.arange(b + 1))
-    return BatchCounts(cells % v, dense.ravel()[cells], bounds, dense.sum(axis=1))
+    return dense
 
 
 def assert_batches_equal(got, want):
-    """Equal ids, counts, bounds and totals, in value and dtype."""
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    """Equal arrays in dtype, shape and value: dense count arrays, or what a step derives from them."""
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+def assert_row_is(row, tc):
+    """A row of a dense count array equals the dense histogram of the reference :class:`TokenCounts` ``tc``.
+
+    Equal in value and dtype, and summing to ``tc.total``.
+    """
+    hist = np.zeros(len(row), dtype=tc.counts.dtype)
+    hist[tc.ids] = tc.counts
+    assert row.dtype == hist.dtype and np.array_equal(row, hist)
+    assert row.sum() == tc.total
