@@ -15,41 +15,31 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__, evalkit, trainer, verifier
 from .datagen import (
     DEFAULT_FLIPS,
     DatasetSplit,
     GenConfig,
-    GenerationError,
     MalformedRecordError,
-    MissingSemanticsError,
     SPLIT_NAMES,
     StatementSet,
     build_splits,
     load_jsonl,
     save_jsonl,
 )
-from .logic import AtomBudgetError
+from .logic import DataError
 from .model import (
     EMBED_DIM,
     HEADS,
     HIDDEN_DIM,
-    CorruptFileError,
     ModelParams,
-    VersionMismatchError,
     build_vocabulary,
     load_params,
     save_params,
 )
-from .trainer import (
-    EmptyValidationError,
-    NotABaseSetError,
-    PoolExhaustedError,
-    TrainerConfig,
-    TrainingDivergedError,
-    Threshold,
-)
+from .trainer import TrainerConfig, TrainingDivergedError, Threshold
 
 DATA_FILE = "data.jsonl"
 MODEL_FILE = "model.bin"
@@ -60,24 +50,6 @@ SNAPSHOT_FILE = "config.snapshot"
 # Classes whose union contains at most one corrupted part; the locate
 # default, where the gold index set has at most one element per set.
 SINGLE_GOLD_CLASSES = ("C", "I", "CC", "CI", "CCC", "CCI", "CCCC", "CCCI")
-
-_DATA_ERRORS = (
-    OSError,
-    MalformedRecordError,
-    MissingSemanticsError,
-    GenerationError,
-    CorruptFileError,
-    VersionMismatchError,
-    EmptyValidationError,
-    NotABaseSetError,
-    PoolExhaustedError,
-    evalkit.MissingGoldError,
-    evalkit.LengthMismatchError,
-    verifier.UnknownSetIdError,
-    verifier.MalformedScoreFileError,
-    AtomBudgetError,
-)
-
 
 def _default_seed() -> int:
     return int(os.environ.get("SETCOH_SEED", "0"))
@@ -106,24 +78,25 @@ def _write_summary(out: Path, payload: dict) -> None:
 
 def load_corpus(data_dir: Path) -> DatasetSplit:
     """Rebuild the four splits from data.jsonl via the id prefix convention."""
-    sets = load_jsonl(data_dir / DATA_FILE)
     split = DatasetSplit()
     buckets = split.splits()
-    for s in sets:
+
+    def file_under_split(s: StatementSet) -> None:
         prefix = s.id.split("-", 1)[0]
         if prefix not in buckets:
-            raise MalformedRecordError(
-                f"set id {s.id!r} does not start with a split name ({'/'.join(SPLIT_NAMES)})"
-            )
+            raise MalformedRecordError(f"set id {s.id!r} does not start with a split name ({'/'.join(SPLIT_NAMES)})")
         buckets[prefix].append(s)
+
+    load_jsonl(data_dir / DATA_FILE, file_under_split)
     return split
 
 
-def _split_sets(corpus: DatasetSplit, name: str) -> list[StatementSet]:
-    sets = corpus.splits()[name]
-    if not sets:
-        raise MalformedRecordError(f"split {name!r} is empty")
-    return sets
+def _load_split(args: argparse.Namespace, name: str) -> tuple[DatasetSplit, list[StatementSet]]:
+    """The :func:`load_corpus` of ``--data`` and its split ``name``, which must not be empty."""
+    corpus = load_corpus(Path(args.data))
+    if not corpus.splits()[name]:
+        raise MalformedRecordError(f"{Path(args.data) / DATA_FILE}: split {name!r} is empty")
+    return corpus, corpus.splits()[name]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -230,9 +203,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _trainer_config(args, alpha="alpha", learning_rate="lr", epochs="epochs", batch_size="batch_size",
                              regime="regime", pairs_per_epoch="pairs_per_epoch", val_per_class="val_per_class")
     out = _write_snapshot(args)
-    corpus = load_corpus(Path(args.data))
-    vocab = build_vocabulary(_split_sets(corpus, "train"))
-    params = ModelParams.init(vocab, d=args.dim, h=args.hidden, seed=args.seed)
+    corpus, train_sets = _load_split(args, "train")
+    params = ModelParams.init(build_vocabulary(train_sets), d=args.dim, h=args.hidden, seed=args.seed)
     if args.arch == "energy":
         result = trainer.train(params, corpus, config)
         save_params(result.params, out / MODEL_FILE)
@@ -283,9 +255,9 @@ def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES
     """
     _check_positive(args, "mixture_per_class")
     out = _write_snapshot(args)
-    corpus = load_corpus(Path(args.data))
+    _, sets = _load_split(args, args.split)
     scorer = resolve_scorer(args.scorer, args.threshold_file)
-    base_c, base_i = trainer.base_pools(_split_sets(corpus, args.split))
+    base_c, base_i = trainer.base_pools(sets)
     mixture = evalkit.build_eval_mixture(
         [s for s in base_c if len(s) >= min_size], [s for s in base_i if len(s) >= min_size],
         args.mixture_per_class, rng_seed=args.seed, classes=classes,
@@ -326,11 +298,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    classes = args.classes.split(",")
-    for tag in classes:
-        if tag not in evalkit.PROVENANCE_CLASSES:
-            raise ValueError(f"--classes must name classes from {', '.join(evalkit.PROVENANCE_CLASSES)}, "
-                             f"got {tag!r}")
+    classes = _entries(args, "classes", evalkit.PROVENANCE_CLASSES)
+    if args.min_size < 0:
+        raise ValueError(f"--min-size must be >= 0, got {args.min_size}")
     out, scorer, mixture = _scored_mixture(args, classes, args.min_size)
     results = []
     for s in mixture.sets:
@@ -351,7 +321,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = [_grid_value(text) for text in args.mtr_grid.split(",")]
+    grid = _entries(args, "mtr_grid")
     out, scorer, mixture = _scored_mixture(args)
     rows = evalkit.mtr_sweep(scorer, mixture, grid)
     _write_csv(out / "sweep.csv", ["mtr", "size_bucket", "macro_f1", "count"],
@@ -362,27 +332,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_value(text: str) -> float:
-    """One ``--mtr-grid`` entry; exits 2 through ValueError, naming the flag, unless it is a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"--mtr-grid must be comma-separated numbers in [0, 1], got {text!r}")
-    return value
+def _entries(args: argparse.Namespace, dest: str, choices: Sequence[str] | None = None) -> list:
+    """The comma-separated entries of the flag argparse stores as ``dest``, each one of ``choices`` (without
+    ``choices``, a number in [0, 1]) and none repeated; any other exits 2 through ValueError, naming the flag."""
+    flag, values = f"--{dest.replace('_', '-')}", []
+    for entry in getattr(args, dest).split(","):
+        if choices is None:
+            try:
+                value = float(entry)
+            except ValueError:
+                value = math.nan
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{flag} must be comma-separated numbers in [0, 1], got {entry!r}")
+        elif entry in choices:
+            value = entry
+        else:
+            raise ValueError(f"{flag} must name {dest} from {', '.join(choices)}, got {entry!r}")
+        if value in values:
+            raise ValueError(f"{flag} must not repeat an entry, got {entry!r} again")
+        values.append(value)
+    return values
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     _check_positive(args, "dim", "hidden", "mixture_per_class")
-    regimes = args.regimes.split(",")
-    for name in regimes:
-        if name not in trainer.REGIMES:
-            raise ValueError(f"--regimes must name regimes from {', '.join(sorted(trainer.REGIMES))}, got {name!r}")
+    regimes = _entries(args, "regimes", sorted(trainer.REGIMES))
     config = _trainer_config(args, epochs="epochs", pairs_per_epoch="pairs_per_epoch", val_per_class="val_per_class")
     out = _write_snapshot(args)
-    corpus = load_corpus(Path(args.data))
-    vocab = build_vocabulary(_split_sets(corpus, "train"))
+    corpus, train_sets = _load_split(args, "train")
+    vocab = build_vocabulary(train_sets)
 
     def params_factory() -> ModelParams:
         return ModelParams.init(vocab, d=args.dim, h=args.hidden, seed=args.seed)
@@ -439,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     training(p, epochs=TrainerConfig.epochs)
     p.add_argument("--arch", choices=["energy", "binary"], default="energy")
-    p.add_argument("--regime", choices=sorted(trainer.REGIMES), default=TrainerConfig.regime)
-    p.add_argument("--alpha", type=float, default=TrainerConfig.alpha)
+    p.add_argument("--regime", choices=sorted(trainer.REGIMES), default=TrainerConfig.regime,
+                   help="contrast regime (--arch energy only: binary trains every side of the eight-kind plan)")
+    p.add_argument("--alpha", type=float, default=TrainerConfig.alpha,
+                   help="hinge margin (--arch energy only: binary training has no margin)")
     p.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainerConfig.batch_size)
     p.set_defaults(func=cmd_train)
@@ -484,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except _DATA_ERRORS as exc:
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

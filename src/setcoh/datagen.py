@@ -27,7 +27,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import wordbank
 from .logic import (
@@ -35,6 +35,7 @@ from .logic import (
     AtomBudgetError,
     AtomRef,
     CompiledFormulas,
+    DataError,
     Formula,
     FormulaChecker,
     Implies,
@@ -87,15 +88,15 @@ class NamespaceCollisionError(ValueError):
     """Union parts share atom names and cannot be merged."""
 
 
-class MissingSemanticsError(ValueError):
+class MissingSemanticsError(DataError, ValueError):
     """An operation requiring ground-truth formulas met a statement without one."""
 
 
-class MalformedRecordError(ValueError):
+class MalformedRecordError(DataError, ValueError):
     """A JSONL record failed validation; message carries the line number."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(DataError, RuntimeError):
     """Internal certification failure: a generated label disagreed with the oracle."""
 
 
@@ -939,11 +940,13 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
             fh.write(json.dumps(set_to_json(s)) + "\n")
 
 
-def load_jsonl(path) -> list[StatementSet]:
+def load_jsonl(path, accept: Callable[[StatementSet], None] | None = None) -> list[StatementSet]:
     """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
 
     Set ids must be unique: scores, caches and score files refer to sets
-    by id, so a repeated id is rejected like any other bad record.  One
+    by id, so a repeated id is rejected like any other bad record.
+    ``accept``, when given, sees each set as it is read; a ValueError it
+    raises is reported at that set's line, as a bad record is.  One
     :class:`FormulaChecker` serves the whole file, so each distinct formula
     shape is parsed once; formulas are parsed where they are read (see
     :func:`set_from_json`).  Identical statement records within the file
@@ -959,15 +962,15 @@ def load_jsonl(path) -> list[StatementSet]:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                out.append(set_from_json(json.loads(line), check, interned))
+                s = set_from_json(json.loads(line), check, interned)
+                if s.id in first_line:
+                    raise MalformedRecordError(f"duplicate set id {s.id!r} (first on line {first_line[s.id]})")
+                first_line[s.id] = lineno
+                if accept is not None:
+                    accept(s)
             except UnicodeDecodeError as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
-            set_id = out[-1].id
-            if set_id in first_line:
-                raise MalformedRecordError(
-                    f"{path}:{lineno}: duplicate set id {set_id!r} (first on line {first_line[set_id]})"
-                )
-            first_line[set_id] = lineno
+            out.append(s)
     return out

@@ -27,6 +27,7 @@ from .datagen import (
     StatementSet,
 )
 from .datagen import compose_union  # noqa: F401 (bench/test_bench.py checks this binding)
+from .logic import DataError
 from .trainer import (
     TrainerConfig,
     TrainResult,
@@ -39,11 +40,11 @@ from .trainer import (
 from .verifier import EnergyScorer, LocateResult, Scorer, subset_id, verify_elementwise, verify_set
 
 
-class LengthMismatchError(ValueError):
+class LengthMismatchError(DataError, ValueError):
     """Prediction and gold label lists differ in length."""
 
 
-class MissingGoldError(ValueError):
+class MissingGoldError(DataError, ValueError):
     """A locate instance has no gold indices to score against."""
 
 
@@ -65,13 +66,15 @@ def build_eval_mixture(
 
     Within a union all parts come from distinct atom namespaces; across
     sets the pools are reused round-robin, with partners drawn at
-    random (:func:`trainer._draw_mixture`).  Raises
-    :class:`trainer.PoolExhaustedError` when a pool cannot supply enough
-    disjoint parts.
+    random (:func:`trainer._draw_mixture`).  Raises ValueError on an unknown
+    or repeated class, and :class:`trainer.PoolExhaustedError` when a pool
+    cannot supply enough disjoint parts.
     """
-    for tag in classes:
+    for k, tag in enumerate(classes):
         if tag not in PROVENANCE_CLASSES:
             raise ValueError(f"unknown provenance class {tag!r}")
+        if tag in classes[:k]:
+            raise ValueError(f"provenance class {tag!r} repeats")
     (pools,) = _base_rows((base_C_pool, base_I_pool))
     rng = random.Random(f"eval-mixture:{rng_seed}")
     return EvalMixture(tuple(_draw_mixture(pools, classes, per_class_count, rng,

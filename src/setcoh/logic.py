@@ -33,11 +33,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 
+class DataError(Exception):
+    """An input cannot be used (a corpus, model, threshold or score file, or what a setting asks of them): exit 3."""
+
+
 class MissingAssignmentError(ValueError):
     """A valuation does not assign some atom appearing in the formula."""
 
 
-class AtomBudgetError(ValueError):
+class AtomBudgetError(DataError, ValueError):
     """A connected component of a formula collection exceeds the truth-table bound."""
 
 

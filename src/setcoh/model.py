@@ -48,6 +48,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .datagen import QA, Statement, StatementSet
+from .logic import DataError
 
 CLS_TOKEN = "<cls>"
 UNK_TOKEN = "<unk>"
@@ -65,11 +66,11 @@ _MAGIC = b"SCOH"
 _FORMAT_VERSION = 1
 
 
-class CorruptFileError(ValueError):
+class CorruptFileError(DataError, ValueError):
     """A parameter file is truncated or structurally invalid."""
 
 
-class VersionMismatchError(ValueError):
+class VersionMismatchError(DataError, ValueError):
     """A parameter file has an unsupported version or an inconsistent header."""
 
 

@@ -16,12 +16,13 @@ Fine-tuning mixes n source with n target pairs per epoch (re-sampled
 every epoch) and adds an L2 penalty, anchored at zero by default or at
 the starting weights.
 
-All three share one minibatch loop, :func:`_fit`.  An epoch is a plan of
-integers: :func:`_plan` draws the base pairs and partners and names each
-side (a set, or the union of two) by the rows of its parts in one
-:class:`CountsCache`, each pool set's rows in the vocabulary's statement
-table.  A side's counts are CLS plus its parts' statement rows, from
-the table's one counting routine.  :func:`_compile` works out,
+All three share one minibatch loop, :func:`_fit`, and the first two one
+set-up, :func:`_train`.  An epoch is a plan of integers: :func:`_plan`
+draws the base pairs and partners and names each side (a set, or the
+union of two) by the rows of its parts in one :class:`CountsCache`,
+each pool set's rows in the vocabulary's statement table.  A side's
+counts are CLS plus its parts' statement rows, from the table's one
+counting routine.  :func:`_compile` works out,
 ``_CHUNK`` batches at a time, all of a batch that no parameter changes:
 its distinct sides as rows of one dense (sides x vocabulary) count
 array (one ``np.unique`` and one ``bincount`` per chunk), the tokens
@@ -52,6 +53,7 @@ from .datagen import (
     compose_union,
     pools,
 )
+from .logic import DataError
 from .model import (
     HEADS,
     ModelParams,
@@ -95,15 +97,15 @@ THRESHOLD_CLASSES_INCONSISTENT = ("I", "CI", "II")
 BASE_PROVENANCES = ("C", "I")
 
 
-class PoolExhaustedError(ValueError):
+class PoolExhaustedError(DataError, ValueError):
     """Could not sample a partner set with a disjoint namespace."""
 
 
-class NotABaseSetError(ValueError):
+class NotABaseSetError(DataError, ValueError):
     """A pool that unions are composed from holds a set that is already a union."""
 
 
-class EmptyValidationError(ValueError):
+class EmptyValidationError(DataError, ValueError):
     """Threshold learning received no scored sets."""
 
 
@@ -659,6 +661,7 @@ class _Validation(NamedTuple):
     source: str                          # the model.HEADS score the per-epoch threshold is fit on
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a diverging run raises TrainingDivergedError, not a warning
 def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_examples: Callable[[int], _Examples],
          validation: _Validation | None = None, penalty: Callable | None = None):
     """The minibatch loop of every trainer; updates ``params`` in place.
@@ -698,32 +701,32 @@ def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_e
     return (params, None, history) if best is None else (best[1], best[2], history)
 
 
+def _train(params: ModelParams, splits, config: TrainerConfig,
+           instances: Callable[[_Pools, TrainerConfig, int], _Examples], source: str):
+    """The set-up both trainers share: :func:`_fit` of ``instances`` over ``splits.train``'s base pools, validated
+    by the ``source`` head on a threshold mixture of ``splits.validation1``; returns the mixture and the fit."""
+    (pools,) = _base_rows(base_pools(splits.train))
+    mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
+    return mixture, _fit(params.copy(), config, CountsCache(params.vocab, pools.sets),
+                         lambda epoch: instances(pools, config, epoch), _Validation(mixture, source))
+
+
 def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
     """Hinge-contrast training; returns the best-validation1 epoch's model.
 
     ``splits`` needs ``train`` and ``validation1`` set lists.  The
     returned threshold is the one learned at the winning epoch.
     """
-    (pools,) = _base_rows(base_pools(splits.train))
-    mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
-    best, threshold, history = _fit(
-        params.copy(), config, CountsCache(params.vocab, pools.sets),
-        lambda epoch: _epoch_instances(pools, config, epoch), _Validation(mixture, "energy"),
-    )
+    mixture, (best, threshold, history) = _train(params, splits, config, _epoch_instances, "energy")
     log = [EpochStats(epoch, loss, acc, t.value, _median_energies(mixture, scores))
            for epoch, (loss, acc, t, scores) in enumerate(history)]
     return TrainResult(params=best, threshold=threshold, log=log)
 
 
 def train_binary(params: ModelParams, splits, config: TrainerConfig) -> tuple[ModelParams, Threshold]:
-    """Cross-entropy training of the 2-way head on the five set classes."""
-    (pools,) = _base_rows(base_pools(splits.train))
-    mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
-    best, threshold, _ = _fit(
-        params.copy(), config, CountsCache(params.vocab, pools.sets),
-        lambda epoch: _binary_instances(pools, config, epoch),
-        _Validation(mixture, "inconsistent-softmax"),
-    )
+    """Cross-entropy training of the 2-way head on the five set classes: every side of the eight-kind plan,
+    whatever ``config.regime``; ``config.alpha``, a margin, plays no part."""
+    _, (best, threshold, _) = _train(params, splits, config, _binary_instances, "inconsistent-softmax")
     return best, threshold
 
 

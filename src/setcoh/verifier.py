@@ -11,7 +11,8 @@ Every strategy scores subsets of one set: ``compile(s)`` returns a
 function from a batch of kept-index tuples of ``s`` to their scores, in
 order (from the vocabulary's statement-table rows for the model,
 truth-table masks for the oracle, and :func:`subset_id` rows for a score
-file); ``score(s)`` scores all of ``s``.  The model scorers run a whole
+file); every scorer's ``score(s)`` is one function, ``compile(s)`` of all
+of ``s`` (:func:`_whole_set_score`).  The model scorers run a whole
 batch through one stacked :func:`model.encode`, with the bits of scoring
 each subset alone, and keep each distinct pair of statement-table rows'
 score for the scorer's lifetime: a pair's stream is CLS plus its two rows'
@@ -42,15 +43,15 @@ from itertools import combinations
 from typing import Callable, ClassVar, Iterator, Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet, compile_formulas
-from .logic import AtomBudgetError, is_satisfiable  # noqa: F401 (bench/test_bench.py checks this binding)
+from .logic import AtomBudgetError, DataError, is_satisfiable  # noqa: F401 (bench/test_bench.py checks this binding)
 from .model import HEADS, ModelParams, encode
 
 
-class UnknownSetIdError(LookupError):
+class UnknownSetIdError(DataError, LookupError):
     """An external score file has no row for the requested set id."""
 
 
-class MalformedScoreFileError(ValueError):
+class MalformedScoreFileError(DataError, ValueError):
     """An external score file has a bad header or row, a non-finite number or a repeated id."""
 
 
@@ -63,6 +64,11 @@ class Scorer(Protocol):
     def compile(self, s: StatementSet) -> SubsetScores: ...
 
     def score(self, s: StatementSet) -> float: ...
+
+
+def _whole_set_score(scorer: Scorer, s: StatementSet) -> float:
+    """``scorer.compile(s)`` of all of ``s``: every scorer's ``score``, bound in its own class body."""
+    return scorer.compile(s)([range(len(s.statements))])[0]
 
 
 @dataclass(frozen=True)
@@ -148,18 +154,14 @@ class EnergyScorer(_ModelScorer):
     """Energy model with its learned threshold."""
 
     head = "energy"
-
-    def score(self, s: StatementSet) -> float:
-        return self.compile(s)([range(len(s.statements))])[0]
+    score = _whole_set_score
 
 
 class BinarySoftmaxScorer(_ModelScorer):
     """Binary classifier scored on the softmax of the inconsistent class."""
 
     head = "inconsistent-softmax"
-
-    def score(self, s: StatementSet) -> float:
-        return self.compile(s)([range(len(s.statements))])[0]
+    score = _whole_set_score
 
 
 # The model scorer for each threshold source.
@@ -186,8 +188,7 @@ class OracleScorer:
             compiled = compile_formulas(s)
         return lambda keeps: [0.0 if compiled.satisfiable(keep) else 1.0 for keep in keeps]
 
-    def score(self, s: StatementSet) -> float:
-        return self.compile(s)([range(len(s.statements))])[0]
+    score = _whole_set_score
 
 
 @dataclass
@@ -201,8 +202,7 @@ class ExternalScorer:
     def compile(self, s: StatementSet) -> SubsetScores:
         return lambda keeps: [self._lookup(subset_id(s, keep)) for keep in keeps]
 
-    def score(self, s: StatementSet) -> float:
-        return self._lookup(s.id)
+    score = _whole_set_score         # the whole set's subset_id is s.id
 
     def _lookup(self, set_id: str) -> float:
         try:

@@ -3,17 +3,20 @@ import importlib
 import itertools
 import json
 import math
+import pkgutil
 import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+import setcoh
 from setcoh import cli, datagen, evalkit, model, trainer, verifier
 from setcoh.cli import load_corpus, load_threshold, main
 from setcoh.datagen import QA_FLIPS, GenerationError, MalformedRecordError, compose_union, pools, save_jsonl
-from setcoh.logic import AtomRef, Implies, format_formula, parse_formula
+from setcoh.logic import AtomRef, DataError, Implies, format_formula, parse_formula
 from setcoh.model import HEADS, ModelParams, build_vocabulary, encode, load_params
 from setcoh.trainer import Threshold, TrainerConfig
 
@@ -389,6 +392,20 @@ class TestExitCodes:
                                            f"{', '.join(datagen.PROVENANCE_CLASSES)}, got {bad!r}\n")
         assert not (out / cli.SNAPSHOT_FILE).exists()
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("locate", "--classes", "CI,CI", "--classes must not repeat an entry, got 'CI' again"),
+        ("ablate", "--regimes", "basic,six,basic", "--regimes must not repeat an entry, got 'basic' again"),
+        ("sweep", "--mtr-grid", "0.1,0.1", "--mtr-grid must not repeat an entry, got '0.1' again"),
+        ("sweep", "--mtr-grid", "0,0.1,0.10", "--mtr-grid must not repeat an entry, got '0.10' again"),
+        ("locate", "--min-size", "-3", "--min-size must be >= 0, got -3"),
+    ], ids=["classes", "regimes", "mtr-grid", "mtr-grid-equal-value", "min-size"])
+    def test_repeated_entry_or_negative_size_exit_2(self, tmp_path, qa_dir, command, flag, value, message, capsys):
+        out = tmp_path / "o"
+        scorer = () if command == "ablate" else ("--scorer", "oracle")
+        assert run(command, "--data", qa_dir, "--out", out, *scorer, flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("counts", ["5", "a,b", "1,2,3"])
     def test_malformed_counts_exit_2(self, tmp_path, counts, capsys):
         out = tmp_path / "g"
@@ -418,6 +435,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{data / 'data.jsonl'}:2:" in err
         assert f"duplicate set id {first['id']!r} (first on line 1)" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:1] + [lines[1].replace('"id": "train-', '"id": "holdout-', 1)] + lines[2:],
+         ":2: set id 'holdout-qa-i000000' does not start with a split name (train/validation1/validation2/test)"),
+        (lambda lines: [line for line in lines if '"id": "test-' not in line], ": split 'test' is empty"),
+    ], ids=["no-split-prefix", "empty-split"])
+    def test_split_errors_name_the_file(self, tmp_path, qa_dir, edit, message, capsys):
+        data = tmp_path / "split"
+        data.mkdir()
+        (data / "data.jsonl").write_text("\n".join(edit((qa_dir / "data.jsonl").read_text().splitlines())) + "\n")
+        assert run("verify", "--data", data, "--out", tmp_path / "o", "--scorer", "oracle") == 3
+        assert capsys.readouterr().err == f"error: {data / 'data.jsonl'}{message}\n"
+
+    def test_divergence_exit_4_with_one_line(self, tmp_path, qa_dir, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # a numpy warning would print before the error line
+            assert run("train", "--data", qa_dir, "--out", tmp_path / "o", "--alpha", "1e308") == 4
+        assert capsys.readouterr().err == "error: non-finite loss at epoch 0, step 0\n"
 
     @pytest.mark.parametrize("split", ["train", "validation1", "test"])
     def test_union_in_a_base_split_exit_3(self, tmp_path, qa_dir, split, capsys):
@@ -508,8 +543,9 @@ class TestExitCodes:
         lambda data, emb: data[:emb] + struct.pack("<d", math.nan) + data[emb + 8:],
         lambda data, emb: data[:64] + b"\xff" + data[65:],
         lambda data, emb: data[:8] + struct.pack("<I", 2**31 - 1) + data[12:],
+        lambda data, emb: data[:4] + struct.pack("<I", 2) + data[8:],
     ], ids=["truncated", "bad-magic", "hash-mismatch", "trailing-bytes", "nan-entry", "token-not-utf8",
-            "huge-width"])
+            "huge-width", "format-version-2"])
     def test_corrupt_model_file_exit_3(self, tmp_path, qa_dir, model_dir, corrupt, capsys):
         data = (model_dir / "model.bin").read_bytes()
         floats = sum(arr.size for arr in load_params(model_dir / "model.bin").arrays().values())
@@ -538,7 +574,8 @@ class TestExitCodes:
         (b"threshold=0.5\nid1,0.9\nid2,nan\n", 3),
         (b"threshold=inf\nid1,0.9\n", 1),
         (b"threshold=0.5\nid1,0.9\nid2,0.1\nid1,0.2\n", 4),
-    ], ids=["threshold-not-a-number", "not-utf8", "nan-score", "inf-threshold", "repeated-id"])
+        (b"threshold=0.5\nid1,0.9\nid2 0.1\n", 3),
+    ], ids=["threshold-not-a-number", "not-utf8", "nan-score", "inf-threshold", "repeated-id", "row-without-comma"])
     def test_malformed_score_file_exit_3(self, tmp_path, qa_dir, content, line, capsys):
         bad = tmp_path / "scores.csv"
         bad.write_bytes(content)
@@ -578,6 +615,20 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-m", "setcoh.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+# The errors that outside input does not cause: a programming or generator fault, or divergence (exit 4).
+NON_INPUT_ERRORS = {"FormulaSyntaxError", "MissingAssignmentError", "RelationMismatchError", "UnknownRuleError",
+                    "NamespaceCollisionError", "TrainingDivergedError"}
+
+
+def test_every_error_class_chooses_its_exit_code():
+    """An error class of setcoh is a DataError (exit 3) or a listed non-input error, never both."""
+    modules = [importlib.import_module(f"setcoh.{info.name}") for info in pkgutil.iter_modules(setcoh.__path__)]
+    errors = {value for module in modules for value in vars(module).values()
+              if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__}
+    data = {cls.__name__ for cls in errors if issubclass(cls, DataError)}
+    assert {cls.__name__ for cls in errors} - data == NON_INPUT_ERRORS
 
 
 # The per-stream reference layer in setcoh.model: the tests compare the batched paths against it.
@@ -682,6 +733,11 @@ def _setting(key, value):
     return lambda record: json.dumps({**record, key: value})
 
 
+def _first_statement(**fields):
+    return lambda record: json.dumps({**record, "statements": [{**record["statements"][0], **fields},
+                                                               *record["statements"][1:]]})
+
+
 # Line 2 of a generated corpus is an inconsistent set with one gold index; line 3 a consistent set.
 @pytest.mark.parametrize("line, edit", [
     (2, lambda record: json.dumps(record).encode("utf-8").replace(b"what", b"wh\xffat", 1)),
@@ -696,9 +752,17 @@ def _setting(key, value):
     (2, _setting("gold_inconsistent_indices", [99])),
     (2, lambda record: json.dumps({**record, "gold_inconsistent_indices": record["gold_inconsistent_indices"] * 2})),
     (3, _setting("gold_inconsistent_indices", [0])),
+    (3, lambda record: json.dumps({**record, "statements": record["statements"][:1]})),
+    (2, _setting("provenance", "X")),
+    (2, _setting("label", "consistent")),
+    (2, _first_statement(kind="poem")),
+    (2, _first_statement(kind="sentence", text="The desk is pink.")),
+    (2, lambda record: json.dumps({key: value for key, value in record.items() if key != "statements"})),
+    (2, lambda record: b"  \n" + json.dumps({**record, "id": 3}).encode("utf-8")),
 ], ids=["not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
         "context-string", "context-of-ints", "gold-string", "gold-bool", "gold-out-of-range",
-        "gold-repeated", "gold-on-consistent"])
+        "gold-repeated", "gold-on-consistent", "one-statement", "provenance-X", "label-contradicts-provenance",
+        "unknown-kind", "sentence-with-question", "no-statements", "after-a-blank-line"])
 def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
     lines = (qa_dir / "data.jsonl").read_bytes().splitlines()
     record = json.loads(lines[line - 1])
@@ -711,5 +775,6 @@ def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
     code = run("verify", "--data", data, "--out", tmp_path / "o", "--scorer", "oracle", "--mixture-per-class", "2")
     err = capsys.readouterr().err
     assert code == 3
+    line += lines[line - 1].count(b"\n")     # an inserted blank line moves the record down, and is skipped
     assert err.startswith(f"error: {data / 'data.jsonl'}:{line}: ")
     assert "Traceback" not in err

@@ -51,6 +51,12 @@ class TestMixture:
         for s in qa_mixture.sets:
             assert (s.label == C) == ("I" not in s.provenance)
 
+    @pytest.mark.parametrize("classes, message", [(("CI", "X"), "unknown provenance class 'X'"),
+                                                  (("CI", "C", "CI"), "provenance class 'CI' repeats")])
+    def test_unknown_or_repeated_class(self, small_qa_corpus, classes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_eval_mixture(*pools(small_qa_corpus.test), per_class_count=1, rng_seed=0, classes=classes)
+
     def test_pool_exhausted_for_tiny_pool(self, small_qa_corpus):
         base_c, base_i = pools(small_qa_corpus.test)
         with pytest.raises(PoolExhaustedError):

@@ -277,6 +277,14 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train(params, small_qa_corpus, config)
 
+    @pytest.mark.parametrize("name", ["emb", "w_hidden", "b_energy", "w_class"])
+    def test_a_non_finite_parameter_is_named(self, small_qa_corpus, name):
+        params = ModelParams.init(build_vocabulary(small_qa_corpus.train), d=8, h=6, seed=6)
+        params.arrays()[name].flat[-1] = math.nan
+        flat = np.concatenate([arr.ravel() for arr in params.arrays().values()])
+        with pytest.raises(TrainingDivergedError, match=f"^non-finite {name} at epoch 2, step 3$"):
+            trainer_mod._check_finite(0.5, params, flat, 2, 3)
+
 
 class TestBinary:
     def test_cross_entropy_values(self):
