@@ -49,10 +49,29 @@ SNAPSHOT_FILE = "config.snapshot"
 
 # Classes whose union contains at most one corrupted part; the locate
 # default, where the gold index set has at most one element per set.
-SINGLE_GOLD_CLASSES = ("C", "I", "CC", "CI", "CCC", "CCI", "CCCC", "CCCI")
+SINGLE_GOLD_CLASSES = tuple(tag for tag in evalkit.PROVENANCE_CLASSES if tag.count("I") <= 1)
 
-def _default_seed() -> int:
-    return int(os.environ.get("SETCOH_SEED", "0"))
+# The loss column of train_log.csv for each --arch.
+LOSS_COLUMNS = {"energy": "mean_hinge_loss", "binary": "mean_cross_entropy_loss"}
+# The threshold mixture's classes, in train_log.csv's order of their median validation1 scores.
+LOG_CLASSES = tuple(sorted(trainer.THRESHOLD_CLASSES_CONSISTENT + trainer.THRESHOLD_CLASSES_INCONSISTENT))
+
+
+class _SeedText(str):
+    """The SETCOH_SEED text ``--seed`` defaults to; argparse parses it only when the flag is absent."""
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` or SETCOH_SEED value: an integer >= 0; any other exits 2 through argparse, naming the flag
+    (``argument --seed: ...``) and, for the variable's text, the variable."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        source = "SETCOH_SEED " if isinstance(text, _SeedText) else ""
+        raise argparse.ArgumentTypeError(f"{source}must be an integer >= 0, got {text!r}")
+    return seed
 
 
 def _write_snapshot(args: argparse.Namespace) -> Path:
@@ -205,30 +224,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _write_snapshot(args)
     corpus, train_sets = _load_split(args, "train")
     params = ModelParams.init(build_vocabulary(train_sets), d=args.dim, h=args.hidden, seed=args.seed)
-    if args.arch == "energy":
-        result = trainer.train(params, corpus, config)
-        save_params(result.params, out / MODEL_FILE)
-        _save_threshold(out, result.threshold)
-        rows = [
-            [
-                stats.epoch,
-                repr(stats.mean_hinge_loss),
-                repr(stats.val1_macro_acc),
-                repr(stats.threshold),
-            ]
-            + [repr(stats.median_energies.get(tag, float("nan"))) for tag in ("C", "CC", "CI", "I", "II")]
-            for stats in result.log
-        ]
-        _write_csv(
-            out / "train_log.csv",
-            ["epoch", "mean_hinge_loss", "val1_macro_acc", "threshold",
-             "median_C", "median_CC", "median_CI", "median_I", "median_II"],
-            rows,
-        )
-    else:
-        params, threshold = trainer.train_binary(params, corpus, config)
-        save_params(params, out / MODEL_FILE)
-        _save_threshold(out, threshold)
+    result = (trainer.train if args.arch == "energy" else trainer.train_binary)(params, corpus, config)
+    save_params(result.params, out / MODEL_FILE)
+    _save_threshold(out, result.threshold)
+    _write_csv(out / "train_log.csv",
+               ["epoch", LOSS_COLUMNS[args.arch], "val1_macro_acc", "threshold", *(f"median_{c}" for c in LOG_CLASSES)],
+               [[stats.epoch, repr(stats.mean_loss), repr(stats.val1_macro_acc), repr(stats.threshold),
+                 *(repr(stats.median_scores.get(c, math.nan)) for c in LOG_CLASSES)] for stats in result.log])
     print(f"wrote {out / MODEL_FILE}")
     return 0
 
@@ -246,22 +248,25 @@ def resolve_scorer(spec: str, threshold_file: str | None) -> verifier.Scorer:
     return verifier.MODEL_SCORERS[threshold.source](params, threshold.value)
 
 
-def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES,
-                    min_size: int = 0) -> tuple[Path, verifier.Scorer, evalkit.EvalMixture]:
+def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES, min_size: int = 0,
+                    gold: bool = False) -> tuple[Path, verifier.Scorer, evalkit.EvalMixture]:
     """The set-up ``verify``, ``locate`` and ``sweep`` share: snapshot, corpus, scorer, mixture.
 
     The mixture draws ``--mixture-per-class`` sets of each of ``classes``
     from the ``--split`` base sets with at least ``min_size`` statements.
+    With ``gold``, and a class with an ``I`` part, an inconsistent base set
+    without gold indices is a data error, found before the mixture is drawn.
     """
     _check_positive(args, "mixture_per_class")
     out = _write_snapshot(args)
     _, sets = _load_split(args, args.split)
     scorer = resolve_scorer(args.scorer, args.threshold_file)
-    base_c, base_i = trainer.base_pools(sets)
-    mixture = evalkit.build_eval_mixture(
-        [s for s in base_c if len(s) >= min_size], [s for s in base_i if len(s) >= min_size],
-        args.mixture_per_class, rng_seed=args.seed, classes=classes,
-    )
+    base_c, base_i = ([s for s in pool if len(s) >= min_size] for pool in trainer.base_pools(sets))
+    missing = [s.id for s in base_i if s.gold_inconsistent_indices is None] if gold else []
+    if missing and any("I" in tag for tag in classes):
+        raise evalkit.MissingGoldError(f"{Path(args.data) / DATA_FILE}: set {missing[0]!r} has no "
+                                       "gold_inconsistent_indices for locate to score against")
+    mixture = evalkit.build_eval_mixture(base_c, base_i, args.mixture_per_class, rng_seed=args.seed, classes=classes)
     return out, scorer, mixture
 
 
@@ -276,8 +281,10 @@ def _metrics_rows(report: evalkit.MetricsReport) -> list[list]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.mtr <= 1.0:
-        raise ValueError(f"--mtr must be in [0, 1], got {args.mtr}")
+    try:
+        verifier.tolerance_rule(args.mtr)
+    except ValueError:
+        raise ValueError(f"--mtr must be in [0, 1], got {args.mtr}") from None
     out, scorer, mixture = _scored_mixture(args)
     scores = {} if args.dump_scores else None       # every row the verdicts read
     report = evalkit.verification_report(scorer, mixture.sets, args.strategy, args.mtr, scores)
@@ -301,14 +308,10 @@ def cmd_locate(args: argparse.Namespace) -> int:
     classes = _entries(args, "classes", evalkit.PROVENANCE_CLASSES)
     if args.min_size < 0:
         raise ValueError(f"--min-size must be >= 0, got {args.min_size}")
-    out, scorer, mixture = _scored_mixture(args, classes, args.min_size)
-    results = []
-    for s in mixture.sets:
-        gold = s.gold_inconsistent_indices
-        if gold is None and s.label == "consistent":
-            gold = ()
-        results.append((verifier.locate(scorer, s), gold))
-    report = evalkit.locate_metrics(results)
+    out, scorer, mixture = _scored_mixture(args, classes, args.min_size, gold=True)
+    # A consistent set's gold is empty, whether its indices are () or, for a sentence set, None.
+    golds = [() if s.label == "consistent" else s.gold_inconsistent_indices for s in mixture.sets]
+    report = evalkit.locate_metrics([(verifier.locate(scorer, s), gold) for s, gold in zip(mixture.sets, golds)])
     _write_csv(out / "locate_report.csv", ["em", "precision", "recall", "f1", "count"],
                [[repr(report.em), repr(report.precision), repr(report.recall),
                  repr(report.f1), report.count]])
@@ -326,7 +329,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = evalkit.mtr_sweep(scorer, mixture, grid)
     _write_csv(out / "sweep.csv", ["mtr", "size_bucket", "macro_f1", "count"],
                [[repr(r.mtr), r.size_bucket, repr(r.macro_f1), r.count] for r in rows])
-    best = max((r for r in rows if r.size_bucket == "all"), key=lambda r: r.macro_f1)
+    best = evalkit.best_row(rows)
     _write_summary(out, {"best_mtr": best.mtr, "best_macro_f1": best.macro_f1})
     print(f"best mtr={best.mtr} macro_f1={best.macro_f1:.4f}")
     return 0
@@ -334,16 +337,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _entries(args: argparse.Namespace, dest: str, choices: Sequence[str] | None = None) -> list:
     """The comma-separated entries of the flag argparse stores as ``dest``, each one of ``choices`` (without
-    ``choices``, a number in [0, 1]) and none repeated; any other exits 2 through ValueError, naming the flag."""
+    ``choices``, an MTR that :func:`verifier.tolerance_rule` accepts) and none repeated; any other exits 2
+    through ValueError, naming the flag."""
     flag, values = f"--{dest.replace('_', '-')}", []
     for entry in getattr(args, dest).split(","):
         if choices is None:
             try:
                 value = float(entry)
+                verifier.tolerance_rule(value)
             except ValueError:
-                value = math.nan
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{flag} must be comma-separated numbers in [0, 1], got {entry!r}")
+                raise ValueError(f"{flag} must be comma-separated numbers in [0, 1], got {entry!r}") from None
         elif entry in choices:
             value = entry
         else:
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, data: bool = True) -> None:
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=_seed, default=_SeedText(os.environ.get("SETCOH_SEED", "0")))
         p.add_argument("--out", required=True)
         if data:
             p.add_argument("--data", required=True, help="directory containing data.jsonl")
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a scorer")
     common(p)
     training(p, epochs=TrainerConfig.epochs)
-    p.add_argument("--arch", choices=["energy", "binary"], default="energy")
+    p.add_argument("--arch", choices=list(LOSS_COLUMNS), default="energy")
     p.add_argument("--regime", choices=sorted(trainer.REGIMES), default=TrainerConfig.regime,
                    help="contrast regime (--arch energy only: binary trains every side of the eight-kind plan)")
     p.add_argument("--alpha", type=float, default=TrainerConfig.alpha,

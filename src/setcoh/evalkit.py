@@ -37,7 +37,7 @@ from .trainer import (
     build_threshold_mixture,
     train,
 )
-from .verifier import EnergyScorer, LocateResult, Scorer, subset_id, verify_elementwise, verify_set
+from .verifier import EnergyScorer, LocateResult, Scorer, subset_id, tolerance_rule, verify_elementwise, verify_set
 
 
 class LengthMismatchError(DataError, ValueError):
@@ -208,16 +208,15 @@ def mtr_sweep(
     """Element-wise macro-F1 per tolerance rate and per composed-set size bucket."""
     if not grid:
         raise ValueError("empty mtr grid")
-    if any(not 0.0 <= mtr <= 1.0 for mtr in grid):
-        raise ValueError("mtr must be in [0, 1]")
+    verdicts = [tolerance_rule(mtr) for mtr in grid]
     # One element-wise pass gives each set's inconsistent-pair ratio; a verdict at
-    # tolerance rate mtr is then decided as verify_elementwise decides it.
+    # each tolerance rate is then decided by verify_elementwise's rule.
     ratios = [verify_elementwise(scorer, s, mtr=0.0).detail.ratio for s in mixture.sets]
     golds = [s.label for s in mixture.sets]
     buckets = [str(len(s.provenance)) for s in mixture.sets]
     rows: list[SweepRow] = []
-    for mtr in grid:
-        predictions = [CONSISTENT if ratio <= mtr else INCONSISTENT for ratio in ratios]
+    for mtr, verdict in zip(grid, verdicts):
+        predictions = [verdict(ratio) for ratio in ratios]
         for bucket in sorted(set(buckets)) + ["all"]:
             keep = [i for i, b in enumerate(buckets) if bucket == "all" or b == bucket]
             report = macro_f1([predictions[i] for i in keep], [golds[i] for i in keep])
@@ -230,8 +229,12 @@ def best_mtr(scorer: Scorer, sets: Sequence[StatementSet], grid: Sequence[float]
 
     Each set's pairs are scored once; ties keep the earliest grid value.
     """
-    rows = mtr_sweep(scorer, EvalMixture(tuple(sets)), grid)
-    return max((r for r in rows if r.size_bucket == "all"), key=lambda r: r.macro_f1).mtr
+    return best_row(mtr_sweep(scorer, EvalMixture(tuple(sets)), grid)).mtr
+
+
+def best_row(rows: Sequence[SweepRow]) -> SweepRow:
+    """The whole-mixture (``"all"``) row with the highest macro-F1; ties keep the earliest."""
+    return max((r for r in rows if r.size_bucket == "all"), key=lambda r: r.macro_f1)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ every epoch) and adds an L2 penalty, anchored at zero by default or at
 the starting weights.
 
 All three share one minibatch loop, :func:`_fit`, and the first two one
-set-up, :func:`_train`.  An epoch is a plan of integers: :func:`_plan`
-draws the base pairs and partners and names each side (a set, or the
-union of two) by the rows of its parts in one :class:`CountsCache`,
-each pool set's rows in the vocabulary's statement table.  A side's
-counts are CLS plus its parts' statement rows, from the table's one
-counting routine.  :func:`_compile` works out,
+set-up and one :class:`TrainResult`, :func:`_train`.  An epoch is a plan
+of integers: :func:`_plan` draws the base pairs and partners and names
+each side (a set, or the union of two) by the rows of its parts in one
+:class:`CountsCache`, each pool set's rows in the vocabulary's statement
+table.  A side's counts are CLS plus its parts' statement rows, from the
+table's one counting routine.  :func:`_compile` works out,
 ``_CHUNK`` batches at a time, all of a batch that no parameter changes:
 its distinct sides as rows of one dense (sides x vocabulary) count
 array (one ``np.unique`` and one ``bincount`` per chunk), the tokens
@@ -180,10 +180,10 @@ def _compose(parts: tuple[StatementSet, ...], seed: int | None) -> StatementSet:
 @dataclass
 class EpochStats:
     epoch: int
-    mean_hinge_loss: float
+    mean_loss: float                     # the mean batch loss: the hinge (energy) or the cross-entropy (binary)
     val1_macro_acc: float
     threshold: float
-    median_energies: dict[str, float]
+    median_scores: dict[str, float]      # the validation1 mixture's median head score, per provenance class
 
 
 @dataclass
@@ -516,7 +516,7 @@ class _Adam:
         self.flat -= step
 
 
-def _median_energies(mixture: Sequence[StatementSet], scores: Sequence[float]) -> dict[str, float]:
+def _median_scores(mixture: Sequence[StatementSet], scores: Sequence[float]) -> dict[str, float]:
     by_class: dict[str, list[float]] = {}
     for s, score in zip(mixture, scores):
         by_class.setdefault(s.provenance, []).append(score)
@@ -702,13 +702,16 @@ def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_e
 
 
 def _train(params: ModelParams, splits, config: TrainerConfig,
-           instances: Callable[[_Pools, TrainerConfig, int], _Examples], source: str):
-    """The set-up both trainers share: :func:`_fit` of ``instances`` over ``splits.train``'s base pools, validated
-    by the ``source`` head on a threshold mixture of ``splits.validation1``; returns the mixture and the fit."""
+           instances: Callable[[_Pools, TrainerConfig, int], _Examples], source: str) -> TrainResult:
+    """What both trainers share: :func:`_fit` of ``instances`` over ``splits.train``'s base pools, validated by
+    the ``source`` head on a threshold mixture of ``splits.validation1``, and the per-epoch log."""
     (pools,) = _base_rows(base_pools(splits.train))
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
-    return mixture, _fit(params.copy(), config, CountsCache(params.vocab, pools.sets),
-                         lambda epoch: instances(pools, config, epoch), _Validation(mixture, source))
+    best, threshold, history = _fit(params.copy(), config, CountsCache(params.vocab, pools.sets),
+                                    lambda epoch: instances(pools, config, epoch), _Validation(mixture, source))
+    log = [EpochStats(epoch, loss, acc, t.value, _median_scores(mixture, scores))
+           for epoch, (loss, acc, t, scores) in enumerate(history)]
+    return TrainResult(params=best, threshold=threshold, log=log)
 
 
 def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
@@ -717,17 +720,13 @@ def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
     ``splits`` needs ``train`` and ``validation1`` set lists.  The
     returned threshold is the one learned at the winning epoch.
     """
-    mixture, (best, threshold, history) = _train(params, splits, config, _epoch_instances, "energy")
-    log = [EpochStats(epoch, loss, acc, t.value, _median_energies(mixture, scores))
-           for epoch, (loss, acc, t, scores) in enumerate(history)]
-    return TrainResult(params=best, threshold=threshold, log=log)
+    return _train(params, splits, config, _epoch_instances, "energy")
 
 
-def train_binary(params: ModelParams, splits, config: TrainerConfig) -> tuple[ModelParams, Threshold]:
+def train_binary(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
     """Cross-entropy training of the 2-way head on the five set classes: every side of the eight-kind plan,
     whatever ``config.regime``; ``config.alpha``, a margin, plays no part."""
-    _, (best, threshold, _) = _train(params, splits, config, _binary_instances, "inconsistent-softmax")
-    return best, threshold
+    return _train(params, splits, config, _binary_instances, "inconsistent-softmax")
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:

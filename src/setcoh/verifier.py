@@ -1,11 +1,11 @@
 """Consistency decisions from any scorer, plus greedy inconsistency localization.
 
 A scorer maps a statement set to a real score (higher = less
-consistent) and carries a decision threshold; the uniform rule is
-*consistent iff score < threshold* (a score exactly at the threshold is
-inconsistent).  Concrete scorers wrap the trained energy model, the
-binary classifier's softmax, the exact truth-table oracle, or an
-externally produced score file.
+consistent) and carries a decision threshold; the uniform rule,
+:func:`classify`, is *consistent iff score < threshold* (a score exactly
+at the threshold, or NaN, is inconsistent).  Concrete scorers wrap the
+trained energy model, the binary classifier's softmax, the exact
+truth-table oracle, or an externally produced score file.
 
 Every strategy scores subsets of one set: ``compile(s)`` returns a
 function from a batch of kept-index tuples of ``s`` to their scores, in
@@ -21,10 +21,11 @@ context, is answered from the kept score, exactly.  The oracle decides a
 union from its parts' compiles (:func:`datagen.compile_formulas`); a pair
 there inherits its set's context, so the oracle keeps no pair scores.
 
-Element-wise verification scores all N(N-1)/2 statement pairs and
+Element-wise verification classifies all N(N-1)/2 statement pairs and
 tolerates up to a given fraction of inconsistent pairs (the maximum
-tolerance rate).  Subsets inherit the parent set's context formulas:
-world knowledge stays in force when statements are dropped.
+tolerance rate, MTR; :func:`tolerance_rule`).  Subsets inherit the
+parent set's context formulas: world knowledge stays in force when
+statements are dropped.
 
 Localization removes, while the set is judged inconsistent and larger
 than two statements, the statement whose exclusion yields the lowest
@@ -37,10 +38,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, ClassVar, Iterator, Protocol, Sequence
+from typing import Callable, ClassVar, Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet, compile_formulas
 from .logic import AtomBudgetError, DataError, is_satisfiable  # noqa: F401 (bench/test_bench.py checks this binding)
@@ -168,15 +168,6 @@ class BinarySoftmaxScorer(_ModelScorer):
 MODEL_SCORERS: dict[str, type[_ModelScorer]] = {cls.head: cls for cls in (EnergyScorer, BinarySoftmaxScorer)}
 
 
-@contextmanager
-def _naming(s: StatementSet) -> Iterator[None]:
-    """Re-raise an :class:`AtomBudgetError` with the id of the set being compiled."""
-    try:
-        yield
-    except AtomBudgetError as exc:
-        raise AtomBudgetError(f"set {s.id!r}: {exc}") from None
-
-
 @dataclass
 class OracleScorer:
     """Truth-table ground truth: 1.0 if jointly unsatisfiable, else 0.0."""
@@ -184,8 +175,10 @@ class OracleScorer:
     threshold: float = 0.5
 
     def compile(self, s: StatementSet) -> SubsetScores:
-        with _naming(s):
+        try:
             compiled = compile_formulas(s)
+        except AtomBudgetError as exc:
+            raise AtomBudgetError(f"set {s.id!r}: {exc}") from None
         return lambda keeps: [0.0 if compiled.satisfiable(keep) else 1.0 for keep in keeps]
 
     score = _whole_set_score
@@ -272,11 +265,20 @@ def write_scores_file(path, threshold: float, scores: dict[str, float]) -> None:
 
 
 def classify(score: float, threshold: float) -> str:
+    """The verdict of a score: consistent iff strictly below the threshold (a tie or a NaN is inconsistent)."""
     return CONSISTENT if score < threshold else INCONSISTENT
 
 
+def tolerance_rule(mtr: float) -> Callable[[float], str]:
+    """The element-wise verdict at tolerance rate ``mtr``, which must be in [0, 1], of an
+    inconsistent-pair ratio: consistent iff the ratio is at most ``mtr``."""
+    if not 0.0 <= mtr <= 1.0:
+        raise ValueError("mtr must be in [0, 1]")
+    return lambda ratio: CONSISTENT if ratio <= mtr else INCONSISTENT
+
+
 def verify_set(scorer: Scorer, s: StatementSet) -> Verdict:
-    """Whole-set verdict: consistent iff the score is strictly below the threshold."""
+    """Whole-set verdict: the :func:`classify` of the set's score."""
     score = scorer.score(s)
     return Verdict(label=classify(score, scorer.threshold), score=score)
 
@@ -289,16 +291,14 @@ def pair_subsets(s: StatementSet) -> list[tuple[tuple[int, int], StatementSet]]:
 
 
 def verify_elementwise(scorer: Scorer, s: StatementSet, mtr: float) -> Verdict:
-    """Pairwise verdict: consistent iff the inconsistent-pair ratio is at most ``mtr``."""
-    if not 0.0 <= mtr <= 1.0:
-        raise ValueError("mtr must be in [0, 1]")
+    """Pairwise verdict: the :func:`tolerance_rule` of the ratio of pairs :func:`classify` finds inconsistent."""
+    verdict = tolerance_rule(mtr)
     pairs = list(combinations(range(len(s.statements)), 2))
     scores = tuple(scorer.compile(s)(pairs))
-    bad = sum(score >= scorer.threshold for score in scores)
+    bad = sum(classify(score, scorer.threshold) == INCONSISTENT for score in scores)
     ratio = bad / len(pairs)
     detail = PairwiseDetail(pair_count=len(pairs), inconsistent_pairs=bad, ratio=ratio, scores=scores)
-    label = CONSISTENT if ratio <= mtr else INCONSISTENT
-    return Verdict(label=label, score=ratio, detail=detail)
+    return Verdict(label=verdict(ratio), score=ratio, detail=detail)
 
 
 def locate(scorer: Scorer, s: StatementSet) -> LocateResult:
@@ -314,7 +314,7 @@ def locate(scorer: Scorer, s: StatementSet) -> LocateResult:
     removed: list[int] = []
     trace: list[tuple[tuple[int, float], ...]] = []
     while True:
-        if current_score < scorer.threshold:
+        if classify(current_score, scorer.threshold) == CONSISTENT:
             return LocateResult(tuple(removed), CONSISTENT_REACHED, tuple(trace))
         if len(remaining) == 2:
             return LocateResult(tuple(removed), SIZE_TWO_STOP, tuple(trace))

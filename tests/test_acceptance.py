@@ -76,8 +76,8 @@ def qa_energy(qa_corpus):
 def qa_binary(qa_corpus):
     vocab = build_vocabulary(qa_corpus.train)
     params = ModelParams.init(vocab, d=96, h=96, seed=SEED)
-    trained, threshold = train_binary(params, qa_corpus, QA_CONFIG)
-    return BinarySoftmaxScorer(trained, threshold.value)
+    result = train_binary(params, qa_corpus, QA_CONFIG)
+    return BinarySoftmaxScorer(result.params, result.threshold.value)
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,14 @@ class TestTrain:
     def test_binary_arch(self, binary_dir):
         assert load_threshold(binary_dir / "threshold.txt").source == "inconsistent-softmax"
 
+    def test_binary_log_names_its_loss(self, model_dir, binary_dir):
+        energy, binary = ((out / "train_log.csv").read_text().splitlines() for out in (model_dir, binary_dir))
+        assert binary[0] == energy[0].replace("mean_hinge_loss", "mean_cross_entropy_loss")
+        assert len(binary) == 3  # header + 2 epochs
+        for row in binary[1:]:
+            for cell in row.split(","):
+                float(cell)  # a degenerate fit's threshold is inf
+
 
 class TestHeads:
     """``model.HEADS`` is the one table of threshold sources and the scores they apply to."""
@@ -245,6 +253,19 @@ class TestLocate:
                    "--scorer", "oracle", "--classes", "CI", "--mixture-per-class", "2")
         assert code == 3
         assert "class 'CI' needs 'I' base sets, and the 'I' pool is empty" in capsys.readouterr().err
+
+    def test_inconsistent_sets_without_gold_exit_3_before_any_locate(self, tmp_path, snli_dir, monkeypatch, capsys):
+        # Sentence sets carry no gold indices: a class with an I part cannot be scored, a C-only one can.
+        monkeypatch.setattr(verifier, "locate", lambda *args: pytest.fail("locate ran"))
+        code = run("locate", "--data", snli_dir, "--out", tmp_path / "o", "--seed", "5", "--scorer", "oracle",
+                   "--mixture-per-class", "3", "--min-size", "2")
+        assert code == 3
+        first = next(s.id for s in trainer.base_pools(load_corpus(snli_dir).test)[1])
+        assert capsys.readouterr().err == (f"error: {snli_dir / 'data.jsonl'}: set {first!r} has no "
+                                           "gold_inconsistent_indices for locate to score against\n")
+        monkeypatch.undo()
+        assert run("locate", "--data", snli_dir, "--out", tmp_path / "c", "--seed", "5", "--scorer", "oracle",
+                   "--classes", "C,CC", "--mixture-per-class", "3", "--min-size", "2") == 0
 
     def test_too_small_partner_pool_names_what_ran_out(self, tmp_path, capsys):
         # A test split of two C sets cannot give a CCC union three namespace-disjoint parts.
@@ -610,6 +631,48 @@ class TestExitCodes:
         code = run("gen", "--style", "qa", "--counts", "2,1", "--qa-flips", "yes-to-no", "--out", tmp_path / "g")
         assert code == 3
         assert "no certified flip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["gen", "--style", "qa"], "-1"),
+        (["gen", "--style", "snli"], "-1"),
+        (["train"], "-1"),
+        (["ablate"], "-1"),
+        (["verify", "--scorer", "oracle"], "-3"),
+    ])
+    def test_negative_seed_exit_2_before_writing(self, tmp_path, qa_dir, argv, value, capsys):
+        out = tmp_path / "o"
+        data = [] if argv[0] == "gen" else ["--data", qa_dir]
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, *data, "--out", out, "--seed", value)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --seed: must be an integer >= 0, got {value!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    @pytest.mark.parametrize("argv", [["gen", "--style", "qa"], ["train"], ["verify", "--scorer", "oracle"],
+                                      ["locate", "--scorer", "oracle"], ["sweep", "--scorer", "oracle"], ["ablate"]])
+    def test_bad_setcoh_seed_exit_2_naming_the_variable(self, tmp_path, qa_dir, monkeypatch, argv, value, capsys):
+        monkeypatch.setenv("SETCOH_SEED", value)
+        out = tmp_path / "o"
+        data = [] if argv[0] == "gen" else ["--data", qa_dir]
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, *data, "--out", out)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --seed: SETCOH_SEED must be an integer >= 0, got {value!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["train", "--help"]])
+    def test_bad_setcoh_seed_keeps_help_and_version(self, monkeypatch, argv, capsys):
+        monkeypatch.setenv("SETCOH_SEED", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_a_seed_flag_overrides_a_bad_setcoh_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SETCOH_SEED", "abc")
+        assert run("gen", "--style", "qa", "--seed", "11", "--counts", "3,2", "--out", tmp_path / "g") == 0
 
     def test_console_script_version(self):
         proc = subprocess.run([sys.executable, "-m", "setcoh.cli", "--version"],

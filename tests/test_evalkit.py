@@ -7,7 +7,9 @@ from setcoh.datagen import PROVENANCE_CLASSES, pools
 from setcoh.evalkit import (
     LengthMismatchError,
     MissingGoldError,
+    SweepRow,
     best_mtr,
+    best_row,
     build_eval_mixture,
     energy_quartiles,
     locate_metrics,
@@ -208,6 +210,11 @@ class TestBestMtr:
         f1s = [verification_report(OracleScorer(), qa_mixture.sets, "elementwise", mtr).macro_f1 for mtr in grid]
         assert f1s[0] == f1s[1]
         assert best_mtr(OracleScorer(), qa_mixture.sets, grid) == 0.99
+
+    def test_best_row_is_the_earliest_best_whole_mixture_row(self):
+        rows = [SweepRow(0.0, "1", 0.9, 1), SweepRow(0.0, "all", 0.4, 2), SweepRow(0.1, "1", 0.2, 1),
+                SweepRow(0.1, "all", 0.6, 2), SweepRow(0.2, "2", 0.6, 1), SweepRow(0.2, "all", 0.6, 2)]
+        assert best_row(rows) is rows[3]
 
     def test_bad_grids(self, qa_mixture):
         with pytest.raises(ValueError):

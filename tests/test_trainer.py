@@ -256,15 +256,15 @@ class TestTraining:
         assert a.threshold == b.threshold
         for name, arr in a.params.arrays().items():
             assert np.array_equal(arr, b.params.arrays()[name])
-        assert [s.mean_hinge_loss for s in a.log] == [s.mean_hinge_loss for s in b.log]
+        assert [s.mean_loss for s in a.log] == [s.mean_loss for s in b.log]
 
     def test_loss_decreases_on_small_corpus(self, small_qa_corpus):
         vocab = build_vocabulary(small_qa_corpus.train)
         params = ModelParams.init(vocab, d=16, h=12, seed=5)
         config = TrainerConfig(epochs=5, rng_seed=5, pairs_per_epoch=30, val_per_class=6)
         result = train(params, small_qa_corpus, config)
-        assert result.log[0].mean_hinge_loss > 0.0
-        assert result.log[-1].mean_hinge_loss < result.log[0].mean_hinge_loss
+        assert result.log[0].mean_loss > 0.0
+        assert result.log[-1].mean_loss < result.log[0].mean_loss
         assert result.threshold.learned_epoch == max(
             range(len(result.log)), key=lambda e: (result.log[e].val1_macro_acc, -e)
         )
@@ -295,9 +295,9 @@ class TestBinary:
         vocab = build_vocabulary(small_qa_corpus.train)
         params = ModelParams.init(vocab, d=8, h=6, seed=7)
         config = TrainerConfig(epochs=2, rng_seed=7, pairs_per_epoch=10, val_per_class=4)
-        trained, threshold = train_binary(params, small_qa_corpus, config)
-        assert threshold.source == "inconsistent-softmax"
-        assert trained is not params
+        result = train_binary(params, small_qa_corpus, config)
+        assert result.threshold.source == "inconsistent-softmax"
+        assert result.params is not params
 
 
 class TestFineTune:
@@ -508,13 +508,13 @@ def _check_train(corpus, regime, seed, dims, settings):
     _, best, losses = _ref_fit(ModelParams.init(vocab, *dims, seed=seed), config, instances, mixture=mixture)
     _assert_same_params(result.params, best[1])
     assert (result.threshold.value, result.threshold.learned_epoch) == (best[2], best[3])
-    assert [stats.mean_hinge_loss for stats in result.log] == losses
+    assert [stats.mean_loss for stats in result.log] == losses
 
 
 def _check_train_binary(corpus, seed, dims, settings):
     vocab = build_vocabulary(corpus.train)
     config = TrainerConfig(rng_seed=seed, **settings)
-    trained, threshold = train_binary(ModelParams.init(vocab, *dims, seed=seed), corpus, config)
+    result = train_binary(ModelParams.init(vocab, *dims, seed=seed), corpus, config)
     pool_c, pool_i = pools(corpus.train)
     mixture = build_threshold_mixture(corpus.validation1, rng_seed=seed, per_class=config.val_per_class)
 
@@ -529,10 +529,11 @@ def _check_train_binary(corpus, seed, dims, settings):
                         out.append((s, int("I" in tag)))
         return out
 
-    _, best, _ = _ref_fit(ModelParams.init(vocab, *dims, seed=seed), config, examples,
-                          binary=True, mixture=mixture)
-    _assert_same_params(trained, best[1])
-    assert (threshold.value, threshold.learned_epoch) == (best[2], best[3])
+    _, best, losses = _ref_fit(ModelParams.init(vocab, *dims, seed=seed), config, examples,
+                               binary=True, mixture=mixture)
+    _assert_same_params(result.params, best[1])
+    assert (result.threshold.value, result.threshold.learned_epoch) == (best[2], best[3])
+    assert [stats.mean_loss for stats in result.log] == losses
 
 
 def _check_fine_tune(source, target, anchor_mode, seed, dims, settings):

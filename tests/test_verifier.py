@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -14,11 +15,13 @@ from setcoh.datagen import (
     validate_with_oracle,
 )
 from setcoh.logic import AtomBudgetError, AtomRef, Implies, atoms_of, is_satisfiable, parse_formula
+from setcoh.evalkit import EvalMixture, best_mtr, mtr_sweep
 from setcoh.rules import RULES_BY_ID
 from setcoh.model import ModelParams, build_vocabulary
 from setcoh.verifier import (
     CONSISTENT_REACHED,
     EnergyScorer,
+    ExternalScorer,
     LocateResult,
     OracleScorer,
     SIZE_TWO_STOP,
@@ -355,3 +358,66 @@ class TestAtomBudget:
 def test_locate_result_rejects_duplicates():
     with pytest.raises(ValueError):
         LocateResult((1, 1), CONSISTENT_REACHED, ())
+
+
+def _sized(n, set_id="tie"):
+    """A consistent set of ``n`` statements; only its size and id matter to an external scorer."""
+    return StatementSet(id=set_id, label="consistent", provenance="C",
+                        statements=[TRAIN_SET.statements[i % 3] for i in range(n)])
+
+
+def _external(s, scores, default=0.9, threshold=0.5):
+    """An external scorer of every subset of ``s`` with two or more statements: ``scores`` by
+    :func:`subset_id`, and ``default`` for the rest."""
+    n = len(s.statements)
+    rows = {subset_id(s, keep): default for k in range(2, n + 1) for keep in itertools.combinations(range(n), k)}
+    return ExternalScorer(scores={**rows, **scores}, threshold=threshold, path="scores.csv")
+
+
+class TestTies:
+    """A score equal to the threshold is inconsistent at every verdict site, and a ratio equal to the MTR is
+    tolerated (the module's rule, which :func:`setcoh.verifier.classify` and ``tolerance_rule`` state)."""
+
+    def test_verify_set_at_the_threshold_is_inconsistent(self):
+        s = _sized(5)
+        assert verify_set(_external(s, {"tie": 0.5}), s).label == "inconsistent"
+        assert verify_set(_external(s, {"tie": math.nextafter(0.5, 0.0)}), s).label == "consistent"
+
+    def test_elementwise_counts_a_pair_at_the_threshold_and_tolerates_a_ratio_at_the_mtr(self):
+        s = _sized(5)                          # 10 pairs: one at the threshold, nine below it
+        pairs = {subset_id(s, pair): 0.1 for pair in itertools.combinations(range(5), 2)}
+        scorer = _external(s, {**pairs, "tie#1-3": 0.5})
+        verdict = verify_elementwise(scorer, s, mtr=0.1)
+        assert (verdict.detail.inconsistent_pairs, verdict.score) == (1, 0.1)
+        assert verdict.label == "consistent"
+        assert verify_elementwise(scorer, s, mtr=math.nextafter(0.1, 0.0)).label == "inconsistent"
+
+    def test_locate_goes_on_past_a_score_at_the_threshold(self):
+        s = _sized(4)                          # the whole set and its best leave-one-out both tie
+        scorer = _external(s, {"tie": 0.5, "tie#1-2-3": 0.5, "tie#1-3": 0.1})
+        result = locate(scorer, s)
+        assert result.removed_indices == (0, 2)
+        assert result.terminal == CONSISTENT_REACHED
+        assert [min(score for _, score in scored) for scored in result.trace] == [0.5, 0.1]
+
+    def test_locate_stops_at_two_statements_scored_at_the_threshold(self):
+        s = _sized(3)
+        result = locate(_external(s, {}, default=0.5), s)
+        assert (result.removed_indices, result.terminal) == ((0,), SIZE_TWO_STOP)
+
+    def test_sweep_tolerates_a_ratio_at_a_grid_mtr(self):
+        s = _sized(5)                          # ratio 0.1: one pair of ten at the threshold
+        pairs = {subset_id(s, pair): 0.1 for pair in itertools.combinations(range(5), 2)}
+        scorer = _external(s, {**pairs, "tie#0-4": 0.5})
+        grid = [0.0, 0.1, 0.2]
+        rows = [r for r in mtr_sweep(scorer, EvalMixture((s,)), grid) if r.size_bucket == "all"]
+        assert [r.macro_f1 for r in rows] == [0.0, 0.5, 0.5]    # consistent from the grid's 0.1 on
+        assert best_mtr(scorer, [s], grid) == 0.1
+
+    def test_a_nan_score_is_inconsistent_to_both_strategies(self):
+        s = _sized(2)                          # its one pair is the whole set
+        scorer = _external(s, {"tie": math.nan})
+        assert verify_set(scorer, s).label == "inconsistent"
+        verdict = verify_elementwise(scorer, s, mtr=0.0)
+        assert (verdict.label, verdict.detail.inconsistent_pairs) == ("inconsistent", 1)
+        assert locate(scorer, s).terminal == SIZE_TWO_STOP
