@@ -2,15 +2,17 @@
 
 Usage::
 
-    python tests/mutate.py --base <rev> [--scratch DIR] [--timeout SECONDS]
+    python tests/mutate.py --base <rev>
 
 For every line of ``src/setcoh/*.py`` that ``git diff <rev>`` adds or
-changes (uncommitted edits included), each comparison, arithmetic, boolean
-and ``not`` operator on it is flipped, one mutant at a time, in a copy of
-``src/`` and ``tests/`` under the scratch directory (a temporary directory
-by default).  The mutated module is written back from its AST
+changes (uncommitted edits included), and every line of a module git does
+not track yet, each comparison, arithmetic, boolean and ``not`` operator on
+it is flipped, one mutant at a time, in a copy of ``src/`` and ``tests/``
+in a temporary directory.  The mutated module is written back from its AST
 (``ast.unparse``), and the test files that :data:`TESTS` maps to the module
-run with ``pytest -x``.  A mutant whose tests all pass survives.  Each
+run with ``pytest -x``; a run that takes longer than :data:`TIMEOUT`
+seconds (a flipped loop condition can hang) kills the mutant.  A mutant
+whose tests all pass survives.  Each
 mutant is printed on one line, ``SURVIVED`` or ``killed`` and then
 ``module.py:line: original -> mutant``; the exit status is 1 if any
 survive (2 if the unmutated tests fail).
@@ -46,6 +48,9 @@ TESTS = {
     "verifier": ["test_verifier.py", "test_subset_scoring.py", "test_pair_memo.py", "test_evalkit.py"],
 }
 
+# Seconds one pytest run may take before its mutant counts as killed.
+TIMEOUT = 900.0
+
 # Each operator and the one it is flipped to.
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -68,11 +73,17 @@ class Mutant:
     after: str
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+
+
 def touched_lines(base: str) -> dict[str, set[int]]:
-    """The new-side line numbers that ``git diff base`` adds or changes, per module file name."""
-    diff = subprocess.run(["git", "diff", "-U0", base, "--", str(PACKAGE)], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout
+    """Per module file name, the new-side lines ``git diff base`` adds or changes, or all of an untracked one."""
     touched: dict[str, set[int]] = {}
+    for path in _git("ls-files", "--others", "--exclude-standard", "--", str(PACKAGE)).splitlines():
+        if path.endswith(".py"):
+            touched[Path(path).name] = set(range(1, len((ROOT / path).read_text().splitlines()) + 1))
+    diff = _git("diff", "-U0", base, "--", str(PACKAGE))
     name = None
     for line in diff.splitlines():
         if line.startswith("+++ "):
@@ -135,13 +146,13 @@ def _short(text: str, width: int = 90) -> str:
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
+def run_tests(tree: Path, tests: list[str]) -> str:
     """``"pass"``, ``"fail"`` or ``"timeout"`` for one pytest run of ``tests`` in the copy at ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *(str(Path("tests") / name) for name in tests)]
     try:
-        proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if proc.returncode == 0 else "fail"
@@ -150,14 +161,10 @@ def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision whose diff names the lines to mutate")
-    parser.add_argument("--scratch", help="directory for the copy (default: a temporary directory, removed after)")
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per test run; a timeout kills")
     args = parser.parse_args(argv)
     touched = touched_lines(args.base)
     with tempfile.TemporaryDirectory(prefix="setcoh-mutate-") as temporary:
-        tree = Path(args.scratch or temporary) / "tree"
-        if tree.exists():
-            shutil.rmtree(tree)
+        tree = Path(temporary) / "tree"
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
@@ -174,12 +181,12 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             try:
                 path.write_text(ast.unparse(ast.parse(source)) + "\n")     # the same module, as mutants are written
-                if run_tests(tree, tests, args.timeout) != "pass":
+                if run_tests(tree, tests) != "pass":
                     print(f"{name}: the unmutated tests fail; no mutant run", flush=True)
                     return 2
                 for mutant in found:
                     path.write_text(mutate(source, mutant.node, mutant.slot))
-                    outcome = run_tests(tree, tests, args.timeout)
+                    outcome = run_tests(tree, tests)
                     total += 1
                     if outcome == "pass":
                         survivors += 1

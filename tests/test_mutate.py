@@ -31,9 +31,25 @@ def test_each_mutant_changes_one_operator_and_nothing_else():
         assert ast.unparse(ast.parse(mutated)).replace(m.after, m.before, 1) == ast.unparse(ast.parse(SOURCE))
 
 
-def test_touched_lines_read_the_new_side_of_each_hunk(monkeypatch):
-    diff = ("+++ b/src/setcoh/verifier.py\n@@ -10,2 +11,3 @@ def f():\n@@ -40 +42 @@\n"
-            "+++ /dev/null\n@@ -1,5 +0,0 @@\n+++ b/src/setcoh/cli.py\n@@ -3,0 +4,2 @@\n")
+def _fake_git(monkeypatch, diff: str, untracked: str = "") -> None:
+    outputs = {"diff": diff, "ls-files": untracked}
     monkeypatch.setattr(mutate.subprocess, "run",
-                        lambda command, **kwargs: subprocess.CompletedProcess(command, 0, diff))
+                        lambda command, **kwargs: subprocess.CompletedProcess(command, 0, outputs[command[1]]))
+
+
+def test_touched_lines_read_the_new_side_of_each_hunk(monkeypatch):
+    _fake_git(monkeypatch, "+++ b/src/setcoh/verifier.py\n@@ -10,2 +11,3 @@ def f():\n@@ -40 +42 @@\n"
+                           "+++ /dev/null\n@@ -1,5 +0,0 @@\n+++ b/src/setcoh/cli.py\n@@ -3,0 +4,2 @@\n")
     assert mutate.touched_lines("base") == {"verifier.py": {11, 12, 13, 42}, "cli.py": {4, 5}}
+
+
+def test_every_line_of_an_untracked_module_is_touched(monkeypatch, tmp_path):
+    (tmp_path / "src" / "setcoh").mkdir(parents=True)
+    (tmp_path / "src" / "setcoh" / "fresh.py").write_text(SOURCE)
+    (tmp_path / "src" / "setcoh" / "notes.txt").write_text("x\n")
+    monkeypatch.setattr(mutate, "ROOT", tmp_path)
+    _fake_git(monkeypatch, "+++ b/src/setcoh/cli.py\n@@ -3,0 +4,2 @@\n",
+              "src/setcoh/fresh.py\nsrc/setcoh/notes.txt\n")
+    touched = mutate.touched_lines("base")
+    assert touched == {"fresh.py": {1, 2, 3, 4, 5}, "cli.py": {4, 5}}
+    assert len(mutate.mutants(SOURCE, touched["fresh.py"])) == 7
