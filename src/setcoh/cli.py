@@ -19,17 +19,19 @@ from typing import Sequence
 
 from . import __version__, evalkit, trainer, verifier
 from .datagen import (
+    CONSISTENT,
     DEFAULT_FLIPS,
     DatasetSplit,
     GenConfig,
     MalformedRecordError,
+    QA_FLIPS,
     SPLIT_NAMES,
     StatementSet,
     build_splits,
     load_jsonl,
     save_jsonl,
 )
-from .logic import DataError
+from .logic import DataError, decode_line
 from .model import (
     EMBED_DIM,
     HEADS,
@@ -54,7 +56,7 @@ SINGLE_GOLD_CLASSES = tuple(tag for tag in evalkit.PROVENANCE_CLASSES if tag.cou
 # The loss column of train_log.csv for each --arch.
 LOSS_COLUMNS = {"energy": "mean_hinge_loss", "binary": "mean_cross_entropy_loss"}
 # The threshold mixture's classes, in train_log.csv's order of their median validation1 scores.
-LOG_CLASSES = tuple(sorted(trainer.THRESHOLD_CLASSES_CONSISTENT + trainer.THRESHOLD_CLASSES_INCONSISTENT))
+LOG_CLASSES = tuple(sorted(trainer.THRESHOLD_CLASSES))
 
 
 class _SeedText(str):
@@ -123,15 +125,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         train_count, eval_count = (int(x) for x in args.counts.split(","))
     except ValueError:
         raise ValueError(f"--counts must be TRAIN,EVAL (two integers), got {args.counts!r}") from None
-    config = GenConfig(
-        style=args.style,
-        train_count=train_count,
-        eval_count=eval_count,
-        qa_flips=tuple(args.qa_flips.split(",")),
-    )
+    if min(train_count, eval_count) < 1:
+        raise ValueError(f"--counts must be >= 1, got {args.counts!r}")
+    config = GenConfig(style=args.style, train_count=train_count, eval_count=eval_count,
+                       qa_flips=tuple(_entries(args, "qa_flips", QA_FLIPS)))
     out = _write_snapshot(args)
-    corpus = build_splits(config, args.seed)
-    ordered = corpus.train + corpus.validation1 + corpus.validation2 + corpus.test
+    ordered = [s for sets in build_splits(config, args.seed).splits().values() for s in sets]
     save_jsonl(ordered, out / DATA_FILE)
     print(f"wrote {len(ordered)} sets to {out / DATA_FILE}")
     return 0
@@ -154,10 +153,9 @@ def load_threshold(path: Path) -> Threshold:
     training writes an infinite threshold only for a degenerate fit.  Each
     later line is one of :data:`_THRESHOLD_KEYS` ``=`` its value, once.
     """
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(f"{path}: not a text file ({exc.reason})") from exc
+    text = path.read_bytes().decode("utf-8", "surrogateescape")     # a byte that is not UTF-8 ends no line
+    lines = [decode_line(line.encode("utf-8", "surrogateescape"), path, lineno, MalformedRecordError)
+             for lineno, line in enumerate(text.splitlines(), start=1)]
     if not lines:
         raise MalformedRecordError(f"{path}: empty threshold file")
     try:
@@ -310,7 +308,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
         raise ValueError(f"--min-size must be >= 0, got {args.min_size}")
     out, scorer, mixture = _scored_mixture(args, classes, args.min_size, gold=True)
     # A consistent set's gold is empty, whether its indices are () or, for a sentence set, None.
-    golds = [() if s.label == "consistent" else s.gold_inconsistent_indices for s in mixture.sets]
+    golds = [() if s.label == CONSISTENT else s.gold_inconsistent_indices for s in mixture.sets]
     report = evalkit.locate_metrics([(verifier.locate(scorer, s), gold) for s, gold in zip(mixture.sets, golds)])
     _write_csv(out / "locate_report.csv", ["em", "precision", "recall", "f1", "count"],
                [[repr(report.em), repr(report.precision), repr(report.recall),
@@ -350,7 +348,7 @@ def _entries(args: argparse.Namespace, dest: str, choices: Sequence[str] | None 
         elif entry in choices:
             value = entry
         else:
-            raise ValueError(f"{flag} must name {dest} from {', '.join(choices)}, got {entry!r}")
+            raise ValueError(f"{flag} must name {dest.replace('_', ' ')} from {', '.join(choices)}, got {entry!r}")
         if value in values:
             raise ValueError(f"{flag} must not repeat an entry, got {entry!r} again")
         values.append(value)

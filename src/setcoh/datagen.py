@@ -42,6 +42,7 @@ from .logic import (
     Not,
     Or,
     atoms_of,
+    decode_line,
     format_formula,
     is_satisfiable,
     negate,
@@ -161,7 +162,7 @@ class Statement:
 
 @dataclass
 class StatementSet:
-    """A labeled, provenance-tagged collection of statements.
+    """A provenance-tagged collection of statements, labeled by its provenance.
 
     A loaded set, and a union, computes its context formulas on first read
     (a union from its parts'); a loaded set, and a union of loaded parts,
@@ -171,7 +172,6 @@ class StatementSet:
 
     id: str
     statements: list[Statement]
-    label: str
     provenance: str
     rule_id: str | None = None
     difficulty: str = "medium"
@@ -187,13 +187,8 @@ class StatementSet:
             raise ValueError(f"set id {self.id!r} is not a string")
         if len(self.statements) < 2:
             raise ValueError(f"set {self.id!r}: need at least 2 statements")
-        if self.label not in (CONSISTENT, INCONSISTENT):
-            raise ValueError(f"set {self.id!r}: bad label {self.label!r}")
         if type(self.provenance) is not str or not self.provenance or set(self.provenance) - {"C", "I"}:
             raise ValueError(f"set {self.id!r}: bad provenance {self.provenance!r}")
-        expected = CONSISTENT if "I" not in self.provenance else INCONSISTENT
-        if self.label != expected:
-            raise ValueError(f"set {self.id!r}: label {self.label!r} contradicts provenance {self.provenance!r}")
         gold = self.gold_inconsistent_indices
         if gold:
             if self.label == CONSISTENT:
@@ -204,6 +199,11 @@ class StatementSet:
                                      f"(0..{len(self.statements) - 1})")
                 if g in gold[:k]:
                     raise ValueError(f"set {self.id!r}: gold index {g} repeats")
+
+    @property
+    def label(self) -> str:
+        """Consistent iff no part of the set is inconsistent: no ``I`` in its provenance."""
+        return INCONSISTENT if "I" in self.provenance else CONSISTENT
 
     def __len__(self) -> int:
         return len(self.statements)
@@ -278,6 +278,9 @@ class QAWorld:
         return (at_least_one, *exclusions)
 
 
+SPLIT_NAMES = ("train", "validation1", "validation2", "test")
+
+
 @dataclass
 class DatasetSplit:
     train: list[StatementSet] = field(default_factory=list)
@@ -286,12 +289,8 @@ class DatasetSplit:
     test: list[StatementSet] = field(default_factory=list)
 
     def splits(self) -> dict[str, list[StatementSet]]:
-        return {
-            "train": self.train,
-            "validation1": self.validation1,
-            "validation2": self.validation2,
-            "test": self.test,
-        }
+        """Each split's sets, by name, in :data:`SPLIT_NAMES` order."""
+        return {name: getattr(self, name) for name in SPLIT_NAMES}
 
 
 def pools(sets: Iterable[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
@@ -425,7 +424,6 @@ def apply_rule(rule: Rule | str, seeds: SeedPair | Sequence[SeedPair], set_id: s
     out = StatementSet(
         id=set_id or f"{rule.rule_id.lower()}.{'.'.join(s.namespace for s in seeds)}",
         statements=statements,
-        label=rule.label,
         provenance="C" if rule.label == CONSISTENT else "I",
         rule_id=rule.rule_id,
         difficulty=rule.difficulty,
@@ -484,7 +482,6 @@ def gen_qa_set(world: QAWorld, set_id: str | None = None) -> StatementSet:
     out = StatementSet(
         id=set_id or f"qa.{world.namespace}",
         statements=statements,
-        label=CONSISTENT,
         provenance="C",
         rule_id="QA-GEN",
         context_semantics=world.context(),
@@ -556,7 +553,6 @@ def corrupt_qa(
     return StatementSet(
         id=set_id or f"{sc.id}.flip",
         statements=statements,
-        label=INCONSISTENT,
         provenance="I",
         rule_id="QA-FLIP",
         gold_inconsistent_indices=(idx,),
@@ -573,7 +569,7 @@ def compose_union(
 
     Parts must be base sets ("C" or "I" provenance) over pairwise
     disjoint atom namespaces; the union's provenance sorts the part tags
-    (C's first) and its label is consistent iff every part is.
+    (C's first).
     """
     parts = list(parts)
     if not 2 <= len(parts) <= 4:
@@ -603,14 +599,11 @@ def compose_union(
     statements = [flat[old] for old in order]
     remapped = tuple(sorted(position[g] for g in gold))
 
-    provenance = "".join(sorted(part.provenance for part in parts))
-    label = CONSISTENT if "I" not in provenance else INCONSISTENT
     has_gold = any(part.gold_inconsistent_indices is not None for part in parts)
     union = StatementSet(
         id=set_id or "u." + ".".join(part.id for part in parts),
         statements=statements,
-        label=label,
-        provenance=provenance,
+        provenance="".join(sorted(part.provenance for part in parts)),
         difficulty="easy" if any(p.difficulty == "easy" for p in parts) else "medium",
         gold_inconsistent_indices=remapped if has_gold else None,
     )
@@ -687,7 +680,6 @@ def derive_pairwise_dataset(
                 StatementSet(
                     id=f"ew-c{n}.{seed.namespace}",
                     statements=[donor.statements[i], donor.statements[j]],
-                    label=CONSISTENT,
                     provenance="C",
                     rule_id="EW-C",
                     context_semantics=donor.context_semantics,
@@ -709,7 +701,6 @@ def derive_pairwise_dataset(
                 StatementSet(
                     id=f"qa-ew-i.{qa_set.id}",
                     statements=[qa_set.statements[first], qa_set.statements[second]],
-                    label=INCONSISTENT,
                     provenance="I",
                     rule_id="QA-EW",
                     gold_inconsistent_indices=(0 if first == g else 1,),
@@ -722,7 +713,6 @@ def derive_pairwise_dataset(
                 StatementSet(
                     id=f"qa-ew-c.{qa_set.id}",
                     statements=[qa_set.statements[i], qa_set.statements[j]],
-                    label=CONSISTENT,
                     provenance="C",
                     rule_id="QA-EW",
                     context_semantics=qa_set.context_semantics,
@@ -753,9 +743,6 @@ class GenConfig:
         unknown = [flip for flip in self.qa_flips if flip not in QA_FLIPS]
         if unknown:
             raise ValueError(f"unknown qa flip {unknown[0]!r}; valid flips: {', '.join(QA_FLIPS)}")
-
-
-SPLIT_NAMES = ("train", "validation1", "validation2", "test")
 
 
 def _item_seed(master: int, split_idx: int, item: int) -> int:
@@ -883,7 +870,8 @@ def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement
     itself is parsed only when its ``semantics`` or ``context_semantics``
     is first read.
     The string fields that :class:`Statement` and :class:`StatementSet`
-    validate themselves are passed to them as read.
+    validate themselves are passed to them as read, and the record's
+    ``label`` must be the one its provenance gives.
     ``interned`` maps the (kind, text, question, answer, semantics) of each
     statement already built and checked to that :class:`Statement`, which
     an equal entry reuses (a reader shares one across its records); any
@@ -921,12 +909,14 @@ def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement
     out = StatementSet(
         id=record.get("id"),
         statements=statements,
-        label=record.get("label"),
         provenance=record.get("provenance"),
         rule_id=_string(record, "rule_id"),
         difficulty=_string(record, "difficulty", "medium"),
         gold_inconsistent_indices=tuple(gold) if gold is not None else None,
     )
+    label = record.get("label")
+    if label != out.label:
+        raise MalformedRecordError(f"set {out.id!r}: label {label!r} contradicts provenance {out.provenance!r}")
     out._namespaces = check.namespaces(texts + context if context else texts)
     if context:
         _defer(out, "context_semantics", partial(_parse_all, context))
@@ -958,8 +948,8 @@ def load_jsonl(path, accept: Callable[[StatementSet], None] | None = None) -> li
     interned: dict[tuple, Statement] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            line = decode_line(raw, path, lineno, MalformedRecordError)
             try:
-                line = raw.decode("utf-8")
                 if not line.strip():
                     continue
                 s = set_from_json(json.loads(line), check, interned)
@@ -968,8 +958,6 @@ def load_jsonl(path, accept: Callable[[StatementSet], None] | None = None) -> li
                 first_line[s.id] = lineno
                 if accept is not None:
                     accept(s)
-            except UnicodeDecodeError as exc:
-                raise MalformedRecordError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
             out.append(s)

@@ -37,6 +37,14 @@ class DataError(Exception):
     """An input cannot be used (a corpus, model, threshold or score file, or what a setting asks of them): exit 3."""
 
 
+def decode_line(raw: bytes, path, lineno: int, error: type[DataError]) -> str:
+    """Line ``lineno`` of the text file ``path`` as text; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 class MissingAssignmentError(ValueError):
     """A valuation does not assign some atom appearing in the formula."""
 

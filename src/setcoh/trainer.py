@@ -16,8 +16,9 @@ Fine-tuning mixes n source with n target pairs per epoch (re-sampled
 every epoch) and adds an L2 penalty, anchored at zero by default or at
 the starting weights.
 
-All three share one minibatch loop, :func:`_fit`, and the first two one
-set-up and one :class:`TrainResult`, :func:`_train`.  An epoch is a plan
+All three share one minibatch loop, :func:`_fit`, which yields each
+epoch's mean loss; the first two share one set-up, per-epoch validation
+and :class:`TrainResult`, :func:`_train`.  An epoch is a plan
 of integers: :func:`_plan` draws the base pairs and partners and names
 each side (a set, or the union of two) by the rows of its parts in one
 :class:`CountsCache`, each pool set's rows in the vocabulary's statement
@@ -90,8 +91,8 @@ REGIMES = {
 # columns of an epoch plan, and the binary baseline's examples per pair.
 SIDE_TAGS = tuple(dict.fromkeys(tag for kind in CONTRAST_KINDS for tag in kind))
 
-THRESHOLD_CLASSES_CONSISTENT = ("C", "CC")
-THRESHOLD_CLASSES_INCONSISTENT = ("I", "CI", "II")
+# The threshold mixture's classes, consistent ones first.
+THRESHOLD_CLASSES = ("C", "CC", "I", "CI", "II")
 
 # Provenances of the sets that unions are composed from.
 BASE_PROVENANCES = ("C", "I")
@@ -443,8 +444,8 @@ def build_threshold_mixture(
     if not pool_c or not pool_i:
         raise EmptyValidationError("validation split lacks one of the labels")
     (pools,) = _base_rows((pool_c, pool_i))
-    return _draw_mixture(pools, THRESHOLD_CLASSES_CONSISTENT + THRESHOLD_CLASSES_INCONSISTENT, per_class,
-                         random.Random(f"threshold-mixture:{rng_seed}"), lambda tag, k: f"thr-{tag}-{k}")
+    return _draw_mixture(pools, THRESHOLD_CLASSES, per_class, random.Random(f"threshold-mixture:{rng_seed}"),
+                         lambda tag, k: f"thr-{tag}-{k}")
 
 
 # Sets that one validation encode gathers: one gather over a 1,000-set mixture's rows adds
@@ -656,30 +657,18 @@ def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], step: _Step, 
     return _in_order(losses)
 
 
-class _Validation(NamedTuple):
-    mixture: list[StatementSet]
-    source: str                          # the model.HEADS score the per-epoch threshold is fit on
-
-
-@np.errstate(over="ignore", invalid="ignore")    # a diverging run raises TrainingDivergedError, not a warning
 def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_examples: Callable[[int], _Examples],
-         validation: _Validation | None = None, penalty: Callable | None = None):
-    """The minibatch loop of every trainer; updates ``params`` in place.
+         penalty: Callable | None = None) -> Iterator[float]:
+    """The minibatch loop of every trainer: updates ``params`` in place and yields each epoch's mean batch loss.
 
     ``epoch_examples(epoch)`` names its sides by their keys in ``table``.
     Each batch, compiled by :func:`_compile`, runs :func:`_batch_step`;
     ``penalty(params, grads, loss)``, when given, adds its gradient to
-    ``grads`` and returns ``loss`` plus its value.  Returns the best
-    validated epoch's parameters and threshold (the last epoch's
-    parameters and None without validation) and, per validated epoch,
-    (mean batch loss, macro accuracy, threshold, validation scores).
+    ``grads`` and returns ``loss`` plus its value.  A caller runs it under
+    ``np.errstate(over="ignore", invalid="ignore")``: a diverging run raises
+    :class:`TrainingDivergedError`, not a warning.
     """
-    if validation is not None:
-        val_scores = _scorer(params.vocab, validation.mixture, validation.source)
-        val_labels = [s.label for s in validation.mixture]
     optimizer = _Adam(params, config.learning_rate)
-    history: list[tuple[float, float, Threshold, list[float]]] = []
-    best: tuple[float, ModelParams, Threshold] | None = None
     for epoch in range(config.epochs):
         losses: list[float] = []
         for step, batch in enumerate(_compile(table, epoch_examples(epoch), config.batch_size)):
@@ -690,28 +679,26 @@ def _fit(params: ModelParams, config: TrainerConfig, table: CountsCache, epoch_e
             losses.append(loss / len(batch.at))
             optimizer.step()
             _check_finite(losses[-1], params, optimizer.flat, epoch, step)
-        if validation is None:
-            continue
-        scores = val_scores(params)
-        value, acc, degenerate = _threshold_scan(scores, val_labels)
-        threshold = Threshold(value, epoch, validation.source, degenerate)
-        history.append((float(np.mean(losses)), acc, threshold, scores))
-        if best is None or acc > best[0]:
-            best = (acc, params.copy(), threshold)
-    return (params, None, history) if best is None else (best[1], best[2], history)
+        yield float(np.mean(losses))
 
 
 def _train(params: ModelParams, splits, config: TrainerConfig,
            instances: Callable[[_Pools, TrainerConfig, int], _Examples], source: str) -> TrainResult:
-    """What both trainers share: :func:`_fit` of ``instances`` over ``splits.train``'s base pools, validated by
-    the ``source`` head on a threshold mixture of ``splits.validation1``, and the per-epoch log."""
+    """What both trainers share: :func:`_fit` of ``instances`` over ``splits.train``'s base pools, the per-epoch
+    log, and the epoch whose ``source`` head best separates a threshold mixture of ``splits.validation1``."""
     (pools,) = _base_rows(base_pools(splits.train))
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
-    best, threshold, history = _fit(params.copy(), config, CountsCache(params.vocab, pools.sets),
-                                    lambda epoch: instances(pools, config, epoch), _Validation(mixture, source))
-    log = [EpochStats(epoch, loss, acc, t.value, _median_scores(mixture, scores))
-           for epoch, (loss, acc, t, scores) in enumerate(history)]
-    return TrainResult(params=best, threshold=threshold, log=log)
+    params, table = params.copy(), CountsCache(params.vocab, pools.sets)
+    scores_of, labels = _scorer(params.vocab, mixture, source), [s.label for s in mixture]
+    log, best = [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, loss in enumerate(_fit(params, config, table, lambda epoch: instances(pools, config, epoch))):
+            scores = scores_of(params)
+            value, acc, degenerate = _threshold_scan(scores, labels)
+            log.append(EpochStats(epoch, loss, acc, value, _median_scores(mixture, scores)))
+            if best is None or acc > best[0]:
+                best = (acc, params.copy(), Threshold(value, epoch, source, degenerate))
+    return TrainResult(params=best[1], threshold=best[2], log=log)
 
 
 def train(params: ModelParams, splits, config: TrainerConfig) -> TrainResult:
@@ -774,4 +761,7 @@ def fine_tune(
         return loss
 
     table = CountsCache(params.vocab, domains[0].sets)
-    return _fit(params, config, table, epoch_instances, penalty=penalty if config.l2_weight else None)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in _fit(params, config, table, epoch_instances, penalty if config.l2_weight else None):
+            pass
+    return params

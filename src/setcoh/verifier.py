@@ -43,7 +43,8 @@ from itertools import combinations
 from typing import Callable, ClassVar, Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet, compile_formulas
-from .logic import AtomBudgetError, DataError, is_satisfiable  # noqa: F401 (bench/test_bench.py checks this binding)
+from .logic import AtomBudgetError, DataError, decode_line
+from .logic import is_satisfiable  # noqa: F401 (bench/test_bench.py checks this binding)
 from .model import HEADS, ModelParams, encode
 
 
@@ -221,12 +222,8 @@ def external_scorer_from_file(path) -> ExternalScorer:
     """
     with open(path, "rb") as fh:
         raw_lines = fh.read().splitlines()
-    lines = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        try:
-            lines.append(raw.decode("utf-8").strip())
-        except UnicodeDecodeError:
-            raise MalformedScoreFileError(f"{path}:{lineno}: not UTF-8 text") from None
+    lines = [decode_line(raw, path, lineno, MalformedScoreFileError).strip()
+             for lineno, raw in enumerate(raw_lines, start=1)]
     header = lines[0] if lines else ""
     if not header.startswith("threshold="):
         raise MalformedScoreFileError(f"{path}:1: expected 'threshold=<real>' header, got {header!r}")

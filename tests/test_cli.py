@@ -615,6 +615,40 @@ class TestExitCodes:
         missing = re.fullmatch(rf"error: {re.escape(str(scores))}: no score for set id '([^']+)'\n", err)
         assert missing and missing.group(1) in {s.id for s in load_corpus(qa_dir).test}
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--counts", "0,1"], "--counts must be >= 1, got '0,1'"),
+        (["--counts", "2,0"], "--counts must be >= 1, got '2,0'"),
+        (["--qa-flips", "no-to-yes,no-to-yes"], "--qa-flips must not repeat an entry, got 'no-to-yes' again"),
+        (["--qa-flips", "bogus"], "--qa-flips must name qa flips from no-to-yes, yes-to-no, open-replace, got 'bogus'"),
+    ], ids=["train-count-0", "eval-count-0", "flip-repeated", "flip-unknown"])
+    def test_bad_gen_flag_exit_2_naming_it_before_writing(self, tmp_path, flags, message, capsys):
+        out = tmp_path / "g"
+        assert run("gen", "--style", "qa", *flags, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["corpus", "threshold", "scores"])
+    def test_text_that_is_not_utf8_is_reported_one_way(self, tmp_path, qa_dir, model_dir, reader, capsys):
+        # Each file's line 2 holds a byte that no UTF-8 text starts with.
+        data, scorer = qa_dir, ["--scorer", "oracle"]
+        if reader == "corpus":
+            lines = (qa_dir / "data.jsonl").read_bytes().splitlines(keepends=True)
+            data = tmp_path / "bad"
+            data.mkdir()
+            bad = data / "data.jsonl"
+            bad.write_bytes(b"".join([lines[0], lines[1].replace(b"what", b"wh\xffat", 1), *lines[2:]]))
+        elif reader == "threshold":
+            bad = tmp_path / "threshold.txt"
+            bad.write_bytes(b"0.5\rsource=\xffenergy\n")          # a carriage return ends line 1 too
+            scorer = ["--scorer", model_dir / "model.bin", "--threshold-file", bad]
+        else:
+            bad = tmp_path / "scores.csv"
+            bad.write_bytes(b"threshold=0.5\n\xff\xfe,0.1\n")
+            scorer = ["--scorer", f"external:{bad}"]
+        code = run("verify", "--data", data, "--out", tmp_path / "o", *scorer, "--mixture-per-class", "2")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text (invalid start byte)\n"
+
     def test_unknown_qa_flip_exit_2(self, tmp_path, capsys):
         out = tmp_path / "g"
         code = run("gen", "--style", "qa", "--counts", "2,1", "--qa-flips", "no-to-yes,bogus", "--out", out)

@@ -401,7 +401,7 @@ class TestJsonl:
         seed = gen_seed_pair(600, "entailment")
         out = apply_rule("SE-6", seed)
         tampered = StatementSet(
-            id="bad", statements=out.statements, label="inconsistent",
+            id="bad", statements=out.statements,
             provenance="I", context_semantics=out.context_semantics,
         )
         assert not validate_with_oracle(tampered)
@@ -566,6 +566,7 @@ GOOD = {"id": "a", "label": "consistent", "provenance": "C",
 BAD_BASE = {"id": "b", "label": "inconsistent", "provenance": "I", "gold_inconsistent_indices": [1],
             "statements": [{"kind": "qa", "question": "q?", "answer": "x", "semantics": "v.x"},
                            {"kind": "qa", "question": "r?", "answer": "yes", "semantics": "(not v.x)"}]}
+DROP = object()     # a change that removes its field from BAD_BASE
 
 
 class TestStrictRecords:
@@ -583,10 +584,15 @@ class TestStrictRecords:
         ({"statements": "xy"}, "field 'statements' must be a list of objects"),
         ({"id": 7}, "set id 7 is not a string"),
         ({"context_semantics": ["(nand a b)"]}, "unknown connective 'nand' in '(nand a b)'"),
+        ({"label": "consistent"}, "set 'b': label 'consistent' contradicts provenance 'I'"),
+        ({"label": "bogus"}, "set 'b': label 'bogus' contradicts provenance 'I'"),
+        ({"label": DROP}, "set 'b': label None contradicts provenance 'I'"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-on-consistent", "gold-string", "gold-bool",
-            "context-string", "statements-string", "id-int", "context-syntax"])
+            "context-string", "statements-string", "id-int", "context-syntax", "label-contradicts-provenance",
+            "label-unknown", "label-missing"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
-        path = self.write(tmp_path / "bad.jsonl", {**BAD_BASE, **change})
+        record = {key: value for key, value in {**BAD_BASE, **change}.items() if value is not DROP}
+        path = self.write(tmp_path / "bad.jsonl", record)
         with pytest.raises(MalformedRecordError) as excinfo:
             load_jsonl(path)
         assert str(excinfo.value).startswith(f"{path}:2: ")
@@ -622,6 +628,6 @@ class TestStrictRecords:
         statements = gen_qa_set(desk_world()).statements
         for gold, label in (((3,), "inconsistent"), ((0, 0), "inconsistent"), ((0,), "consistent")):
             with pytest.raises(ValueError, match="gold"):
-                StatementSet(id="x", statements=statements, label=label, provenance=label[0].upper(),
+                StatementSet(id="x", statements=statements, provenance=label[0].upper(),
                              gold_inconsistent_indices=gold)
 

@@ -28,7 +28,7 @@ from setcoh.model import (
 @pytest.fixture()
 def qa_pair_set():
     return StatementSet(
-        id="t", label="consistent", provenance="C",
+        id="t", provenance="C",
         statements=[
             Statement(kind="qa", question="what color is desk?", answer="brown"),
             Statement(kind="qa", question="is desk brown?", answer="yes"),
@@ -80,7 +80,7 @@ def test_serialized_stream_matches_worked_example(qa_pair_set, vocab):
 
 def test_singleton_statement_stream_is_shuffle_independent(vocab):
     s = StatementSet(
-        id="one", label="consistent", provenance="C",
+        id="one", provenance="C",
         statements=[
             Statement(kind="qa", question="is desk brown?", answer="yes"),
             Statement(kind="qa", question="is desk brown?", answer="yes"),

@@ -36,7 +36,7 @@ from setcoh.verifier import (
 )
 
 TRAIN_SET = StatementSet(
-    id="train-or", label="inconsistent", provenance="I",
+    id="train-or", provenance="I",
     statements=[
         Statement(kind="sentence", semantics=parse_formula("(or p q)"),
                   text="Either the train arrives at 8 AM, or the train arrives at 9 AM."),
@@ -176,7 +176,7 @@ class TestLocate:
     def test_size_two_stop(self):
         si = corrupt_qa(gen_qa_set(gen_qa_world(852, 1)), 0, flips=("no-to-yes",))
         pair = StatementSet(
-            id="two", label="inconsistent", provenance="I",
+            id="two", provenance="I",
             statements=[si.statements[1], si.statements[2]],
             context_semantics=si.context_semantics,
         )
@@ -247,7 +247,7 @@ class TestLocate:
     def test_verdicts_invariant_under_reordering(self):
         si = corrupt_qa(gen_qa_set(gen_qa_world(870, 3)), 2)
         reversed_set = StatementSet(
-            id=si.id + ".rev", label=si.label, provenance=si.provenance,
+            id=si.id + ".rev", provenance=si.provenance,
             statements=list(reversed(si.statements)),
             context_semantics=si.context_semantics,
         )
@@ -257,7 +257,7 @@ class TestLocate:
         assert (
             verify_set(scorer, si).label
             == verify_set(scorer, StatementSet(
-                id=si.id, label=si.label, provenance=si.provenance,
+                id=si.id, provenance=si.provenance,
                 statements=list(reversed(si.statements)),
                 context_semantics=si.context_semantics,
             )).label
@@ -317,7 +317,7 @@ class TestExternalScorer:
         path.write_text("threshold=0.5\nid1,0.9\n")
         scorer = external_scorer_from_file(path)
         s = StatementSet(
-            id="id1", label="inconsistent", provenance="I",
+            id="id1", provenance="I",
             statements=TRAIN_SET.statements,
         )
         assert verify_set(scorer, s).label == "inconsistent"
@@ -348,7 +348,7 @@ class TestAtomBudget:
     def test_oracle_scorers_name_the_set_over_the_bound(self):
         # A 26-atom chain in one component: no subset of it can be compiled.
         chain = tuple(Implies(AtomRef(f"x{i}"), AtomRef(f"x{i + 1}")) for i in range(25))
-        s = StatementSet(id="chained", label="consistent", provenance="C",
+        s = StatementSet(id="chained", provenance="C",
                          statements=TRAIN_SET.statements[1:], context_semantics=chain)
         for check in (lambda: OracleScorer().score(s), lambda: OracleScorer().compile(s)):
             with pytest.raises(AtomBudgetError, match="set 'chained': 26 atoms"):
@@ -362,7 +362,7 @@ def test_locate_result_rejects_duplicates():
 
 def _sized(n, set_id="tie"):
     """A consistent set of ``n`` statements; only its size and id matter to an external scorer."""
-    return StatementSet(id=set_id, label="consistent", provenance="C",
+    return StatementSet(id=set_id, provenance="C",
                         statements=[TRAIN_SET.statements[i % 3] for i in range(n)])
 
 
