@@ -14,8 +14,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__, evalkit, trainer, verifier
 from .datagen import (
@@ -23,6 +24,7 @@ from .datagen import (
     DEFAULT_FLIPS,
     DatasetSplit,
     GenConfig,
+    INCONSISTENT,
     MalformedRecordError,
     QA_FLIPS,
     SPLIT_NAMES,
@@ -86,10 +88,16 @@ def _write_snapshot(args: argparse.Namespace) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _columns(report_type: type) -> list[str]:
+    """The field names of the dataclass ``report_type``: its columns in a report file."""
+    return [f.name for f in fields(report_type)]
+
+
+def _write_csv(path: Path, columns: list[str], rows: Iterable[dict]) -> None:
+    """One line of ``columns``, then each row's values in that order; a column a row lacks is left empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer = csv.DictWriter(fh, columns, restval="", lineterminator="\n")
+        writer.writeheader()
         writer.writerows(rows)
 
 
@@ -118,6 +126,21 @@ def _load_split(args: argparse.Namespace, name: str) -> tuple[DatasetSplit, list
     if not corpus.splits()[name]:
         raise MalformedRecordError(f"{Path(args.data) / DATA_FILE}: split {name!r} is empty")
     return corpus, corpus.splits()[name]
+
+
+def _training_start(args: argparse.Namespace, drawn: Sequence[str]) -> tuple[DatasetSplit, ModelParams]:
+    """The corpus of ``--data`` and the initial parameters over its train split's vocabulary.
+
+    Each split in ``drawn``, which training draws pairs or mixtures from,
+    must hold consistent and inconsistent sets; found before training starts.
+    """
+    corpus, train_sets = _load_split(args, "train")
+    for name in drawn:
+        missing = sorted({CONSISTENT, INCONSISTENT} - {s.label for s in corpus.splits()[name]})
+        if missing:
+            raise MalformedRecordError(f"{Path(args.data) / DATA_FILE}: split {name!r} has no "
+                                       f"{' or '.join(missing)} sets")
+    return corpus, ModelParams.init(build_vocabulary(train_sets), d=args.dim, h=args.hidden, seed=args.seed)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -220,15 +243,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _trainer_config(args, alpha="alpha", learning_rate="lr", epochs="epochs", batch_size="batch_size",
                              regime="regime", pairs_per_epoch="pairs_per_epoch", val_per_class="val_per_class")
     out = _write_snapshot(args)
-    corpus, train_sets = _load_split(args, "train")
-    params = ModelParams.init(build_vocabulary(train_sets), d=args.dim, h=args.hidden, seed=args.seed)
+    corpus, params = _training_start(args, ("train", "validation1"))
     result = (trainer.train if args.arch == "energy" else trainer.train_binary)(params, corpus, config)
     save_params(result.params, out / MODEL_FILE)
     _save_threshold(out, result.threshold)
-    _write_csv(out / "train_log.csv",
-               ["epoch", LOSS_COLUMNS[args.arch], "val1_macro_acc", "threshold", *(f"median_{c}" for c in LOG_CLASSES)],
-               [[stats.epoch, repr(stats.mean_loss), repr(stats.val1_macro_acc), repr(stats.threshold),
-                 *(repr(stats.median_scores.get(c, math.nan)) for c in LOG_CLASSES)] for stats in result.log])
+    columns = ["epoch", LOSS_COLUMNS[args.arch], "val1_macro_acc", "threshold", *(f"median_{c}" for c in LOG_CLASSES)]
+    _write_csv(out / "train_log.csv", columns,
+               (dict(zip(columns, [stats.epoch, stats.mean_loss, stats.val1_macro_acc, stats.threshold,
+                                   *(stats.median_scores[c] for c in LOG_CLASSES)])) for stats in result.log))
     print(f"wrote {out / MODEL_FILE}")
     return 0
 
@@ -268,16 +290,6 @@ def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES
     return out, scorer, mixture
 
 
-def _metrics_rows(report: evalkit.MetricsReport) -> list[list]:
-    return [
-        ["consistent", repr(report.consistent.precision), repr(report.consistent.recall),
-         repr(report.consistent.f1), report.consistent.support],
-        ["inconsistent", repr(report.inconsistent.precision), repr(report.inconsistent.recall),
-         repr(report.inconsistent.f1), report.inconsistent.support],
-        ["macro", "", "", repr(report.macro_f1), report.count],
-    ]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         verifier.tolerance_rule(args.mtr)
@@ -286,8 +298,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out, scorer, mixture = _scored_mixture(args)
     scores = {} if args.dump_scores else None       # every row the verdicts read
     report = evalkit.verification_report(scorer, mixture.sets, args.strategy, args.mtr, scores)
-    _write_csv(out / METRICS_FILE, ["class", "precision", "recall", "f1", "support"],
-               _metrics_rows(report))
+    _write_csv(out / METRICS_FILE, ["class", *_columns(evalkit.ClassMetrics)],
+               [{"class": "consistent", **asdict(report.consistent)},
+                {"class": "inconsistent", **asdict(report.inconsistent)},
+                {"class": "macro", "f1": report.macro_f1, "support": report.count}])
     _write_summary(out, {
         "macro_f1": report.macro_f1,
         "f1_consistent": report.consistent.f1,
@@ -310,13 +324,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
     # A consistent set's gold is empty, whether its indices are () or, for a sentence set, None.
     golds = [() if s.label == CONSISTENT else s.gold_inconsistent_indices for s in mixture.sets]
     report = evalkit.locate_metrics([(verifier.locate(scorer, s), gold) for s, gold in zip(mixture.sets, golds)])
-    _write_csv(out / "locate_report.csv", ["em", "precision", "recall", "f1", "count"],
-               [[repr(report.em), repr(report.precision), repr(report.recall),
-                 repr(report.f1), report.count]])
-    _write_summary(out, {
-        "em": report.em, "precision": report.precision,
-        "recall": report.recall, "f1": report.f1, "count": report.count,
-    })
+    _write_csv(out / "locate_report.csv", _columns(evalkit.LocateReport), [asdict(report)])
+    _write_summary(out, asdict(report))
     print(f"locate em={report.em:.4f} f1={report.f1:.4f}")
     return 0
 
@@ -325,8 +334,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _entries(args, "mtr_grid")
     out, scorer, mixture = _scored_mixture(args)
     rows = evalkit.mtr_sweep(scorer, mixture, grid)
-    _write_csv(out / "sweep.csv", ["mtr", "size_bucket", "macro_f1", "count"],
-               [[repr(r.mtr), r.size_bucket, repr(r.macro_f1), r.count] for r in rows])
+    _write_csv(out / "sweep.csv", _columns(evalkit.SweepRow), map(asdict, rows))
     best = evalkit.best_row(rows)
     _write_summary(out, {"best_mtr": best.mtr, "best_macro_f1": best.macro_f1})
     print(f"best mtr={best.mtr} macro_f1={best.macro_f1:.4f}")
@@ -360,22 +368,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     regimes = _entries(args, "regimes", sorted(trainer.REGIMES))
     config = _trainer_config(args, epochs="epochs", pairs_per_epoch="pairs_per_epoch", val_per_class="val_per_class")
     out = _write_snapshot(args)
-    corpus, train_sets = _load_split(args, "train")
-    vocab = build_vocabulary(train_sets)
-
-    def params_factory() -> ModelParams:
-        return ModelParams.init(vocab, d=args.dim, h=args.hidden, seed=args.seed)
-
-    reports = evalkit.ablation_report(
-        corpus, regimes, config, params_factory, eval_per_class=args.mixture_per_class
-    )
-    rows = []
-    for report in reports:
-        for q in report.quartiles:
-            rows.append([report.regime, q.provenance, repr(q.q1), repr(q.median),
-                         repr(q.q3), q.count, repr(report.macro_f1)])
-    _write_csv(out / "ablation.csv",
-               ["regime", "provenance", "q1", "median", "q3", "count", "macro_f1"], rows)
+    corpus, params = _training_start(args, ("train", "validation1", "validation2", "test"))
+    reports = evalkit.ablation_report(corpus, regimes, config, params, eval_per_class=args.mixture_per_class)
+    _write_csv(out / "ablation.csv", ["regime", *_columns(evalkit.EnergyQuartiles), "macro_f1"],
+               [{"regime": r.regime, **asdict(q), "macro_f1": r.macro_f1} for r in reports for q in r.quartiles])
     _write_summary(out, {r.regime: r.macro_f1 for r in reports})
     for report in reports:
         print(f"{report.regime}: macro_f1={report.macro_f1:.4f}")

@@ -28,9 +28,9 @@ from .datagen import (
 )
 from .datagen import compose_union  # noqa: F401 (bench/test_bench.py checks this binding)
 from .logic import DataError
+from .model import ModelParams
 from .trainer import (
     TrainerConfig,
-    TrainResult,
     _base_rows,
     _draw_mixture,
     base_pools,
@@ -87,7 +87,6 @@ class ClassMetrics:
     recall: float
     f1: float
     support: int
-    predicted: int
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def macro_f1(predictions: Sequence[str], golds: Sequence[str]) -> MetricsReport:
         predicted = sum(1 for p in predictions if p == label)
         support = sum(1 for g in golds if g == label)
         precision, recall, f1 = _prf(tp, predicted, support)
-        per_class[label] = ClassMetrics(precision, recall, f1, support, predicted)
+        per_class[label] = ClassMetrics(precision, recall, f1, support)
     return MetricsReport(
         consistent=per_class[CONSISTENT],
         inconsistent=per_class[INCONSISTENT],
@@ -276,13 +275,13 @@ def ablation_report(
     splits,
     regimes: Sequence[str],
     config: TrainerConfig,
-    params_factory,
+    params: ModelParams,
     eval_per_class: int = 25,
 ) -> list[RegimeReport]:
     """Train one model per contrast regime on shared data and compare.
 
-    ``params_factory()`` must return identically initialized parameters
-    for each regime so differences come from the regime alone.  Reports
+    Every regime trains from a copy of ``params``, so differences come
+    from the regime alone.  Reports
     per-provenance energy quartiles on a validation2 mixture and
     verification macro-F1 on a held-out 14-class test mixture.
     """
@@ -291,7 +290,7 @@ def ablation_report(
     val2_mixture = build_threshold_mixture(splits.validation2, rng_seed=config.rng_seed)
     reports = []
     for regime in regimes:
-        result: TrainResult = train(params_factory(), splits, replace(config, regime=regime))
+        result = train(params, splits, replace(config, regime=regime))
         scorer = EnergyScorer(result.params, result.threshold.value)
         report = verification_report(scorer, test_mixture.sets, strategy="set")
         reports.append(

@@ -490,6 +490,11 @@ def load_params(path) -> ModelParams:
         vocab = Vocabulary(tokens=tuple(tokens), index={t: i for i, t in enumerate(tokens)})
         if vocab.sha256() != stored_hash:
             raise VersionMismatchError("vocabulary hash does not match the stored listing")
+        if len(vocab.index) < v:         # the index keeps a repeated token's last position
+            token, first = next((t, i) for i, t in enumerate(tokens) if vocab.index[t] != i)
+            raise CorruptFileError(f"vocabulary token {token!r} is listed at {first} and {vocab.index[token]}")
+        if vocab.index.get(CLS_TOKEN) != CLS_INDEX or vocab.index.get(UNK_TOKEN) != UNK_INDEX:
+            raise CorruptFileError(f"vocabulary listing does not start with {CLS_TOKEN!r}, {UNK_TOKEN!r}")
         arrays = {name: np.frombuffer(_read_exact(fh, 8 * math.prod(shape), name), dtype="<f8").reshape(shape).copy()
                   for name, shape in _layout(v, d, h).items()}
         if fh.read(1):

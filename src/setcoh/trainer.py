@@ -99,7 +99,7 @@ BASE_PROVENANCES = ("C", "I")
 
 
 class PoolExhaustedError(DataError, ValueError):
-    """Could not sample a partner set with a disjoint namespace."""
+    """A base pool is empty, or could not supply a partner set with a disjoint namespace."""
 
 
 class NotABaseSetError(DataError, ValueError):
@@ -413,15 +413,16 @@ def _draw_mixture(pools: _Pools, classes: Sequence[str], per_class: int | None, 
     a union named ``set_id(tag, k)`` then draws its shuffle seed.  Parts
     follow the tag's letters, which sort C before I.
     """
-    per_class = min(len(pools.c), len(pools.i)) if per_class is None else per_class
-    if per_class < 1:
-        raise ValueError("per_class_count must be >= 1")
     sets, namespaces, rows = pools.sets, pools.namespaces, {"C": pools.c, "I": pools.i}
-    out: list[StatementSet] = []
     for tag in classes:
         empty = next((ch for ch in tag if not rows[ch]), None)
         if empty is not None:
             raise PoolExhaustedError(f"class {tag!r} needs {empty!r} base sets, and the {empty!r} pool is empty")
+    per_class = min(len(pools.c), len(pools.i)) if per_class is None else per_class
+    if per_class < 1:
+        raise ValueError("per_class_count must be >= 1")
+    out: list[StatementSet] = []
+    for tag in classes:
         for k in range(per_class):
             first = rows[tag[0]][k % len(rows[tag[0]])]
             parts, taken = [sets[first]], namespaces[first]
@@ -440,10 +441,7 @@ def build_threshold_mixture(
     per_class: int | None = None,
 ) -> list[StatementSet]:
     """C/CC/I/CI/II mixture over a validation split for threshold fitting."""
-    pool_c, pool_i = base_pools(validation_sets)
-    if not pool_c or not pool_i:
-        raise EmptyValidationError("validation split lacks one of the labels")
-    (pools,) = _base_rows((pool_c, pool_i))
+    (pools,) = _base_rows(base_pools(validation_sets))
     return _draw_mixture(pools, THRESHOLD_CLASSES, per_class, random.Random(f"threshold-mixture:{rng_seed}"),
                          lambda tag, k: f"thr-{tag}-{k}")
 

@@ -17,7 +17,7 @@ from setcoh import cli, datagen, evalkit, model, trainer, verifier
 from setcoh.cli import load_corpus, load_threshold, main
 from setcoh.datagen import QA_FLIPS, GenerationError, MalformedRecordError, compose_union, pools, save_jsonl
 from setcoh.logic import AtomRef, DataError, Implies, format_formula, parse_formula
-from setcoh.model import HEADS, ModelParams, build_vocabulary, encode, load_params
+from setcoh.model import HEADS, ModelParams, build_vocabulary, encode, load_params, save_params
 from setcoh.trainer import Threshold, TrainerConfig
 
 
@@ -469,6 +469,24 @@ class TestExitCodes:
         assert run("verify", "--data", data, "--out", tmp_path / "o", "--scorer", "oracle") == 3
         assert capsys.readouterr().err == f"error: {data / 'data.jsonl'}{message}\n"
 
+    @pytest.mark.parametrize("label", ["consistent", "inconsistent"])
+    @pytest.mark.parametrize("argv, split", [
+        (["train"], "train"), (["train", "--arch", "binary"], "train"), (["ablate"], "train"),
+        (["train"], "validation1"), (["train", "--arch", "binary"], "validation1"), (["ablate"], "validation1"),
+        (["ablate"], "validation2"), (["ablate"], "test"),
+    ], ids=["train-train", "binary-train", "ablate-train", "train-validation1", "binary-validation1",
+            "ablate-validation1", "ablate-validation2", "ablate-test"])
+    def test_a_drawn_split_without_a_label_exit_3_before_training(self, tmp_path, qa_dir, monkeypatch, argv, split,
+                                                                  label, capsys):
+        monkeypatch.setattr(trainer, "_fit", lambda *a, **k: pytest.fail("training started"))
+        lines = [line for line in (qa_dir / "data.jsonl").read_text().splitlines()
+                 if not (json.loads(line)["id"].startswith(f"{split}-") and json.loads(line)["label"] == label)]
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "data.jsonl").write_text("\n".join(lines) + "\n")
+        assert run(*argv, "--data", data, "--out", tmp_path / "o", "--epochs", "1") == 3
+        assert capsys.readouterr().err == f"error: {data / 'data.jsonl'}: split {split!r} has no {label} sets\n"
+
     def test_divergence_exit_4_with_one_line(self, tmp_path, qa_dir, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # a numpy warning would print before the error line
@@ -577,6 +595,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("listing, reason", [
+        ((), "vocabulary listing does not start with '<cls>', '<unk>'"),
+        (("<cls>",), "vocabulary listing does not start with '<cls>', '<unk>'"),
+        (("<unk>", "<cls>", "a"), "vocabulary listing does not start with '<cls>', '<unk>'"),
+        (("<cls>", "<unk>", "a", "a"), "vocabulary token 'a' is listed at 2 and 3"),
+    ], ids=["empty", "no-unk", "swapped", "repeated"])
+    def test_a_vocabulary_the_model_cannot_use_exit_3(self, tmp_path, qa_dir, model_dir, listing, reason, capsys):
+        # Each file is well formed: save_params writes the listing and its hash as given.
+        path = tmp_path / "model.bin"
+        vocab = model.Vocabulary(tokens=listing, index={t: i for i, t in enumerate(listing)})
+        save_params(ModelParams.init(vocab, d=4, h=3), path)
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", path,
+                   "--threshold-file", model_dir / "threshold.txt", "--mixture-per-class", "2")
+        assert (code, capsys.readouterr().err) == (3, f"error: {path}: {reason}\n")
 
     @pytest.mark.parametrize("flag", ["--data", "--out"])
     def test_a_path_under_a_regular_file_exit_3(self, tmp_path, qa_dir, flag, capsys):

@@ -54,6 +54,30 @@ def desk_world(distractors=("pink",)):
                    distractor_values=tuple(distractors), namespace="qtest")
 
 
+def _sentence_set():
+    return derive_pairwise_dataset([gen_seed_pair(530, "entailment")], [])[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_seed_pair(-1, "entailment"), "rng_seed must be non-negative"),
+    (lambda: gen_seed_pair(0, "synonymy"), "unknown relation 'synonymy'"),
+    (lambda: gen_qa_world(0, 0), "n_distractors must be in 1..8"),
+    (lambda: gen_qa_world(0, 9), "n_distractors must be in 1..8"),
+    (lambda: gen_qa_set(desk_world(())), "world needs at least one distractor value"),
+    (lambda: compose_union([gen_qa_set(gen_qa_world(540, 2))]), "compose_union takes 2-4 parts"),
+    (lambda: compose_union([gen_qa_set(gen_qa_world(541 + k, 2)) for k in range(5)]), "compose_union takes 2-4 parts"),
+    (lambda: derive_pairwise_dataset([], [_sentence_set()]), f"set {_sentence_set().id!r} is not QA-style"),
+    (lambda: GenConfig(style="xml"), "unknown style 'xml'"),
+    (lambda: GenConfig(train_count=0), "counts must be >= 1"),
+    (lambda: GenConfig(eval_count=0), "counts must be >= 1"),
+    (lambda: GenConfig(qa_flips=("no-to-yes", "bogus")), "unknown qa flip 'bogus'; valid flips: "),
+], ids=["negative-seed", "unknown-relation", "no-distractor", "nine-distractors", "empty-world", "one-part",
+        "five-parts", "sentence-set-as-qa", "unknown-style", "train-count-0", "eval-count-0", "unknown-flip"])
+def test_a_bad_generator_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
 class TestSeedPairs:
     def test_deterministic(self):
         assert gen_seed_pair(3, "entailment") == gen_seed_pair(3, "entailment")

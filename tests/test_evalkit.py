@@ -68,6 +68,10 @@ class TestMixture:
         report = verification_report(OracleScorer(), qa_mixture.sets, strategy="set")
         assert report.macro_f1 == 1.0
 
+    def test_unknown_strategy(self, qa_mixture):
+        with pytest.raises(ValueError, match="^unknown strategy 'pairs'$"):
+            verification_report(OracleScorer(), qa_mixture.sets, strategy="pairs")
+
 
 class TestMacroF1:
     def test_all_consistent_predictor_identity(self, qa_mixture):

@@ -264,7 +264,7 @@ def test_prefix_notation_shapes():
     assert parse_formula("(implies p (not (or a b)))") == Implies(P, Not(Or(AtomRef("a"), AtomRef("b"))))
 
 
-@pytest.mark.parametrize("bad", ["", "(and p q)", "(not p", ")", "p q", "(or p)"])
+@pytest.mark.parametrize("bad", ["", "(and p q)", "(not p", "(not", ")", "p q", "(or p)"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(FormulaSyntaxError):
         parse_formula(bad)

@@ -195,6 +195,12 @@ def test_energy_head_gradient_is_hidden_activation(qa_pair_set, vocab):
 
 
 class TestParamsFile:
+    def test_validate_names_a_wrong_shape(self, vocab):
+        params = ModelParams.init(vocab, d=4, h=3, seed=0)
+        params.b_class = np.zeros(3)
+        with pytest.raises(ValueError, match=r"^b_class: shape \(3,\) != \(2,\)$"):
+            params.validate()
+
     def test_round_trip_bit_identical(self, tmp_path, qa_pair_set, vocab):
         params = ModelParams.init(vocab, d=12, h=7, seed=9)
         path = tmp_path / "m.bin"

@@ -220,6 +220,15 @@ class TestThresholdScan:
         with pytest.raises(ValueError, match="per_class_count must be >= 1"):
             build_threshold_mixture(small_qa_corpus.validation1, per_class=0)
 
+    @pytest.mark.parametrize("label, tag", [("consistent", "C"), ("inconsistent", "I")])
+    @pytest.mark.parametrize("per_class", [None, 2])
+    def test_threshold_mixture_without_a_label_names_the_empty_pool(self, small_qa_corpus, label, tag, per_class):
+        # The first class that needs the missing letter names it, whatever per_class is.
+        sets = [s for s in small_qa_corpus.validation1 if s.label != label]
+        with pytest.raises(PoolExhaustedError, match=f"^class {tag!r} needs {tag!r} base sets, "
+                                                     f"and the {tag!r} pool is empty$"):
+            build_threshold_mixture(sets, per_class=per_class)
+
 
 class TestTraining:
     def test_single_sgd_step_decreases_active_hinge(self, small_qa_corpus):

@@ -322,6 +322,11 @@ class TestExternalScorer:
         )
         assert verify_set(scorer, s).label == "inconsistent"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("threshold=0.5\n\nid1,0.9\n  \nid2,0.1\n\n")
+        assert external_scorer_from_file(path).scores == {"id1": 0.9, "id2": 0.1}
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("0.5\nid1,0.9\n")
