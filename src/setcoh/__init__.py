@@ -1,37 +1,3 @@
 """setcoh: set-consistency generation, scoring, verification, and localization."""
 
 __version__ = "0.1.0"
-
-from .logic import (  # noqa: F401
-    Atom,
-    AtomRef,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    evaluate,
-    is_satisfiable,
-    negate,
-    parse_formula,
-    format_formula,
-    realize,
-)
-from .datagen import (  # noqa: F401
-    DatasetSplit,
-    GenConfig,
-    QAWorld,
-    SeedPair,
-    Statement,
-    StatementSet,
-    apply_rule,
-    build_splits,
-    compose_union,
-    corrupt_qa,
-    derive_pairwise_dataset,
-    gen_qa_set,
-    gen_qa_world,
-    gen_seed_pair,
-    load_jsonl,
-    save_jsonl,
-    validate_with_oracle,
-)

@@ -31,6 +31,7 @@ from .datagen import (
     StatementSet,
     build_splits,
     load_jsonl,
+    pools,
     save_jsonl,
 )
 from .logic import DataError, decode_line
@@ -38,6 +39,7 @@ from .model import (
     EMBED_DIM,
     HEADS,
     HIDDEN_DIM,
+    MAX_SEED,
     ModelParams,
     build_vocabulary,
     load_params,
@@ -66,15 +68,16 @@ class _SeedText(str):
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` or SETCOH_SEED value: an integer >= 0; any other exits 2 through argparse, naming the flag
-    (``argument --seed: ...``) and, for the variable's text, the variable."""
+    """A ``--seed`` or SETCOH_SEED value: an integer from 0 to the largest seed a parameter file holds; any other
+    exits 2 through argparse, naming the flag (``argument --seed: ...``) and, for the variable's text, the variable."""
     try:
         seed = int(text)
     except ValueError:
         seed = -1
-    if seed < 0:
+    if not 0 <= seed <= MAX_SEED:
         source = "SETCOH_SEED " if isinstance(text, _SeedText) else ""
-        raise argparse.ArgumentTypeError(f"{source}must be an integer >= 0, got {text!r}")
+        bound = ">= 0" if seed < 0 else f"<= {MAX_SEED}"
+        raise argparse.ArgumentTypeError(f"{source}must be an integer {bound}, got {text!r}")
     return seed
 
 
@@ -281,7 +284,7 @@ def _scored_mixture(args: argparse.Namespace, classes=evalkit.PROVENANCE_CLASSES
     out = _write_snapshot(args)
     _, sets = _load_split(args, args.split)
     scorer = resolve_scorer(args.scorer, args.threshold_file)
-    base_c, base_i = ([s for s in pool if len(s) >= min_size] for pool in trainer.base_pools(sets))
+    base_c, base_i = ([s for s in pool if len(s) >= min_size] for pool in pools(sets))
     missing = [s.id for s in base_i if s.gold_inconsistent_indices is None] if gold else []
     if missing and any("I" in tag for tag in classes):
         raise evalkit.MissingGoldError(f"{Path(args.data) / DATA_FILE}: set {missing[0]!r} has no "

@@ -97,6 +97,10 @@ class MalformedRecordError(DataError, ValueError):
     """A JSONL record failed validation; message carries the line number."""
 
 
+class NotABaseSetError(DataError, ValueError):
+    """A pool that unions are composed from holds a set that is already a union."""
+
+
 class GenerationError(DataError, RuntimeError):
     """Internal certification failure: a generated label disagreed with the oracle."""
 
@@ -294,10 +298,16 @@ class DatasetSplit:
 
 
 def pools(sets: Iterable[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
-    """Split into (consistent, inconsistent) base pools, preserving order."""
-    cs = [s for s in sets if s.label == CONSISTENT]
-    is_ = [s for s in sets if s.label == INCONSISTENT]
-    return cs, is_
+    """Split base sets into the (consistent, inconsistent) pools that unions are composed from, preserving
+    order; a set that is already a union is a :class:`NotABaseSetError`."""
+    split: dict[str, list[StatementSet]] = {"C": [], "I": []}
+    for s in sets:
+        pool = split.get(s.provenance)
+        if pool is None:
+            raise NotABaseSetError(f"set {s.id!r} has provenance {s.provenance!r}; "
+                                   "unions are composed from base sets (C or I) only")
+        pool.append(s)
+    return split["C"], split["I"]
 
 
 def gen_seed_pair(rng_seed: int, relation: str) -> SeedPair:
@@ -808,33 +818,29 @@ def build_splits(config: GenConfig, rng_seed: int) -> DatasetSplit:
     return out
 
 
+# The keys of a set record and of its statement entries, in the order the writer emits them; the reader
+# refuses any other key.
+_SET_FIELDS = ("id", "statements", "label", "provenance", "difficulty", "rule_id", "gold_inconsistent_indices",
+              "context_semantics")
+_STATEMENT_FIELDS = ("kind", "text", "question", "answer", "semantics")
+_SET_KEYS, _STATEMENT_KEYS = frozenset(_SET_FIELDS), frozenset(_STATEMENT_FIELDS)
+
+
+def _present(fields: Sequence[str], values: Sequence) -> dict:
+    """``fields`` mapped to ``values``, in order, leaving out each field whose value is None."""
+    return {key: value for key, value in zip(fields, values) if value is not None}
+
+
 def _statement_to_json(s: Statement) -> dict:
-    record: dict = {"kind": s.kind}
-    if s.kind == SENTENCE:
-        record["text"] = s.text
-    else:
-        record["question"] = s.question
-        record["answer"] = s.answer
-    if s.semantics is not None:
-        record["semantics"] = format_formula(s.semantics)
-    return record
+    semantics = None if s.semantics is None else format_formula(s.semantics)
+    return _present(_STATEMENT_FIELDS, (s.kind, s.text, s.question, s.answer, semantics))
 
 
 def set_to_json(s: StatementSet) -> dict:
-    record: dict = {
-        "id": s.id,
-        "statements": [_statement_to_json(st) for st in s.statements],
-        "label": s.label,
-        "provenance": s.provenance,
-        "difficulty": s.difficulty,
-    }
-    if s.rule_id is not None:
-        record["rule_id"] = s.rule_id
-    if s.gold_inconsistent_indices is not None:
-        record["gold_inconsistent_indices"] = list(s.gold_inconsistent_indices)
-    if s.context_semantics:
-        record["context_semantics"] = [format_formula(f) for f in s.context_semantics]
-    return record
+    gold = s.gold_inconsistent_indices
+    return _present(_SET_FIELDS, (s.id, [_statement_to_json(st) for st in s.statements], s.label, s.provenance,
+                                s.difficulty, s.rule_id, None if gold is None else list(gold),
+                                [format_formula(f) for f in s.context_semantics] or None))
 
 
 def _parse_all(texts: Sequence[str]) -> tuple[Formula, ...]:
@@ -862,8 +868,13 @@ def _string(record: dict, key: str, default: str | None = None) -> str | None:
     return value
 
 
+def _unknown(record: dict, known: frozenset[str]) -> str:
+    return next(key for key in record if key not in known)
+
+
 def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement]) -> StatementSet:
-    """Inverse of :func:`set_to_json`; a field of the wrong JSON type is a :class:`MalformedRecordError`.
+    """Inverse of :func:`set_to_json`; a key it never writes, or a field of the wrong JSON type, is a
+    :class:`MalformedRecordError`.
 
     Every formula text is checked here by ``check`` (a reader shares one
     across its records, so each distinct shape is parsed once); the text
@@ -879,12 +890,16 @@ def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement
     """
     if type(record) is not dict:
         raise MalformedRecordError("a record must be a JSON object")
+    if not record.keys() <= _SET_KEYS:
+        raise MalformedRecordError(f"unknown field {_unknown(record, _SET_KEYS)!r}")
     entries = _list(record, "statements", dict)
     if entries is None:
         raise MalformedRecordError("missing field 'statements'")
     texts = []
     statements = []
     for i, entry in enumerate(entries):
+        if not entry.keys() <= _STATEMENT_KEYS:
+            raise MalformedRecordError(f"statement {i}: unknown field {_unknown(entry, _STATEMENT_KEYS)!r}")
         key = (entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
                entry.get("semantics"))
         try:

@@ -25,6 +25,7 @@ from .datagen import (
     INCONSISTENT,
     PROVENANCE_CLASSES,
     StatementSet,
+    pools,
 )
 from .datagen import compose_union  # noqa: F401 (bench/test_bench.py checks this binding)
 from .logic import DataError
@@ -33,7 +34,6 @@ from .trainer import (
     TrainerConfig,
     _base_rows,
     _draw_mixture,
-    base_pools,
     build_threshold_mixture,
     train,
 )
@@ -75,9 +75,9 @@ def build_eval_mixture(
             raise ValueError(f"unknown provenance class {tag!r}")
         if tag in classes[:k]:
             raise ValueError(f"provenance class {tag!r} repeats")
-    (pools,) = _base_rows((base_C_pool, base_I_pool))
+    (base,) = _base_rows((base_C_pool, base_I_pool))
     rng = random.Random(f"eval-mixture:{rng_seed}")
-    return EvalMixture(tuple(_draw_mixture(pools, classes, per_class_count, rng,
+    return EvalMixture(tuple(_draw_mixture(base, classes, per_class_count, rng,
                                            lambda tag, k: f"mix-{tag.lower()}-{k:05d}")))
 
 
@@ -285,7 +285,7 @@ def ablation_report(
     per-provenance energy quartiles on a validation2 mixture and
     verification macro-F1 on a held-out 14-class test mixture.
     """
-    test_c, test_i = base_pools(splits.test)
+    test_c, test_i = pools(splits.test)
     test_mixture = build_eval_mixture(test_c, test_i, eval_per_class, rng_seed=config.rng_seed)
     val2_mixture = build_threshold_mixture(splits.validation2, rng_seed=config.rng_seed)
     reports = []

@@ -64,6 +64,9 @@ _WORD_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
 _MAGIC = b"SCOH"
 _FORMAT_VERSION = 1
+# A parameter file's header after the magic: format version, d, h, vocabulary size, init seed.
+_HEADER = struct.Struct("<IIIIQ")
+MAX_SEED = 2**64 - 1    # the largest init seed the header's unsigned 64-bit field holds
 
 
 class CorruptFileError(DataError, ValueError):
@@ -450,10 +453,9 @@ def grad_logits(
 def save_params(params: ModelParams, path) -> None:
     """Versioned binary container: header, vocabulary listing, float64 matrices."""
     params.validate()
-    d, h = params.dims
+    header = _MAGIC + _HEADER.pack(_FORMAT_VERSION, *params.dims, len(params.vocab), params.init_seed)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIIQ", _FORMAT_VERSION, d, h, len(params.vocab), params.init_seed))
+        fh.write(header)
         fh.write(params.vocab.sha256())
         for token in params.vocab.tokens:
             raw = token.encode("utf-8")
@@ -479,7 +481,7 @@ def load_params(path) -> ModelParams:
     try:
         if _read_exact(fh, 4, "magic") != _MAGIC:
             raise CorruptFileError("not a parameter file (bad magic)")
-        version, d, h, v, init_seed = struct.unpack("<IIIIQ", _read_exact(fh, 24, "header"))
+        version, d, h, v, init_seed = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
         if version != _FORMAT_VERSION:
             raise VersionMismatchError(f"unsupported format version {version}")
         stored_hash = _read_exact(fh, 32, "vocabulary hash")

@@ -94,16 +94,8 @@ SIDE_TAGS = tuple(dict.fromkeys(tag for kind in CONTRAST_KINDS for tag in kind))
 # The threshold mixture's classes, consistent ones first.
 THRESHOLD_CLASSES = ("C", "CC", "I", "CI", "II")
 
-# Provenances of the sets that unions are composed from.
-BASE_PROVENANCES = ("C", "I")
-
-
 class PoolExhaustedError(DataError, ValueError):
     """A base pool is empty, or could not supply a partner set with a disjoint namespace."""
-
-
-class NotABaseSetError(DataError, ValueError):
-    """A pool that unions are composed from holds a set that is already a union."""
 
 
 class EmptyValidationError(DataError, ValueError):
@@ -242,15 +234,6 @@ class CountsCache:
         at, lengths = csr_ranges(self.offsets, np.concatenate([first, second[union] - 1]))
         owners = np.repeat(np.concatenate([np.arange(len(sides)), union]), lengths)
         return self.table.count(self.rows[at], owners, len(sides))
-
-
-def base_pools(sets: Sequence[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
-    """:func:`pools` of a split that unions are composed from: base sets (C or I) only."""
-    for s in sets:
-        if s.provenance not in BASE_PROVENANCES:
-            raise NotABaseSetError(f"set {s.id!r} has provenance {s.provenance!r}; "
-                                   "unions are composed from base sets (C or I) only")
-    return pools(sets)
 
 
 def _draw_partner(pool: Sequence[int], namespaces: Sequence[frozenset[str]], taken: frozenset[str],
@@ -441,8 +424,8 @@ def build_threshold_mixture(
     per_class: int | None = None,
 ) -> list[StatementSet]:
     """C/CC/I/CI/II mixture over a validation split for threshold fitting."""
-    (pools,) = _base_rows(base_pools(validation_sets))
-    return _draw_mixture(pools, THRESHOLD_CLASSES, per_class, random.Random(f"threshold-mixture:{rng_seed}"),
+    (base,) = _base_rows(pools(validation_sets))
+    return _draw_mixture(base, THRESHOLD_CLASSES, per_class, random.Random(f"threshold-mixture:{rng_seed}"),
                          lambda tag, k: f"thr-{tag}-{k}")
 
 
@@ -684,13 +667,13 @@ def _train(params: ModelParams, splits, config: TrainerConfig,
            instances: Callable[[_Pools, TrainerConfig, int], _Examples], source: str) -> TrainResult:
     """What both trainers share: :func:`_fit` of ``instances`` over ``splits.train``'s base pools, the per-epoch
     log, and the epoch whose ``source`` head best separates a threshold mixture of ``splits.validation1``."""
-    (pools,) = _base_rows(base_pools(splits.train))
+    (base,) = _base_rows(pools(splits.train))
     mixture = build_threshold_mixture(splits.validation1, rng_seed=config.rng_seed, per_class=config.val_per_class)
-    params, table = params.copy(), CountsCache(params.vocab, pools.sets)
+    params, table = params.copy(), CountsCache(params.vocab, base.sets)
     scores_of, labels = _scorer(params.vocab, mixture, source), [s.label for s in mixture]
     log, best = [], None
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, loss in enumerate(_fit(params, config, table, lambda epoch: instances(pools, config, epoch))):
+        for epoch, loss in enumerate(_fit(params, config, table, lambda epoch: instances(base, config, epoch))):
             scores = scores_of(params)
             value, acc, degenerate = _threshold_scan(scores, labels)
             log.append(EpochStats(epoch, loss, acc, value, _median_scores(mixture, scores)))
@@ -734,17 +717,17 @@ def fine_tune(
     distance to the anchor ("zero" or "start") to the loss.
     """
     params = source_params.copy()
-    domains = _base_rows(base_pools(source_pool), base_pools(target_pool))
-    if any(n > min(len(pools.c), len(pools.i)) for pools in domains):
+    domains = _base_rows(pools(source_pool), pools(target_pool))
+    if any(n > min(len(domain.c), len(domain.i)) for domain in domains):
         raise ValueError("n exceeds a pool size")
     anchor = {name: arr.copy() for name, arr in params.arrays().items()} if config.l2_anchor == "start" else None
 
     def epoch_instances(epoch: int) -> _Examples:
         rng = random.Random(f"fine-tune:{config.rng_seed}:{epoch}")
         sides = []
-        for offset, pools in enumerate(domains):
-            indices = rng.sample(range(min(len(pools.c), len(pools.i))), n)
-            sample = pools._replace(c=[pools.c[k] for k in indices], i=[pools.i[k] for k in indices])
+        for offset, domain in enumerate(domains):
+            indices = rng.sample(range(min(len(domain.c), len(domain.i))), n)
+            sample = domain._replace(c=[domain.c[k] for k in indices], i=[domain.i[k] for k in indices])
             plan = _plan(sample, config.regime, config.rng_seed * 10_000 + epoch * 10 + offset, n)
             sides.append(_hinge_sides(plan, config.regime))
         order = list(range(sum(map(len, sides))))

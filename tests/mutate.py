@@ -7,13 +7,15 @@ Usage::
 For every line of ``src/setcoh/*.py`` that ``git diff <rev>`` adds or
 changes (uncommitted edits included), and every line of a module git does
 not track yet, each comparison, arithmetic, boolean and ``not`` operator on
-it is flipped, one mutant at a time, in a copy of ``src/`` and ``tests/``
-in a temporary directory.  The mutated module is written back from its AST
-(``ast.unparse``), and the test files that :data:`TESTS` maps to the module
-run with ``pytest -x``; a run that takes longer than :data:`TIMEOUT`
-seconds (a flipped loop condition can hang) kills the mutant.  A mutant
-whose tests all pass survives.  Each
-mutant is printed on one line, ``SURVIVED`` or ``killed`` and then
+it is flipped, one mutant at a time, in a copy of ``src/``, ``tests/`` and
+``bench/`` in a temporary directory.  The mutated module is written back
+from its AST (``ast.unparse``), and the test files that :data:`TESTS` maps
+to the module run with ``pytest -x``; a run that takes longer than
+:data:`TIMEOUT` seconds (a flipped loop condition can hang) kills the
+mutant.  A mutant that passes its mapped files is run again against the
+whole Tier-1 (:data:`TIER1`), because a CLI or ``evalkit`` test may be
+the one that kills it; only a mutant that passes that too survives.
+Each mutant is printed on one line, ``SURVIVED`` or ``killed`` and then
 ``module.py:line: original -> mutant``; the exit status is 1 if any
 survive (2 if the unmutated tests fail).
 
@@ -47,6 +49,10 @@ TESTS = {
     "model": ["test_model.py", "test_subset_scoring.py"],
     "verifier": ["test_verifier.py", "test_subset_scoring.py", "test_pair_memo.py", "test_evalkit.py"],
 }
+
+# The whole Tier-1, as a mutant that passes its mapped files runs it: every test file but test_imports.py,
+# which reads the import lines' comments that ast.unparse drops and that no operator flip changes.
+TIER1 = ["tests", "--ignore=tests/test_imports.py"]
 
 # Seconds one pytest run may take before its mutant counts as killed.
 TIMEOUT = 900.0
@@ -147,10 +153,9 @@ def _short(text: str, width: int = 90) -> str:
 
 
 def run_tests(tree: Path, tests: list[str]) -> str:
-    """``"pass"``, ``"fail"`` or ``"timeout"`` for one pytest run of ``tests`` in the copy at ``tree``."""
+    """``"pass"``, ``"fail"`` or ``"timeout"`` for one pytest run, given ``tests`` as its arguments, in the copy at ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               *(str(Path("tests") / name) for name in tests)]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
@@ -166,27 +171,39 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="setcoh-mutate-") as temporary:
         tree = Path(temporary) / "tree"
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
         survivors = total = 0
+        tier1 = None        # the unmutated whole Tier-1's outcome, run when a mutant first needs it
         for name, lines in sorted(touched.items()):
             module = name.removesuffix(".py")
-            tests = TESTS.get(module, [f"test_{module}.py"])
+            tests = [f"tests/{test}" for test in TESTS.get(module, [f"test_{module}.py"])]
             path = tree / PACKAGE / name
             source = path.read_text()
             found = mutants(source, lines)
             print(f"{name}: {len(lines)} touched lines, {len(found)} mutants, tests {' '.join(tests)}", flush=True)
             if not found:
                 continue
+            unparsed = ast.unparse(ast.parse(source)) + "\n"      # the same module, as mutants are written
             try:
-                path.write_text(ast.unparse(ast.parse(source)) + "\n")     # the same module, as mutants are written
+                path.write_text(unparsed)
                 if run_tests(tree, tests) != "pass":
                     print(f"{name}: the unmutated tests fail; no mutant run", flush=True)
                     return 2
                 for mutant in found:
-                    path.write_text(mutate(source, mutant.node, mutant.slot))
+                    mutated = mutate(source, mutant.node, mutant.slot)
+                    path.write_text(mutated)
                     outcome = run_tests(tree, tests)
+                    if outcome == "pass":
+                        if tier1 is None:
+                            path.write_text(unparsed)
+                            tier1 = run_tests(tree, TIER1)
+                            path.write_text(mutated)
+                        if tier1 != "pass":
+                            print("the unmutated Tier-1 fails; no mutant rerun", flush=True)
+                            return 2
+                        outcome = run_tests(tree, TIER1)
                     total += 1
                     if outcome == "pass":
                         survivors += 1

@@ -209,7 +209,7 @@ class TestVerify:
         out = tmp_path / "o"
         assert run("verify", "--data", qa_dir, "--out", out, "--seed", "5", "--strategy", strategy,
                    "--scorer", spec, "--mixture-per-class", "3", "--dump-scores") == 0
-        mixture = evalkit.build_eval_mixture(*trainer.base_pools(load_corpus(qa_dir).test), 3, rng_seed=5).sets
+        mixture = evalkit.build_eval_mixture(*datagen.pools(load_corpus(qa_dir).test), 3, rng_seed=5).sets
         assert sorted(compiled) == sorted(s.id for s in mixture)
         monkeypatch.setattr(cls, "compile", original)
         reference = cli.resolve_scorer(str(spec), None)
@@ -260,7 +260,7 @@ class TestLocate:
         code = run("locate", "--data", snli_dir, "--out", tmp_path / "o", "--seed", "5", "--scorer", "oracle",
                    "--mixture-per-class", "3", "--min-size", "2")
         assert code == 3
-        first = next(s.id for s in trainer.base_pools(load_corpus(snli_dir).test)[1])
+        first = next(s.id for s in datagen.pools(load_corpus(snli_dir).test)[1])
         assert capsys.readouterr().err == (f"error: {snli_dir / 'data.jsonl'}: set {first!r} has no "
                                            "gold_inconsistent_indices for locate to score against\n")
         monkeypatch.undo()
@@ -715,6 +715,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith(f"error: argument --seed: must be an integer >= 0, got {value!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("env", [False, True], ids=["flag", "variable"])
+    @pytest.mark.parametrize("argv", [["gen", "--style", "qa"], ["train"], ["verify", "--scorer", "oracle"],
+                                      ["locate", "--scorer", "oracle"], ["sweep", "--scorer", "oracle"], ["ablate"]])
+    def test_a_seed_beyond_64_bits_exit_2_before_writing(self, tmp_path, qa_dir, monkeypatch, argv, env, capsys):
+        value, out = str(2**64), tmp_path / "o"
+        data = [] if argv[0] == "gen" else ["--data", qa_dir]
+        if env:
+            monkeypatch.setenv("SETCOH_SEED", value)
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, *data, "--out", out, *([] if env else ["--seed", value]))
+        assert excinfo.value.code == 2
+        source = "SETCOH_SEED " if env else ""
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --seed: {source}must be an integer <= 18446744073709551615, got '{value}'\n")
+        assert not out.exists()
+
+    def test_the_largest_seed_is_accepted(self, tmp_path):
+        args = cli.build_parser().parse_args(["gen", "--style", "qa", "--out", str(tmp_path), "--seed", str(2**64 - 1)])
+        assert args.seed == 2**64 - 1
+
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
     @pytest.mark.parametrize("argv", [["gen", "--style", "qa"], ["train"], ["verify", "--scorer", "oracle"],
                                       ["locate", "--scorer", "oracle"], ["sweep", "--scorer", "oracle"], ["ablate"]])
@@ -840,7 +860,7 @@ class TestLazyParsing:
                    "--scorer", "oracle", "--mixture-per-class", "2") == 0
         seen = list(parsed)
         corpus = load_corpus(qa_dir)
-        mixture = evalkit.build_eval_mixture(*trainer.base_pools(corpus.test), 2, rng_seed=5).sets
+        mixture = evalkit.build_eval_mixture(*datagen.pools(corpus.test), 2, rng_seed=5).sets
         assert set(seen) == {format_formula(f) for s in mixture for f in s.all_formulas()}
         assert len(seen) < sum(len(s.all_formulas()) for split in corpus.splits().values() for s in split) / 2
 
@@ -889,10 +909,14 @@ def _first_statement(**fields):
     (2, _first_statement(kind="sentence", text="The desk is pink.")),
     (2, lambda record: json.dumps({key: value for key, value in record.items() if key != "statements"})),
     (2, lambda record: b"  \n" + json.dumps({**record, "id": 3}).encode("utf-8")),
+    (2, lambda record: json.dumps({"context_semantic" if key == "context_semantics" else key: value
+                                   for key, value in record.items()})),
+    (3, _first_statement(semantic="desk.pink")),
 ], ids=["not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
         "context-string", "context-of-ints", "gold-string", "gold-bool", "gold-out-of-range",
         "gold-repeated", "gold-on-consistent", "one-statement", "provenance-X", "label-contradicts-provenance",
-        "unknown-kind", "sentence-with-question", "no-statements", "after-a-blank-line"])
+        "unknown-kind", "sentence-with-question", "no-statements", "after-a-blank-line", "unknown-set-field",
+        "unknown-statement-field"])
 def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
     lines = (qa_dir / "data.jsonl").read_bytes().splitlines()
     record = json.loads(lines[line - 1])

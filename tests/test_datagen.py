@@ -15,6 +15,7 @@ from setcoh.datagen import (
     MalformedRecordError,
     MissingSemanticsError,
     NamespaceCollisionError,
+    NotABaseSetError,
     PROVENANCE_CLASSES,
     QA_FLIPS,
     QAWorld,
@@ -375,6 +376,19 @@ class TestBuildSplits:
         sizes = [len(r.members) for r in ALL_RULES]
         assert 2 <= sum(sizes) / len(sizes) <= 5
 
+    def test_pools_keep_each_label_in_order(self, small_qa_corpus):
+        mixed = small_qa_corpus.test[::-1] + small_qa_corpus.train[:5]
+        cs, is_ = pools(mixed)
+        assert cs == [s for s in mixed if s.provenance == "C"]
+        assert is_ == [s for s in mixed if s.provenance == "I"]
+        assert (len(cs), len(is_)) == (12 + 3, 12 + 2)
+
+    def test_pools_refuse_a_union_naming_it(self, small_qa_corpus):
+        union = compose_union(pools(small_qa_corpus.test)[0][:2], set_id="test-cc-x")
+        with pytest.raises(NotABaseSetError, match=r"^set 'test-cc-x' has provenance 'CC'; unions are composed "
+                                                   r"from base sets \(C or I\) only$"):
+            pools(small_qa_corpus.test + [union])
+
     def test_matched_pairs_share_namespace(self, small_snli_corpus):
         cs, is_ = pools(small_snli_corpus.train)
         for c, i in zip(cs, is_):
@@ -611,9 +625,12 @@ class TestStrictRecords:
         ({"label": "consistent"}, "set 'b': label 'consistent' contradicts provenance 'I'"),
         ({"label": "bogus"}, "set 'b': label 'bogus' contradicts provenance 'I'"),
         ({"label": DROP}, "set 'b': label None contradicts provenance 'I'"),
+        ({"context_semantic": ["v.x"]}, "unknown field 'context_semantic'"),
+        ({"statements": [{**BAD_BASE["statements"][0], "semantic": "v.x"}, BAD_BASE["statements"][1]]},
+         "statement 0: unknown field 'semantic'"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-on-consistent", "gold-string", "gold-bool",
             "context-string", "statements-string", "id-int", "context-syntax", "label-contradicts-provenance",
-            "label-unknown", "label-missing"])
+            "label-unknown", "label-missing", "unknown-set-field", "unknown-statement-field"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
         record = {key: value for key, value in {**BAD_BASE, **change}.items() if value is not DROP}
         path = self.write(tmp_path / "bad.jsonl", record)
@@ -622,8 +639,9 @@ class TestStrictRecords:
         assert str(excinfo.value).startswith(f"{path}:2: ")
         assert str(excinfo.value).endswith(message)
 
-    @pytest.mark.parametrize("change", [{"answer": 1}, {"answer": ["x"]}, {"semantics": 5}, {"text": "q?"}],
-                             ids=["answer-int", "answer-list", "semantics-int", "qa-with-text"])
+    @pytest.mark.parametrize("change", [{"answer": 1}, {"answer": ["x"]}, {"semantics": 5}, {"text": "q?"},
+                                        {"note": "x"}],
+                             ids=["answer-int", "answer-list", "semantics-int", "qa-with-text", "unknown-field"])
     def test_a_repeated_statement_record_is_checked_like_a_new_one(self, tmp_path, change):
         statements = [{**GOOD["statements"][0], **change}, GOOD["statements"][1]]
         bad = {**GOOD, "id": "b", "statements": statements}

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from setcoh.model import (
     CLS_INDEX,
     CLS_TOKEN,
     CorruptFileError,
+    MAX_SEED,
     ModelParams,
     UNK_INDEX,
     UNK_TOKEN,
@@ -212,6 +215,15 @@ class TestParamsFile:
         assert loaded.vocab.tokens == vocab.tokens
         for name, arr in params.arrays().items():
             assert np.array_equal(arr, loaded.arrays()[name])
+
+    def test_the_largest_seed_round_trips_and_a_larger_one_writes_no_file(self, tmp_path, vocab):
+        path = tmp_path / "m.bin"
+        save_params(ModelParams.init(vocab, d=4, h=3, seed=MAX_SEED), path)
+        assert load_params(path).init_seed == MAX_SEED == 2**64 - 1
+        path.unlink()
+        with pytest.raises(struct.error):
+            save_params(ModelParams.init(vocab, d=4, h=3, seed=MAX_SEED + 1), path)
+        assert not path.exists()
 
     def test_truncated_file(self, tmp_path, vocab):
         path = tmp_path / "m.bin"

@@ -53,3 +53,32 @@ def test_every_line_of_an_untracked_module_is_touched(monkeypatch, tmp_path):
     touched = mutate.touched_lines("base")
     assert touched == {"fresh.py": {1, 2, 3, 4, 5}, "cli.py": {4, 5}}
     assert len(mutate.mutants(SOURCE, touched["fresh.py"])) == 7
+
+
+def test_a_survivor_of_its_mapped_tests_is_rerun_against_the_whole_tier1(monkeypatch, tmp_path, capsys):
+    for part in ("src/setcoh", "tests", "bench"):
+        (tmp_path / part).mkdir(parents=True)
+    (tmp_path / "src" / "setcoh" / "fresh.py").write_text(SOURCE)
+    (tmp_path / "pyproject.toml").write_text("")
+    monkeypatch.setattr(mutate, "ROOT", tmp_path)
+    monkeypatch.setattr(mutate, "touched_lines", lambda base: {"fresh.py": {2, 3}})
+    runs = []
+
+    def fake_run(tree, tests):      # the mapped file kills a dropped `not`; only the rest of Tier-1 kills `a <= b`
+        module = (tree / "src" / "setcoh" / "fresh.py").read_text()
+        killed = "not" not in module if tests == ["tests/test_fresh.py"] else "a <= b" in module
+        runs.append("tier1" if tests == mutate.TIER1 else "mapped")
+        return "fail" if killed else "pass"
+
+    monkeypatch.setattr(mutate, "run_tests", fake_run)
+    assert mutate.main(["--base", "base"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert sorted(line for line in out if line.startswith(("SURVIVED", "killed"))) == [
+        "SURVIVED fresh.py:2: a < b <= c -> a < b < c",
+        "SURVIVED fresh.py:3: a and b -> a or b",
+        "killed (fail) fresh.py:2: a < b <= c -> a <= b <= c",
+        "killed (fail) fresh.py:3: not (a and b) -> a and b",
+    ]
+    assert out[-1] == "2 of 4 mutants survived"
+    # The unmutated mapped file, four mutants on it, the unmutated Tier-1 once, then each mapped survivor.
+    assert runs.count("mapped") == 5 and runs.count("tier1") == 1 + 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import setcoh.trainer as trainer_mod
-from setcoh.datagen import compose_union, pools
+from setcoh.datagen import NotABaseSetError, compose_union, pools
 from setcoh.model import (
     EMBED_DIM,
     HIDDEN_DIM,
@@ -27,7 +27,6 @@ from setcoh.trainer import (
     SIDE_TAGS,
     CountsCache,
     EmptyValidationError,
-    NotABaseSetError,
     PoolExhaustedError,
     REGIMES,
     Threshold,
@@ -352,6 +351,16 @@ class TestFineTune:
         with pytest.raises(ValueError):
             fine_tune(params, small_qa_corpus.train, small_qa_corpus.train, n=10_000,
                       config=TrainerConfig(epochs=1))
+
+    def test_n_equal_to_the_smaller_pool_is_accepted(self, small_qa_corpus):
+        vocab = build_vocabulary(small_qa_corpus.train)
+        params = ModelParams.init(vocab, d=8, h=6, seed=11)
+        target = small_qa_corpus.train[:-1]         # its I pool holds 29 sets, one fewer than its C pool
+        config = TrainerConfig(epochs=1, regime="basic", pairs_per_epoch=4)
+        assert list(map(len, pools(target))) == [30, 29]
+        fine_tune(params, small_qa_corpus.train, target, n=29, config=config)
+        with pytest.raises(ValueError, match="n exceeds a pool size"):
+            fine_tune(params, small_qa_corpus.train, target, n=30, config=config)
 
 
 def test_trainer_config_validation():
