@@ -98,7 +98,7 @@ class MalformedRecordError(DataError, ValueError):
 
 
 class NotABaseSetError(DataError, ValueError):
-    """A pool that unions are composed from holds a set that is already a union."""
+    """A set that is already a union, where only base sets (provenance C or I) may go: a pool or a union's parts."""
 
 
 class GenerationError(DataError, RuntimeError):
@@ -297,16 +297,20 @@ class DatasetSplit:
         return {name: getattr(self, name) for name in SPLIT_NAMES}
 
 
+def _base_set(s: StatementSet) -> StatementSet:
+    """``s`` if it is a base set (provenance C or I); a union is a :class:`NotABaseSetError`."""
+    if s.provenance not in ("C", "I"):
+        raise NotABaseSetError(f"set {s.id!r} has provenance {s.provenance!r}; "
+                               "unions are composed from base sets (C or I) only")
+    return s
+
+
 def pools(sets: Iterable[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
     """Split base sets into the (consistent, inconsistent) pools that unions are composed from, preserving
     order; a set that is already a union is a :class:`NotABaseSetError`."""
     split: dict[str, list[StatementSet]] = {"C": [], "I": []}
     for s in sets:
-        pool = split.get(s.provenance)
-        if pool is None:
-            raise NotABaseSetError(f"set {s.id!r} has provenance {s.provenance!r}; "
-                                   "unions are composed from base sets (C or I) only")
-        pool.append(s)
+        split[_base_set(s).provenance].append(s)
     return split["C"], split["I"]
 
 
@@ -577,16 +581,15 @@ def compose_union(
 ) -> StatementSet:
     """Merge 2-4 base sets into one, shuffling statements and remapping gold indices.
 
-    Parts must be base sets ("C" or "I" provenance) over pairwise
-    disjoint atom namespaces; the union's provenance sorts the part tags
-    (C's first).
+    Parts must be base sets ("C" or "I" provenance; a union part is a
+    :class:`NotABaseSetError`) over pairwise disjoint atom namespaces;
+    the union's provenance sorts the part tags (C's first).
     """
     parts = list(parts)
     if not 2 <= len(parts) <= 4:
         raise ValueError("compose_union takes 2-4 parts")
     for part in parts:
-        if part.provenance not in ("C", "I"):
-            raise ValueError(f"part {part.id!r} is already a union (provenance {part.provenance!r})")
+        _base_set(part)
     seen: set[str] = set()
     for part in parts:
         ns = part.namespaces()
@@ -818,29 +821,26 @@ def build_splits(config: GenConfig, rng_seed: int) -> DatasetSplit:
     return out
 
 
-# The keys of a set record and of its statement entries, in the order the writer emits them; the reader
+# The keys a set record and its statement entries may hold: the keys the writer below emits.  The reader
 # refuses any other key.
-_SET_FIELDS = ("id", "statements", "label", "provenance", "difficulty", "rule_id", "gold_inconsistent_indices",
-              "context_semantics")
-_STATEMENT_FIELDS = ("kind", "text", "question", "answer", "semantics")
-_SET_KEYS, _STATEMENT_KEYS = frozenset(_SET_FIELDS), frozenset(_STATEMENT_FIELDS)
-
-
-def _present(fields: Sequence[str], values: Sequence) -> dict:
-    """``fields`` mapped to ``values``, in order, leaving out each field whose value is None."""
-    return {key: value for key, value in zip(fields, values) if value is not None}
+_SET_KEYS = frozenset({"id", "statements", "label", "provenance", "difficulty", "rule_id",
+                       "gold_inconsistent_indices", "context_semantics"})
+_STATEMENT_KEYS = frozenset({"kind", "text", "question", "answer", "semantics"})
 
 
 def _statement_to_json(s: Statement) -> dict:
-    semantics = None if s.semantics is None else format_formula(s.semantics)
-    return _present(_STATEMENT_FIELDS, (s.kind, s.text, s.question, s.answer, semantics))
+    fields = (("kind", s.kind), ("text", s.text), ("question", s.question), ("answer", s.answer),
+              ("semantics", None if s.semantics is None else format_formula(s.semantics)))
+    return {key: value for key, value in fields if value is not None}
 
 
 def set_to_json(s: StatementSet) -> dict:
     gold = s.gold_inconsistent_indices
-    return _present(_SET_FIELDS, (s.id, [_statement_to_json(st) for st in s.statements], s.label, s.provenance,
-                                s.difficulty, s.rule_id, None if gold is None else list(gold),
-                                [format_formula(f) for f in s.context_semantics] or None))
+    fields = (("id", s.id), ("statements", [_statement_to_json(st) for st in s.statements]), ("label", s.label),
+              ("provenance", s.provenance), ("difficulty", s.difficulty), ("rule_id", s.rule_id),
+              ("gold_inconsistent_indices", None if gold is None else list(gold)),
+              ("context_semantics", [format_formula(f) for f in s.context_semantics] or None))
+    return {key: value for key, value in fields if value is not None}
 
 
 def _parse_all(texts: Sequence[str]) -> tuple[Formula, ...]:

@@ -1,4 +1,4 @@
-"""Operator mutants of the ``src/setcoh`` lines a diff touches, each run against its module's tests.
+"""Operator mutants of the ``src/setcoh`` lines a diff touches, each run against the whole Tier-1.
 
 Usage::
 
@@ -8,16 +8,14 @@ For every line of ``src/setcoh/*.py`` that ``git diff <rev>`` adds or
 changes (uncommitted edits included), and every line of a module git does
 not track yet, each comparison, arithmetic, boolean and ``not`` operator on
 it is flipped, one mutant at a time, in a copy of ``src/``, ``tests/`` and
-``bench/`` in a temporary directory.  The mutated module is written back
-from its AST (``ast.unparse``), and the test files that :data:`TESTS` maps
-to the module run with ``pytest -x``; a run that takes longer than
-:data:`TIMEOUT` seconds (a flipped loop condition can hang) kills the
-mutant.  A mutant that passes its mapped files is run again against the
-whole Tier-1 (:data:`TIER1`), because a CLI or ``evalkit`` test may be
-the one that kills it; only a mutant that passes that too survives.
-Each mutant is printed on one line, ``SURVIVED`` or ``killed`` and then
+``bench/`` in a temporary directory.  Each module with mutants is written
+back from its AST (``ast.unparse``), as its mutants are; the whole Tier-1
+(:data:`TIER1`) runs once on those unmutated modules and then once per
+mutant, with ``pytest -x``.  A run that takes longer than :data:`TIMEOUT`
+seconds (a flipped loop condition can hang) kills the mutant.  Each mutant
+is printed on one line, ``SURVIVED`` or ``killed`` and then
 ``module.py:line: original -> mutant``; the exit status is 1 if any
-survive (2 if the unmutated tests fail).
+survive (2 if the unmutated Tier-1 fails).
 
 Standard library only.  pytest does not collect this file: its name does
 not start with ``test_``.
@@ -40,18 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "setcoh"
 
-# The test files run against each module's mutants; a module not listed runs tests/test_<module>.py.
-TESTS = {
-    "cli": ["test_cli.py"],
-    "datagen": ["test_datagen.py", "test_compiled_join.py"],
-    "evalkit": ["test_evalkit.py", "test_verifier.py"],
-    "logic": ["test_logic.py", "test_compiled_join.py"],
-    "model": ["test_model.py", "test_subset_scoring.py"],
-    "verifier": ["test_verifier.py", "test_subset_scoring.py", "test_pair_memo.py", "test_evalkit.py"],
-}
-
-# The whole Tier-1, as a mutant that passes its mapped files runs it: every test file but test_imports.py,
-# which reads the import lines' comments that ast.unparse drops and that no operator flip changes.
+# The whole Tier-1, as each mutant runs it: every test file but test_imports.py, which reads the import
+# lines' comments that ast.unparse drops and that no operator flip changes.
 TIER1 = ["tests", "--ignore=tests/test_imports.py"]
 
 # Seconds one pytest run may take before its mutant counts as killed.
@@ -174,45 +162,32 @@ def main(argv: list[str] | None = None) -> int:
         for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
-        survivors = total = 0
-        tier1 = None        # the unmutated whole Tier-1's outcome, run when a mutant first needs it
+        modules = []
         for name, lines in sorted(touched.items()):
-            module = name.removesuffix(".py")
-            tests = [f"tests/{test}" for test in TESTS.get(module, [f"test_{module}.py"])]
             path = tree / PACKAGE / name
             source = path.read_text()
             found = mutants(source, lines)
-            print(f"{name}: {len(lines)} touched lines, {len(found)} mutants, tests {' '.join(tests)}", flush=True)
-            if not found:
-                continue
-            unparsed = ast.unparse(ast.parse(source)) + "\n"      # the same module, as mutants are written
-            try:
-                path.write_text(unparsed)
-                if run_tests(tree, tests) != "pass":
-                    print(f"{name}: the unmutated tests fail; no mutant run", flush=True)
-                    return 2
-                for mutant in found:
-                    mutated = mutate(source, mutant.node, mutant.slot)
-                    path.write_text(mutated)
-                    outcome = run_tests(tree, tests)
-                    if outcome == "pass":
-                        if tier1 is None:
-                            path.write_text(unparsed)
-                            tier1 = run_tests(tree, TIER1)
-                            path.write_text(mutated)
-                        if tier1 != "pass":
-                            print("the unmutated Tier-1 fails; no mutant rerun", flush=True)
-                            return 2
-                        outcome = run_tests(tree, TIER1)
-                    total += 1
-                    if outcome == "pass":
-                        survivors += 1
-                        print(f"SURVIVED {name}:{mutant.lines.start}: {mutant.before} -> {mutant.after}", flush=True)
-                    else:
-                        print(f"killed ({outcome}) {name}:{mutant.lines.start}: {mutant.before} -> {mutant.after}",
-                              flush=True)
-            finally:
-                path.write_text(source)
+            print(f"{name}: {len(lines)} touched lines, {len(found)} mutants", flush=True)
+            if found:
+                path.write_text(ast.unparse(ast.parse(source)) + "\n")
+                modules.append((name, path, source, found))
+        if modules and run_tests(tree, TIER1) != "pass":
+            print("the unmutated Tier-1 fails; no mutant run", flush=True)
+            return 2
+        survivors = total = 0
+        for name, path, source, found in modules:
+            unparsed = path.read_text()
+            for mutant in found:
+                path.write_text(mutate(source, mutant.node, mutant.slot))
+                outcome = run_tests(tree, TIER1)
+                total += 1
+                if outcome == "pass":
+                    survivors += 1
+                    print(f"SURVIVED {name}:{mutant.lines.start}: {mutant.before} -> {mutant.after}", flush=True)
+                else:
+                    print(f"killed ({outcome}) {name}:{mutant.lines.start}: {mutant.before} -> {mutant.after}",
+                          flush=True)
+            path.write_text(unparsed)
         print(f"{survivors} of {total} mutants survived")
     return 1 if survivors else 0
 

@@ -639,6 +639,12 @@ class TestStrictRecords:
         assert str(excinfo.value).startswith(f"{path}:2: ")
         assert str(excinfo.value).endswith(message)
 
+    def test_the_reader_takes_every_key_the_writer_emits(self, small_qa_corpus, small_snli_corpus):
+        records = [datagen.set_to_json(s) for s in (*small_qa_corpus.test, *small_snli_corpus.test)]
+        assert set().union(*records) == datagen._SET_KEYS
+        assert set().union(*(entry for record in records for entry in record["statements"])) == \
+            datagen._STATEMENT_KEYS
+
     @pytest.mark.parametrize("change", [{"answer": 1}, {"answer": ["x"]}, {"semantics": 5}, {"text": "q?"},
                                         {"note": "x"}],
                              ids=["answer-int", "answer-list", "semantics-int", "qa-with-text", "unknown-field"])

@@ -55,20 +55,25 @@ def test_every_line_of_an_untracked_module_is_touched(monkeypatch, tmp_path):
     assert len(mutate.mutants(SOURCE, touched["fresh.py"])) == 7
 
 
-def test_a_survivor_of_its_mapped_tests_is_rerun_against_the_whole_tier1(monkeypatch, tmp_path, capsys):
+def _one_touched_module(monkeypatch, tmp_path) -> None:
+    """A repository whose one module, ``fresh.py`` holding :data:`SOURCE`, has lines 2 and 3 touched."""
     for part in ("src/setcoh", "tests", "bench"):
         (tmp_path / part).mkdir(parents=True)
     (tmp_path / "src" / "setcoh" / "fresh.py").write_text(SOURCE)
     (tmp_path / "pyproject.toml").write_text("")
     monkeypatch.setattr(mutate, "ROOT", tmp_path)
     monkeypatch.setattr(mutate, "touched_lines", lambda base: {"fresh.py": {2, 3}})
-    runs = []
 
-    def fake_run(tree, tests):      # the mapped file kills a dropped `not`; only the rest of Tier-1 kills `a <= b`
+
+def test_the_unmutated_tier1_runs_once_then_each_mutant_runs_it(monkeypatch, tmp_path, capsys):
+    _one_touched_module(monkeypatch, tmp_path)
+    modules = []
+
+    def fake_run(tree, tests):      # Tier-1 kills a dropped `not` and `a <= b`, and no other mutant
+        assert tests == mutate.TIER1
         module = (tree / "src" / "setcoh" / "fresh.py").read_text()
-        killed = "not" not in module if tests == ["tests/test_fresh.py"] else "a <= b" in module
-        runs.append("tier1" if tests == mutate.TIER1 else "mapped")
-        return "fail" if killed else "pass"
+        modules.append(module)
+        return "fail" if "not" not in module or "a <= b" in module else "pass"
 
     monkeypatch.setattr(mutate, "run_tests", fake_run)
     assert mutate.main(["--base", "base"]) == 1
@@ -80,5 +85,14 @@ def test_a_survivor_of_its_mapped_tests_is_rerun_against_the_whole_tier1(monkeyp
         "killed (fail) fresh.py:3: not (a and b) -> a and b",
     ]
     assert out[-1] == "2 of 4 mutants survived"
-    # The unmutated mapped file, four mutants on it, the unmutated Tier-1 once, then each mapped survivor.
-    assert runs.count("mapped") == 5 and runs.count("tier1") == 1 + 3
+    assert modules[0] == ast.unparse(ast.parse(SOURCE)) + "\n" and len(modules) == 1 + 4
+    assert len(set(modules)) == 5
+
+
+def test_a_failing_unmutated_tier1_runs_no_mutant(monkeypatch, tmp_path, capsys):
+    _one_touched_module(monkeypatch, tmp_path)
+    runs = []
+    monkeypatch.setattr(mutate, "run_tests", lambda tree, tests: runs.append(tests) or "fail")
+    assert mutate.main(["--base", "base"]) == 2
+    assert runs == [mutate.TIER1]
+    assert capsys.readouterr().out.splitlines()[-1] == "the unmutated Tier-1 fails; no mutant run"
