@@ -13,8 +13,10 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, fields
+from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -72,13 +74,13 @@ def _seed(text: str) -> int:
     exits 2 through argparse, naming the flag (``argument --seed: ...``) and, for the variable's text, the variable."""
     try:
         seed = int(text)
-    except ValueError:
-        seed = -1
+    except ValueError:  # also for base-10 integer text of more digits than sys.get_int_max_str_digits()
+        seed = Decimal(text) if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text) else -1
     if not 0 <= seed <= MAX_SEED:
         source = "SETCOH_SEED " if isinstance(text, _SeedText) else ""
         bound = ">= 0" if seed < 0 else f"<= {MAX_SEED}"
         raise argparse.ArgumentTypeError(f"{source}must be an integer {bound}, got {text!r}")
-    return seed
+    return int(seed)
 
 
 def _write_snapshot(args: argparse.Namespace) -> Path:

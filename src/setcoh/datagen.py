@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 from . import wordbank
 from .logic import (
     Atom,
-    AtomBudgetError,
     AtomRef,
     CompiledFormulas,
     DataError,
@@ -169,9 +168,9 @@ class StatementSet:
     """A provenance-tagged collection of statements, labeled by its provenance.
 
     A loaded set, and a union, computes its context formulas on first read
-    (a union from its parts'); a loaded set, and a union of loaded parts,
-    keeps its atom namespaces from construction.  A union keeps its parts,
-    and a part keeps its oracle compile (see :func:`compile_formulas`).
+    (a union from its parts'); a loaded set keeps its atom namespaces from
+    construction, and a union answers with its parts'.  A union keeps its
+    parts, and a part keeps its oracle compile (see :func:`compile_formulas`).
     """
 
     id: str
@@ -181,7 +180,7 @@ class StatementSet:
     difficulty: str = "medium"
     gold_inconsistent_indices: tuple[int, ...] | None = None
     context_semantics: tuple[Formula, ...] = _ReadOnFirstUse((), lambda make: make())
-    _namespaces = None  # kept by load_jsonl, and by compose_union from loaded parts; not a field
+    _namespaces = None  # kept by load_jsonl; not a field
 
     def __post_init__(self) -> None:
         # Not fields: set here, so that every set's instance dict shares its class's key table.
@@ -194,7 +193,9 @@ class StatementSet:
         if type(self.provenance) is not str or not self.provenance or set(self.provenance) - {"C", "I"}:
             raise ValueError(f"set {self.id!r}: bad provenance {self.provenance!r}")
         gold = self.gold_inconsistent_indices
-        if gold:
+        if gold is not None:
+            if not gold:
+                raise ValueError(f"set {self.id!r}: gold indices, when given, name at least one statement")
             if self.label == CONSISTENT:
                 raise ValueError(f"set {self.id!r}: a consistent set has no gold inconsistent indices")
             for k, g in enumerate(gold):
@@ -228,6 +229,8 @@ class StatementSet:
         """Namespaces (id up to the first ``.``) of the atoms of the statements and context."""
         if self._namespaces is not None:
             return self._namespaces
+        if self._parts is not None:
+            return frozenset().union(*(part.namespaces() for part in self._parts))
         names: set[str] = set()
         for f in [s.semantics for s in self.statements if s.semantics is not None] + list(self.context_semantics):
             names |= atoms_of(f)
@@ -588,24 +591,16 @@ def compose_union(
     parts = list(parts)
     if not 2 <= len(parts) <= 4:
         raise ValueError("compose_union takes 2-4 parts")
-    for part in parts:
-        _base_set(part)
     seen: set[str] = set()
-    for part in parts:
-        ns = part.namespaces()
-        if ns & seen:
-            raise NamespaceCollisionError(
-                f"union parts share atom namespaces: {sorted(ns & seen)}"
-            )
-        seen |= ns
-
     flat: list[Statement] = []
     gold: list[int] = []
     for part in parts:
-        base = len(flat)
+        ns = _base_set(part).namespaces()
+        if ns & seen:
+            raise NamespaceCollisionError(f"union parts share atom namespaces: {sorted(ns & seen)}")
+        seen |= ns
+        gold.extend(len(flat) + g for g in part.gold_inconsistent_indices or ())
         flat.extend(part.statements)
-        if part.gold_inconsistent_indices:
-            gold.extend(base + g for g in part.gold_inconsistent_indices)
     order = list(range(len(flat)))
     random.Random(f"union-shuffle:{shuffle_seed}").shuffle(order)
     position = {old: new for new, old in enumerate(order)}
@@ -621,8 +616,6 @@ def compose_union(
         gold_inconsistent_indices=remapped if has_gold else None,
     )
     union._parts = tuple(parts)
-    if all(part._namespaces is not None for part in parts):
-        union._namespaces = frozenset(seen)  # loaded parts: answer namespaces() without parsing
     _defer(union, "context_semantics", partial(_joint_context, parts))
     return union
 
@@ -639,18 +632,16 @@ def compile_formulas(s: StatementSet) -> CompiledFormulas:
     is met as a part and keeps that compile for as long as it lives.  The
     parts are namespace-disjoint, so each union statement is found in its
     part by identity.  Any other set is compiled afresh and keeps nothing.
-    Errors are those of compiling ``s`` afresh.
+    A statement without semantics is ``s``'s own :class:`MissingSemanticsError`;
+    a component over the atom budget is reported by the compile of the part
+    that holds it (the parts share no atom, so it is a component of ``s``).
     """
+    formulas = s.formulas()
     parts = s._parts
-    if parts is not None:
-        try:
-            compiles = [_part_compile(part) for part in parts]
-        except (AtomBudgetError, MissingSemanticsError):
-            pass        # compiled afresh below, to raise the union's own error
-        else:
-            where = {id(st): (p, j) for p, part in enumerate(parts) for j, st in enumerate(part.statements)}
-            return CompiledFormulas.join(compiles, [where[id(st)] for st in s.statements])
-    return CompiledFormulas(s.formulas(), s.context_semantics)
+    if parts is None:
+        return CompiledFormulas(formulas, s.context_semantics)
+    where = {id(st): (p, j) for p, part in enumerate(parts) for j, st in enumerate(part.statements)}
+    return CompiledFormulas.join([_part_compile(part) for part in parts], [where[id(st)] for st in s.statements])
 
 
 def _part_compile(part: StatementSet) -> CompiledFormulas:

@@ -731,8 +731,33 @@ class TestExitCodes:
             f"error: argument --seed: {source}must be an integer <= 18446744073709551615, got '{value}'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("env", [False, True], ids=["flag", "variable"])
+    @pytest.mark.parametrize("value, bound", [
+        ("1" * 5000, "<= 18446744073709551615"),
+        (" +" + "0" * 5000 + "2" * 20 + "\t", "<= 18446744073709551615"),
+        ("-" + "1" * 5000, ">= 0"),
+        ("1" * 5000 + "x", ">= 0"),
+    ], ids=["long", "long-with-leading-zeros", "long-negative", "long-not-an-integer"])
+    def test_a_seed_of_more_digits_than_int_reads_names_its_bound(self, tmp_path, monkeypatch, value, bound, env,
+                                                                    capsys):
+        # int() refuses base-10 text of more than 4,300 digits, whatever its value.
+        out = tmp_path / "o"
+        if env:
+            monkeypatch.setenv("SETCOH_SEED", value)
+        with pytest.raises(SystemExit) as excinfo:
+            run("gen", "--style", "qa", "--out", out, *([] if env else ["--seed", value]))
+        assert excinfo.value.code == 2
+        source = "SETCOH_SEED " if env else ""
+        assert capsys.readouterr().err.endswith(f"error: argument --seed: {source}must be an integer {bound}, "
+                                                f"got {value!r}\n")
+        assert not out.exists()
+
     def test_the_largest_seed_is_accepted(self, tmp_path):
         args = cli.build_parser().parse_args(["gen", "--style", "qa", "--out", str(tmp_path), "--seed", str(2**64 - 1)])
+        assert args.seed == 2**64 - 1
+        # Past int()'s digit limit by leading zeros alone, and read exactly.
+        args = cli.build_parser().parse_args(["gen", "--style", "qa", "--out", str(tmp_path), "--seed",
+                                              "0" * 5000 + str(2**64 - 1)])
         assert args.seed == 2**64 - 1
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
@@ -901,7 +926,9 @@ def _first_statement(**fields):
     (2, _setting("gold_inconsistent_indices", [True])),
     (2, _setting("gold_inconsistent_indices", [99])),
     (2, lambda record: json.dumps({**record, "gold_inconsistent_indices": record["gold_inconsistent_indices"] * 2})),
+    (2, _setting("gold_inconsistent_indices", [])),
     (3, _setting("gold_inconsistent_indices", [0])),
+    (3, _setting("gold_inconsistent_indices", [])),
     (3, lambda record: json.dumps({**record, "statements": record["statements"][:1]})),
     (2, _setting("provenance", "X")),
     (2, _setting("label", "consistent")),
@@ -914,9 +941,9 @@ def _first_statement(**fields):
     (3, _first_statement(semantic="desk.pink")),
 ], ids=["not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
         "context-string", "context-of-ints", "gold-string", "gold-bool", "gold-out-of-range",
-        "gold-repeated", "gold-on-consistent", "one-statement", "provenance-X", "label-contradicts-provenance",
-        "unknown-kind", "sentence-with-question", "no-statements", "after-a-blank-line", "unknown-set-field",
-        "unknown-statement-field"])
+        "gold-repeated", "gold-empty", "gold-on-consistent", "gold-empty-on-consistent", "one-statement",
+        "provenance-X", "label-contradicts-provenance", "unknown-kind", "sentence-with-question", "no-statements",
+        "after-a-blank-line", "unknown-set-field", "unknown-statement-field"])
 def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
     lines = (qa_dir / "data.jsonl").read_bytes().splitlines()
     record = json.loads(lines[line - 1])

@@ -285,6 +285,10 @@ class TestComposeUnion:
         part = gen_qa_set(gen_qa_world(440, 2))
         with pytest.raises(NamespaceCollisionError):
             compose_union([part, part])
+        other = gen_qa_set(gen_qa_world(441, 2))
+        with pytest.raises(NamespaceCollisionError) as excinfo:
+            compose_union([other, part, part])
+        assert str(excinfo.value) == f"union parts share atom namespaces: {sorted(part.namespaces())}"
 
     def test_rejects_non_base_parts(self):
         a, b, c = self.make_parts(3, start=450)
@@ -583,7 +587,9 @@ class TestLazyReader:
         monkeypatch.undo()
         assert namespaces == [reference_namespaces(u.all_formulas()) for u in mixture]
         generated_test = [g for g in generated if g.id.startswith("test-")]
-        assert mixture == build_eval_mixture(*pools(generated_test), 6, rng_seed=1).sets
+        in_memory = build_eval_mixture(*pools(generated_test), 6, rng_seed=1).sets
+        assert in_memory == mixture
+        assert [u.namespaces() for u in in_memory] == namespaces
 
     def test_formulas_are_parsed_on_first_read_only(self, tmp_path, small_qa_corpus, monkeypatch):
         path = tmp_path / "sets.jsonl"
@@ -615,6 +621,7 @@ class TestStrictRecords:
     @pytest.mark.parametrize("change, message", [
         ({"gold_inconsistent_indices": [99]}, "gold index 99 is not a statement index (0..1)"),
         ({"gold_inconsistent_indices": [1, 1]}, "gold index 1 repeats"),
+        ({"gold_inconsistent_indices": []}, "set 'b': gold indices, when given, name at least one statement"),
         ({"label": "consistent", "provenance": "C"}, "a consistent set has no gold inconsistent indices"),
         ({"gold_inconsistent_indices": "01"}, "field 'gold_inconsistent_indices' must be a list of integers"),
         ({"gold_inconsistent_indices": [True]}, "field 'gold_inconsistent_indices' must be a list of integers"),
@@ -628,7 +635,7 @@ class TestStrictRecords:
         ({"context_semantic": ["v.x"]}, "unknown field 'context_semantic'"),
         ({"statements": [{**BAD_BASE["statements"][0], "semantic": "v.x"}, BAD_BASE["statements"][1]]},
          "statement 0: unknown field 'semantic'"),
-    ], ids=["gold-out-of-range", "gold-repeated", "gold-on-consistent", "gold-string", "gold-bool",
+    ], ids=["gold-out-of-range", "gold-repeated", "gold-empty", "gold-on-consistent", "gold-string", "gold-bool",
             "context-string", "statements-string", "id-int", "context-syntax", "label-contradicts-provenance",
             "label-unknown", "label-missing", "unknown-set-field", "unknown-statement-field"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
@@ -678,4 +685,8 @@ class TestStrictRecords:
             with pytest.raises(ValueError, match="gold"):
                 StatementSet(id="x", statements=statements, provenance=label[0].upper(),
                              gold_inconsistent_indices=gold)
+        for provenance in ("I", "C"):
+            with pytest.raises(ValueError) as excinfo:
+                StatementSet(id="x", statements=statements, provenance=provenance, gold_inconsistent_indices=())
+            assert str(excinfo.value) == "set 'x': gold indices, when given, name at least one statement"
 
