@@ -31,6 +31,7 @@ from .datagen import (
     QA_FLIPS,
     SPLIT_NAMES,
     StatementSet,
+    _base_set,
     build_splits,
     load_jsonl,
     pools,
@@ -110,24 +111,34 @@ def _write_summary(out: Path, payload: dict) -> None:
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_corpus(data_dir: Path) -> DatasetSplit:
-    """Rebuild the four splits from data.jsonl via the id prefix convention."""
-    split = DatasetSplit()
-    buckets = split.splits()
+def load_corpus(data_dir: Path, splits: Sequence[str] = SPLIT_NAMES) -> DatasetSplit:
+    """The sets of ``splits`` in data.jsonl, each filed under its split by the id prefix convention.
 
-    def file_under_split(s: StatementSet) -> None:
-        prefix = s.id.split("-", 1)[0]
-        if prefix not in buckets:
+    Every record of every split is read and checked: a set whose id names
+    no split, or that is a union (:func:`datagen._base_set`), is refused at
+    its line.  Only the sets of ``splits`` are kept; the other splits are
+    left empty.  The kept sets share each value that is equal across records
+    (see :func:`datagen.load_jsonl`).
+    """
+    corpus = DatasetSplit()
+    buckets = corpus.splits()
+
+    def kept(s: StatementSet) -> bool:
+        name = s.id.split("-", 1)[0]
+        if name not in buckets:
             raise MalformedRecordError(f"set id {s.id!r} does not start with a split name ({'/'.join(SPLIT_NAMES)})")
-        buckets[prefix].append(s)
+        _base_set(s)
+        return name in splits
 
-    load_jsonl(data_dir / DATA_FILE, file_under_split)
-    return split
+    for s in load_jsonl(data_dir / DATA_FILE, kept):
+        buckets[s.id.split("-", 1)[0]].append(s)
+    return corpus
 
 
-def _load_split(args: argparse.Namespace, name: str) -> tuple[DatasetSplit, list[StatementSet]]:
-    """The :func:`load_corpus` of ``--data`` and its split ``name``, which must not be empty."""
-    corpus = load_corpus(Path(args.data))
+def _load_split(args: argparse.Namespace, name: str,
+                drawn: Sequence[str] = ()) -> tuple[DatasetSplit, list[StatementSet]]:
+    """The :func:`load_corpus` of ``--data`` that keeps split ``name``, which must not be empty, and ``drawn``."""
+    corpus = load_corpus(Path(args.data), (name, *drawn))
     if not corpus.splits()[name]:
         raise MalformedRecordError(f"{Path(args.data) / DATA_FILE}: split {name!r} is empty")
     return corpus, corpus.splits()[name]
@@ -139,7 +150,7 @@ def _training_start(args: argparse.Namespace, drawn: Sequence[str]) -> tuple[Dat
     Each split in ``drawn``, which training draws pairs or mixtures from,
     must hold consistent and inconsistent sets; found before training starts.
     """
-    corpus, train_sets = _load_split(args, "train")
+    corpus, train_sets = _load_split(args, "train", drawn)
     for name in drawn:
         missing = sorted({CONSISTENT, INCONSISTENT} - {s.label for s in corpus.splits()[name]})
         if missing:

@@ -863,7 +863,24 @@ def _unknown(record: dict, known: frozenset[str]) -> str:
     return next(key for key in record if key not in known)
 
 
-def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement]) -> StatementSet:
+class _ReadMemo:
+    """Hash-consing for one read of a JSONL file, so that equal values of different records are held once.
+    The read drops it when it ends.
+
+    ``share(value, value)`` returns the first value the read met equal to ``value``: strings, gold tuples and
+    namespace sets, no two types of which compare equal.  ``statements`` maps the (kind, text, question,
+    answer, semantics) of each statement entry already built and checked to its :class:`Statement`;
+    ``contexts`` maps each ``context_semantics`` list already checked, as a tuple, to the one deferred parse
+    that every set with that list shares and to the list's namespaces.
+    """
+
+    def __init__(self) -> None:
+        self.share = {}.setdefault
+        self.statements: dict[tuple, Statement] = {}
+        self.contexts: dict[tuple[str, ...], partial] = {}
+
+
+def set_from_json(record, check: FormulaChecker, memo: _ReadMemo) -> StatementSet:
     """Inverse of :func:`set_to_json`; a key it never writes, or a field of the wrong JSON type, is a
     :class:`MalformedRecordError`.
 
@@ -872,12 +889,14 @@ def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement
     itself is parsed only when its ``semantics`` or ``context_semantics``
     is first read.
     The string fields that :class:`Statement` and :class:`StatementSet`
-    validate themselves are passed to them as read, and the record's
+    validate themselves are passed to them unchecked, and the record's
     ``label`` must be the one its provenance gives.
-    ``interned`` maps the (kind, text, question, answer, semantics) of each
-    statement already built and checked to that :class:`Statement`, which
-    an equal entry reuses (a reader shares one across its records); any
-    other entry is checked afresh.
+    ``memo`` (a reader shares one across its records) hands back an equal
+    value built from an earlier record in place of a new one: the
+    :class:`Statement` of an equal statement entry, which is not checked
+    again; each string field and formula text of a new statement; the
+    set's ``difficulty``, ``rule_id``, gold-index tuple and namespace set;
+    and the deferred parse of an equal ``context_semantics`` list.
     """
     if type(record) is not dict:
         raise MalformedRecordError("a record must be a JSON object")
@@ -886,6 +905,7 @@ def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement
     entries = _list(record, "statements", dict)
     if entries is None:
         raise MalformedRecordError("missing field 'statements'")
+    share = memo.share
     texts = []
     statements = []
     for i, entry in enumerate(entries):
@@ -893,39 +913,49 @@ def set_from_json(record, check: FormulaChecker, interned: dict[tuple, Statement
             raise MalformedRecordError(f"statement {i}: unknown field {_unknown(entry, _STATEMENT_KEYS)!r}")
         key = (entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
                entry.get("semantics"))
+        hashable = True
         try:
             # Only checked keys are stored: strings and nulls, which no other JSON value equals.
-            statement = interned.get(key)
-        except TypeError:       # a list or an object is unhashable, and never checked
-            statement = None
+            statement = memo.statements.get(key)
+        except TypeError:       # a list or an object is unhashable, never checked, and never shared
+            statement, hashable = None, False
         if statement is None:
+            fields = list(map(share, key, key)) if hashable else key
             try:
-                statement = Statement(*key[:4])
+                statement = Statement(*fields[:4])
                 formula = _string(entry, "semantics")
             except ValueError as exc:
                 raise MalformedRecordError(f"statement {i}: {exc}") from exc
             if formula is not None:
-                _defer(statement, "semantics", formula)
-            interned[key] = statement
+                _defer(statement, "semantics", fields[4])
+            memo.statements[key] = statement
         if key[4] is not None:
             texts.append(key[4])
         statements.append(statement)
     context = _list(record, "context_semantics", str)
     gold = _list(record, "gold_inconsistent_indices", int)
+    gold = gold if gold is None else tuple(gold)
+    rule_id, difficulty = _string(record, "rule_id"), _string(record, "difficulty", "medium")
     out = StatementSet(
         id=record.get("id"),
         statements=statements,
         provenance=record.get("provenance"),
-        rule_id=_string(record, "rule_id"),
-        difficulty=_string(record, "difficulty", "medium"),
-        gold_inconsistent_indices=tuple(gold) if gold is not None else None,
+        rule_id=share(rule_id, rule_id),
+        difficulty=share(difficulty, difficulty),
+        gold_inconsistent_indices=share(gold, gold),
     )
     label = record.get("label")
     if label != out.label:
         raise MalformedRecordError(f"set {out.id!r}: label {label!r} contradicts provenance {out.provenance!r}")
-    out._namespaces = check.namespaces(texts + context if context else texts)
+    namespaces = check.namespaces(texts)
     if context:
-        _defer(out, "context_semantics", partial(_parse_all, context))
+        context = tuple(context)
+        known = memo.contexts.get(context)
+        if known is None:
+            known = memo.contexts[context] = (partial(_parse_all, context), check.namespaces(context))
+        _defer(out, "context_semantics", known[0])
+        namespaces |= known[1]
+    out._namespaces = share(namespaces, namespaces)
     return out
 
 
@@ -936,35 +966,38 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
             fh.write(json.dumps(set_to_json(s)) + "\n")
 
 
-def load_jsonl(path, accept: Callable[[StatementSet], None] | None = None) -> list[StatementSet]:
+def load_jsonl(path, keep: Callable[[StatementSet], bool] | None = None) -> list[StatementSet]:
     """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
 
     Set ids must be unique: scores, caches and score files refer to sets
     by id, so a repeated id is rejected like any other bad record.
-    ``accept``, when given, sees each set as it is read; a ValueError it
-    raises is reported at that set's line, as a bad record is.  One
-    :class:`FormulaChecker` serves the whole file, so each distinct formula
-    shape is parsed once; formulas are parsed where they are read (see
-    :func:`set_from_json`).  Identical statement records within the file
-    share one :class:`Statement`, built, checked and parsed once.
+    ``keep``, when given, sees each set as it is read and checked; only the
+    sets it returns true for are returned, and a ValueError it raises is
+    reported at that set's line, as a bad record is.  Every record is read
+    and checked, kept or not.  One :class:`FormulaChecker` serves the whole
+    file, so each distinct formula shape is parsed once; formulas are parsed
+    where they are read (see :func:`set_from_json`).  One memo serves the
+    read and is dropped when it ends: identical statement records within the
+    file share one :class:`Statement`, built, checked and parsed once, and
+    the returned sets share each equal string, gold tuple, namespace set and
+    context list the memo met (see :func:`set_from_json`).
     """
     out = []
     first_line: dict[str, int] = {}
     check = FormulaChecker()
-    interned: dict[tuple, Statement] = {}
+    memo = _ReadMemo()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = decode_line(raw, path, lineno, MalformedRecordError)
             try:
                 if not line.strip():
                     continue
-                s = set_from_json(json.loads(line), check, interned)
+                s = set_from_json(json.loads(line), check, memo)
                 if s.id in first_line:
                     raise MalformedRecordError(f"duplicate set id {s.id!r} (first on line {first_line[s.id]})")
                 first_line[s.id] = lineno
-                if accept is not None:
-                    accept(s)
+                if keep is None or keep(s):
+                    out.append(s)
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
-            out.append(s)
     return out

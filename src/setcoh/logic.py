@@ -393,8 +393,15 @@ class FormulaChecker:
     def __init__(self) -> None:
         self._shapes: dict[str, frozenset[str]] = {}  # shape -> its undotted atoms
 
-    def namespaces(self, texts: list[str]) -> frozenset[str]:
-        """Namespaces of the atoms of ``texts``; a :class:`FormulaSyntaxError` names the first bad text."""
+    def namespaces(self, texts: Sequence[str]) -> frozenset[str]:
+        """Namespaces of the atoms of ``texts``; a :class:`FormulaSyntaxError` names the first bad text.
+
+        The checker keeps each shape's undotted atoms for its life, and
+        nothing of ``texts``.  Each call returns a new frozenset: the JSONL
+        reader checks each distinct context list once per read, and its memo
+        hands every set the first namespace set it met equal to the set's own
+        (the C and I sets of a pair share one).
+        """
         if not texts:
             return frozenset()
         # Text between dotted tokens, alternating with those tokens' namespaces.

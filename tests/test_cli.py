@@ -15,7 +15,8 @@ import pytest
 import setcoh
 from setcoh import cli, datagen, evalkit, model, trainer, verifier
 from setcoh.cli import load_corpus, load_threshold, main
-from setcoh.datagen import QA_FLIPS, GenerationError, MalformedRecordError, compose_union, pools, save_jsonl
+from setcoh.datagen import (QA_FLIPS, GenerationError, MalformedRecordError, compose_union, pools, save_jsonl,
+                            set_to_json)
 from setcoh.logic import AtomRef, DataError, Implies, format_formula, parse_formula
 from setcoh.model import HEADS, ModelParams, build_vocabulary, encode, load_params, save_params
 from setcoh.trainer import Threshold, TrainerConfig
@@ -88,6 +89,32 @@ def binary_dir(tmp_path_factory, qa_dir):
     )
     assert code == 0
     return out
+
+
+class TestLoadCorpus:
+    """A load holds each value that repeats across records once, and keeps only the splits it is asked for."""
+
+    def test_a_pair_shares_its_namespaces_and_context_source(self, qa_dir):
+        source = vars(datagen.StatementSet)["context_semantics"].source
+        for sets in load_corpus(qa_dir).splits().values():
+            for c, i in zip(sets[::2], sets[1::2]):
+                assert c.id.replace("-qa-c", "-qa-i") == i.id
+                assert c.namespaces() is i.namespaces()
+                assert getattr(c, source) is getattr(i, source)
+
+    def test_equal_values_are_one_object(self, qa_dir):
+        sets = [s for split in load_corpus(qa_dir).splits().values() for s in split]
+        values = [value for s in sets for st in s.statements
+                  for value in (st.kind, st.text, st.question, st.answer, vars(st).get("_semantics_source"))]
+        values += [value for s in sets
+                   for value in (s.rule_id, s.difficulty, s.gold_inconsistent_indices, s.namespaces())]
+        values = [value for value in values if value is not None]
+        assert len({id(value) for value in values}) == len(set(values))
+
+    def test_only_the_splits_asked_for_are_kept(self, qa_dir):
+        full, only_test = load_corpus(qa_dir), load_corpus(qa_dir, ("test",))
+        assert [set_to_json(s) for s in only_test.test] == [set_to_json(s) for s in full.test]
+        assert only_test.train == only_test.validation1 == only_test.validation2 == []
 
 
 class TestTrain:
@@ -493,7 +520,7 @@ class TestExitCodes:
             assert run("train", "--data", qa_dir, "--out", tmp_path / "o", "--alpha", "1e308") == 4
         assert capsys.readouterr().err == "error: non-finite loss at epoch 0, step 0\n"
 
-    @pytest.mark.parametrize("split", ["train", "validation1", "test"])
+    @pytest.mark.parametrize("split", ["train", "validation1", "validation2", "test"])
     def test_union_in_a_base_split_exit_3(self, tmp_path, qa_dir, split, capsys):
         corpus = load_corpus(qa_dir)
         sets = corpus.splits()[split]
@@ -501,15 +528,18 @@ class TestExitCodes:
         sets.insert(0, union)
         data = tmp_path / "union"
         data.mkdir()
-        save_jsonl(corpus.train + corpus.validation1 + corpus.validation2 + corpus.test, data / "data.jsonl")
-        if split == "test":
-            commands = [("verify", "--scorer", "oracle", "--mixture-per-class", "2")]
-        else:
+        ordered = corpus.train + corpus.validation1 + corpus.validation2 + corpus.test
+        save_jsonl(ordered, data / "data.jsonl")
+        if split in ("train", "validation1"):
             commands = [("train", "--arch", arch, "--regime", "basic", "--epochs", "1")
                         for arch in ("energy", "binary")]
+        else:   # verify keeps only the test split, and still refuses a union in validation2
+            commands = [("verify", "--scorer", "oracle", "--mixture-per-class", "2")]
         for command, *flags in commands:
             assert run(command, "--data", data, "--out", tmp_path / "o", *flags) == 3
-            assert f"{split}-union-0" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"error: {data / 'data.jsonl'}:{ordered.index(union) + 1}: set '{split}-union-0' has provenance "
+                "'CC'; unions are composed from base sets (C or I) only\n")
 
     @pytest.mark.parametrize("command", ["verify", "locate"])
     def test_component_over_the_atom_bound_exit_3(self, tmp_path, qa_dir, command, capsys):
@@ -931,6 +961,7 @@ def _first_statement(**fields):
     (3, _setting("gold_inconsistent_indices", [])),
     (3, lambda record: json.dumps({**record, "statements": record["statements"][:1]})),
     (2, _setting("provenance", "X")),
+    (2, _setting("provenance", "CI")),
     (2, _setting("label", "consistent")),
     (2, _first_statement(kind="poem")),
     (2, _first_statement(kind="sentence", text="The desk is pink.")),
@@ -942,8 +973,8 @@ def _first_statement(**fields):
 ], ids=["not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
         "context-string", "context-of-ints", "gold-string", "gold-bool", "gold-out-of-range",
         "gold-repeated", "gold-empty", "gold-on-consistent", "gold-empty-on-consistent", "one-statement",
-        "provenance-X", "label-contradicts-provenance", "unknown-kind", "sentence-with-question", "no-statements",
-        "after-a-blank-line", "unknown-set-field", "unknown-statement-field"])
+        "provenance-X", "union-provenance", "label-contradicts-provenance", "unknown-kind", "sentence-with-question",
+        "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field"])
 def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
     lines = (qa_dir / "data.jsonl").read_bytes().splitlines()
     record = json.loads(lines[line - 1])
@@ -953,9 +984,11 @@ def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
     data = tmp_path / "bad"
     data.mkdir()
     (data / "data.jsonl").write_bytes(b"\n".join(lines) + b"\n")
-    code = run("verify", "--data", data, "--out", tmp_path / "o", "--scorer", "oracle", "--mixture-per-class", "2")
-    err = capsys.readouterr().err
-    assert code == 3
     line += lines[line - 1].count(b"\n")     # an inserted blank line moves the record down, and is skipped
-    assert err.startswith(f"error: {data / 'data.jsonl'}:{line}: ")
-    assert "Traceback" not in err
+    # verify and locate keep only the test split, sweep only validation2: each still refuses a train record.
+    for command in ("verify", "locate", "sweep"):
+        code = run(command, "--data", data, "--out", tmp_path / "o", "--scorer", "oracle", "--mixture-per-class", "2")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {data / 'data.jsonl'}:{line}: ")
+        assert "Traceback" not in err

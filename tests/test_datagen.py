@@ -679,6 +679,16 @@ class TestStrictRecords:
         assert a.statements[0].semantics is b.statements[0].semantics
         assert parsed == ["w.x"]
 
+    def test_a_set_has_the_namespaces_of_its_statements_and_its_context(self, tmp_path):
+        context = ["(or u.y v.z)"]      # namespaces the statements (w.x) do not name
+        path = tmp_path / "sets.jsonl"
+        path.write_text("".join(json.dumps({**GOOD, "id": name, "context_semantics": context}) + "\n"
+                                for name in ("a", "c")))
+        a, c = load_jsonl(path)
+        assert a.namespaces() == frozenset({"u", "v", "w"})
+        assert c.namespaces() is a.namespaces()
+        assert c.context_semantics == a.context_semantics == (parse_formula(context[0]),)
+
     def test_gold_indices_are_checked_on_construction(self):
         statements = gen_qa_set(desk_world()).statements
         for gold, label in (((3,), "inconsistent"), ((0, 0), "inconsistent"), ((0,), "consistent")):
