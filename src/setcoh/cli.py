@@ -31,7 +31,7 @@ from .datagen import (
     QA_FLIPS,
     SPLIT_NAMES,
     StatementSet,
-    _base_set,
+    _check_base,
     build_splits,
     load_jsonl,
     pools,
@@ -114,20 +114,20 @@ def _write_summary(out: Path, payload: dict) -> None:
 def load_corpus(data_dir: Path, splits: Sequence[str] = SPLIT_NAMES) -> DatasetSplit:
     """The sets of ``splits`` in data.jsonl, each filed under its split by the id prefix convention.
 
-    Every record of every split is read and checked: a set whose id names
-    no split, or that is a union (:func:`datagen._base_set`), is refused at
-    its line.  Only the sets of ``splits`` are kept; the other splits are
-    left empty.  The kept sets share each value that is equal across records
-    (see :func:`datagen.load_jsonl`).
+    Every record of every split is decoded and checked: a set whose id
+    names no split, or that is a union (:func:`datagen._check_base`), is
+    refused at its line.  Only the records of ``splits`` are built into
+    sets; the other splits are left empty.  The sets built share each value
+    that is equal across records (see :func:`datagen.load_jsonl`).
     """
     corpus = DatasetSplit()
     buckets = corpus.splits()
 
-    def kept(s: StatementSet) -> bool:
-        name = s.id.split("-", 1)[0]
+    def kept(set_id: str, provenance: str) -> bool:
+        name = set_id.split("-", 1)[0]
         if name not in buckets:
-            raise MalformedRecordError(f"set id {s.id!r} does not start with a split name ({'/'.join(SPLIT_NAMES)})")
-        _base_set(s)
+            raise MalformedRecordError(f"set id {set_id!r} does not start with a split name ({'/'.join(SPLIT_NAMES)})")
+        _check_base(set_id, provenance)
         return name in splits
 
     for s in load_jsonl(data_dir / DATA_FILE, kept):

@@ -138,6 +138,44 @@ def _defer(obj, name: str, source) -> None:
     object.__setattr__(obj, vars(type(obj))[name].source, source)
 
 
+def _check_statement(kind, text, question, answer) -> None:
+    """The rule of a :class:`Statement`'s fields, which the JSONL reader also applies to each statement entry."""
+    if kind == SENTENCE:
+        if type(text) is not str or not text or question is not None or answer is not None:
+            raise ValueError("sentence statements carry a non-empty text string only")
+    elif kind == QA:
+        if text is not None or type(question) is not str or not question or type(answer) is not str or not answer:
+            raise ValueError("qa statements carry a question and a non-empty answer, both strings")
+    else:
+        raise ValueError(f"unknown statement kind {kind!r}")
+
+
+def _label(provenance: str) -> str:
+    """Consistent iff no part of a set is inconsistent: no ``I`` in its provenance."""
+    return INCONSISTENT if "I" in provenance else CONSISTENT
+
+
+def _check_set(set_id, size: int, provenance, gold) -> None:
+    """The rule of a :class:`StatementSet`'s fields, given its number of statements, which the JSONL reader
+    also applies to each record."""
+    if type(set_id) is not str:
+        raise ValueError(f"set id {set_id!r} is not a string")
+    if size < 2:
+        raise ValueError(f"set {set_id!r}: need at least 2 statements")
+    if type(provenance) is not str or not provenance or set(provenance) - {"C", "I"}:
+        raise ValueError(f"set {set_id!r}: bad provenance {provenance!r}")
+    if gold is not None:
+        if not gold:
+            raise ValueError(f"set {set_id!r}: gold indices, when given, name at least one statement")
+        if _label(provenance) == CONSISTENT:
+            raise ValueError(f"set {set_id!r}: a consistent set has no gold inconsistent indices")
+        for k, g in enumerate(gold):
+            if not 0 <= g < size:
+                raise ValueError(f"set {set_id!r}: gold index {g} is not a statement index (0..{size - 1})")
+            if g in gold[:k]:
+                raise ValueError(f"set {set_id!r}: gold index {g} repeats")
+
+
 @dataclass(frozen=True)
 class Statement:
     """One unit of information: a sentence, or a question-answer pair.
@@ -152,15 +190,7 @@ class Statement:
     semantics: Formula | None = _ReadOnFirstUse(None, lambda text: parse_formula(text))  # the module's, at read time
 
     def __post_init__(self) -> None:
-        if self.kind == SENTENCE:
-            if type(self.text) is not str or not self.text or self.question is not None or self.answer is not None:
-                raise ValueError("sentence statements carry a non-empty text string only")
-        elif self.kind == QA:
-            if (self.text is not None or type(self.question) is not str or not self.question
-                    or type(self.answer) is not str or not self.answer):
-                raise ValueError("qa statements carry a question and a non-empty answer, both strings")
-        else:
-            raise ValueError(f"unknown statement kind {self.kind!r}")
+        _check_statement(self.kind, self.text, self.question, self.answer)
 
 
 @dataclass
@@ -186,29 +216,12 @@ class StatementSet:
         # Not fields: set here, so that every set's instance dict shares its class's key table.
         self._parts = None      # a union's parts, set by compose_union
         self._compiled = None   # a part's oracle compile, set by compile_formulas
-        if type(self.id) is not str:
-            raise ValueError(f"set id {self.id!r} is not a string")
-        if len(self.statements) < 2:
-            raise ValueError(f"set {self.id!r}: need at least 2 statements")
-        if type(self.provenance) is not str or not self.provenance or set(self.provenance) - {"C", "I"}:
-            raise ValueError(f"set {self.id!r}: bad provenance {self.provenance!r}")
-        gold = self.gold_inconsistent_indices
-        if gold is not None:
-            if not gold:
-                raise ValueError(f"set {self.id!r}: gold indices, when given, name at least one statement")
-            if self.label == CONSISTENT:
-                raise ValueError(f"set {self.id!r}: a consistent set has no gold inconsistent indices")
-            for k, g in enumerate(gold):
-                if not 0 <= g < len(self.statements):
-                    raise ValueError(f"set {self.id!r}: gold index {g} is not a statement index "
-                                     f"(0..{len(self.statements) - 1})")
-                if g in gold[:k]:
-                    raise ValueError(f"set {self.id!r}: gold index {g} repeats")
+        _check_set(self.id, len(self.statements), self.provenance, self.gold_inconsistent_indices)
 
     @property
     def label(self) -> str:
-        """Consistent iff no part of the set is inconsistent: no ``I`` in its provenance."""
-        return INCONSISTENT if "I" in self.provenance else CONSISTENT
+        """The label its provenance gives (:func:`_label`)."""
+        return _label(self.provenance)
 
     def __len__(self) -> int:
         return len(self.statements)
@@ -300,12 +313,11 @@ class DatasetSplit:
         return {name: getattr(self, name) for name in SPLIT_NAMES}
 
 
-def _base_set(s: StatementSet) -> StatementSet:
-    """``s`` if it is a base set (provenance C or I); a union is a :class:`NotABaseSetError`."""
-    if s.provenance not in ("C", "I"):
-        raise NotABaseSetError(f"set {s.id!r} has provenance {s.provenance!r}; "
+def _check_base(set_id: str, provenance: str) -> None:
+    """A set whose provenance is not C or I (a union) is a :class:`NotABaseSetError`."""
+    if provenance not in ("C", "I"):
+        raise NotABaseSetError(f"set {set_id!r} has provenance {provenance!r}; "
                                "unions are composed from base sets (C or I) only")
-    return s
 
 
 def pools(sets: Iterable[StatementSet]) -> tuple[list[StatementSet], list[StatementSet]]:
@@ -313,7 +325,8 @@ def pools(sets: Iterable[StatementSet]) -> tuple[list[StatementSet], list[Statem
     order; a set that is already a union is a :class:`NotABaseSetError`."""
     split: dict[str, list[StatementSet]] = {"C": [], "I": []}
     for s in sets:
-        split[_base_set(s).provenance].append(s)
+        _check_base(s.id, s.provenance)
+        split[s.provenance].append(s)
     return split["C"], split["I"]
 
 
@@ -595,7 +608,8 @@ def compose_union(
     flat: list[Statement] = []
     gold: list[int] = []
     for part in parts:
-        ns = _base_set(part).namespaces()
+        _check_base(part.id, part.provenance)
+        ns = part.namespaces()
         if ns & seen:
             raise NamespaceCollisionError(f"union parts share atom namespaces: {sorted(ns & seen)}")
         seen |= ns
@@ -842,18 +856,20 @@ _LIST_ITEMS = {dict: "objects", int: "integers", str: "strings"}
 
 
 def _list(record: dict, key: str, item: type) -> list | None:
-    """``record[key]``, None if absent or null, checked to be a list of JSON ``item`` values."""
-    value = record.get(key)
-    if value is not None and (type(value) is not list or not {item}.issuperset(map(type, value))):
+    """``record[key]``, None if absent, checked to be a list of JSON ``item`` values (null is not)."""
+    if key not in record:
+        return None
+    value = record[key]
+    if type(value) is not list or not {item}.issuperset(map(type, value)):
         raise MalformedRecordError(f"field {key!r} must be a list of {_LIST_ITEMS[item]}")
     return value
 
 
-def _string(record: dict, key: str, default: str | None = None) -> str | None:
-    """``record[key]``, ``default`` if absent or null, checked to be a JSON string."""
-    value = record.get(key)
-    if value is None:
-        return default
+def _string(record: dict, key: str) -> str | None:
+    """``record[key]``, None if absent, checked to be a JSON string (null is not)."""
+    if key not in record:
+        return None
+    value = record[key]
     if type(value) is not str:
         raise MalformedRecordError(f"field {key!r} must be a string")
     return value
@@ -864,97 +880,112 @@ def _unknown(record: dict, known: frozenset[str]) -> str:
 
 
 class _ReadMemo:
-    """Hash-consing for one read of a JSONL file, so that equal values of different records are held once.
-    The read drops it when it ends.
+    """Hash-consing for one read of a JSONL file, so that equal values of the sets it builds are held once.
+    The read drops it when it ends.  A record that is checked but not built leaves nothing in it but, until
+    the next record with a context, ``last_context``.
 
     ``share(value, value)`` returns the first value the read met equal to ``value``: strings, gold tuples and
     namespace sets, no two types of which compare equal.  ``statements`` maps the (kind, text, question,
-    answer, semantics) of each statement entry already built and checked to its :class:`Statement`;
-    ``contexts`` maps each ``context_semantics`` list already checked, as a tuple, to the one deferred parse
-    that every set with that list shares and to the list's namespaces.
+    answer, semantics) of each statement entry already built to its :class:`Statement`; ``contexts`` maps
+    each ``context_semantics`` list already built, as a tuple, to the one deferred parse that every set with
+    that list shares.  ``last_context`` is the last context list checked, as a tuple, and its namespaces:
+    the C and I sets of a pair, which are adjacent records, check their shared list once.
     """
 
     def __init__(self) -> None:
         self.share = {}.setdefault
         self.statements: dict[tuple, Statement] = {}
         self.contexts: dict[tuple[str, ...], partial] = {}
+        self.last_context: tuple[tuple[str, ...], frozenset[str]] = ((), frozenset())
 
 
-def set_from_json(record, check: FormulaChecker, memo: _ReadMemo) -> StatementSet:
-    """Inverse of :func:`set_to_json`; a key it never writes, or a field of the wrong JSON type, is a
-    :class:`MalformedRecordError`.
+def _check_record(record, check: FormulaChecker, memo: _ReadMemo) -> frozenset[str]:
+    """Every test of a decoded JSONL record, without building it; returns the namespaces of its formulas.
 
-    Every formula text is checked here by ``check`` (a reader shares one
-    across its records, so each distinct shape is parsed once); the text
-    itself is parsed only when its ``semantics`` or ``context_semantics``
-    is first read.
-    The string fields that :class:`Statement` and :class:`StatementSet`
-    validate themselves are passed to them unchecked, and the record's
-    ``label`` must be the one its provenance gives.
-    ``memo`` (a reader shares one across its records) hands back an equal
-    value built from an earlier record in place of a new one: the
-    :class:`Statement` of an equal statement entry, which is not checked
-    again; each string field and formula text of a new statement; the
-    set's ``difficulty``, ``rule_id``, gold-index tuple and namespace set;
-    and the deferred parse of an equal ``context_semantics`` list.
+    A key :func:`set_to_json` never writes, a null record field or formula, a field of the wrong JSON type,
+    an empty ``context_semantics``, a missing ``difficulty`` or ``statements`` is a
+    :class:`MalformedRecordError`; each statement entry and the set's fields must pass the rules of
+    :class:`Statement` and :class:`StatementSet`, and the record's ``label`` must be the one its provenance
+    gives.  Every formula text is checked by ``check`` (a reader shares one across its records, so each
+    distinct shape is parsed once), and a context list equal to the last one checked (``memo.last_context``)
+    is not checked again.
     """
     if type(record) is not dict:
         raise MalformedRecordError("a record must be a JSON object")
     if not record.keys() <= _SET_KEYS:
         raise MalformedRecordError(f"unknown field {_unknown(record, _SET_KEYS)!r}")
-    entries = _list(record, "statements", dict)
-    if entries is None:
+    if record.get("statements") is None:
         raise MalformedRecordError("missing field 'statements'")
-    share = memo.share
+    entries = _list(record, "statements", dict)
     texts = []
-    statements = []
     for i, entry in enumerate(entries):
         if not entry.keys() <= _STATEMENT_KEYS:
             raise MalformedRecordError(f"statement {i}: unknown field {_unknown(entry, _STATEMENT_KEYS)!r}")
+        try:
+            _check_statement(entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"))
+            formula = _string(entry, "semantics")
+        except ValueError as exc:
+            raise MalformedRecordError(f"statement {i}: {exc}") from exc
+        if formula is not None:
+            texts.append(formula)
+    context = _list(record, "context_semantics", str)
+    if context == []:
+        raise MalformedRecordError("field 'context_semantics' must hold at least one formula when present")
+    gold = _list(record, "gold_inconsistent_indices", int)
+    _string(record, "rule_id")
+    if _string(record, "difficulty") is None:
+        raise MalformedRecordError("missing field 'difficulty'")
+    set_id, provenance = record.get("id"), record.get("provenance")
+    _check_set(set_id, len(entries), provenance, gold)
+    label = record.get("label")
+    if label != _label(provenance):
+        raise MalformedRecordError(f"set {set_id!r}: label {label!r} contradicts provenance {provenance!r}")
+    namespaces = check.namespaces(texts)
+    if context:
+        context = tuple(context)
+        if context != memo.last_context[0]:
+            memo.last_context = context, check.namespaces(context)
+        namespaces |= memo.last_context[1]
+    return namespaces
+
+
+def _build_set(record: dict, namespaces: frozenset[str], memo: _ReadMemo) -> StatementSet:
+    """The :class:`StatementSet` of a record that :func:`_check_record` passed, given the namespaces it returned.
+
+    ``memo`` (a reader shares one across the sets it builds) hands back an equal value built from an earlier
+    record in place of a new one: the :class:`Statement` of an equal statement entry; each string field and
+    formula text of a new statement; the set's ``difficulty``, ``rule_id``, gold-index tuple and namespace
+    set; and the deferred parse of an equal ``context_semantics`` list.  Formula texts are parsed only when
+    a ``semantics`` or ``context_semantics`` is first read.
+    """
+    share = memo.share
+    statements = []
+    for entry in record["statements"]:
         key = (entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
                entry.get("semantics"))
-        hashable = True
-        try:
-            # Only checked keys are stored: strings and nulls, which no other JSON value equals.
-            statement = memo.statements.get(key)
-        except TypeError:       # a list or an object is unhashable, never checked, and never shared
-            statement, hashable = None, False
+        statement = memo.statements.get(key)
         if statement is None:
-            fields = list(map(share, key, key)) if hashable else key
-            try:
-                statement = Statement(*fields[:4])
-                formula = _string(entry, "semantics")
-            except ValueError as exc:
-                raise MalformedRecordError(f"statement {i}: {exc}") from exc
-            if formula is not None:
+            fields = list(map(share, key, key))
+            statement = memo.statements[key] = Statement(*fields[:4])
+            if key[4] is not None:
                 _defer(statement, "semantics", fields[4])
-            memo.statements[key] = statement
-        if key[4] is not None:
-            texts.append(key[4])
         statements.append(statement)
-    context = _list(record, "context_semantics", str)
-    gold = _list(record, "gold_inconsistent_indices", int)
+    rule_id, difficulty, gold = record.get("rule_id"), record["difficulty"], record.get("gold_inconsistent_indices")
     gold = gold if gold is None else tuple(gold)
-    rule_id, difficulty = _string(record, "rule_id"), _string(record, "difficulty", "medium")
     out = StatementSet(
-        id=record.get("id"),
+        id=record["id"],
         statements=statements,
-        provenance=record.get("provenance"),
+        provenance=record["provenance"],
         rule_id=share(rule_id, rule_id),
         difficulty=share(difficulty, difficulty),
         gold_inconsistent_indices=share(gold, gold),
     )
-    label = record.get("label")
-    if label != out.label:
-        raise MalformedRecordError(f"set {out.id!r}: label {label!r} contradicts provenance {out.provenance!r}")
-    namespaces = check.namespaces(texts)
-    if context:
-        context = tuple(context)
-        known = memo.contexts.get(context)
-        if known is None:
-            known = memo.contexts[context] = (partial(_parse_all, context), check.namespaces(context))
-        _defer(out, "context_semantics", known[0])
-        namespaces |= known[1]
+    if "context_semantics" in record:
+        context = tuple(record["context_semantics"])
+        source = memo.contexts.get(context)
+        if source is None:
+            source = memo.contexts[context] = partial(_parse_all, context)
+        _defer(out, "context_semantics", source)
     out._namespaces = share(namespaces, namespaces)
     return out
 
@@ -966,21 +997,20 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
             fh.write(json.dumps(set_to_json(s)) + "\n")
 
 
-def load_jsonl(path, keep: Callable[[StatementSet], bool] | None = None) -> list[StatementSet]:
+def load_jsonl(path, keep: Callable[[str, str], bool] | None = None) -> list[StatementSet]:
     """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
 
-    Set ids must be unique: scores, caches and score files refer to sets
-    by id, so a repeated id is rejected like any other bad record.
-    ``keep``, when given, sees each set as it is read and checked; only the
-    sets it returns true for are returned, and a ValueError it raises is
-    reported at that set's line, as a bad record is.  Every record is read
-    and checked, kept or not.  One :class:`FormulaChecker` serves the whole
-    file, so each distinct formula shape is parsed once; formulas are parsed
-    where they are read (see :func:`set_from_json`).  One memo serves the
-    read and is dropped when it ends: identical statement records within the
-    file share one :class:`Statement`, built, checked and parsed once, and
-    the returned sets share each equal string, gold tuple, namespace set and
-    context list the memo met (see :func:`set_from_json`).
+    Every record is decoded and checked (:func:`_check_record`).  Set ids
+    must be unique: scores, caches and score files refer to sets by id, so a
+    repeated id is rejected like any other bad record.  ``keep``, when given,
+    is asked with each checked record's id and provenance whether to keep it;
+    only the records it returns true for are built into sets (all of them
+    without ``keep``), and a ValueError it raises is reported at that
+    record's line, as a bad record is.  One :class:`FormulaChecker` serves
+    the whole file, so each distinct formula shape is parsed once; formulas
+    are parsed where they are read.  One memo serves the read and is dropped
+    when it ends: the sets built share each equal statement, string, gold
+    tuple, namespace set and context list (see :func:`_build_set`).
     """
     out = []
     first_line: dict[str, int] = {}
@@ -992,12 +1022,14 @@ def load_jsonl(path, keep: Callable[[StatementSet], bool] | None = None) -> list
             try:
                 if not line.strip():
                     continue
-                s = set_from_json(json.loads(line), check, memo)
-                if s.id in first_line:
-                    raise MalformedRecordError(f"duplicate set id {s.id!r} (first on line {first_line[s.id]})")
-                first_line[s.id] = lineno
-                if keep is None or keep(s):
-                    out.append(s)
+                record = json.loads(line)
+                namespaces = _check_record(record, check, memo)
+                set_id = record["id"]
+                if set_id in first_line:
+                    raise MalformedRecordError(f"duplicate set id {set_id!r} (first on line {first_line[set_id]})")
+                first_line[set_id] = lineno
+                if keep is None or keep(set_id, record["provenance"]):
+                    out.append(_build_set(record, namespaces, memo))
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
     return out

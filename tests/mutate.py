@@ -10,12 +10,14 @@ not track yet, each comparison, arithmetic, boolean and ``not`` operator on
 it is flipped, one mutant at a time, in a copy of ``src/``, ``tests/`` and
 ``bench/`` in a temporary directory.  Each module with mutants is written
 back from its AST (``ast.unparse``), as its mutants are; the whole Tier-1
-(:data:`TIER1`) runs once on those unmutated modules and then once per
-mutant, with ``pytest -x``.  A run that takes longer than :data:`TIMEOUT`
-seconds (a flipped loop condition can hang) kills the mutant.  Each mutant
-is printed on one line, ``SURVIVED`` or ``killed`` and then
-``module.py:line: original -> mutant``; the exit status is 1 if any
-survive (2 if the unmutated Tier-1 fails).
+(:data:`TIER1`) runs once on those unmutated modules, which times each of
+its files, and then once per mutant, with ``pytest -x``, in the order
+:func:`tier1_order` gives: the mutated module's own test file first, then
+every other file, fastest first.  A mutant is killed iff some Tier-1 test
+fails, or the run takes longer than :data:`TIMEOUT` seconds (a flipped loop
+condition can hang).  Each mutant is printed on one line, ``SURVIVED`` or
+``killed`` and then ``module.py:line: original -> mutant``; the exit status
+is 1 if any survive (2 if the unmutated Tier-1 fails).
 
 Standard library only.  pytest does not collect this file: its name does
 not start with ``test_``.
@@ -32,15 +34,18 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "setcoh"
 
-# The whole Tier-1, as each mutant runs it: every test file but test_imports.py, which reads the import
+# The whole Tier-1, as the unmutated run runs it: every test file but test_imports.py, which reads the import
 # lines' comments that ast.unparse drops and that no operator flip changes.
-TIER1 = ["tests", "--ignore=tests/test_imports.py"]
+IGNORED = "tests/test_imports.py"
+TIER1 = ["tests", f"--ignore={IGNORED}"]
 
 # Seconds one pytest run may take before its mutant counts as killed.
 TIMEOUT = 900.0
@@ -151,6 +156,28 @@ def run_tests(tree: Path, tests: list[str]) -> str:
     return "pass" if proc.returncode == 0 else "fail"
 
 
+def run_tier1(tree: Path, report: Path) -> str:
+    """:func:`run_tests` of the whole Tier-1, writing a JUnit XML ``report`` that names each test case's file."""
+    return run_tests(tree, [*TIER1, f"--junitxml={report}", "-o", "junit_family=xunit1"])
+
+
+def file_times(tree: Path, report: Path) -> dict[str, float]:
+    """Seconds per Tier-1 test file (``tests/test_<name>.py``) in the copy at ``tree``, from the JUnit XML
+    ``report`` of a run of it; a file with no test case in the report takes 0 s."""
+    times = defaultdict(float)
+    for case in ElementTree.parse(report).iter("testcase"):
+        times[case.get("file")] += float(case.get("time"))
+    files = sorted(str(path.relative_to(tree)) for path in (tree / "tests").glob("test_*.py"))
+    return {name: times[name] for name in files if name != IGNORED}
+
+
+def tier1_order(module: str, times: dict[str, float]) -> list[str]:
+    """The Tier-1 files, as a mutant of ``module`` (``name.py``) runs them: ``tests/test_<name>.py`` first,
+    if it is one of them, then every other file of ``times``, fastest first."""
+    own = f"tests/test_{Path(module).stem}.py"
+    return sorted(times, key=lambda name: (name != own, times[name], name))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision whose diff names the lines to mutate")
@@ -171,15 +198,18 @@ def main(argv: list[str] | None = None) -> int:
             if found:
                 path.write_text(ast.unparse(ast.parse(source)) + "\n")
                 modules.append((name, path, source, found))
-        if modules and run_tests(tree, TIER1) != "pass":
+        report = Path(temporary) / "tier1.xml"
+        if modules and run_tier1(tree, report) != "pass":
             print("the unmutated Tier-1 fails; no mutant run", flush=True)
             return 2
+        times = file_times(tree, report) if modules else {}
         survivors = total = 0
         for name, path, source, found in modules:
             unparsed = path.read_text()
+            order = tier1_order(name, times)
             for mutant in found:
                 path.write_text(mutate(source, mutant.node, mutant.slot))
-                outcome = run_tests(tree, TIER1)
+                outcome = run_tests(tree, order)
                 total += 1
                 if outcome == "pass":
                     survivors += 1

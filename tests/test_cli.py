@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib
 import itertools
@@ -11,12 +12,14 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import setcoh
 from setcoh import cli, datagen, evalkit, model, trainer, verifier
 from setcoh.cli import load_corpus, load_threshold, main
-from setcoh.datagen import (QA_FLIPS, GenerationError, MalformedRecordError, compose_union, pools, save_jsonl,
-                            set_to_json)
+from setcoh.datagen import (QA_FLIPS, SPLIT_NAMES, GenerationError, MalformedRecordError, compose_union, pools,
+                            save_jsonl, set_to_json)
 from setcoh.logic import AtomRef, DataError, Implies, format_formula, parse_formula
 from setcoh.model import HEADS, ModelParams, build_vocabulary, encode, load_params, save_params
 from setcoh.trainer import Threshold, TrainerConfig
@@ -115,6 +118,18 @@ class TestLoadCorpus:
         full, only_test = load_corpus(qa_dir), load_corpus(qa_dir, ("test",))
         assert [set_to_json(s) for s in only_test.test] == [set_to_json(s) for s in full.test]
         assert only_test.train == only_test.validation1 == only_test.validation2 == []
+
+    def test_records_of_other_splits_are_not_built(self, qa_dir, monkeypatch):
+        built = {datagen.Statement: 0, datagen.StatementSet: 0}
+        for cls in built:
+            def counted(self, check=cls.__post_init__, cls=cls):
+                built[cls] += 1
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        test = load_corpus(qa_dir, ("test",)).test
+        distinct = {json.dumps(entry, sort_keys=True) for s in test for entry in set_to_json(s)["statements"]}
+        assert built == {datagen.Statement: len(distinct), datagen.StatementSet: len(test)}
+        assert len(test) < sum(1 for line in (qa_dir / "data.jsonl").read_text().splitlines() if line) / 4
 
 
 class TestTrain:
@@ -943,8 +958,13 @@ def _first_statement(**fields):
                                                                *record["statements"][1:]]})
 
 
-# Line 2 of a generated corpus is an inconsistent set with one gold index; line 3 a consistent set.
-@pytest.mark.parametrize("line, edit", [
+def _without(key):
+    return lambda record: json.dumps({k: value for k, value in record.items() if k != key})
+
+
+# Line 2 of a generated corpus is an inconsistent set with one gold index; line 3 a consistent set.  Both are in
+# the train split.
+MALFORMED = [
     (2, lambda record: json.dumps(record).encode("utf-8").replace(b"what", b"wh\xffat", 1)),
     (2, lambda record: json.dumps([record])),
     (2, _setting("statements", "is desk pink?")),
@@ -965,26 +985,44 @@ def _first_statement(**fields):
     (2, _setting("label", "consistent")),
     (2, _first_statement(kind="poem")),
     (2, _first_statement(kind="sentence", text="The desk is pink.")),
-    (2, lambda record: json.dumps({key: value for key, value in record.items() if key != "statements"})),
+    (2, _without("statements")),
     (2, lambda record: b"  \n" + json.dumps({**record, "id": 3}).encode("utf-8")),
     (2, lambda record: json.dumps({"context_semantic" if key == "context_semantics" else key: value
                                    for key, value in record.items()})),
     (3, _first_statement(semantic="desk.pink")),
-], ids=["not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
-        "context-string", "context-of-ints", "gold-string", "gold-bool", "gold-out-of-range",
-        "gold-repeated", "gold-empty", "gold-on-consistent", "gold-empty-on-consistent", "one-statement",
-        "provenance-X", "union-provenance", "label-contradicts-provenance", "unknown-kind", "sentence-with-question",
-        "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field"])
-def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
+    # Forms the writer never writes, which the reader once read back as other values.
+    (2, _without("difficulty")),
+    (3, _first_statement(semantics=None)),
+    (3, _setting("context_semantics", [])),
+    (2, _setting("gold_inconsistent_indices", None)),
+]
+MALFORMED_IDS = [
+    "not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
+    "context-string", "context-of-ints", "gold-string", "gold-bool", "gold-out-of-range",
+    "gold-repeated", "gold-empty", "gold-on-consistent", "gold-empty-on-consistent", "one-statement",
+    "provenance-X", "union-provenance", "label-contradicts-provenance", "unknown-kind", "sentence-with-question",
+    "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field",
+    "no-difficulty", "semantics-null", "context-empty", "gold-null",
+]
+
+
+def _edited_corpus(qa_dir, directory, line, edit):
+    """``qa_dir``'s corpus with record ``line`` edited, in ``directory``; returns the edited record's line."""
     lines = (qa_dir / "data.jsonl").read_bytes().splitlines()
     record = json.loads(lines[line - 1])
+    assert record["id"].startswith("train-")
     assert record["label"] == ("inconsistent" if line == 2 else "consistent")
     bad = edit(record)
     lines[line - 1] = bad if isinstance(bad, bytes) else bad.encode("utf-8")
+    directory.mkdir()
+    (directory / "data.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    return line + lines[line - 1].count(b"\n")     # an inserted blank line moves the record down, and is skipped
+
+
+@pytest.mark.parametrize("line, edit", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
     data = tmp_path / "bad"
-    data.mkdir()
-    (data / "data.jsonl").write_bytes(b"\n".join(lines) + b"\n")
-    line += lines[line - 1].count(b"\n")     # an inserted blank line moves the record down, and is skipped
+    line = _edited_corpus(qa_dir, data, line, edit)
     # verify and locate keep only the test split, sweep only validation2: each still refuses a train record.
     for command in ("verify", "locate", "sweep"):
         code = run(command, "--data", data, "--out", tmp_path / "o", "--scorer", "oracle", "--mixture-per-class", "2")
@@ -992,3 +1030,79 @@ def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
         assert code == 3
         assert err.startswith(f"error: {data / 'data.jsonl'}:{line}: ")
         assert "Traceback" not in err
+
+
+def _load_outcome(data, splits):
+    """The sets of ``load_corpus(data, splits)`` as written records, split by split, or its error's message."""
+    try:
+        corpus = load_corpus(data, splits)
+    except MalformedRecordError as exc:
+        return str(exc)
+    return {name: [set_to_json(s) for s in sets] for name, sets in corpus.splits().items()}
+
+
+@pytest.mark.parametrize("line, edit", MALFORMED, ids=MALFORMED_IDS)
+def test_a_record_in_an_unread_split_is_refused_as_in_a_read_one(tmp_path, qa_dir, line, edit):
+    data = tmp_path / "bad"
+    _edited_corpus(qa_dir, data, line, edit)
+    full, test_only = _load_outcome(data, SPLIT_NAMES), _load_outcome(data, ("test",))
+    assert isinstance(full, str)
+    assert test_only == full
+
+
+# One edit of one key of a record, or of one of its statement entries.
+EDITS = ("drop", "null", "retype", "empty", "rename")
+
+
+def _edit(value, how, draw):
+    if how == "retype":
+        return draw(st.sampled_from([v for v in (7, 1.5, True, "x", [], {}) if type(v) is not type(value)]))
+    return {str: "", int: 0, list: [], dict: {}}.get(type(value), None)    # "empty"
+
+
+@st.composite
+def _record_edits(draw, records):
+    """The index of a record of ``records`` and that record with one key dropped, nulled, retyped, emptied or
+    renamed."""
+    index = draw(st.integers(0, len(records) - 1))
+    record = copy.deepcopy(records[index])
+    target = record
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(record["statements"]))
+    key, how = draw(st.sampled_from(sorted(target))), draw(st.sampled_from(EDITS))
+    if how == "drop":
+        del target[key]
+    elif how == "rename":
+        target[draw(st.sampled_from(sorted(datagen._SET_KEYS | datagen._STATEMENT_KEYS | {key + "s"})))] = \
+            target.pop(key)
+    else:
+        target[key] = None if how == "null" else _edit(target[key], how, draw)
+    return index, record
+
+
+@pytest.fixture(scope="module")
+def small_records(tmp_path_factory):
+    """The records of a small QA corpus and of a small sentence corpus, each with a file to write edits to."""
+    out = []
+    for style in ("qa", "snli"):
+        data = tmp_path_factory.mktemp(f"small-{style}")
+        assert run("gen", "--style", style, "--seed", "3", "--counts", "4,2", "--out", data) == 0
+        out.append((data, [json.loads(line) for line in (data / "data.jsonl").read_text().splitlines()]))
+    return out
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_edited_record_loads_alike_whether_its_split_is_kept_or_not(small_records, data):
+    directory, records = data.draw(st.sampled_from(small_records))
+    index, record = data.draw(_record_edits(records))
+    lines = [json.dumps(r) for r in records]
+    lines[index] = json.dumps(record)
+    (directory / "data.jsonl").write_text("\n".join(lines) + "\n")
+    split = records[index]["id"].split("-", 1)[0]
+    other = next(name for name in SPLIT_NAMES if name != split)
+    full, other_only = _load_outcome(directory, SPLIT_NAMES), _load_outcome(directory, (other,))
+    if isinstance(full, str):
+        assert other_only == full
+    else:
+        assert other_only == {name: full[name] if name == other else [] for name in SPLIT_NAMES}

@@ -419,7 +419,7 @@ class TestJsonl:
 
     def test_missing_label_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        good = {"id": "a", "label": "consistent", "provenance": "C",
+        good = {"id": "a", "label": "consistent", "provenance": "C", "difficulty": "medium",
                 "statements": [{"kind": "sentence", "text": "x."},
                                {"kind": "sentence", "text": "y."}]}
         bad = {k: v for k, v in good.items() if k != "label"}
@@ -430,7 +430,7 @@ class TestJsonl:
 
     def test_external_record_without_semantics(self, tmp_path):
         path = tmp_path / "ext.jsonl"
-        record = {"id": "x", "label": "consistent", "provenance": "C",
+        record = {"id": "x", "label": "consistent", "provenance": "C", "difficulty": "medium",
                   "statements": [{"kind": "qa", "question": "q?", "answer": "a"},
                                  {"kind": "qa", "question": "r?", "answer": "b"}]}
         path.write_text(json.dumps(record) + "\n")
@@ -604,10 +604,11 @@ class TestLazyReader:
         assert parsed[1:] == [format_formula(f) for f in s.context_semantics]
 
 
-GOOD = {"id": "a", "label": "consistent", "provenance": "C",
+GOOD = {"id": "a", "label": "consistent", "provenance": "C", "difficulty": "medium",
         "statements": [{"kind": "qa", "question": "q?", "answer": "x", "semantics": "w.x"},
                        {"kind": "qa", "question": "r?", "answer": "yes", "semantics": "w.x"}]}
-BAD_BASE = {"id": "b", "label": "inconsistent", "provenance": "I", "gold_inconsistent_indices": [1],
+BAD_BASE = {"id": "b", "label": "inconsistent", "provenance": "I", "difficulty": "medium",
+            "gold_inconsistent_indices": [1],
             "statements": [{"kind": "qa", "question": "q?", "answer": "x", "semantics": "v.x"},
                            {"kind": "qa", "question": "r?", "answer": "yes", "semantics": "(not v.x)"}]}
 DROP = object()     # a change that removes its field from BAD_BASE
@@ -635,9 +636,21 @@ class TestStrictRecords:
         ({"context_semantic": ["v.x"]}, "unknown field 'context_semantic'"),
         ({"statements": [{**BAD_BASE["statements"][0], "semantic": "v.x"}, BAD_BASE["statements"][1]]},
          "statement 0: unknown field 'semantic'"),
+        ({"provenance": "X", "label": "consistent", "gold_inconsistent_indices": DROP}, "set 'b': bad provenance 'X'"),
+        ({"statements": None}, "missing field 'statements'"),
+        ({"difficulty": DROP}, "missing field 'difficulty'"),
+        ({"difficulty": None}, "field 'difficulty' must be a string"),
+        ({"rule_id": None}, "field 'rule_id' must be a string"),
+        ({"context_semantics": None}, "field 'context_semantics' must be a list of strings"),
+        ({"context_semantics": []}, "field 'context_semantics' must hold at least one formula when present"),
+        ({"gold_inconsistent_indices": None}, "field 'gold_inconsistent_indices' must be a list of integers"),
+        ({"statements": [{**BAD_BASE["statements"][0], "semantics": None}, BAD_BASE["statements"][1]]},
+         "statement 0: field 'semantics' must be a string"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-empty", "gold-on-consistent", "gold-string", "gold-bool",
             "context-string", "statements-string", "id-int", "context-syntax", "label-contradicts-provenance",
-            "label-unknown", "label-missing", "unknown-set-field", "unknown-statement-field"])
+            "label-unknown", "label-missing", "unknown-set-field", "unknown-statement-field", "provenance-X",
+            "statements-null", "difficulty-missing", "difficulty-null", "rule-id-null", "context-null", "context-empty",
+            "gold-null", "semantics-null"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
         record = {key: value for key, value in {**BAD_BASE, **change}.items() if value is not DROP}
         path = self.write(tmp_path / "bad.jsonl", record)
@@ -666,6 +679,16 @@ class TestStrictRecords:
             assert str(excinfo.value).startswith(f"{path}:{lineno}: statement 0: ")
             messages.append(str(excinfo.value).split(": ", 2)[2])
         assert messages[0] == messages[1]
+
+    def test_a_null_formula_is_refused_after_an_equal_entry_without_one(self, tmp_path):
+        entry = {"kind": "qa", "question": "q?", "answer": "x"}
+        first = {**GOOD, "statements": [entry, entry]}
+        path = tmp_path / "sets.jsonl"
+        path.write_text(json.dumps(first) + "\n" + json.dumps({**first, "id": "b", "statements": [
+            entry, {**entry, "semantics": None}]}) + "\n")
+        with pytest.raises(MalformedRecordError) as excinfo:
+            load_jsonl(path)
+        assert str(excinfo.value) == f"{path}:2: statement 1: field 'semantics' must be a string"
 
     def test_identical_statement_records_share_one_statement(self, tmp_path, monkeypatch):
         path = tmp_path / "sets.jsonl"
