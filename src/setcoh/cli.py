@@ -37,7 +37,7 @@ from .datagen import (
     pools,
     save_jsonl,
 )
-from .logic import DataError, decode_line
+from .logic import DataError, read_lines
 from .model import (
     EMBED_DIM,
     HEADS,
@@ -117,8 +117,8 @@ def load_corpus(data_dir: Path, splits: Sequence[str] = SPLIT_NAMES) -> DatasetS
     Every record of every split is decoded and checked: a set whose id
     names no split, or that is a union (:func:`datagen._check_base`), is
     refused at its line.  Only the records of ``splits`` are built into
-    sets; the other splits are left empty.  The sets built share each value
-    that is equal across records (see :func:`datagen.load_jsonl`).
+    sets; the other splits are left empty.  The sets built share equal
+    values as :func:`datagen.load_jsonl` says.
     """
     corpus = DatasetSplit()
     buckets = corpus.splits()
@@ -191,10 +191,9 @@ def load_threshold(path: Path) -> Threshold:
     The threshold must be finite unless the file marks it ``degenerate=True``:
     training writes an infinite threshold only for a degenerate fit.  Each
     later line is one of :data:`_THRESHOLD_KEYS` ``=`` its value, once.
+    Lines are those of :func:`~setcoh.logic.read_lines`.
     """
-    text = path.read_bytes().decode("utf-8", "surrogateescape")     # a byte that is not UTF-8 ends no line
-    lines = [decode_line(line.encode("utf-8", "surrogateescape"), path, lineno, MalformedRecordError)
-             for lineno, line in enumerate(text.splitlines(), start=1)]
+    lines = [line for _, line in read_lines(path, MalformedRecordError)]
     if not lines:
         raise MalformedRecordError(f"{path}: empty threshold file")
     try:

@@ -41,11 +41,11 @@ from .logic import (
     Not,
     Or,
     atoms_of,
-    decode_line,
     format_formula,
     is_satisfiable,
     negate,
     parse_formula,
+    read_lines,
     realize,
 )
 from .rules import (
@@ -259,8 +259,8 @@ class SeedPair:
     depend on the relation attach them as context.
     """
 
-    premise: tuple[Formula, str]
-    hypothesis: tuple[Formula, str]
+    premise: Formula
+    hypothesis: Formula
     relation: str
     axioms: tuple[Formula, ...]
     atoms: dict[str, Atom]
@@ -360,8 +360,8 @@ def gen_seed_pair(rng_seed: int, relation: str) -> SeedPair:
         axioms = ()
     atoms = {p_atom.id: p_atom, h_atom.id: h_atom}
     pair = SeedPair(
-        premise=(p, realize(p, atoms)),
-        hypothesis=(h, realize(h, atoms)),
+        premise=p,
+        hypothesis=h,
         relation=relation,
         axioms=axioms,
         atoms=atoms,
@@ -376,7 +376,7 @@ def _relation_checks(pair: SeedPair) -> tuple[bool, ...]:
 
     All four are subsets of one compile of p, h, their negations and the axioms.
     """
-    p, h = pair.premise[0], pair.hypothesis[0]
+    p, h = pair.premise, pair.hypothesis
     compiled = CompiledFormulas([p, h, negate(p), negate(h)], pair.axioms)
     return tuple(map(compiled.satisfiable, ((0, 1), (0, 3), (2, 1), (2, 3))))
 
@@ -394,10 +394,10 @@ def _certify_seed_pair(pair: SeedPair) -> None:
 
 
 def _substitution(seeds: Sequence[SeedPair]) -> dict[str, str]:
-    sub = {"p": seeds[0].premise[0].name, "h": seeds[0].hypothesis[0].name}
+    sub = {"p": seeds[0].premise.name, "h": seeds[0].hypothesis.name}
     if len(seeds) > 1:
-        sub["p2"] = seeds[1].premise[0].name
-        sub["h2"] = seeds[1].hypothesis[0].name
+        sub["p2"] = seeds[1].premise.name
+        sub["h2"] = seeds[1].hypothesis.name
     return sub
 
 
@@ -880,34 +880,32 @@ def _unknown(record: dict, known: frozenset[str]) -> str:
 
 
 class _ReadMemo:
-    """Hash-consing for one read of a JSONL file, so that equal values of the sets it builds are held once.
-    The read drops it when it ends.  A record that is checked but not built leaves nothing in it but, until
-    the next record with a context, ``last_context``.
+    """What one read of a JSONL file shares between the sets it builds, so that equal values are held once.
+    The read drops it when it ends.
 
     ``share(value, value)`` returns the first value the read met equal to ``value``: strings, gold tuples and
-    namespace sets, no two types of which compare equal.  ``statements`` maps the (kind, text, question,
-    answer, semantics) of each statement entry already built to its :class:`Statement`; ``contexts`` maps
-    each ``context_semantics`` list already built, as a tuple, to the one deferred parse that every set with
-    that list shares.  ``last_context`` is the last context list checked, as a tuple, and its namespaces:
-    the C and I sets of a pair, which are adjacent records, check their shared list once.
+    namespace sets, which repeat across the file and no two types of which compare equal.  Statements and
+    context lists repeat only in the record just before, the other set of a C/I pair, so only that record's
+    are kept: ``statements`` maps the (kind, text, question, answer, semantics) of each statement entry of the
+    last set built to its :class:`Statement`, and ``last_context`` holds the last context list checked, as a
+    tuple, its namespaces and the one deferred parse that the sets built with it share.
     """
 
     def __init__(self) -> None:
         self.share = {}.setdefault
         self.statements: dict[tuple, Statement] = {}
-        self.contexts: dict[tuple[str, ...], partial] = {}
-        self.last_context: tuple[tuple[str, ...], frozenset[str]] = ((), frozenset())
+        self.last_context: tuple[tuple[str, ...], frozenset[str], partial | None] = ((), frozenset(), None)
 
 
 def _check_record(record, check: FormulaChecker, memo: _ReadMemo) -> frozenset[str]:
     """Every test of a decoded JSONL record, without building it; returns the namespaces of its formulas.
 
-    A key :func:`set_to_json` never writes, a null record field or formula, a field of the wrong JSON type,
+    A key :func:`set_to_json` never writes, a null record or statement field, a field of the wrong JSON type,
     an empty ``context_semantics``, a missing ``difficulty`` or ``statements`` is a
     :class:`MalformedRecordError`; each statement entry and the set's fields must pass the rules of
     :class:`Statement` and :class:`StatementSet`, and the record's ``label`` must be the one its provenance
-    gives.  Every formula text is checked by ``check`` (a reader shares one across its records, so each
-    distinct shape is parsed once), and a context list equal to the last one checked (``memo.last_context``)
+    gives.  Every formula text is checked by ``check`` (a reader shares one across its records, so one text
+    of each distinct shape is parsed), and a context list equal to the last one checked (``memo.last_context``)
     is not checked again.
     """
     if type(record) is not dict:
@@ -923,6 +921,8 @@ def _check_record(record, check: FormulaChecker, memo: _ReadMemo) -> frozenset[s
             raise MalformedRecordError(f"statement {i}: unknown field {_unknown(entry, _STATEMENT_KEYS)!r}")
         try:
             _check_statement(entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"))
+            if None in entry.values():  # which _check_statement reads as absent
+                raise MalformedRecordError(f"field {next(k for k, v in entry.items() if v is None)!r} must be a string")
             formula = _string(entry, "semantics")
         except ValueError as exc:
             raise MalformedRecordError(f"statement {i}: {exc}") from exc
@@ -944,7 +944,7 @@ def _check_record(record, check: FormulaChecker, memo: _ReadMemo) -> frozenset[s
     if context:
         context = tuple(context)
         if context != memo.last_context[0]:
-            memo.last_context = context, check.namespaces(context)
+            memo.last_context = context, check.namespaces(context), partial(_parse_all, context)
         namespaces |= memo.last_context[1]
     return namespaces
 
@@ -952,24 +952,26 @@ def _check_record(record, check: FormulaChecker, memo: _ReadMemo) -> frozenset[s
 def _build_set(record: dict, namespaces: frozenset[str], memo: _ReadMemo) -> StatementSet:
     """The :class:`StatementSet` of a record that :func:`_check_record` passed, given the namespaces it returned.
 
-    ``memo`` (a reader shares one across the sets it builds) hands back an equal value built from an earlier
-    record in place of a new one: the :class:`Statement` of an equal statement entry; each string field and
-    formula text of a new statement; the set's ``difficulty``, ``rule_id``, gold-index tuple and namespace
-    set; and the deferred parse of an equal ``context_semantics`` list.  Formula texts are parsed only when
-    a ``semantics`` or ``context_semantics`` is first read.
+    ``memo`` (a reader shares one across the sets it builds) hands back an equal value built before in place of
+    a new one: the :class:`Statement` of an equal statement entry of this set or the last set built; each
+    string field and formula text of a new statement; the set's ``difficulty``, ``rule_id``, gold-index tuple
+    and namespace set; and the deferred parse of its ``context_semantics`` list, which :func:`_check_record`
+    left in ``memo.last_context``.  Formula texts are parsed only when a ``semantics`` or
+    ``context_semantics`` is first read.
     """
     share = memo.share
     statements = []
+    last, memo.statements = memo.statements, {}
     for entry in record["statements"]:
         key = (entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
                entry.get("semantics"))
-        statement = memo.statements.get(key)
+        statement = memo.statements.get(key) or last.get(key)
         if statement is None:
             fields = list(map(share, key, key))
-            statement = memo.statements[key] = Statement(*fields[:4])
+            statement = Statement(*fields[:4])
             if key[4] is not None:
                 _defer(statement, "semantics", fields[4])
-        statements.append(statement)
+        statements.append(memo.statements.setdefault(key, statement))
     rule_id, difficulty, gold = record.get("rule_id"), record["difficulty"], record.get("gold_inconsistent_indices")
     gold = gold if gold is None else tuple(gold)
     out = StatementSet(
@@ -981,11 +983,7 @@ def _build_set(record: dict, namespaces: frozenset[str], memo: _ReadMemo) -> Sta
         gold_inconsistent_indices=share(gold, gold),
     )
     if "context_semantics" in record:
-        context = tuple(record["context_semantics"])
-        source = memo.contexts.get(context)
-        if source is None:
-            source = memo.contexts[context] = partial(_parse_all, context)
-        _defer(out, "context_semantics", source)
+        _defer(out, "context_semantics", memo.last_context[2])
     out._namespaces = share(namespaces, namespaces)
     return out
 
@@ -1009,27 +1007,27 @@ def load_jsonl(path, keep: Callable[[str, str], bool] | None = None) -> list[Sta
     record's line, as a bad record is.  One :class:`FormulaChecker` serves
     the whole file, so each distinct formula shape is parsed once; formulas
     are parsed where they are read.  One memo serves the read and is dropped
-    when it ends: the sets built share each equal statement, string, gold
-    tuple, namespace set and context list (see :func:`_build_set`).
+    when it ends: the sets built share each equal string, gold tuple and
+    namespace set, and each statement and context list equal to one of the
+    set built before (see :class:`_ReadMemo`).  Lines are those of
+    :func:`~setcoh.logic.read_lines`.
     """
     out = []
     first_line: dict[str, int] = {}
     check = FormulaChecker()
     memo = _ReadMemo()
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = decode_line(raw, path, lineno, MalformedRecordError)
-            try:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                namespaces = _check_record(record, check, memo)
-                set_id = record["id"]
-                if set_id in first_line:
-                    raise MalformedRecordError(f"duplicate set id {set_id!r} (first on line {first_line[set_id]})")
-                first_line[set_id] = lineno
-                if keep is None or keep(set_id, record["provenance"]):
-                    out.append(_build_set(record, namespaces, memo))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in read_lines(path, MalformedRecordError):
+        try:
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            namespaces = _check_record(record, check, memo)
+            set_id = record["id"]
+            if set_id in first_line:
+                raise MalformedRecordError(f"duplicate set id {set_id!r} (first on line {first_line[set_id]})")
+            first_line[set_id] = lineno
+            if keep is None or keep(set_id, record["provenance"]):
+                out.append(_build_set(record, namespaces, memo))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -30,19 +30,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class DataError(Exception):
     """An input cannot be used (a corpus, model, threshold or score file, or what a setting asks of them): exit 3."""
 
 
-def decode_line(raw: bytes, path, lineno: int, error: type[DataError]) -> str:
-    """Line ``lineno`` of the text file ``path`` as text; bytes that are not UTF-8 raise ``error``."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+def read_lines(path, error: type[DataError]) -> Iterator[tuple[int, str]]:
+    """Each line of the text file ``path`` as it is read, numbered from 1; one that is not UTF-8 raises ``error``.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, which it does not keep.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate((raw for chunk in fh for raw in chunk.splitlines()), start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
 
 
 class MissingAssignmentError(ValueError):
@@ -379,15 +384,16 @@ _DOTTED_TOKEN = re.compile(r"([A-Za-z0-9_:@-]*)\.[A-Za-z0-9_.:@-]*")
 
 
 class FormulaChecker:
-    """Checks the formula texts of many sets, parsing each distinct *shape* once.
+    """Checks the formula texts of many sets, parsing one text of each distinct *shape*.
 
     Texts that differ only in their dotted tokens (atom ids ``ns.name``)
     share a shape: the text with each dotted token replaced by ``.``.  No
     connective has a dot, so a text and its shape parse alike: a text is
     accepted iff its shape is, and its atoms' namespaces (ids up to the
     first ``.``) are those of its dotted tokens plus the undotted atoms of
-    its shape.  One regex split of a set's joined texts yields both its
-    shapes and its dotted namespaces; a corpus has only a handful of shapes.
+    its shape, which are those of the first text of that shape.  One regex
+    split of a set's joined texts yields both its shapes and its dotted
+    namespaces; a corpus has only a handful of shapes.
     """
 
     def __init__(self) -> None:
@@ -398,9 +404,9 @@ class FormulaChecker:
 
         The checker keeps each shape's undotted atoms for its life, and
         nothing of ``texts``.  Each call returns a new frozenset: the JSONL
-        reader checks each distinct context list once per read, and its memo
-        hands every set the first namespace set it met equal to the set's own
-        (the C and I sets of a pair share one).
+        reader checks a context list once for the adjacent records that hold
+        it (the C and I sets of a pair), and its memo hands every set the
+        first namespace set it met equal to the set's own.
         """
         if not texts:
             return frozenset()
@@ -413,11 +419,7 @@ class FormulaChecker:
         names = set(pieces[1::2])
         for shape, text in zip(shapes, texts):
             undotted = self._shapes.get(shape)
-            if undotted is None:
-                try:
-                    undotted = self._shapes[shape] = atoms_of(parse_formula(shape)) - {"."}
-                except FormulaSyntaxError:
-                    parse_formula(text)  # raises the same error, naming the text itself
-                    raise
+            if undotted is None:  # the text parses iff its shape does; its error names the text
+                undotted = self._shapes[shape] = frozenset(a for a in atoms_of(parse_formula(text)) if "." not in a)
             names |= undotted
         return frozenset(names)

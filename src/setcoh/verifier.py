@@ -43,7 +43,7 @@ from itertools import combinations
 from typing import Callable, ClassVar, Protocol, Sequence
 
 from .datagen import CONSISTENT, INCONSISTENT, StatementSet, compile_formulas
-from .logic import AtomBudgetError, DataError, decode_line
+from .logic import AtomBudgetError, DataError, read_lines
 from .logic import is_satisfiable  # noqa: F401 (bench/test_bench.py checks this binding)
 from .model import HEADS, ModelParams, encode
 
@@ -218,19 +218,18 @@ def external_scorer_from_file(path) -> ExternalScorer:
     """Parse a score file: header line ``threshold=<real>``, then ``set_id,score`` rows.
 
     Every number must be finite and every set id must appear once; any
-    other file raises :class:`MalformedScoreFileError` naming its line.
+    other file raises :class:`MalformedScoreFileError` naming its first bad
+    line.  Lines are those of :func:`~setcoh.logic.read_lines`.
     """
-    with open(path, "rb") as fh:
-        raw_lines = fh.read().splitlines()
-    lines = [decode_line(raw, path, lineno, MalformedScoreFileError).strip()
-             for lineno, raw in enumerate(raw_lines, start=1)]
-    header = lines[0] if lines else ""
+    lines = read_lines(path, MalformedScoreFileError)
+    header = next(lines, (1, ""))[1].strip()
     if not header.startswith("threshold="):
         raise MalformedScoreFileError(f"{path}:1: expected 'threshold=<real>' header, got {header!r}")
     threshold = _finite(header.split("=", 1)[1], f"{path}:1: threshold")
     scores: dict[str, float] = {}
     first_seen: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
+        line = line.strip()
         if not line:
             continue
         set_id, _, value = line.rpartition(",")

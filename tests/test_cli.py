@@ -727,6 +727,16 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("content", ["0.5\x0csource=energy", "0.5\u2028epoch=3"],
+                             ids=["form-feed", "line-separator"])
+    def test_only_lf_crlf_or_cr_end_a_threshold_line(self, tmp_path, qa_dir, model_dir, content, capsys):
+        bad = tmp_path / "threshold.txt"
+        bad.write_bytes(content.encode("utf-8") + b"\n")
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", model_dir / "model.bin",
+                   "--threshold-file", bad, "--mixture-per-class", "2")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {bad}:1: threshold {content!r} is not a number\n"
+
     def test_unknown_qa_flip_exit_2(self, tmp_path, capsys):
         out = tmp_path / "g"
         code = run("gen", "--style", "qa", "--counts", "2,1", "--qa-flips", "no-to-yes,bogus", "--out", out)
@@ -949,6 +959,40 @@ class TestLazyParsing:
             assert f"error: {data / 'data.jsonl'}:5: unknown connective 'nand'" in capsys.readouterr().err
 
 
+def _text_input(qa_dir, reader):
+    """The lines of a small well-formed file of ``reader``'s kind, and a function reading such a file."""
+    if reader == "corpus":
+        return ((qa_dir / "data.jsonl").read_bytes().splitlines()[:6],
+                lambda path: [datagen.set_to_json(s) for s in datagen.load_jsonl(path)])
+    if reader == "threshold":
+        return [b"0.5", b"source=energy", b"epoch=3", b"degenerate=False"], load_threshold
+    return ([b"threshold=0.5", b"id1,0.9", b" ", b"id2,0.1"],
+            lambda path: dataclasses.replace(verifier.external_scorer_from_file(path), path=""))
+
+
+@pytest.mark.parametrize("reader", ["corpus", "threshold", "scores"])
+def test_a_line_ends_at_lf_crlf_or_cr_in_every_text_input(tmp_path, qa_dir, reader):
+    lines, read = _text_input(qa_dir, reader)
+    results = []
+    for k, end in enumerate([b"\n", b"\r\n", b"\r"]):
+        path = tmp_path / f"{k}.txt"
+        path.write_bytes(end.join(lines) + end)
+        results.append(read(path))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("reader", ["corpus", "threshold", "scores"])
+def test_a_byte_that_is_not_utf8_is_reported_at_its_line(tmp_path, qa_dir, reader, end):
+    lines, read = _text_input(qa_dir, reader)
+    lines[2] = b"\xff" + lines[2]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(DataError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}:3: not UTF-8 text (invalid start byte)"
+
+
 def _setting(key, value):
     return lambda record: json.dumps({**record, key: value})
 
@@ -995,6 +1039,9 @@ MALFORMED = [
     (3, _first_statement(semantics=None)),
     (3, _setting("context_semantics", [])),
     (2, _setting("gold_inconsistent_indices", None)),
+    (2, _first_statement(text=None)),
+    (2, lambda record: json.dumps({**record, "statements": [
+        {"kind": "sentence", "text": "The desk is pink.", "question": None}, *record["statements"][1:]]})),
 ]
 MALFORMED_IDS = [
     "not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
@@ -1002,7 +1049,7 @@ MALFORMED_IDS = [
     "gold-repeated", "gold-empty", "gold-on-consistent", "gold-empty-on-consistent", "one-statement",
     "provenance-X", "union-provenance", "label-contradicts-provenance", "unknown-kind", "sentence-with-question",
     "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field",
-    "no-difficulty", "semantics-null", "context-empty", "gold-null",
+    "no-difficulty", "semantics-null", "context-empty", "gold-null", "qa-text-null", "sentence-question-null",
 ]
 
 

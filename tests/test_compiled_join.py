@@ -132,7 +132,7 @@ def test_a_part_without_semantics_names_the_union():
 
 def _flipped(pair):
     """The pair with each axiom's consequent negated; a neutral pair gains p -> h."""
-    p, h = pair.premise[0], pair.hypothesis[0]
+    p, h = pair.premise, pair.hypothesis
     axioms = tuple(Implies(ax.antecedent, negate(ax.consequent)) for ax in pair.axioms) or (Implies(p, h),)
     return dataclasses.replace(pair, axioms=axioms)
 
@@ -142,7 +142,7 @@ def test_seed_pair_checks_equal_four_separate_oracle_calls(relation):
     for seed in range(40):
         pair = gen_seed_pair(seed, relation)
         for candidate in (pair, _flipped(pair)):
-            p, h = candidate.premise[0], candidate.hypothesis[0]
+            p, h = candidate.premise, candidate.hypothesis
             expected = tuple(is_satisfiable([a, b, *candidate.axioms])
                              for a, b in ((p, h), (p, negate(h)), (negate(p), h), (negate(p), negate(h))))
             assert _relation_checks(candidate) == expected

@@ -85,7 +85,7 @@ class TestSeedPairs:
 
     def test_entailment_certificate(self):
         pair = gen_seed_pair(3, "entailment")
-        p, h = pair.premise[0], pair.hypothesis[0]
+        p, h = pair.premise, pair.hypothesis
         ax = list(pair.axioms)
         assert ax == [Implies(p, h)]
         assert not is_satisfiable([p, negate(h)] + ax)
@@ -93,12 +93,12 @@ class TestSeedPairs:
 
     def test_contradiction_certificate(self):
         pair = gen_seed_pair(4, "contradiction")
-        p, h = pair.premise[0], pair.hypothesis[0]
+        p, h = pair.premise, pair.hypothesis
         assert not is_satisfiable([p, h] + list(pair.axioms))
 
     def test_neutral_all_four_combinations_satisfiable(self):
         pair = gen_seed_pair(5, "neutral")
-        p, h = pair.premise[0], pair.hypothesis[0]
+        p, h = pair.premise, pair.hypothesis
         for a, b in itertools.product((p, negate(p)), (h, negate(h))):
             assert is_satisfiable([a, b] + list(pair.axioms))
 
@@ -109,22 +109,22 @@ class TestSeedPairs:
 class TestApplyRule:
     def test_modus_tollens_shape(self):
         seed = gen_seed_pair(10, "entailment")
-        p, h = seed.premise[0], seed.hypothesis[0]
+        p, h = seed.premise, seed.hypothesis
         out = apply_rule("SE-6", seed)
         assert out.formulas() == [Implies(p, h), Not(h), Not(p)]
         assert (out.label, out.difficulty) == ("consistent", "medium")
 
     def test_implicit_negated_hypothesis_shape(self):
         seed = gen_seed_pair(11, "entailment")
-        p, h = seed.premise[0], seed.hypothesis[0]
+        p, h = seed.premise, seed.hypothesis
         out = apply_rule("SE-29", seed)
         assert out.formulas() == [Or(p, h), Implies(p, h), Not(h)]
         assert out.label == "inconsistent"
 
     def test_constructive_dilemma_negated_shape(self):
         s1, s2 = gen_seed_pair(12, "entailment"), gen_seed_pair(13, "entailment")
-        p1, h1 = s1.premise[0], s1.hypothesis[0]
-        p2, h2 = s2.premise[0], s2.hypothesis[0]
+        p1, h1 = s1.premise, s1.hypothesis
+        p2, h2 = s2.premise, s2.hypothesis
         out = apply_rule("DE-4", [s1, s2])
         assert out.formulas() == [Implies(p1, h1), Implies(p2, h2), Or(p1, p2), Not(h1), Not(h2)]
         assert out.label == "inconsistent"
@@ -311,7 +311,7 @@ class TestPairwiseDataset:
         seed = gen_seed_pair(500, "entailment")
         out = derive_pairwise_dataset([seed], [], rng_seed=0)
         by_rule = {s.rule_id: s for s in out}
-        p, h = seed.premise[0], seed.hypothesis[0]
+        p, h = seed.premise, seed.hypothesis
         assert by_rule["EW-3"].formulas() == [p, Not(h)]
         assert by_rule["EW-3"].label == "inconsistent"
         # pattern 4 is satisfiable alone; the recorded axiom makes it inconsistent
@@ -646,11 +646,20 @@ class TestStrictRecords:
         ({"gold_inconsistent_indices": None}, "field 'gold_inconsistent_indices' must be a list of integers"),
         ({"statements": [{**BAD_BASE["statements"][0], "semantics": None}, BAD_BASE["statements"][1]]},
          "statement 0: field 'semantics' must be a string"),
+        ({"statements": [{**BAD_BASE["statements"][0], "text": None}, BAD_BASE["statements"][1]]},
+         "statement 0: field 'text' must be a string"),
+        ({"statements": [{"kind": "sentence", "text": "V is x.", "question": None, "semantics": "v.x"},
+                         BAD_BASE["statements"][1]]},
+         "statement 0: field 'question' must be a string"),
+        ({"statements": [{**BAD_BASE["statements"][0], "kind": None}, BAD_BASE["statements"][1]]},
+         "statement 0: unknown statement kind None"),
+        ({"statements": [{**BAD_BASE["statements"][0], "answer": None}, BAD_BASE["statements"][1]]},
+         "statement 0: qa statements carry a question and a non-empty answer, both strings"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-empty", "gold-on-consistent", "gold-string", "gold-bool",
             "context-string", "statements-string", "id-int", "context-syntax", "label-contradicts-provenance",
             "label-unknown", "label-missing", "unknown-set-field", "unknown-statement-field", "provenance-X",
             "statements-null", "difficulty-missing", "difficulty-null", "rule-id-null", "context-null", "context-empty",
-            "gold-null", "semantics-null"])
+            "gold-null", "semantics-null", "qa-text-null", "sentence-question-null", "kind-null", "qa-answer-null"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
         record = {key: value for key, value in {**BAD_BASE, **change}.items() if value is not DROP}
         path = self.write(tmp_path / "bad.jsonl", record)
@@ -701,6 +710,34 @@ class TestStrictRecords:
         assert a.statements[1] is not a.statements[0]      # equal semantics, different question
         assert a.statements[0].semantics is b.statements[0].semantics
         assert parsed == ["w.x"]
+
+    def test_the_memo_holds_only_the_statements_of_the_last_set_built(self, tmp_path, small_qa_corpus, monkeypatch):
+        path = tmp_path / "sets.jsonl"
+        save_jsonl(small_qa_corpus.test, path)
+        build, held = datagen._build_set, []
+
+        def spy(record, namespaces, memo):
+            out = build(record, namespaces, memo)
+            held.append((set(map(id, memo.statements.values())), set(map(id, out.statements))))
+            return out
+
+        monkeypatch.setattr(datagen, "_build_set", spy)
+        assert len(load_jsonl(path)) == len(held) == len(small_qa_corpus.test)
+        assert all(memo == built for memo, built in held)
+        assert not hasattr(datagen._ReadMemo(), "contexts")
+
+    def test_equal_records_share_only_when_adjacent(self, tmp_path):
+        context = ["(or u.y v.z)"]
+        records = [{**GOOD, "id": name, "context_semantics": context} for name in ("a", "b", "c")]
+        records[1] = {**BAD_BASE, "context_semantics": ["(not u.y)"]}
+        path = tmp_path / "sets.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records + [{**records[2], "id": "d"}]))
+        sets = load_jsonl(path)
+        parses = [vars(s)["_context_semantics_source"] for s in sets]     # each set's deferred context parse
+        a, b, c, d = sets
+        assert [datagen.set_to_json(s) for s in (a, b, c)] == records
+        assert c.statements == a.statements and c.statements[0] is not a.statements[0] and parses[2] is not parses[0]
+        assert d.statements[0] is c.statements[0] and parses[3] is parses[2]
 
     def test_a_set_has_the_namespaces_of_its_statements_and_its_context(self, tmp_path):
         context = ["(or u.y v.z)"]      # namespaces the statements (w.x) do not name

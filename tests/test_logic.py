@@ -10,6 +10,7 @@ from setcoh.logic import (
     AtomBudgetError,
     AtomRef,
     CompiledFormulas,
+    DataError,
     FormulaSyntaxError,
     Implies,
     MissingAssignmentError,
@@ -21,6 +22,7 @@ from setcoh.logic import (
     is_satisfiable,
     negate,
     parse_formula,
+    read_lines,
     realize,
 )
 
@@ -277,3 +279,10 @@ def test_atom_validation():
         Atom("x", "same", "same")
     with pytest.raises(ValueError):
         Atom("bad id", "a", "b")
+
+
+def test_a_line_ends_at_lf_crlf_or_cr_only(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("a\nb\r\nc\rd\x0be\x0cf\x1cg\x85h\u2028i\u2029j\r\r\n\nk".encode("utf-8"))
+    assert list(read_lines(path, DataError)) == [
+        (1, "a"), (2, "b"), (3, "c"), (4, "d\x0be\x0cf\x1cg\x85h\u2028i\u2029j"), (5, ""), (6, ""), (7, "k")]

@@ -294,6 +294,16 @@ class TestTraining:
             trainer_mod._check_finite(0.5, params, flat, 2, 3)
 
 
+    @pytest.mark.parametrize("run", [train, train_binary], ids=["energy", "binary"])
+    @pytest.mark.parametrize("left_out", ["C", "I"])
+    def test_a_train_split_without_one_base_pool_is_refused(self, small_qa_corpus, run, left_out):
+        splits = dataclasses.replace(small_qa_corpus,
+                                     train=[s for s in small_qa_corpus.train if s.provenance != left_out])
+        params = ModelParams.init(build_vocabulary(splits.train), d=8, h=6, seed=3)
+        with pytest.raises(PoolExhaustedError, match="^empty base pool$"):
+            run(params, splits, TrainerConfig(epochs=1, pairs_per_epoch=4, val_per_class=4))
+
+
 class TestBinary:
     def test_cross_entropy_values(self):
         assert cross_entropy(np.array([0.0, 0.0]), 0) == pytest.approx(math.log(2))
