@@ -115,10 +115,12 @@ def load_corpus(data_dir: Path, splits: Sequence[str] = SPLIT_NAMES) -> DatasetS
     """The sets of ``splits`` in data.jsonl, each filed under its split by the id prefix convention.
 
     Every record of every split is decoded and checked: a set whose id
-    names no split, or that is a union (:func:`datagen._check_base`), is
-    refused at its line.  Only the records of ``splits`` are built into
-    sets; the other splits are left empty.  The sets built share equal
-    values as :func:`datagen.load_jsonl` says.
+    names no split or holds ``#`` (which marks a subset's score-file id,
+    :func:`~setcoh.verifier.subset_id`), or that is a union
+    (:func:`datagen._check_base`), is refused at its line.  Only the
+    records of ``splits`` are built into sets; the other splits are left
+    empty.  The sets built share equal values as :func:`datagen.load_jsonl`
+    says.
     """
     corpus = DatasetSplit()
     buckets = corpus.splits()
@@ -127,6 +129,8 @@ def load_corpus(data_dir: Path, splits: Sequence[str] = SPLIT_NAMES) -> DatasetS
         name = set_id.split("-", 1)[0]
         if name not in buckets:
             raise MalformedRecordError(f"set id {set_id!r} does not start with a split name ({'/'.join(SPLIT_NAMES)})")
+        if "#" in set_id:  # verifier.subset_id puts it between a set id and the indices a subset keeps
+            raise MalformedRecordError(f"set id {set_id!r} holds '#', which score files use to name a subset")
         _check_base(set_id, provenance)
         return name in splits
 

@@ -826,166 +826,152 @@ def build_splits(config: GenConfig, rng_seed: int) -> DatasetSplit:
     return out
 
 
-# The keys a set record and its statement entries may hold: the keys the writer below emits.  The reader
-# refuses any other key.
-_SET_KEYS = frozenset({"id", "statements", "label", "provenance", "difficulty", "rule_id",
-                       "gold_inconsistent_indices", "context_semantics"})
-_STATEMENT_KEYS = frozenset({"kind", "text", "question", "answer", "semantics"})
+# The keys a set record and its statement entries may hold, in the order the writer below emits them.  The
+# reader refuses any other key.
+_SET_KEYS = ("id", "statements", "label", "provenance", "difficulty", "rule_id", "gold_inconsistent_indices",
+             "context_semantics")
+_STATEMENT_KEYS = ("kind", "text", "question", "answer", "semantics")
+_KNOWN_SET_KEYS, _KNOWN_STATEMENT_KEYS = frozenset(_SET_KEYS), frozenset(_STATEMENT_KEYS)
 
 
 def _statement_to_json(s: Statement) -> dict:
-    fields = (("kind", s.kind), ("text", s.text), ("question", s.question), ("answer", s.answer),
-              ("semantics", None if s.semantics is None else format_formula(s.semantics)))
-    return {key: value for key, value in fields if value is not None}
+    values = (s.kind, s.text, s.question, s.answer, None if s.semantics is None else format_formula(s.semantics))
+    return {key: value for key, value in zip(_STATEMENT_KEYS, values) if value is not None}
 
 
 def set_to_json(s: StatementSet) -> dict:
     gold = s.gold_inconsistent_indices
-    fields = (("id", s.id), ("statements", [_statement_to_json(st) for st in s.statements]), ("label", s.label),
-              ("provenance", s.provenance), ("difficulty", s.difficulty), ("rule_id", s.rule_id),
-              ("gold_inconsistent_indices", None if gold is None else list(gold)),
-              ("context_semantics", [format_formula(f) for f in s.context_semantics] or None))
-    return {key: value for key, value in fields if value is not None}
+    values = (s.id, [_statement_to_json(st) for st in s.statements], s.label, s.provenance, s.difficulty,
+              s.rule_id, None if gold is None else list(gold), [format_formula(f) for f in s.context_semantics] or None)
+    return {key: value for key, value in zip(_SET_KEYS, values) if value is not None}
 
 
 def _parse_all(texts: Sequence[str]) -> tuple[Formula, ...]:
     return tuple(parse_formula(text) for text in texts)
 
 
-_LIST_ITEMS = {dict: "objects", int: "integers", str: "strings"}
+_FIELD_TYPES = {None: "a string", dict: "a list of objects", int: "a list of integers", str: "a list of strings"}
 
 
-def _list(record: dict, key: str, item: type) -> list | None:
-    """``record[key]``, None if absent, checked to be a list of JSON ``item`` values (null is not)."""
+def _field(record: dict, key: str, item: type | None = None):
+    """``record[key]``, None if absent: a JSON string, or a list of JSON ``item`` values given ``item`` (not null)."""
     if key not in record:
         return None
     value = record[key]
-    if type(value) is not list or not {item}.issuperset(map(type, value)):
-        raise MalformedRecordError(f"field {key!r} must be a list of {_LIST_ITEMS[item]}")
+    fits = type(value) is str if item is None else type(value) is list and {item}.issuperset(map(type, value))
+    if not fits:
+        raise MalformedRecordError(f"field {key!r} must be {_FIELD_TYPES[item]}")
     return value
 
 
-def _string(record: dict, key: str) -> str | None:
-    """``record[key]``, None if absent, checked to be a JSON string (null is not)."""
-    if key not in record:
-        return None
-    value = record[key]
-    if type(value) is not str:
-        raise MalformedRecordError(f"field {key!r} must be a string")
-    return value
+def _known(record: dict, keys: frozenset[str]) -> None:
+    """Refuse the first key of ``record`` that is not one of ``keys``."""
+    if not record.keys() <= keys:
+        raise MalformedRecordError(f"unknown field {next(key for key in record if key not in keys)!r}")
 
 
-def _unknown(record: dict, known: frozenset[str]) -> str:
-    return next(key for key in record if key not in known)
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``, whose keys must not repeat (``json`` alone keeps the last value)."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen: set[str] = set()
+        raise MalformedRecordError(f"field {next(k for k, _ in pairs if k in seen or seen.add(k))!r} repeats")
+    return record
 
 
-class _ReadMemo:
-    """What one read of a JSONL file shares between the sets it builds, so that equal values are held once.
-    The read drops it when it ends.
+_decode = json.JSONDecoder(object_pairs_hook=_object).decode
 
-    ``share(value, value)`` returns the first value the read met equal to ``value``: strings, gold tuples and
-    namespace sets, which repeat across the file and no two types of which compare equal.  Statements and
-    context lists repeat only in the record just before, the other set of a C/I pair, so only that record's
-    are kept: ``statements`` maps the (kind, text, question, answer, semantics) of each statement entry of the
-    last set built to its :class:`Statement`, and ``last_context`` holds the last context list checked, as a
-    tuple, its namespaces and the one deferred parse that the sets built with it share.
+
+class _Reader:
+    """One read of a JSONL file: :meth:`read` checks each decoded record and appends the sets ``keep`` keeps to
+    ``sets``.  The read drops it when it ends; ``first_line`` maps each set id met to its line.
+
+    The sets built share equal values, so that each is held once.  ``share(value, value)`` returns the first
+    value the read met equal to ``value``: strings, gold tuples and namespace sets, which repeat across the file
+    and no two types of which compare equal.  Statements and context lists repeat only in the record just before,
+    the other set of a C/I pair, so only that record's are kept: ``statements`` maps each statement entry (its
+    :data:`_STATEMENT_KEYS` values) of the last set built to its :class:`Statement`, and ``last_context`` holds
+    the last context list checked, as a tuple, its namespaces and the one deferred parse that the sets built with
+    it share.  ``check`` parses one formula text of each distinct shape (:class:`FormulaChecker`).
     """
 
-    def __init__(self) -> None:
-        self.share = {}.setdefault
-        self.statements: dict[tuple, Statement] = {}
+    def __init__(self, keep: Callable[[str, str], bool] | None) -> None:
+        self.keep, self.sets, self.first_line = keep, [], {}
+        self.check, self.share, self.statements = FormulaChecker(), {}.setdefault, {}
         self.last_context: tuple[tuple[str, ...], frozenset[str], partial | None] = ((), frozenset(), None)
 
+    def read(self, record, lineno: int) -> None:
+        """Check the decoded record of line ``lineno``, then ask ``keep`` with its id and provenance and build it.
 
-def _check_record(record, check: FormulaChecker, memo: _ReadMemo) -> frozenset[str]:
-    """Every test of a decoded JSONL record, without building it; returns the namespaces of its formulas.
-
-    A key :func:`set_to_json` never writes, a null record or statement field, a field of the wrong JSON type,
-    an empty ``context_semantics``, a missing ``difficulty`` or ``statements`` is a
-    :class:`MalformedRecordError`; each statement entry and the set's fields must pass the rules of
-    :class:`Statement` and :class:`StatementSet`, and the record's ``label`` must be the one its provenance
-    gives.  Every formula text is checked by ``check`` (a reader shares one across its records, so one text
-    of each distinct shape is parsed), and a context list equal to the last one checked (``memo.last_context``)
-    is not checked again.
-    """
-    if type(record) is not dict:
-        raise MalformedRecordError("a record must be a JSON object")
-    if not record.keys() <= _SET_KEYS:
-        raise MalformedRecordError(f"unknown field {_unknown(record, _SET_KEYS)!r}")
-    if record.get("statements") is None:
-        raise MalformedRecordError("missing field 'statements'")
-    entries = _list(record, "statements", dict)
-    texts = []
-    for i, entry in enumerate(entries):
-        if not entry.keys() <= _STATEMENT_KEYS:
-            raise MalformedRecordError(f"statement {i}: unknown field {_unknown(entry, _STATEMENT_KEYS)!r}")
-        try:
-            _check_statement(entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"))
-            if None in entry.values():  # which _check_statement reads as absent
-                raise MalformedRecordError(f"field {next(k for k, v in entry.items() if v is None)!r} must be a string")
-            formula = _string(entry, "semantics")
-        except ValueError as exc:
-            raise MalformedRecordError(f"statement {i}: {exc}") from exc
-        if formula is not None:
-            texts.append(formula)
-    context = _list(record, "context_semantics", str)
-    if context == []:
-        raise MalformedRecordError("field 'context_semantics' must hold at least one formula when present")
-    gold = _list(record, "gold_inconsistent_indices", int)
-    _string(record, "rule_id")
-    if _string(record, "difficulty") is None:
-        raise MalformedRecordError("missing field 'difficulty'")
-    set_id, provenance = record.get("id"), record.get("provenance")
-    _check_set(set_id, len(entries), provenance, gold)
-    label = record.get("label")
-    if label != _label(provenance):
-        raise MalformedRecordError(f"set {set_id!r}: label {label!r} contradicts provenance {provenance!r}")
-    namespaces = check.namespaces(texts)
-    if context:
-        context = tuple(context)
-        if context != memo.last_context[0]:
-            memo.last_context = context, check.namespaces(context), partial(_parse_all, context)
-        namespaces |= memo.last_context[1]
-    return namespaces
-
-
-def _build_set(record: dict, namespaces: frozenset[str], memo: _ReadMemo) -> StatementSet:
-    """The :class:`StatementSet` of a record that :func:`_check_record` passed, given the namespaces it returned.
-
-    ``memo`` (a reader shares one across the sets it builds) hands back an equal value built before in place of
-    a new one: the :class:`Statement` of an equal statement entry of this set or the last set built; each
-    string field and formula text of a new statement; the set's ``difficulty``, ``rule_id``, gold-index tuple
-    and namespace set; and the deferred parse of its ``context_semantics`` list, which :func:`_check_record`
-    left in ``memo.last_context``.  Formula texts are parsed only when a ``semantics`` or
-    ``context_semantics`` is first read.
-    """
-    share = memo.share
-    statements = []
-    last, memo.statements = memo.statements, {}
-    for entry in record["statements"]:
-        key = (entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
-               entry.get("semantics"))
-        statement = memo.statements.get(key) or last.get(key)
-        if statement is None:
-            fields = list(map(share, key, key))
-            statement = Statement(*fields[:4])
-            if key[4] is not None:
-                _defer(statement, "semantics", fields[4])
-        statements.append(memo.statements.setdefault(key, statement))
-    rule_id, difficulty, gold = record.get("rule_id"), record["difficulty"], record.get("gold_inconsistent_indices")
-    gold = gold if gold is None else tuple(gold)
-    out = StatementSet(
-        id=record["id"],
-        statements=statements,
-        provenance=record["provenance"],
-        rule_id=share(rule_id, rule_id),
-        difficulty=share(difficulty, difficulty),
-        gold_inconsistent_indices=share(gold, gold),
-    )
-    if "context_semantics" in record:
-        _defer(out, "context_semantics", memo.last_context[2])
-    out._namespaces = share(namespaces, namespaces)
-    return out
+        A key :func:`set_to_json` never writes, a null record or statement field, a field of the wrong JSON
+        type, an empty ``context_semantics``, a missing ``difficulty`` or ``statements`` is a
+        :class:`MalformedRecordError`; each statement entry and the set's fields must pass the rules of
+        :class:`Statement` and :class:`StatementSet`, its ``label`` must be the one its provenance gives, each
+        formula text one the writer writes, and its id new.  A context list equal to the last one checked is
+        not checked again; formula texts are parsed only when a ``semantics`` or ``context_semantics`` is read.
+        """
+        if type(record) is not dict:
+            raise MalformedRecordError("a record must be a JSON object")
+        _known(record, _KNOWN_SET_KEYS)
+        if record.get("statements") is None:
+            raise MalformedRecordError("missing field 'statements'")
+        entries, texts = [], []
+        for i, entry in enumerate(_field(record, "statements", dict)):
+            try:
+                if not entry.keys() <= _KNOWN_STATEMENT_KEYS:  # tested inline: a call per entry costs ~2% of a load
+                    _known(entry, _KNOWN_STATEMENT_KEYS)
+                kind, text, question, answer, semantics = values = (
+                    entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
+                    entry.get("semantics"))
+                _check_statement(kind, text, question, answer)
+                if None in entry.values():  # a null, which _check_statement reads as absent, is not a string
+                    _field(entry, next(key for key, value in entry.items() if value is None))
+                _field(entry, "semantics")
+            except ValueError as exc:
+                raise MalformedRecordError(f"statement {i}: {exc}") from exc
+            entries.append(values)
+            if semantics is not None:
+                texts.append(semantics)
+        context = _field(record, "context_semantics", str)
+        if context == []:
+            raise MalformedRecordError("field 'context_semantics' must hold at least one formula when present")
+        gold, rule_id = _field(record, "gold_inconsistent_indices", int), _field(record, "rule_id")
+        difficulty = _field(record, "difficulty")
+        if difficulty is None:
+            raise MalformedRecordError("missing field 'difficulty'")
+        set_id, provenance = record.get("id"), record.get("provenance")
+        _check_set(set_id, len(entries), provenance, gold)
+        label = record.get("label")
+        if label != _label(provenance):
+            raise MalformedRecordError(f"set {set_id!r}: label {label!r} contradicts provenance {provenance!r}")
+        namespaces = self.check.namespaces(texts)
+        if context:
+            context = tuple(context)
+            if context != self.last_context[0]:
+                self.last_context = context, self.check.namespaces(context), partial(_parse_all, context)
+            namespaces |= self.last_context[1]
+        if set_id in self.first_line:
+            raise MalformedRecordError(f"duplicate set id {set_id!r} (first on line {self.first_line[set_id]})")
+        self.first_line[set_id] = lineno
+        if self.keep is not None and not self.keep(set_id, provenance):
+            return
+        share, last, self.statements = self.share, self.statements, {}
+        statements = []
+        for entry in entries:
+            statement = self.statements.get(entry) or last.get(entry)
+            if statement is None:
+                fields = list(map(share, entry, entry))
+                statement = Statement(*fields[:4])
+                if entry[4] is not None:
+                    _defer(statement, "semantics", fields[4])
+            statements.append(self.statements.setdefault(entry, statement))
+        gold = gold if gold is None else tuple(gold)
+        out = StatementSet(id=set_id, statements=statements, provenance=provenance, rule_id=share(rule_id, rule_id),
+                           difficulty=share(difficulty, difficulty), gold_inconsistent_indices=share(gold, gold))
+        if context:
+            _defer(out, "context_semantics", self.last_context[2])
+        out._namespaces = share(namespaces, namespaces)
+        self.sets.append(out)
 
 
 def save_jsonl(sets: Iterable[StatementSet], path) -> None:
@@ -998,36 +984,23 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
 def load_jsonl(path, keep: Callable[[str, str], bool] | None = None) -> list[StatementSet]:
     """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
 
-    Every record is decoded and checked (:func:`_check_record`).  Set ids
-    must be unique: scores, caches and score files refer to sets by id, so a
-    repeated id is rejected like any other bad record.  ``keep``, when given,
-    is asked with each checked record's id and provenance whether to keep it;
-    only the records it returns true for are built into sets (all of them
-    without ``keep``), and a ValueError it raises is reported at that
-    record's line, as a bad record is.  One :class:`FormulaChecker` serves
-    the whole file, so each distinct formula shape is parsed once; formulas
-    are parsed where they are read.  One memo serves the read and is dropped
-    when it ends: the sets built share each equal string, gold tuple and
+    Every record is decoded (a key must not repeat in a JSON object) and
+    checked by one :class:`_Reader`.  Set ids must be unique: scores, caches
+    and score files refer to sets by id, so a repeated id is rejected like
+    any other bad record.  ``keep``, when given, is asked with each checked
+    record's id and provenance whether to keep it; only the records it
+    returns true for are built into sets (all of them without ``keep``), and
+    a ValueError it raises is reported at that record's line, as a bad
+    record is.  The sets built share each equal string, gold tuple and
     namespace set, and each statement and context list equal to one of the
-    set built before (see :class:`_ReadMemo`).  Lines are those of
-    :func:`~setcoh.logic.read_lines`.
+    set built before; formulas are parsed where they are read.  Lines are
+    those of :func:`~setcoh.logic.read_lines`.
     """
-    out = []
-    first_line: dict[str, int] = {}
-    check = FormulaChecker()
-    memo = _ReadMemo()
+    reader = _Reader(keep)
     for lineno, line in read_lines(path, MalformedRecordError):
         try:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            namespaces = _check_record(record, check, memo)
-            set_id = record["id"]
-            if set_id in first_line:
-                raise MalformedRecordError(f"duplicate set id {set_id!r} (first on line {first_line[set_id]})")
-            first_line[set_id] = lineno
-            if keep is None or keep(set_id, record["provenance"]):
-                out.append(_build_set(record, namespaces, memo))
+            if line.strip():
+                reader.read(_decode(line), lineno)
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return reader.sets

@@ -380,6 +380,14 @@ def parse_formula(text: str) -> Formula:
     return result
 
 
+def _parse_written(text: str) -> Formula:
+    """:func:`parse_formula` of a text that :func:`format_formula` writes as it is; any other raises."""
+    formula = parse_formula(text)
+    if format_formula(formula) != text:
+        raise FormulaSyntaxError(f"formula {text!r} is not written as {format_formula(formula)!r}")
+    return formula
+
+
 _DOTTED_TOKEN = re.compile(r"([A-Za-z0-9_:@-]*)\.[A-Za-z0-9_.:@-]*")
 
 
@@ -388,25 +396,27 @@ class FormulaChecker:
 
     Texts that differ only in their dotted tokens (atom ids ``ns.name``)
     share a shape: the text with each dotted token replaced by ``.``.  No
-    connective has a dot, so a text and its shape parse alike: a text is
-    accepted iff its shape is, and its atoms' namespaces (ids up to the
-    first ``.``) are those of its dotted tokens plus the undotted atoms of
-    its shape, which are those of the first text of that shape.  One regex
-    split of a set's joined texts yields both its shapes and its dotted
-    namespaces; a corpus has only a handful of shapes.
+    connective has a dot, so a text and its shape parse alike and have the
+    same spacing: a text is accepted iff its shape is (it parses, and
+    :func:`format_formula` writes it back unchanged), and its atoms'
+    namespaces (ids up to the first ``.``) are those of its dotted tokens
+    plus the undotted atoms of its shape, which are those of the first text
+    of that shape.  One regex split of a set's joined texts yields both its
+    shapes and its dotted namespaces; a corpus has only a handful of shapes.
     """
 
     def __init__(self) -> None:
         self._shapes: dict[str, frozenset[str]] = {}  # shape -> its undotted atoms
 
     def namespaces(self, texts: Sequence[str]) -> frozenset[str]:
-        """Namespaces of the atoms of ``texts``; a :class:`FormulaSyntaxError` names the first bad text.
+        """Namespaces of the atoms of ``texts``; a :class:`FormulaSyntaxError` names the first bad text:
+        one that does not parse, or that :func:`format_formula` would write otherwise.
 
         The checker keeps each shape's undotted atoms for its life, and
         nothing of ``texts``.  Each call returns a new frozenset: the JSONL
         reader checks a context list once for the adjacent records that hold
-        it (the C and I sets of a pair), and its memo hands every set the
-        first namespace set it met equal to the set's own.
+        it (the C and I sets of a pair), and hands every set the first
+        namespace set it met equal to the set's own.
         """
         if not texts:
             return frozenset()
@@ -415,11 +425,11 @@ class FormulaChecker:
         shapes = ".".join(pieces[::2]).split("\0")
         if len(shapes) != len(texts):  # a text holds the separator, which no formula may
             for text in texts:
-                parse_formula(text)  # raises, for that text or an earlier bad one
+                _parse_written(text)  # raises, for that text or an earlier bad one
         names = set(pieces[1::2])
         for shape, text in zip(shapes, texts):
             undotted = self._shapes.get(shape)
-            if undotted is None:  # the text parses iff its shape does; its error names the text
-                undotted = self._shapes[shape] = frozenset(a for a in atoms_of(parse_formula(text)) if "." not in a)
+            if undotted is None:  # the text is accepted iff its shape is; its error names the text
+                undotted = self._shapes[shape] = frozenset(a for a in atoms_of(_parse_written(text)) if "." not in a)
             names |= undotted
         return frozenset(names)

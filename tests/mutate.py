@@ -7,8 +7,9 @@ Usage::
 For every line of ``src/setcoh/*.py`` that ``git diff <rev>`` adds or
 changes (uncommitted edits included), and every line of a module git does
 not track yet, each comparison, arithmetic, boolean and ``not`` operator on
-it is flipped, one mutant at a time, in a copy of ``src/``, ``tests/`` and
-``bench/`` in a temporary directory.  Each module with mutants is written
+it outside a type annotation (which no module evaluates) is flipped, one
+mutant at a time, in a copy of ``src/``, ``tests/`` and ``bench/`` in a
+temporary directory.  Each module with mutants is written
 back from its AST (``ast.unparse``), as its mutants are; the whole Tier-1
 (:data:`TIER1`) runs once on those unmutated modules, which times each of
 its files, and then once per mutant, with ``pytest -x``, in the order
@@ -120,10 +121,22 @@ def _flipped(node: ast.AST, slot: int) -> ast.AST:
     return new
 
 
+def _annotations(tree: ast.AST) -> set[int]:
+    """The ids of the nodes inside ``tree``'s type annotations: of arguments, returns and annotated assignments.
+    Every module of the package imports ``from __future__ import annotations``, so none is ever evaluated."""
+    annotated = (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)
+    roots = [node.annotation if isinstance(node, (ast.arg, ast.AnnAssign)) else node.returns
+             for node in ast.walk(tree) if isinstance(node, annotated)]
+    return {id(node) for root in roots if root is not None for node in ast.walk(root)}
+
+
 def mutants(source: str, lines: set[int]) -> list[Mutant]:
-    """Every mutant of ``source`` whose operator sits on one of ``lines``, in ``ast.walk`` order."""
+    """Every mutant of ``source`` whose operator sits on one of ``lines`` and outside a type annotation, in
+    ``ast.walk`` order."""
+    tree = ast.parse(source)
+    skipped = _annotations(tree)
     return [Mutant(index, slot, span, _short(ast.unparse(node)), _short(ast.unparse(_flipped(node, slot))))
-            for index, node in enumerate(ast.walk(ast.parse(source)))
+            for index, node in enumerate(ast.walk(tree)) if id(node) not in skipped
             for slot, span in _operators(node) if lines.intersection(span)]
 
 

@@ -1042,6 +1042,11 @@ MALFORMED = [
     (2, _first_statement(text=None)),
     (2, lambda record: json.dumps({**record, "statements": [
         {"kind": "sentence", "text": "The desk is pink.", "question": None}, *record["statements"][1:]]})),
+    (2, lambda record: json.dumps(record)[:-1] + f', "label": {json.dumps(record["label"])}}}'),
+    (3, lambda record: json.dumps({**record, "context_semantics": [
+        record["context_semantics"][0].replace(" ", "  ", 1), *record["context_semantics"][1:]]})),
+    # A subset's id in a score file is its set's id, '#' and its kept indices.
+    (2, lambda record: json.dumps({**record, "id": record["id"] + "#0-1"})),
 ]
 MALFORMED_IDS = [
     "not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
@@ -1050,6 +1055,7 @@ MALFORMED_IDS = [
     "provenance-X", "union-provenance", "label-contradicts-provenance", "unknown-kind", "sentence-with-question",
     "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field",
     "no-difficulty", "semantics-null", "context-empty", "gold-null", "qa-text-null", "sentence-question-null",
+    "duplicate-key", "formula-padded", "id-with-hash",
 ]
 
 
@@ -1098,19 +1104,25 @@ def test_a_record_in_an_unread_split_is_refused_as_in_a_read_one(tmp_path, qa_di
 
 
 # One edit of one key of a record, or of one of its statement entries.
-EDITS = ("drop", "null", "retype", "empty", "rename")
+EDITS = ("drop", "null", "retype", "empty", "rename", "pad")
 
 
 def _edit(value, how, draw):
     if how == "retype":
         return draw(st.sampled_from([v for v in (7, 1.5, True, "x", [], {}) if type(v) is not type(value)]))
+    if how == "pad":    # a space or a tab at either end or doubling a space: of a string, or a list's first item
+        if type(value) is list and value:
+            return [_edit(value[0], how, draw), *value[1:]]
+        pad = draw(st.sampled_from([" ", "\t"]))
+        return draw(st.sampled_from([pad + value, value + pad, value.replace(" ", "  ", 1)])) \
+            if type(value) is str else value
     return {str: "", int: 0, list: [], dict: {}}.get(type(value), None)    # "empty"
 
 
 @st.composite
 def _record_edits(draw, records):
-    """The index of a record of ``records`` and that record with one key dropped, nulled, retyped, emptied or
-    renamed."""
+    """The index of a record of ``records`` and that record with one key dropped, nulled, retyped, emptied,
+    renamed or padded."""
     index = draw(st.integers(0, len(records) - 1))
     record = copy.deepcopy(records[index])
     target = record
@@ -1120,7 +1132,7 @@ def _record_edits(draw, records):
     if how == "drop":
         del target[key]
     elif how == "rename":
-        target[draw(st.sampled_from(sorted(datagen._SET_KEYS | datagen._STATEMENT_KEYS | {key + "s"})))] = \
+        target[draw(st.sampled_from(sorted({*datagen._SET_KEYS, *datagen._STATEMENT_KEYS, key + "s"})))] = \
             target.pop(key)
     else:
         target[key] = None if how == "null" else _edit(target[key], how, draw)
@@ -1153,3 +1165,5 @@ def test_one_edited_record_loads_alike_whether_its_split_is_kept_or_not(small_re
         assert other_only == full
     else:
         assert other_only == {name: full[name] if name == other else [] for name in SPLIT_NAMES}
+        # A record the reader takes is one the writer writes back unchanged, the edited one too.
+        assert [r for name in SPLIT_NAMES for r in full[name]] == [*records[:index], record, *records[index + 1:]]

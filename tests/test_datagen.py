@@ -467,11 +467,15 @@ def reference_namespaces(formulas):
 
 
 def expected_check(text):
-    """What the load-time check must give for ``text``: parse_formula's namespaces, or its error."""
+    """What the load-time check must give for ``text``: parse_formula's namespaces, or its error, or, for a text
+    that format_formula would write otherwise, the error that names both forms."""
     try:
-        return reference_namespaces([parse_formula(text)])
+        formula = parse_formula(text)
     except FormulaSyntaxError as exc:
         return str(exc)
+    if format_formula(formula) != text:
+        return f"formula {text!r} is not written as {format_formula(formula)!r}"
+    return reference_namespaces([formula])
 
 
 def outcome(check, text):
@@ -655,11 +659,15 @@ class TestStrictRecords:
          "statement 0: unknown statement kind None"),
         ({"statements": [{**BAD_BASE["statements"][0], "answer": None}, BAD_BASE["statements"][1]]},
          "statement 0: qa statements carry a question and a non-empty answer, both strings"),
+        ({"context_semantics": ["(not  v.x)"]}, "formula '(not  v.x)' is not written as '(not v.x)'"),
+        ({"statements": [{**BAD_BASE["statements"][0], "semantics": "v.x\t"}, BAD_BASE["statements"][1]]},
+         "formula 'v.x\\t' is not written as 'v.x'"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-empty", "gold-on-consistent", "gold-string", "gold-bool",
             "context-string", "statements-string", "id-int", "context-syntax", "label-contradicts-provenance",
             "label-unknown", "label-missing", "unknown-set-field", "unknown-statement-field", "provenance-X",
             "statements-null", "difficulty-missing", "difficulty-null", "rule-id-null", "context-null", "context-empty",
-            "gold-null", "semantics-null", "qa-text-null", "sentence-question-null", "kind-null", "qa-answer-null"])
+            "gold-null", "semantics-null", "qa-text-null", "sentence-question-null", "kind-null", "qa-answer-null",
+            "context-padded", "semantics-padded"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
         record = {key: value for key, value in {**BAD_BASE, **change}.items() if value is not DROP}
         path = self.write(tmp_path / "bad.jsonl", record)
@@ -668,11 +676,22 @@ class TestStrictRecords:
         assert str(excinfo.value).startswith(f"{path}:2: ")
         assert str(excinfo.value).endswith(message)
 
+    @pytest.mark.parametrize("line, key", [
+        (json.dumps(BAD_BASE)[:-1] + ', "label": "inconsistent"}', "label"),
+        (json.dumps(BAD_BASE).replace('"answer": "x"', '"answer": "x", "answer": "x"', 1), "answer"),
+    ], ids=["in-the-record", "in-a-statement"])
+    def test_a_repeated_key_is_refused(self, tmp_path, line, key):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(GOOD) + "\n" + line + "\n")
+        with pytest.raises(MalformedRecordError) as excinfo:
+            load_jsonl(path)
+        assert str(excinfo.value) == f"{path}:2: field {key!r} repeats"
+
     def test_the_reader_takes_every_key_the_writer_emits(self, small_qa_corpus, small_snli_corpus):
         records = [datagen.set_to_json(s) for s in (*small_qa_corpus.test, *small_snli_corpus.test)]
-        assert set().union(*records) == datagen._SET_KEYS
+        assert set().union(*records) == set(datagen._SET_KEYS)
         assert set().union(*(entry for record in records for entry in record["statements"])) == \
-            datagen._STATEMENT_KEYS
+            set(datagen._STATEMENT_KEYS)
 
     @pytest.mark.parametrize("change", [{"answer": 1}, {"answer": ["x"]}, {"semantics": 5}, {"text": "q?"},
                                         {"note": "x"}],
@@ -714,17 +733,16 @@ class TestStrictRecords:
     def test_the_memo_holds_only_the_statements_of_the_last_set_built(self, tmp_path, small_qa_corpus, monkeypatch):
         path = tmp_path / "sets.jsonl"
         save_jsonl(small_qa_corpus.test, path)
-        build, held = datagen._build_set, []
+        read, held = datagen._Reader.read, []
 
-        def spy(record, namespaces, memo):
-            out = build(record, namespaces, memo)
-            held.append((set(map(id, memo.statements.values())), set(map(id, out.statements))))
-            return out
+        def spy(reader, record, lineno):
+            read(reader, record, lineno)
+            held.append((set(map(id, reader.statements.values())), set(map(id, reader.sets[-1].statements))))
 
-        monkeypatch.setattr(datagen, "_build_set", spy)
+        monkeypatch.setattr(datagen._Reader, "read", spy)
         assert len(load_jsonl(path)) == len(held) == len(small_qa_corpus.test)
         assert all(memo == built for memo, built in held)
-        assert not hasattr(datagen._ReadMemo(), "contexts")
+        assert not hasattr(datagen._Reader(None), "contexts")
 
     def test_equal_records_share_only_when_adjacent(self, tmp_path):
         context = ["(or u.y v.z)"]

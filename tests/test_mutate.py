@@ -22,6 +22,13 @@ def test_mutants_are_the_operators_on_the_given_lines():
     assert sorted(m.after for m in mutate.mutants(SOURCE, {4, 5})) == ["a + b", "a / b", "x -= a * b"]
 
 
+def test_operators_inside_type_annotations_are_not_mutants():
+    source = ("def f(a: int | None, *b: str | None, c: bool | None = None) -> list | None:\n"
+              "    x: int | None = a or c\n    return x\n"
+              "class C:\n    y: int | None = 1 + 2\n    def g(self) -> tuple[int | None, ...]:\n        return 3 - 4\n")
+    assert [m.before for m in mutate.mutants(source, set(range(1, 8)))] == ["a or c", "1 + 2", "3 - 4"]
+
+
 def test_each_mutant_changes_one_operator_and_nothing_else():
     original = ast.dump(ast.parse(SOURCE))
     for m in mutate.mutants(SOURCE, set(range(1, 6))):
