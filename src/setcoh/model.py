@@ -27,7 +27,8 @@ scorers both call it.
 :data:`HEADS` maps each threshold source (``"energy"``,
 ``"inconsistent-softmax"``) to its head's score of ``encode``'s hidden
 rows; training, the scorers and the CLI look heads up there.  The
-per-stream :func:`forward` and its heads and gradients are the tests' reference.
+per-stream :func:`forward` and its heads and gradients, the tests'
+reference, read one stream's (V,) row of the same counts.
 
 Gradients are analytic (backprop through the three layers) and are
 checked against central finite differences in the test suite.
@@ -208,19 +209,9 @@ class ModelParams:
         return params
 
 
-@dataclass(frozen=True)
-class TokenCounts:
-    """Sparse token histogram of a stream: ascending ids, their counts, total length."""
-
-    ids: np.ndarray
-    counts: np.ndarray
-    total: int
-
-    @staticmethod
-    def of(t: TokenizedSet, vocab_size: int) -> "TokenCounts":
-        hist = np.bincount(np.asarray(t.tokens, dtype=np.int64), minlength=vocab_size)
-        ids = np.nonzero(hist)[0]
-        return TokenCounts(ids=ids, counts=hist[ids].astype(np.float64), total=len(t.tokens))
+def stream_counts(t: TokenizedSet, vocab_size: int) -> np.ndarray:
+    """The (V,) float token counts of a serialized stream, CLS included: the row :meth:`StatementTable.count` gives."""
+    return np.bincount(np.asarray(t.tokens, dtype=np.int64), minlength=vocab_size).astype(np.float64)
 
 
 def csr_ranges(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +260,8 @@ class StatementTable:
         """CLS plus the counts of the ``rows`` that each of the ``n`` streams owns, as (n, V) floats.
 
         One ``bincount`` over the rows' cells.  The counts are integers, so
-        any summation order gives the same floats: a row's nonzero ids, their
-        counts and its sum equal :meth:`TokenCounts.of` on its serialized stream.
+        any summation order gives the same floats: a stream's row equals
+        :func:`stream_counts` of its serialized stream.
         """
         v = self.vocab_size
         cells, lengths = csr_ranges(self.offsets, rows)
@@ -309,31 +300,32 @@ class StatementTable:
 Activations = tuple[np.ndarray, np.ndarray]
 
 
-def forward(params: ModelParams, tc: TokenCounts) -> Activations:
-    """``(pooled, hidden)``: the mean-pooled embedding and the tanh layer's output."""
-    pooled = (tc.counts @ params.emb[tc.ids]) / tc.total
+def forward(params: ModelParams, counts: np.ndarray) -> Activations:
+    """``(pooled, hidden)`` of one stream's (V,) ``counts``: the mean-pooled embedding and the tanh layer's output."""
+    ids = np.flatnonzero(counts)
+    pooled = (counts[ids] @ params.emb[ids]) / counts.sum()
     hidden = np.tanh(pooled @ params.w_hidden + params.b_hidden)
     return pooled, hidden
 
 
-def energy_from_counts(params: ModelParams, tc: TokenCounts) -> float:
-    _, hidden = forward(params, tc)
+def energy_from_counts(params: ModelParams, counts: np.ndarray) -> float:
+    _, hidden = forward(params, counts)
     return float(hidden @ params.w_energy + params.b_energy)
 
 
 def energy(params: ModelParams, t: TokenizedSet) -> float:
     """Scalar energy of a serialized set; lower means more consistent."""
-    return energy_from_counts(params, TokenCounts.of(t, len(params.vocab)))
+    return energy_from_counts(params, stream_counts(t, len(params.vocab)))
 
 
-def logits_from_counts(params: ModelParams, tc: TokenCounts) -> np.ndarray:
-    _, hidden = forward(params, tc)
+def logits_from_counts(params: ModelParams, counts: np.ndarray) -> np.ndarray:
+    _, hidden = forward(params, counts)
     return hidden @ params.w_class + params.b_class
 
 
 def binary_logits(params: ModelParams, t: TokenizedSet) -> np.ndarray:
     """(consistent, inconsistent) scores from the classification head."""
-    return logits_from_counts(params, TokenCounts.of(t, len(params.vocab)))
+    return logits_from_counts(params, stream_counts(t, len(params.vocab)))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -386,58 +378,44 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
 
 
-def accumulate_grad_energy(
-    params: ModelParams,
-    tc: TokenCounts,
-    into: dict[str, np.ndarray],
-    scale: float = 1.0,
-) -> float:
+def accumulate_grad_energy(params: ModelParams, counts: np.ndarray, into: dict[str, np.ndarray],
+                           scale: float = 1.0) -> float:
     """Add ``scale`` times the energy gradient to ``into``; returns the energy."""
-    pooled, hidden = forward(params, tc)
+    pooled, hidden = forward(params, counts)
     value = float(hidden @ params.w_energy + params.b_energy)
     d_hidden = scale * params.w_energy
-    _backprop_common(params, tc, pooled, hidden, d_hidden, into)
+    _backprop_common(params, counts, pooled, hidden, d_hidden, into)
     into["w_energy"] += scale * hidden
     into["b_energy"] += scale
     return value
 
 
-def accumulate_grad_logits(
-    params: ModelParams,
-    tc: TokenCounts,
-    upstream: np.ndarray,
-    into: dict[str, np.ndarray],
-    scale: float = 1.0,
-) -> np.ndarray:
+def accumulate_grad_logits(params: ModelParams, counts: np.ndarray, upstream: np.ndarray,
+                           into: dict[str, np.ndarray], scale: float = 1.0) -> np.ndarray:
     """Add ``scale`` times the gradient of ``upstream @ logits``; returns the logits."""
-    pooled, hidden = forward(params, tc)
+    pooled, hidden = forward(params, counts)
     logits = hidden @ params.w_class + params.b_class
     d_hidden = scale * (params.w_class @ upstream)
-    _backprop_common(params, tc, pooled, hidden, d_hidden, into)
+    _backprop_common(params, counts, pooled, hidden, d_hidden, into)
     into["w_class"] += scale * np.outer(hidden, upstream)
     into["b_class"] += scale * upstream
     return logits
 
 
-def _backprop_common(
-    params: ModelParams,
-    tc: TokenCounts,
-    pooled: np.ndarray,
-    hidden: np.ndarray,
-    d_hidden: np.ndarray,
-    into: dict[str, np.ndarray],
-) -> None:
+def _backprop_common(params: ModelParams, counts: np.ndarray, pooled: np.ndarray, hidden: np.ndarray,
+                     d_hidden: np.ndarray, into: dict[str, np.ndarray]) -> None:
     d_pre = (1.0 - hidden * hidden) * d_hidden
     into["b_hidden"] += d_pre
     into["w_hidden"] += np.outer(pooled, d_pre)
     d_pooled = params.w_hidden @ d_pre
-    into["emb"][tc.ids] += (tc.counts / tc.total)[:, None] * d_pooled[None, :]
+    ids = np.flatnonzero(counts)
+    into["emb"][ids] += (counts[ids] / counts.sum())[:, None] * d_pooled[None, :]
 
 
 def grad_energy(params: ModelParams, t: TokenizedSet) -> tuple[float, dict[str, np.ndarray]]:
     """Energy and its gradient w.r.t. every parameter array."""
     grads = zero_grads(params)
-    value = accumulate_grad_energy(params, TokenCounts.of(t, len(params.vocab)), grads)
+    value = accumulate_grad_energy(params, stream_counts(t, len(params.vocab)), grads)
     return value, grads
 
 
@@ -446,7 +424,8 @@ def grad_logits(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Logits and the gradient of ``upstream @ logits`` w.r.t. every parameter array."""
     grads = zero_grads(params)
-    logits = accumulate_grad_logits(params, TokenCounts.of(t, len(params.vocab)), np.asarray(upstream, dtype=np.float64), grads)
+    logits = accumulate_grad_logits(params, stream_counts(t, len(params.vocab)), np.asarray(upstream, dtype=np.float64),
+                                    grads)
     return logits, grads
 
 

@@ -58,7 +58,6 @@ from .logic import DataError
 from .model import (
     HEADS,
     ModelParams,
-    TokenCounts,
     Vocabulary,
     class_softmax,
     csr_ranges,
@@ -221,11 +220,10 @@ class CountsCache:
             for start in range(0, len(sets), _BLOCK)])
         self.offsets = np.append(0, np.cumsum([len(s.statements) for s in sets], dtype=np.int64))
 
-    def counts(self, rows: Sequence[int]) -> TokenCounts:
-        """Token counts of the serialized union of the sets at ``rows`` (CLS included); the tests' reference."""
+    def counts(self, rows: Sequence[int]) -> np.ndarray:
+        """(V,) token counts of the serialized union of the sets at ``rows`` (CLS included); the tests' reference."""
         at, _ = csr_ranges(self.offsets, np.asarray(rows, dtype=np.int64))
-        (hist,) = self.table.count(self.rows[at], np.zeros(len(at), dtype=np.int64), 1)
-        return TokenCounts(np.flatnonzero(hist), hist[hist != 0], int(hist.sum()))
+        return self.table.count(self.rows[at], np.zeros(len(at), dtype=np.int64), 1)[0]
 
     def batch(self, sides: np.ndarray) -> np.ndarray:
         """(sides, V) :meth:`counts` of each side, given by its key, from one count over its parts' statement rows."""

@@ -863,7 +863,7 @@ def test_every_error_class_chooses_its_exit_code():
 
 # The per-stream reference layer in setcoh.model: the tests compare the batched paths against it.
 REFERENCE_FUNCTIONS = ("forward", "energy_from_counts", "logits_from_counts",
-                       "accumulate_grad_energy", "accumulate_grad_logits", "serialize_set")
+                       "accumulate_grad_energy", "accumulate_grad_logits", "serialize_set", "stream_counts")
 
 
 def test_no_command_calls_the_reference_layer(tmp_path, monkeypatch, small_qa_corpus):
@@ -879,7 +879,6 @@ def test_no_command_calls_the_reference_layer(tmp_path, monkeypatch, small_qa_co
             for bound, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, bound, refuse(f"model.{name}"))
-    monkeypatch.setattr(model.TokenCounts, "of", staticmethod(refuse("TokenCounts.of")))
     monkeypatch.setattr(trainer.CountsCache, "counts", refuse("CountsCache.counts"))
 
     corpus = small_qa_corpus

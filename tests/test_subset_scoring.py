@@ -21,13 +21,13 @@ from setcoh.datagen import pools
 from setcoh.logic import is_satisfiable
 from setcoh.model import (
     ModelParams,
-    TokenCounts,
     binary_logits,
     build_vocabulary,
     energy,
     serialize_set,
     softmax,
     statement_text,
+    stream_counts,
 )
 from setcoh.verifier import (
     BinarySoftmaxScorer,
@@ -38,7 +38,7 @@ from setcoh.verifier import (
     verify_elementwise,
     verify_set,
 )
-from token_reference import assert_batches_equal, assert_row_is, count_rows, subset_counts
+from token_reference import assert_batches_equal, count_rows, subset_counts
 
 
 class Hidden:
@@ -85,7 +85,7 @@ def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
             subset = _copy(s, keep)
             # The old scoring path: a shuffled stream seeded from the subset's id.
             t = serialize_set(params.vocab, subset, zlib.crc32(subset.id.encode("utf-8")))
-            assert_row_is(batch[r], TokenCounts.of(t, len(params.vocab)))
+            assert_batches_equal(batch[r], stream_counts(t, len(params.vocab)))
             assert e == energy(params, t)
             assert p == float(softmax(binary_logits(params, t))[1])
     for s in corpus.train:

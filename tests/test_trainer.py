@@ -11,7 +11,6 @@ from setcoh.model import (
     EMBED_DIM,
     HIDDEN_DIM,
     ModelParams,
-    TokenCounts,
     accumulate_grad_energy,
     accumulate_grad_logits,
     build_vocabulary,
@@ -20,6 +19,7 @@ from setcoh.model import (
     logits_from_counts,
     serialize_set,
     softmax,
+    stream_counts,
     zero_grads,
 )
 from setcoh.trainer import (
@@ -51,7 +51,7 @@ from setcoh.trainer import (
     train,
     train_binary,
 )
-from token_reference import assert_batches_equal, assert_row_is, count_rows, subset_counts
+from token_reference import assert_batches_equal, count_rows, subset_counts
 
 
 def _rows(sets, parts):
@@ -238,18 +238,19 @@ class TestTraining:
 
         params = ModelParams.init(vocab, d=8, h=6, seed=2)
         inst = build_contrast_batch(pool_c, pool_i, "basic", rng_seed=0, pairs=1)[0]
-        tc_more, tc_less = (cache.counts(_rows(pool_c + pool_i, parts)) for parts in (inst.more_parts, inst.less_parts))
+        counts_more, counts_less = (cache.counts(_rows(pool_c + pool_i, parts))
+                                    for parts in (inst.more_parts, inst.less_parts))
         alpha = 10.0  # force the hinge active
         before = hinge_loss(
-            energy_from_counts(params, tc_more), energy_from_counts(params, tc_less), alpha
+            energy_from_counts(params, counts_more), energy_from_counts(params, counts_less), alpha
         )
         grads = zero_grads(params)
-        accumulate_grad_energy(params, tc_more, grads, scale=1.0)
-        accumulate_grad_energy(params, tc_less, grads, scale=-1.0)
+        accumulate_grad_energy(params, counts_more, grads, scale=1.0)
+        accumulate_grad_energy(params, counts_less, grads, scale=-1.0)
         for name, arr in params.arrays().items():
             arr -= 1e-6 * grads[name]
         after = hinge_loss(
-            energy_from_counts(params, tc_more), energy_from_counts(params, tc_less), alpha
+            energy_from_counts(params, counts_more), energy_from_counts(params, counts_less), alpha
         )
         assert after < before
 
@@ -438,7 +439,7 @@ def _ref_contrast_groups(pool_c, pool_i, regime, rng_seed, pairs):
 
 
 def _ref_counts(vocab, s):
-    return TokenCounts.of(serialize_set(vocab, s, 0), len(vocab))
+    return stream_counts(serialize_set(vocab, s, 0), len(vocab))
 
 
 class _RefAdam:
@@ -477,21 +478,21 @@ def _ref_fit(params, config, epoch_batches, binary=False, anchor=None, l2_weight
             for example in batch:
                 if binary:
                     s, label = example
-                    tc = _ref_counts(vocab, s)
-                    probs = softmax(logits_from_counts(params, tc))
+                    counts = _ref_counts(vocab, s)
+                    probs = softmax(logits_from_counts(params, counts))
                     batch_loss += -float(np.log(max(probs[label], 1e-300)))
                     upstream = probs.copy()
                     upstream[label] -= 1.0
-                    accumulate_grad_logits(params, tc, upstream, grads, scale=1.0 / len(batch))
+                    accumulate_grad_logits(params, counts, upstream, grads, scale=1.0 / len(batch))
                     continue
                 more, less, _ = example
-                tc_more, tc_less = _ref_counts(vocab, more), _ref_counts(vocab, less)
-                loss = hinge_loss(energy_from_counts(params, tc_more), energy_from_counts(params, tc_less),
+                counts_more, counts_less = _ref_counts(vocab, more), _ref_counts(vocab, less)
+                loss = hinge_loss(energy_from_counts(params, counts_more), energy_from_counts(params, counts_less),
                                   config.alpha)
                 batch_loss += loss
                 if loss > 0.0:
-                    accumulate_grad_energy(params, tc_more, grads, scale=1.0 / len(batch))
-                    accumulate_grad_energy(params, tc_less, grads, scale=-1.0 / len(batch))
+                    accumulate_grad_energy(params, counts_more, grads, scale=1.0 / len(batch))
+                    accumulate_grad_energy(params, counts_less, grads, scale=-1.0 / len(batch))
             if l2_weight:
                 for name, arr in params.arrays().items():
                     delta = arr if anchor is None else arr - anchor[name]
@@ -502,9 +503,9 @@ def _ref_fit(params, config, epoch_batches, binary=False, anchor=None, l2_weight
         if mixture is None:
             continue
         if binary:
-            scores = [float(softmax(logits_from_counts(params, tc))[1]) for tc in val_counts]
+            scores = [float(softmax(logits_from_counts(params, counts))[1]) for counts in val_counts]
         else:
-            scores = [energy_from_counts(params, tc) for tc in val_counts]
+            scores = [energy_from_counts(params, counts) for counts in val_counts]
         value, acc, _ = _threshold_scan(scores, labels)
         mean_losses.append(float(np.mean(losses)))
         if best is None or acc > best[0]:
@@ -716,19 +717,14 @@ class TestTrainingInputs:
         clash = dataclasses.replace(b, id=a.id)
         cache = CountsCache(vocab, [a, clash])
         for row, original in enumerate((a, b)):
-            got, want = cache.counts([row]), _ref_counts(vocab, original)
-            assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
-            assert got.total == want.total
+            assert_batches_equal(cache.counts([row]), _ref_counts(vocab, original))
 
     def test_union_counts_are_the_sum_of_the_parts(self, small_qa_corpus):
         pool_c, pool_i = pools(small_qa_corpus.train)
         vocab = build_vocabulary(small_qa_corpus.train)
         cache = CountsCache(vocab, pool_c + pool_i)
         for inst in build_contrast_batch(pool_c, pool_i, "eight", rng_seed=7, pairs=3):
-            got, want = cache.counts(_rows(pool_c + pool_i, inst.less_parts)), _ref_counts(vocab, inst.less)
-            assert got.ids.dtype == want.ids.dtype and got.counts.dtype == want.counts.dtype
-            assert np.array_equal(got.ids, want.ids) and np.array_equal(got.counts, want.counts)
-            assert got.total == want.total
+            assert_batches_equal(cache.counts(_rows(pool_c + pool_i, inst.less_parts)), _ref_counts(vocab, inst.less))
 
     def test_batch_counts_equal_per_side_counts(self, small_qa_corpus):
         (rows,) = _base_rows(pools(small_qa_corpus.train))
@@ -742,7 +738,7 @@ class TestTrainingInputs:
         for r, parts in enumerate(sides):
             union = parts[0] if len(parts) == 1 else compose_union(parts)
             for want in (cache.counts(_rows(rows.sets, parts)), _ref_counts(vocab, union)):
-                assert_row_is(batch[r], want)
+                assert_batches_equal(batch[r], want)
 
     def test_counts_cache_equals_a_per_set_tokenization_pass(self, small_qa_corpus):
         (rows,) = _base_rows(pools(small_qa_corpus.train))

@@ -36,13 +36,3 @@ def assert_batches_equal(got, want):
     """Equal arrays in dtype, shape and value: dense count arrays, or what a step derives from them."""
     assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
-
-def assert_row_is(row, tc):
-    """A row of a dense count array equals the dense histogram of the reference :class:`TokenCounts` ``tc``.
-
-    Equal in value and dtype, and summing to ``tc.total``.
-    """
-    hist = np.zeros(len(row), dtype=tc.counts.dtype)
-    hist[tc.ids] = tc.counts
-    assert row.dtype == hist.dtype and np.array_equal(row, hist)
-    assert row.sum() == tc.total
