@@ -52,8 +52,11 @@ from .rules import (
     ALL_RULES,
     CONSISTENT,
     CONTRADICTION,
+    DIFFICULTIES,
+    EASY,
     ENTAILMENT,
     INCONSISTENT,
+    MEDIUM,
     NEUTRAL,
     PAIRWISE_INCONSISTENT_RULES,
     RULES_BY_ID,
@@ -207,7 +210,7 @@ class StatementSet:
     statements: list[Statement]
     provenance: str
     rule_id: str | None = None
-    difficulty: str = "medium"
+    difficulty: str = MEDIUM
     gold_inconsistent_indices: tuple[int, ...] | None = None
     context_semantics: tuple[Formula, ...] = _ReadOnFirstUse((), lambda make: make())
     _namespaces = None  # kept by load_jsonl; not a field
@@ -626,7 +629,7 @@ def compose_union(
         id=set_id or "u." + ".".join(part.id for part in parts),
         statements=statements,
         provenance="".join(sorted(part.provenance for part in parts)),
-        difficulty="easy" if any(p.difficulty == "easy" for p in parts) else "medium",
+        difficulty=EASY if any(p.difficulty == EASY for p in parts) else MEDIUM,
         gold_inconsistent_indices=remapped if has_gold else None,
     )
     union._parts = tuple(parts)
@@ -850,7 +853,26 @@ def _parse_all(texts: Sequence[str]) -> tuple[Formula, ...]:
     return tuple(parse_formula(text) for text in texts)
 
 
-_FIELD_TYPES = {None: "a string", dict: "a list of objects", int: "a list of integers", str: "a list of strings"}
+def _shown(value):
+    """A decoded JSON value as ``json.loads`` gives it: each object, which :data:`_decode` leaves as a tuple of
+    its (key, value) pairs, as a dict.  Only an error message reads it."""
+    if type(value) is tuple:
+        return {key: _shown(item) for key, item in value}
+    return [_shown(item) for item in value] if type(value) is list else value
+
+
+def _repeated(pairs: tuple) -> MalformedRecordError:
+    """The error that names the first key of an object's ``pairs`` that repeats."""
+    seen: set[str] = set()
+    return MalformedRecordError(f"field {next(k for k, _ in pairs if k in seen or seen.add(k))!r} repeats")
+
+
+# Decodes each JSON object to the tuple of its (key, value) pairs, in C: a JSON array is a list, so a tuple is
+# always an object.  The reader makes a record and each of its statement entries a dict, refusing a repeated key
+# (a dict alone keeps the last value); any other object is a value of the wrong type.
+_decode = json.JSONDecoder(object_pairs_hook=tuple).decode
+
+_FIELD_TYPES = {None: "a string", tuple: "a list of objects", int: "a list of integers", str: "a list of strings"}
 
 
 def _field(record: dict, key: str, item: type | None = None):
@@ -868,18 +890,6 @@ def _known(record: dict, keys: frozenset[str]) -> None:
     """Refuse the first key of ``record`` that is not one of ``keys``."""
     if not record.keys() <= keys:
         raise MalformedRecordError(f"unknown field {next(key for key in record if key not in keys)!r}")
-
-
-def _object(pairs: list[tuple[str, object]]) -> dict:
-    """The JSON object of ``pairs``, whose keys must not repeat (``json`` alone keeps the last value)."""
-    record = dict(pairs)
-    if len(record) < len(pairs):
-        seen: set[str] = set()
-        raise MalformedRecordError(f"field {next(k for k, _ in pairs if k in seen or seen.add(k))!r} repeats")
-    return record
-
-
-_decode = json.JSONDecoder(object_pairs_hook=_object).decode
 
 
 class _Reader:
@@ -900,30 +910,40 @@ class _Reader:
         self.check, self.share, self.statements = FormulaChecker(), {}.setdefault, {}
         self.last_context: tuple[tuple[str, ...], frozenset[str], partial | None] = ((), frozenset(), None)
 
-    def read(self, record, lineno: int) -> None:
+    def read(self, decoded, lineno: int) -> None:
         """Check the decoded record of line ``lineno``, then ask ``keep`` with its id and provenance and build it.
 
-        A key :func:`set_to_json` never writes, a null record or statement field, a field of the wrong JSON
-        type, an empty ``context_semantics``, a missing ``difficulty`` or ``statements`` is a
-        :class:`MalformedRecordError`; each statement entry and the set's fields must pass the rules of
-        :class:`Statement` and :class:`StatementSet`, its ``label`` must be the one its provenance gives, each
-        formula text one the writer writes, and its id new.  A context list equal to the last one checked is
+        A repeated or unknown key (one :func:`set_to_json` never writes), a null record or statement field, a
+        field of the wrong JSON type, an empty ``context_semantics``, a missing ``difficulty`` or ``statements``
+        or a ``difficulty`` not in :data:`~setcoh.rules.DIFFICULTIES` is a :class:`MalformedRecordError`; each
+        statement entry and the set's fields must pass the rules of :class:`Statement` and
+        :class:`StatementSet`, its ``label`` must be the one its provenance gives, each formula text one the
+        writer writes, and its id new.  A context list equal to the last one checked is
         not checked again; formula texts are parsed only when a ``semantics`` or ``context_semantics`` is read.
         """
-        if type(record) is not dict:
+        if type(decoded) is not tuple:
             raise MalformedRecordError("a record must be a JSON object")
+        record = dict(decoded)
+        if len(record) < len(decoded):
+            raise _repeated(decoded)
         _known(record, _KNOWN_SET_KEYS)
         if record.get("statements") is None:
             raise MalformedRecordError("missing field 'statements'")
         entries, texts = [], []
-        for i, entry in enumerate(_field(record, "statements", dict)):
+        for i, pairs in enumerate(_field(record, "statements", tuple)):
             try:
+                entry = dict(pairs)
+                if len(entry) < len(pairs):
+                    raise _repeated(pairs)
                 if not entry.keys() <= _KNOWN_STATEMENT_KEYS:  # tested inline: a call per entry costs ~2% of a load
                     _known(entry, _KNOWN_STATEMENT_KEYS)
                 kind, text, question, answer, semantics = values = (
                     entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
                     entry.get("semantics"))
-                _check_statement(kind, text, question, answer)
+                try:
+                    _check_statement(kind, text, question, answer)
+                except ValueError:  # again, to print an object-valued kind as the dict it stands for
+                    _check_statement(_shown(kind), text, question, answer)
                 if None in entry.values():  # a null, which _check_statement reads as absent, is not a string
                     _field(entry, next(key for key, value in entry.items() if value is None))
                 _field(entry, "semantics")
@@ -937,13 +957,20 @@ class _Reader:
             raise MalformedRecordError("field 'context_semantics' must hold at least one formula when present")
         gold, rule_id = _field(record, "gold_inconsistent_indices", int), _field(record, "rule_id")
         difficulty = _field(record, "difficulty")
-        if difficulty is None:
-            raise MalformedRecordError("missing field 'difficulty'")
+        if difficulty not in DIFFICULTIES:
+            if difficulty is None:
+                raise MalformedRecordError("missing field 'difficulty'")
+            raise MalformedRecordError(f"field 'difficulty' must be {' or '.join(map(repr, DIFFICULTIES))}, "
+                                       f"got {difficulty!r}")
         set_id, provenance = record.get("id"), record.get("provenance")
-        _check_set(set_id, len(entries), provenance, gold)
+        try:
+            _check_set(set_id, len(entries), provenance, gold)
+        except ValueError:  # again, to print an object-valued id or provenance as the dict it stands for
+            _check_set(_shown(set_id), len(entries), _shown(provenance), gold)
         label = record.get("label")
         if label != _label(provenance):
-            raise MalformedRecordError(f"set {set_id!r}: label {label!r} contradicts provenance {provenance!r}")
+            raise MalformedRecordError(f"set {set_id!r}: label {_shown(label)!r} contradicts provenance "
+                                       f"{provenance!r}")
         namespaces = self.check.namespaces(texts)
         if context:
             context = tuple(context)
@@ -984,10 +1011,10 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
 def load_jsonl(path, keep: Callable[[str, str], bool] | None = None) -> list[StatementSet]:
     """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
 
-    Every record is decoded (a key must not repeat in a JSON object) and
-    checked by one :class:`_Reader`.  Set ids must be unique: scores, caches
-    and score files refer to sets by id, so a repeated id is rejected like
-    any other bad record.  ``keep``, when given, is asked with each checked
+    Every record is decoded and checked by one :class:`_Reader` (a key must
+    not repeat in it or in a statement entry).  Set ids must be unique:
+    scores, caches and score files refer to sets by id, so a repeated id is
+    rejected like any other bad record.  ``keep``, when given, is asked with each checked
     record's id and provenance whether to keep it; only the records it
     returns true for are built into sets (all of them without ``keep``), and
     a ValueError it raises is reported at that record's line, as a bad

@@ -33,6 +33,9 @@ NEUTRAL = "neutral"
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
+# The two difficulties a rule row, and so every set written, may have.
+EASY, MEDIUM = DIFFICULTIES = ("easy", "medium")
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -64,7 +67,7 @@ def _rows(prefix: str, relation: str, seeds: int, rows: list[tuple]) -> list[Rul
     return out
 
 
-C, I, EZ, MED = CONSISTENT, INCONSISTENT, "easy", "medium"
+C, I, EZ, MED = CONSISTENT, INCONSISTENT, EASY, MEDIUM
 
 SINGLE_ENTAILMENT_RULES = _rows("SE", ENTAILMENT, 1, [
     (["(implies p h)", "(implies (not h) (not p))"], C, MED, "transposition"),

@@ -16,9 +16,12 @@ its files, and then once per mutant, with ``pytest -x``, in the order
 :func:`tier1_order` gives: the mutated module's own test file first, then
 every other file, fastest first.  A mutant is killed iff some Tier-1 test
 fails, or the run takes longer than :data:`TIMEOUT` seconds (a flipped loop
-condition can hang).  Each mutant is printed on one line, ``SURVIVED`` or
-``killed`` and then ``module.py:line: original -> mutant``; the exit status
-is 1 if any survive (2 if the unmutated Tier-1 fails).
+condition can hang).  :data:`WORKERS` mutants run at a time, each in its own
+copy of the tree and each pytest run with one BLAS thread
+(:data:`ONE_THREAD`).  Each mutant is printed on one line, in mutant order
+whichever run ends first, ``SURVIVED`` or ``killed`` and then
+``module.py:line: original -> mutant``; the exit status is 1 if any survive
+(2 if the unmutated Tier-1 fails).
 
 Standard library only.  pytest does not collect this file: its name does
 not start with ``test_``.
@@ -36,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree
@@ -50,6 +54,13 @@ TIER1 = ["tests", f"--ignore={IGNORED}"]
 
 # Seconds one pytest run may take before its mutant counts as killed.
 TIMEOUT = 900.0
+
+# The most pytest runs at a time, and the environment each runs with: one BLAS thread, so that two fit two cores.
+WORKERS = 2
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+# Each run's pytest temporary directory, inside its copy of the tree, so that no two runs share one.
+BASETEMP = ".pytest-tmp"
 
 # Each operator and the one it is flipped to.
 FLIPS = {
@@ -160,8 +171,9 @@ def _short(text: str, width: int = 90) -> str:
 
 def run_tests(tree: Path, tests: list[str]) -> str:
     """``"pass"``, ``"fail"`` or ``"timeout"`` for one pytest run, given ``tests`` as its arguments, in the copy at ``tree``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"--basetemp={tree / BASETEMP}",
+               *tests]
     try:
         proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
@@ -196,13 +208,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, help="the git revision whose diff names the lines to mutate")
     args = parser.parse_args(argv)
     touched = touched_lines(args.base)
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", BASETEMP)
     with tempfile.TemporaryDirectory(prefix="setcoh-mutate-") as temporary:
         tree = Path(temporary) / "tree"
-        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
         for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
-        modules = []
+        jobs = []
         for name, lines in sorted(touched.items()):
             path = tree / PACKAGE / name
             source = path.read_text()
@@ -210,28 +222,30 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: {len(lines)} touched lines, {len(found)} mutants", flush=True)
             if found:
                 path.write_text(ast.unparse(ast.parse(source)) + "\n")
-                modules.append((name, path, source, found))
+                jobs += [(name, source, mutant) for mutant in found]
         report = Path(temporary) / "tier1.xml"
-        if modules and run_tier1(tree, report) != "pass":
+        if jobs and run_tier1(tree, report) != "pass":
             print("the unmutated Tier-1 fails; no mutant run", flush=True)
             return 2
-        times = file_times(tree, report) if modules else {}
-        survivors = total = 0
-        for name, path, source, found in modules:
-            unparsed = path.read_text()
-            order = tier1_order(name, times)
-            for mutant in found:
-                path.write_text(mutate(source, mutant.node, mutant.slot))
-                outcome = run_tests(tree, order)
-                total += 1
-                if outcome == "pass":
-                    survivors += 1
-                    print(f"SURVIVED {name}:{mutant.lines.start}: {mutant.before} -> {mutant.after}", flush=True)
-                else:
-                    print(f"killed ({outcome}) {name}:{mutant.lines.start}: {mutant.before} -> {mutant.after}",
-                          flush=True)
-            path.write_text(unparsed)
-        print(f"{survivors} of {total} mutants survived")
+        times = file_times(tree, report) if jobs else {}
+
+        def run(k: int) -> str:
+            name, source, mutant = jobs[k]
+            copy = Path(temporary) / f"mutant-{k}"
+            shutil.copytree(tree, copy, ignore=ignore)
+            (copy / PACKAGE / name).write_text(mutate(source, mutant.node, mutant.slot))
+            try:
+                return run_tests(copy, tier1_order(name, times))
+            finally:
+                shutil.rmtree(copy)
+
+        survivors = 0
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for (name, _, mutant), outcome in zip(jobs, pool.map(run, range(len(jobs)))):
+                line = f"{name}:{mutant.lines.start}: {mutant.before} -> {mutant.after}"
+                survivors += outcome == "pass"
+                print(f"SURVIVED {line}" if outcome == "pass" else f"killed ({outcome}) {line}", flush=True)
+        print(f"{survivors} of {len(jobs)} mutants survived")
     return 1 if survivors else 0
 
 

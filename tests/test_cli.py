@@ -1046,6 +1046,7 @@ MALFORMED = [
         record["context_semantics"][0].replace(" ", "  ", 1), *record["context_semantics"][1:]]})),
     # A subset's id in a score file is its set's id, '#' and its kept indices.
     (2, lambda record: json.dumps({**record, "id": record["id"] + "#0-1"})),
+    (3, _setting("difficulty", "hard")),
 ]
 MALFORMED_IDS = [
     "not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
@@ -1054,7 +1055,7 @@ MALFORMED_IDS = [
     "provenance-X", "union-provenance", "label-contradicts-provenance", "unknown-kind", "sentence-with-question",
     "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field",
     "no-difficulty", "semantics-null", "context-empty", "gold-null", "qa-text-null", "sentence-question-null",
-    "duplicate-key", "formula-padded", "id-with-hash",
+    "duplicate-key", "formula-padded", "id-with-hash", "difficulty-unknown",
 ]
 
 

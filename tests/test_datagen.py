@@ -633,6 +633,10 @@ class TestStrictRecords:
         ({"context_semantics": "ab"}, "field 'context_semantics' must be a list of strings"),
         ({"statements": "xy"}, "field 'statements' must be a list of objects"),
         ({"id": 7}, "set id 7 is not a string"),
+        ({"id": {"a": [{}]}}, "set id {'a': [{}]} is not a string"),
+        ({"label": {"x": 1}}, "set 'b': label {'x': 1} contradicts provenance 'I'"),
+        ({"statements": [{**BAD_BASE["statements"][0], "kind": {}}, BAD_BASE["statements"][1]]},
+         "statement 0: unknown statement kind {}"),
         ({"context_semantics": ["(nand a b)"]}, "unknown connective 'nand' in '(nand a b)'"),
         ({"label": "consistent"}, "set 'b': label 'consistent' contradicts provenance 'I'"),
         ({"label": "bogus"}, "set 'b': label 'bogus' contradicts provenance 'I'"),
@@ -644,6 +648,7 @@ class TestStrictRecords:
         ({"statements": None}, "missing field 'statements'"),
         ({"difficulty": DROP}, "missing field 'difficulty'"),
         ({"difficulty": None}, "field 'difficulty' must be a string"),
+        ({"difficulty": " medium"}, "field 'difficulty' must be 'easy' or 'medium', got ' medium'"),
         ({"rule_id": None}, "field 'rule_id' must be a string"),
         ({"context_semantics": None}, "field 'context_semantics' must be a list of strings"),
         ({"context_semantics": []}, "field 'context_semantics' must hold at least one formula when present"),
@@ -663,9 +668,10 @@ class TestStrictRecords:
         ({"statements": [{**BAD_BASE["statements"][0], "semantics": "v.x\t"}, BAD_BASE["statements"][1]]},
          "formula 'v.x\\t' is not written as 'v.x'"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-empty", "gold-on-consistent", "gold-string", "gold-bool",
-            "context-string", "statements-string", "id-int", "context-syntax", "label-contradicts-provenance",
-            "label-unknown", "label-missing", "unknown-set-field", "unknown-statement-field", "provenance-X",
-            "statements-null", "difficulty-missing", "difficulty-null", "rule-id-null", "context-null", "context-empty",
+            "context-string", "statements-string", "id-int", "id-object", "label-object", "kind-object",
+            "context-syntax", "label-contradicts-provenance", "label-unknown", "label-missing", "unknown-set-field",
+            "unknown-statement-field", "provenance-X", "statements-null", "difficulty-missing", "difficulty-null",
+            "difficulty-padded", "rule-id-null", "context-null", "context-empty",
             "gold-null", "semantics-null", "qa-text-null", "sentence-question-null", "kind-null", "qa-answer-null",
             "context-padded", "semantics-padded"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
@@ -676,16 +682,17 @@ class TestStrictRecords:
         assert str(excinfo.value).startswith(f"{path}:2: ")
         assert str(excinfo.value).endswith(message)
 
-    @pytest.mark.parametrize("line, key", [
-        (json.dumps(BAD_BASE)[:-1] + ', "label": "inconsistent"}', "label"),
-        (json.dumps(BAD_BASE).replace('"answer": "x"', '"answer": "x", "answer": "x"', 1), "answer"),
+    @pytest.mark.parametrize("line, message", [
+        (json.dumps(BAD_BASE)[:-1] + ', "label": "inconsistent"}', "field 'label' repeats"),
+        (json.dumps(BAD_BASE).replace('"answer": "x"', '"answer": "x", "answer": "x"', 1),
+         "statement 0: field 'answer' repeats"),
     ], ids=["in-the-record", "in-a-statement"])
-    def test_a_repeated_key_is_refused(self, tmp_path, line, key):
+    def test_a_repeated_key_is_refused(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(GOOD) + "\n" + line + "\n")
         with pytest.raises(MalformedRecordError) as excinfo:
             load_jsonl(path)
-        assert str(excinfo.value) == f"{path}:2: field {key!r} repeats"
+        assert str(excinfo.value) == f"{path}:2: {message}"
 
     def test_the_reader_takes_every_key_the_writer_emits(self, small_qa_corpus, small_snli_corpus):
         records = [datagen.set_to_json(s) for s in (*small_qa_corpus.test, *small_snli_corpus.test)]

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setcoh import model
 from setcoh.datagen import Statement, StatementSet
@@ -132,6 +134,29 @@ def test_encode_of_no_streams_is_empty(vocab):
     pooled, hidden = model.encode(ModelParams.init(vocab, d=6, h=5), np.zeros((0, len(vocab))))
     assert pooled.shape == (0, 6) and hidden.shape == (0, 5)
     assert pooled.dtype == hidden.dtype == np.float64
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_heads_of_an_encode_batch_equal_the_reference_on_any_count_rows(data):
+    # Rows no corpus gives: any V, from CLS alone to every id present, counts above 1, several widths.
+    v = data.draw(st.integers(2, 300), label="V")
+    d, h = data.draw(st.sampled_from([(8, 6), (64, 64), (96, 96)]), label="widths")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6), label="streams")):
+        density, most = data.draw(st.floats(0.0, 1.0), label="density"), data.draw(st.integers(1, 40), label="most")
+        row = rng.integers(1, most + 1, v) * (rng.random(v) < density)
+        row[CLS_INDEX] = max(row[CLS_INDEX], 1)
+        rows.append(row.astype(np.float64))
+    tokens = (CLS_TOKEN, UNK_TOKEN, *(f"w{i}" for i in range(v - 2)))
+    vocab = model.Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
+    params = ModelParams.init(vocab, d=d, h=h, seed=int(rng.integers(2**31)))
+    _, hidden = model.encode(params, np.stack(rows))
+    scores = {source: head(params, hidden) for source, head in model.HEADS.items()}
+    for r, row in enumerate(rows):
+        assert model.energy_from_counts(params, row) == scores["energy"][r]
+        assert softmax(model.logits_from_counts(params, row))[1] == scores["inconsistent-softmax"][r]
 
 
 def test_zero_params_softmax_is_uniform(qa_pair_set, vocab):

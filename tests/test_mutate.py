@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 SPEC = importlib.util.spec_from_file_location("mutate", Path(__file__).parent / "mutate.py")
@@ -110,6 +111,52 @@ def test_the_unmutated_tier1_runs_once_then_each_mutant_runs_it(monkeypatch, tmp
     assert len(set(modules)) == 5
     assert runs[0][:len(mutate.TIER1)] == mutate.TIER1
     assert runs[1:] == [["tests/test_fresh.py", "tests/test_fast.py", "tests/test_slow.py"]] * 4
+
+
+def test_results_print_in_mutant_order_whichever_run_ends_first(monkeypatch, tmp_path, capsys):
+    _one_touched_module(monkeypatch, tmp_path)
+    found = mutate.mutants(SOURCE, {2, 3})
+    sources = [mutate.mutate(SOURCE, m.node, m.slot) for m in found]
+    both_started, second_ended, lock = threading.Barrier(2, timeout=10), threading.Event(), threading.Lock()
+    ended, running, trees = [], [0, 0], set()    # running: the runs now and the most at once
+
+    def fake_run(tree, tests):      # the first mutant's run ends only after the second's; mutants 1 and 3 survive
+        if tests[:len(mutate.TIER1)] == mutate.TIER1:
+            _report(Path(next(arg for arg in tests if arg.startswith("--junitxml="))[len("--junitxml="):]), [])
+            return "pass"
+        k = sources.index((tree / "src" / "setcoh" / "fresh.py").read_text())
+        with lock:
+            running[0] += 1
+            running[1] = max(running)
+            trees.add(tree)
+        if k < 2:
+            both_started.wait()
+        if k == 0:
+            assert second_ended.wait(10)
+        with lock:
+            running[0] -= 1
+            ended.append(k)
+        if k == 1:
+            second_ended.set()
+        return "pass" if k % 2 else "fail"
+
+    monkeypatch.setattr(mutate, "run_tests", fake_run)
+    assert mutate.main(["--base", "base"]) == 1
+    assert ended.index(1) < ended.index(0) and sorted(ended) == [0, 1, 2, 3]
+    assert running[1] == mutate.WORKERS == 2 and len(trees) == 4
+    out = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("SURVIVED", "killed"))]
+    assert out == [f"{'SURVIVED' if k % 2 else 'killed (fail)'} fresh.py:{m.lines.start}: {m.before} -> {m.after}"
+                   for k, m in enumerate(found)]
+
+
+def test_each_run_has_one_blas_thread(monkeypatch, tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_env.py").write_text(
+        "import os\n\ndef test_one_thread():\n"
+        "    names = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')\n"
+        "    assert [os.environ[name] for name in names] == ['1'] * 3\n")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert mutate.run_tests(tmp_path, ["tests"]) == "pass"
 
 
 def test_a_failing_unmutated_tier1_runs_no_mutant(monkeypatch, tmp_path, capsys):
