@@ -59,9 +59,6 @@ TIMEOUT = 900.0
 WORKERS = 2
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
-# Each run's pytest temporary directory, inside its copy of the tree, so that no two runs share one.
-BASETEMP = ".pytest-tmp"
-
 # Each operator and the one it is flipped to.
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -170,10 +167,12 @@ def _short(text: str, width: int = 90) -> str:
 
 
 def run_tests(tree: Path, tests: list[str]) -> str:
-    """``"pass"``, ``"fail"`` or ``"timeout"`` for one pytest run, given ``tests`` as its arguments, in the copy at ``tree``."""
+    """``"pass"``, ``"fail"`` or ``"timeout"`` for one pytest run, given ``tests`` as its arguments, in the copy at ``tree``.
+
+    Its temporary directory is ``<tree>-tmp``, so that no two runs share one, and beside the copy rather than in it,
+    so that a pytest run a test starts there finds no project file above it."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"--basetemp={tree / BASETEMP}",
-               *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"--basetemp={tree}-tmp", *tests]
     try:
         proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
@@ -208,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, help="the git revision whose diff names the lines to mutate")
     args = parser.parse_args(argv)
     touched = touched_lines(args.base)
-    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", BASETEMP)
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
     with tempfile.TemporaryDirectory(prefix="setcoh-mutate-") as temporary:
         tree = Path(temporary) / "tree"
         for part in ("src", "tests", "bench"):
@@ -231,13 +230,13 @@ def main(argv: list[str] | None = None) -> int:
 
         def run(k: int) -> str:
             name, source, mutant = jobs[k]
-            copy = Path(temporary) / f"mutant-{k}"
-            shutil.copytree(tree, copy, ignore=ignore)
-            (copy / PACKAGE / name).write_text(mutate(source, mutant.node, mutant.slot))
+            own = Path(temporary) / f"mutant-{k}"
+            shutil.copytree(tree, own / "tree", ignore=ignore)
+            (own / "tree" / PACKAGE / name).write_text(mutate(source, mutant.node, mutant.slot))
             try:
-                return run_tests(copy, tier1_order(name, times))
+                return run_tests(own / "tree", tier1_order(name, times))
             finally:
-                shutil.rmtree(copy)
+                shutil.rmtree(own)
 
         survivors = 0
         with ThreadPoolExecutor(WORKERS) as pool:

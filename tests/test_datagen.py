@@ -265,6 +265,12 @@ class TestComposeUnion:
         assert union.provenance == "CC"
         assert union.label == "consistent"
 
+    def test_a_union_is_easy_iff_some_part_is_easy(self):
+        a, b, c = self.make_parts(3, start=460)
+        assert a.difficulty == b.difficulty == c.difficulty == "medium"
+        assert compose_union([a, b, c], shuffle_seed=4).difficulty == "medium"
+        assert compose_union([a, replace(b, difficulty="easy"), c], shuffle_seed=4).difficulty == "easy"
+
     def test_provenance_sorts_c_before_i(self):
         c1, c2 = self.make_parts(2, start=420)
         i = corrupt_qa(gen_qa_set(gen_qa_world(422, 2)), 0)
