@@ -641,6 +641,7 @@ class TestStrictRecords:
         ({"id": 7}, "set id 7 is not a string"),
         ({"id": {"a": [{}]}}, "set id {'a': [{}]} is not a string"),
         ({"label": {"x": 1}}, "set 'b': label {'x': 1} contradicts provenance 'I'"),
+        ({"provenance": {}}, "set 'b': bad provenance {}"),
         ({"statements": [{**BAD_BASE["statements"][0], "kind": {}}, BAD_BASE["statements"][1]]},
          "statement 0: unknown statement kind {}"),
         ({"context_semantics": ["(nand a b)"]}, "unknown connective 'nand' in '(nand a b)'"),
@@ -674,10 +675,10 @@ class TestStrictRecords:
         ({"statements": [{**BAD_BASE["statements"][0], "semantics": "v.x\t"}, BAD_BASE["statements"][1]]},
          "formula 'v.x\\t' is not written as 'v.x'"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-empty", "gold-on-consistent", "gold-string", "gold-bool",
-            "context-string", "statements-string", "id-int", "id-object", "label-object", "kind-object",
-            "context-syntax", "label-contradicts-provenance", "label-unknown", "label-missing", "unknown-set-field",
-            "unknown-statement-field", "provenance-X", "statements-null", "difficulty-missing", "difficulty-null",
-            "difficulty-padded", "rule-id-null", "context-null", "context-empty",
+            "context-string", "statements-string", "id-int", "id-object", "label-object", "provenance-object",
+            "kind-object", "context-syntax", "label-contradicts-provenance", "label-unknown", "label-missing",
+            "unknown-set-field", "unknown-statement-field", "provenance-X", "statements-null", "difficulty-missing",
+            "difficulty-null", "difficulty-padded", "rule-id-null", "context-null", "context-empty",
             "gold-null", "semantics-null", "qa-text-null", "sentence-question-null", "kind-null", "qa-answer-null",
             "context-padded", "semantics-padded"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
