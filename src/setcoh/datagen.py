@@ -55,10 +55,15 @@ from .rules import (
     DIFFICULTIES,
     EASY,
     ENTAILMENT,
+    EW_C,
     INCONSISTENT,
     MEDIUM,
     NEUTRAL,
     PAIRWISE_INCONSISTENT_RULES,
+    QA_EW,
+    QA_FLIP,
+    QA_GEN,
+    RULE_IDS,
     RULES_BY_ID,
     Rule,
 )
@@ -516,7 +521,7 @@ def gen_qa_set(world: QAWorld, set_id: str | None = None) -> StatementSet:
         id=set_id or f"qa.{world.namespace}",
         statements=statements,
         provenance="C",
-        rule_id="QA-GEN",
+        rule_id=QA_GEN,
         context_semantics=world.context(),
     )
     if not validate_with_oracle(out):
@@ -587,7 +592,7 @@ def corrupt_qa(
         id=set_id or f"{sc.id}.flip",
         statements=statements,
         provenance="I",
-        rule_id="QA-FLIP",
+        rule_id=QA_FLIP,
         gold_inconsistent_indices=(idx,),
         context_semantics=sc.context_semantics,
     )
@@ -702,7 +707,7 @@ def derive_pairwise_dataset(
                     id=f"ew-c{n}.{seed.namespace}",
                     statements=[donor.statements[i], donor.statements[j]],
                     provenance="C",
-                    rule_id="EW-C",
+                    rule_id=EW_C,
                     context_semantics=donor.context_semantics,
                 )
             )
@@ -723,7 +728,7 @@ def derive_pairwise_dataset(
                     id=f"qa-ew-i.{qa_set.id}",
                     statements=[qa_set.statements[first], qa_set.statements[second]],
                     provenance="I",
-                    rule_id="QA-EW",
+                    rule_id=QA_EW,
                     gold_inconsistent_indices=(0 if first == g else 1,),
                     context_semantics=qa_set.context_semantics,
                 )
@@ -735,7 +740,7 @@ def derive_pairwise_dataset(
                     id=f"qa-ew-c.{qa_set.id}",
                     statements=[qa_set.statements[i], qa_set.statements[j]],
                     provenance="C",
-                    rule_id="QA-EW",
+                    rule_id=QA_EW,
                     context_semantics=qa_set.context_semantics,
                 )
             )
@@ -914,8 +919,9 @@ class _Reader:
         """Check the decoded record of line ``lineno``, then ask ``keep`` with its id and provenance and build it.
 
         A repeated or unknown key (one :func:`set_to_json` never writes), a null record or statement field, a
-        field of the wrong JSON type, an empty ``context_semantics``, a missing ``difficulty`` or ``statements``
-        or a ``difficulty`` not in :data:`~setcoh.rules.DIFFICULTIES` is a :class:`MalformedRecordError`; each
+        field of the wrong JSON type, an empty ``context_semantics``, a missing ``difficulty`` or ``statements``,
+        a ``difficulty`` not in :data:`~setcoh.rules.DIFFICULTIES` or a ``rule_id`` not in
+        :data:`~setcoh.rules.RULE_IDS` is a :class:`MalformedRecordError`; each
         statement entry and the set's fields must pass the rules of :class:`Statement` and
         :class:`StatementSet`, its ``label`` must be the one its provenance gives, each formula text one the
         writer writes, and its id new.  A context list equal to the last one checked is
@@ -962,6 +968,8 @@ class _Reader:
                 raise MalformedRecordError("missing field 'difficulty'")
             raise MalformedRecordError(f"field 'difficulty' must be {' or '.join(map(repr, DIFFICULTIES))}, "
                                        f"got {difficulty!r}")
+        if rule_id is not None and rule_id not in RULE_IDS:
+            raise MalformedRecordError(f"field 'rule_id' must name a rule the generator writes, got {rule_id!r}")
         set_id, provenance = record.get("id"), record.get("provenance")
         try:
             _check_set(set_id, len(entries), provenance, gold)

@@ -209,11 +209,6 @@ class ModelParams:
         return params
 
 
-def stream_counts(t: TokenizedSet, vocab_size: int) -> np.ndarray:
-    """The (V,) float token counts of a serialized stream, CLS included: the row :meth:`StatementTable.count` gives."""
-    return np.bincount(np.asarray(t.tokens, dtype=np.int64), minlength=vocab_size).astype(np.float64)
-
-
 def csr_ranges(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions ``offsets[r]:offsets[r + 1]`` of each of ``rows``, concatenated, and each row's length."""
     starts = offsets[rows]
@@ -261,7 +256,7 @@ class StatementTable:
 
         One ``bincount`` over the rows' cells.  The counts are integers, so
         any summation order gives the same floats: a stream's row equals
-        :func:`stream_counts` of its serialized stream.
+        the token counts of its :func:`serialize_set` stream.
         """
         v = self.vocab_size
         cells, lengths = csr_ranges(self.offsets, rows)
@@ -313,25 +308,9 @@ def energy_from_counts(params: ModelParams, counts: np.ndarray) -> float:
     return float(hidden @ params.w_energy + params.b_energy)
 
 
-def energy(params: ModelParams, t: TokenizedSet) -> float:
-    """Scalar energy of a serialized set; lower means more consistent."""
-    return energy_from_counts(params, stream_counts(t, len(params.vocab)))
-
-
 def logits_from_counts(params: ModelParams, counts: np.ndarray) -> np.ndarray:
     _, hidden = forward(params, counts)
     return hidden @ params.w_class + params.b_class
-
-
-def binary_logits(params: ModelParams, t: TokenizedSet) -> np.ndarray:
-    """(consistent, inconsistent) scores from the classification head."""
-    return logits_from_counts(params, stream_counts(t, len(params.vocab)))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    return exp / exp.sum()
 
 
 def encode(params: ModelParams, counts: np.ndarray) -> Activations:
@@ -360,7 +339,7 @@ def energies(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
 
 
 def class_softmax(params: ModelParams, hidden: np.ndarray) -> np.ndarray:
-    """:func:`softmax` of :func:`logits_from_counts` for each row of :func:`encode`'s ``hidden``."""
+    """The softmax of :func:`logits_from_counts` for each row of :func:`encode`'s ``hidden``."""
     logits = np.matmul(hidden[:, None, :], params.w_class)[:, 0] + params.b_class
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return exp / exp.sum(axis=1, keepdims=True)
@@ -372,10 +351,6 @@ HEADS: dict[str, Callable[[ModelParams, np.ndarray], np.ndarray]] = {
     "energy": energies,
     "inconsistent-softmax": lambda params, hidden: class_softmax(params, hidden)[:, 1],
 }
-
-
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
 
 
 def accumulate_grad_energy(params: ModelParams, counts: np.ndarray, into: dict[str, np.ndarray],
@@ -410,23 +385,6 @@ def _backprop_common(params: ModelParams, counts: np.ndarray, pooled: np.ndarray
     d_pooled = params.w_hidden @ d_pre
     ids = np.flatnonzero(counts)
     into["emb"][ids] += (counts[ids] / counts.sum())[:, None] * d_pooled[None, :]
-
-
-def grad_energy(params: ModelParams, t: TokenizedSet) -> tuple[float, dict[str, np.ndarray]]:
-    """Energy and its gradient w.r.t. every parameter array."""
-    grads = zero_grads(params)
-    value = accumulate_grad_energy(params, stream_counts(t, len(params.vocab)), grads)
-    return value, grads
-
-
-def grad_logits(
-    params: ModelParams, t: TokenizedSet, upstream: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Logits and the gradient of ``upstream @ logits`` w.r.t. every parameter array."""
-    grads = zero_grads(params)
-    logits = accumulate_grad_logits(params, stream_counts(t, len(params.vocab)), np.asarray(upstream, dtype=np.float64),
-                                    grads)
-    return logits, grads
 
 
 def save_params(params: ModelParams, path) -> None:

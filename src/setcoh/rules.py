@@ -36,6 +36,10 @@ INCONSISTENT = "inconsistent"
 # The two difficulties a rule row, and so every set written, may have.
 EASY, MEDIUM = DIFFICULTIES = ("easy", "medium")
 
+# The rule ids of the sets the generator builds without a rule row: a QA set, its answer-flipped
+# inconsistent copy, a consistent pair from a sentence rule's set, and a QA pair for element-wise training.
+QA_GEN, QA_FLIP, EW_C, QA_EW = GENERATOR_RULE_IDS = ("QA-GEN", "QA-FLIP", "EW-C", "QA-EW")
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -150,3 +154,6 @@ PAIRWISE_INCONSISTENT_RULES = _rows("EW", ENTAILMENT, 1, [
     (["p", "(not h)"], I, MED, "premise with negated hypothesis", True),
     (["(or p h)", "(not h)"], I, MED, "disjunction with negated hypothesis", True),
 ])
+
+# Every rule id a written set may carry; a union carries none.
+RULE_IDS = frozenset(GENERATOR_RULE_IDS).union(rule.rule_id for rule in [*ALL_RULES, *PAIRWISE_INCONSISTENT_RULES])

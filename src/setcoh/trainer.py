@@ -63,7 +63,6 @@ from .model import (
     csr_ranges,
     encode,
     energies,
-    softmax,
 )
 
 # Ordered (more-consistent, less-consistent) comparisons; the first is
@@ -183,13 +182,6 @@ class TrainResult:
     params: ModelParams
     threshold: Threshold
     log: list[EpochStats]
-
-
-def hinge_loss(e_more_consistent: float, e_less_consistent: float, alpha: float) -> float:
-    """``max(e_more - e_less + alpha, 0)``: zero once the margin is satisfied."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a positive finite number, got {alpha}")
-    return max(e_more_consistent - e_less_consistent + alpha, 0.0)
 
 
 # A side, a set or the union of two, is one int64 key over a CountsCache's rows:
@@ -693,11 +685,6 @@ def train_binary(params: ModelParams, splits, config: TrainerConfig) -> TrainRes
     """Cross-entropy training of the 2-way head on the five set classes: every side of the eight-kind plan,
     whatever ``config.regime``; ``config.alpha``, a margin, plays no part."""
     return _train(params, splits, config, _binary_instances, "inconsistent-softmax")
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    probs = softmax(np.asarray(logits, dtype=np.float64))
-    return -float(np.log(max(probs[label], 1e-300)))
 
 
 def fine_tune(

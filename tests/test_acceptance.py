@@ -26,11 +26,11 @@ from setcoh.datagen import (
 from setcoh.logic import is_satisfiable
 from setcoh.model import (
     ModelParams,
-    binary_logits,
+    accumulate_grad_energy,
+    accumulate_grad_logits,
     build_vocabulary,
-    energy,
-    grad_energy,
-    grad_logits,
+    energy_from_counts,
+    logits_from_counts,
     serialize_set,
 )
 from setcoh.rules import ALL_RULES
@@ -49,6 +49,7 @@ from setcoh.verifier import (
     verify_elementwise,
     verify_set,
 )
+from reference import stream_counts, zero_grads
 
 SEED = 11
 QA_CONFIG = TrainerConfig(
@@ -171,14 +172,15 @@ def test_criterion_4_gradient_correctness(qa_corpus):
         params = ModelParams.init(vocab, d=5, h=4, seed=int(rng.integers(1 << 30)))
         for arr in params.arrays().values():
             arr += rng.normal(0, 0.05, arr.shape)
-        t = serialize_set(vocab, probe_sets[k % len(probe_sets)], shuffle_seed=k)
+        counts = stream_counts(serialize_set(vocab, probe_sets[k % len(probe_sets)], shuffle_seed=k), len(vocab))
+        grads = zero_grads(params)
         if k % 3 == 2:
             upstream = rng.normal(0, 1.0, 2)
-            _, grads = grad_logits(params, t, upstream)
-            fn = lambda: float(upstream @ binary_logits(params, t))
+            accumulate_grad_logits(params, counts, upstream, grads)
+            fn = lambda: float(upstream @ logits_from_counts(params, counts))
         else:
-            _, grads = grad_energy(params, t)
-            fn = lambda: energy(params, t)
+            accumulate_grad_energy(params, counts, grads)
+            fn = lambda: energy_from_counts(params, counts)
         probes += 1
         for name, arr in params.arrays().items():
             g = grads[name]

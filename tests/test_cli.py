@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import importlib
+import inspect
 import itertools
 import json
 import math
@@ -22,7 +23,9 @@ from setcoh.datagen import (QA_FLIPS, SPLIT_NAMES, GenerationError, MalformedRec
                             save_jsonl, set_to_json)
 from setcoh.logic import AtomRef, DataError, Implies, format_formula, parse_formula
 from setcoh.model import HEADS, ModelParams, build_vocabulary, encode, load_params, save_params
+from setcoh.rules import DIFFICULTIES, RULE_IDS
 from setcoh.trainer import Threshold, TrainerConfig
+import reference
 
 
 def run(*argv):
@@ -861,9 +864,18 @@ def test_every_error_class_chooses_its_exit_code():
     assert {cls.__name__ for cls in errors} - data == NON_INPUT_ERRORS
 
 
+def test_no_setcoh_module_has_a_function_of_the_tests_reference():
+    """What ``tests/reference.py`` defines belongs to the tests: no setcoh module defines or imports it."""
+    defined = [name for name, value in vars(reference).items()
+               if inspect.isfunction(value) and value.__module__ == reference.__name__]
+    modules = [setcoh, *(importlib.import_module(f"setcoh.{info.name}")
+                         for info in pkgutil.iter_modules(setcoh.__path__))]
+    assert [f"{m.__name__}.{name}" for m in modules for name in defined if hasattr(m, name)] == []
+
+
 # The per-stream reference layer in setcoh.model: the tests compare the batched paths against it.
 REFERENCE_FUNCTIONS = ("forward", "energy_from_counts", "logits_from_counts",
-                       "accumulate_grad_energy", "accumulate_grad_logits", "serialize_set", "stream_counts")
+                       "accumulate_grad_energy", "accumulate_grad_logits", "serialize_set")
 
 
 def test_no_command_calls_the_reference_layer(tmp_path, monkeypatch, small_qa_corpus):
@@ -1047,6 +1059,8 @@ MALFORMED = [
     # A subset's id in a score file is its set's id, '#' and its kept indices.
     (2, lambda record: json.dumps({**record, "id": record["id"] + "#0-1"})),
     (3, _setting("difficulty", "hard")),
+    (2, _setting("rule_id", "QA-SWAP")),
+    (3, _setting("rule_id", "QA-GEN ")),
 ]
 MALFORMED_IDS = [
     "not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
@@ -1055,7 +1069,7 @@ MALFORMED_IDS = [
     "provenance-X", "union-provenance", "label-contradicts-provenance", "unknown-kind", "sentence-with-question",
     "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field",
     "no-difficulty", "semantics-null", "context-empty", "gold-null", "qa-text-null", "sentence-question-null",
-    "duplicate-key", "formula-padded", "id-with-hash", "difficulty-unknown",
+    "duplicate-key", "formula-padded", "id-with-hash", "difficulty-unknown", "rule-id-unknown", "rule-id-padded",
 ]
 
 
@@ -1103,8 +1117,10 @@ def test_a_record_in_an_unread_split_is_refused_as_in_a_read_one(tmp_path, qa_di
     assert test_only == full
 
 
-# One edit of one key of a record, or of one of its statement entries.
-EDITS = ("drop", "null", "retype", "empty", "rename", "pad")
+# One edit of one key of a record, or of one of its statement entries; "unwritten" sets a record's key to a
+# string the writer never writes there.
+EDITS = ("drop", "null", "retype", "empty", "rename", "pad", "unwritten")
+WRITTEN = {"difficulty": DIFFICULTIES, "rule_id": RULE_IDS}
 
 
 def _edit(value, how, draw):
@@ -1119,16 +1135,27 @@ def _edit(value, how, draw):
     return {str: "", int: 0, list: [], dict: {}}.get(type(value), None)    # "empty"
 
 
+def _unwritten(values):
+    """A string not in ``values``: any text, or one of them cased, padded or cut short."""
+    near = st.tuples(st.sampled_from(sorted(values)),
+                     st.sampled_from([str.lower, str.upper, " {}".format, "{}\t".format, lambda v: v[:-1]]))
+    return st.one_of(st.text(), near.map(lambda pair: pair[1](pair[0]))).filter(lambda text: text not in values)
+
+
 @st.composite
 def _record_edits(draw, records):
-    """The index of a record of ``records`` and that record with one key dropped, nulled, retyped, emptied,
-    renamed or padded."""
-    index = draw(st.integers(0, len(records) - 1))
+    """The index of a record of ``records``, that record with one key dropped, nulled, retyped, emptied,
+    renamed or padded, or with a ``difficulty`` or ``rule_id`` the writer never writes, and that value or None."""
+    index, how = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(EDITS))
     record = copy.deepcopy(records[index])
+    if how == "unwritten":
+        key = draw(st.sampled_from(sorted(WRITTEN)))
+        record[key] = draw(_unwritten(WRITTEN[key]))
+        return index, record, record[key]
     target = record
     if draw(st.booleans()):
         target = draw(st.sampled_from(record["statements"]))
-    key, how = draw(st.sampled_from(sorted(target))), draw(st.sampled_from(EDITS))
+    key = draw(st.sampled_from(sorted(target)))
     if how == "drop":
         del target[key]
     elif how == "rename":
@@ -1136,7 +1163,7 @@ def _record_edits(draw, records):
             target.pop(key)
     else:
         target[key] = None if how == "null" else _edit(target[key], how, draw)
-    return index, record
+    return index, record, None
 
 
 @pytest.fixture(scope="module")
@@ -1154,13 +1181,16 @@ def small_records(tmp_path_factory):
 @given(data=st.data())
 def test_one_edited_record_loads_alike_whether_its_split_is_kept_or_not(small_records, data):
     directory, records = data.draw(st.sampled_from(small_records))
-    index, record = data.draw(_record_edits(records))
+    index, record, unwritten = data.draw(_record_edits(records))
     lines = [json.dumps(r) for r in records]
     lines[index] = json.dumps(record)
     (directory / "data.jsonl").write_text("\n".join(lines) + "\n")
     split = records[index]["id"].split("-", 1)[0]
     other = next(name for name in SPLIT_NAMES if name != split)
     full, other_only = _load_outcome(directory, SPLIT_NAMES), _load_outcome(directory, (other,))
+    if unwritten is not None:
+        assert isinstance(full, str) and full.startswith(f"{directory / 'data.jsonl'}:{index + 1}: ")
+        assert full.endswith(f", got {unwritten!r}")
     if isinstance(full, str):
         assert other_only == full
     else:

@@ -657,6 +657,8 @@ class TestStrictRecords:
         ({"difficulty": None}, "field 'difficulty' must be a string"),
         ({"difficulty": " medium"}, "field 'difficulty' must be 'easy' or 'medium', got ' medium'"),
         ({"rule_id": None}, "field 'rule_id' must be a string"),
+        ({"rule_id": "QA-SWAP"}, "field 'rule_id' must name a rule the generator writes, got 'QA-SWAP'"),
+        ({"rule_id": " QA-FLIP"}, "field 'rule_id' must name a rule the generator writes, got ' QA-FLIP'"),
         ({"context_semantics": None}, "field 'context_semantics' must be a list of strings"),
         ({"context_semantics": []}, "field 'context_semantics' must hold at least one formula when present"),
         ({"gold_inconsistent_indices": None}, "field 'gold_inconsistent_indices' must be a list of integers"),
@@ -678,9 +680,9 @@ class TestStrictRecords:
             "context-string", "statements-string", "id-int", "id-object", "label-object", "provenance-object",
             "kind-object", "context-syntax", "label-contradicts-provenance", "label-unknown", "label-missing",
             "unknown-set-field", "unknown-statement-field", "provenance-X", "statements-null", "difficulty-missing",
-            "difficulty-null", "difficulty-padded", "rule-id-null", "context-null", "context-empty",
-            "gold-null", "semantics-null", "qa-text-null", "sentence-question-null", "kind-null", "qa-answer-null",
-            "context-padded", "semantics-padded"])
+            "difficulty-null", "difficulty-padded", "rule-id-null", "rule-id-unknown", "rule-id-padded",
+            "context-null", "context-empty", "gold-null", "semantics-null", "qa-text-null", "sentence-question-null",
+            "kind-null", "qa-answer-null", "context-padded", "semantics-padded"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
         record = {key: value for key, value in {**BAD_BASE, **change}.items() if value is not DROP}
         path = self.write(tmp_path / "bad.jsonl", record)

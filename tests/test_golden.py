@@ -4,9 +4,10 @@ Criterion 10 compares two runs of the same code; this test compares the
 code with a manifest of earlier outputs, so a change that moves any bit of
 a corpus, a model, a threshold, a verdict, a score or a report fails here,
 however deterministically it moves it.  The commands are the README's, at
-its desk-scale flags, on both corpus styles, plus ``verify --dump-scores``
-with the energy model and with the oracle (every pair score element-wise
-verification reads).  They run through :func:`setcoh.cli.main` from one
+its desk-scale flags, on both corpus styles, as the benchmark's desk
+workloads run them (``bench/workloads.desk_steps``), plus ``verify
+--dump-scores`` with the energy model and with the oracle (every pair score
+element-wise verification reads).  They run through :func:`setcoh.cli.main` from one
 fixed relative directory, so each ``config.snapshot`` holds the same paths.
 
 The digests hold for one Python, numpy and BLAS; the manifest records them,
@@ -32,37 +33,25 @@ import numpy as np
 
 from setcoh import cli
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py, which imports its sibling modules by name)
+
 MANIFEST = Path(__file__).parent / "golden" / "readme-seed11.json"
-SEED = "11"
+SEED = 11
 RUN_DIR = "golden-run"        # the working directory, under the test's temporary directory
 
 
 def commands(style: str) -> list[list[str]]:
-    """The README commands for one corpus style, each writing under ``style/``; the
-    sentence models train for 5 epochs, as the benchmark's ``snli-desk`` trains them."""
-    data, energy = f"{style}/data", f"{style}/model/model.bin"
-    train = ["--data", data, "--seed", SEED, "--regime", "eight", "--lr", "2e-3",
-             "--epochs", "20" if style == "qa" else "5", "--pairs-per-epoch", "800"]
-
-    def evaluate(command: str, out: str, scorer: str, *flags: str) -> list[str]:
-        return [command, "--data", data, "--out", f"{style}/{out}", "--seed", "0", "--scorer", scorer, *flags]
-
-    steps = [
-        ["gen", "--style", style, "--seed", SEED, "--out", data, "--counts", "2000,200"],
-        ["train", "--out", f"{style}/model", *train],
-        ["train", "--arch", "binary", "--out", f"{style}/binary", *train],
-        evaluate("verify", "verify", energy, "--strategy", "set", "--mixture-per-class", "50"),
-        evaluate("verify", "verify_ew", energy, "--strategy", "elementwise", "--mixture-per-class", "50"),
-        evaluate("verify", "verify_oracle", "oracle", "--mixture-per-class", "50"),
-    ]
-    if style == "qa":               # sentence sets carry no gold indices
-        steps += [evaluate("locate", "locate", energy, "--mixture-per-class", "25"),
-                  evaluate("locate", "locate_oracle", "oracle", "--mixture-per-class", "25")]
-    steps.append(evaluate("sweep", "sweep", energy, "--mixture-per-class", "25"))
-    for name, scorer in (("energy", energy), ("oracle", "oracle")):
+    """The benchmark's README steps for one corpus style at full size, each writing under ``style/`` (the
+    sentence models train for 5 epochs, as ``snli-desk`` trains them), then ``verify --dump-scores`` with
+    the energy model and with the oracle, for both strategies."""
+    size = workloads.SIZES["full"][f"{style}-desk"]
+    steps = [argv for _, argv in workloads.desk_steps(style, SEED, size, Path(style))]
+    for name, scorer in (("energy", f"{style}/model/model.bin"), ("oracle", "oracle")):
         for strategy in ("set", "elementwise"):
-            steps.append(evaluate("verify", f"dump_{name}_{strategy}", scorer, "--strategy", strategy,
-                                  "--mixture-per-class", "50", "--dump-scores"))
+            steps.append(["verify", "--data", f"{style}/data", "--out", f"{style}/dump_{name}_{strategy}",
+                          "--seed", "0", "--scorer", scorer, "--strategy", strategy, "--mixture-per-class", "50",
+                          "--dump-scores"])
     return steps
 
 

@@ -16,18 +16,18 @@ from setcoh.model import (
     UNK_INDEX,
     UNK_TOKEN,
     VersionMismatchError,
-    binary_logits,
+    accumulate_grad_energy,
+    accumulate_grad_logits,
     build_vocabulary,
-    energy,
-    grad_energy,
-    grad_logits,
+    energy_from_counts,
     load_params,
+    logits_from_counts,
     save_params,
     serialize_set,
-    softmax,
     statement_text,
     tokenize,
 )
+from reference import softmax, stream_counts, zero_grads
 
 
 @pytest.fixture()
@@ -118,15 +118,16 @@ def _zero_params(vocab, d, h):
 
 def test_zero_params_energy_is_head_bias(qa_pair_set, vocab):
     params = _zero_params(vocab, d=6, h=5)
-    t = serialize_set(vocab, qa_pair_set, 0)
-    assert energy(params, t) == 0.0
+    counts = stream_counts(serialize_set(vocab, qa_pair_set, 0), len(vocab))
+    assert energy_from_counts(params, counts) == 0.0
     params.b_energy[()] = -1.75
-    assert energy(params, t) == -1.75
+    assert energy_from_counts(params, counts) == -1.75
 
 
 def test_permutation_invariance_is_exact(qa_pair_set, vocab):
     params = ModelParams.init(vocab, d=16, h=8, seed=3)
-    energies = {energy(params, serialize_set(vocab, qa_pair_set, k)) for k in range(8)}
+    energies = {energy_from_counts(params, stream_counts(serialize_set(vocab, qa_pair_set, k), len(vocab)))
+                for k in range(8)}
     assert len(energies) == 1
 
 
@@ -155,13 +156,13 @@ def test_heads_of_an_encode_batch_equal_the_reference_on_any_count_rows(data):
     _, hidden = model.encode(params, np.stack(rows))
     scores = {source: head(params, hidden) for source, head in model.HEADS.items()}
     for r, row in enumerate(rows):
-        assert model.energy_from_counts(params, row) == scores["energy"][r]
-        assert softmax(model.logits_from_counts(params, row))[1] == scores["inconsistent-softmax"][r]
+        assert energy_from_counts(params, row) == scores["energy"][r]
+        assert softmax(logits_from_counts(params, row))[1] == scores["inconsistent-softmax"][r]
 
 
 def test_zero_params_softmax_is_uniform(qa_pair_set, vocab):
     params = _zero_params(vocab, d=6, h=5)
-    logits = binary_logits(params, serialize_set(vocab, qa_pair_set, 0))
+    logits = logits_from_counts(params, stream_counts(serialize_set(vocab, qa_pair_set, 0), len(vocab)))
     assert softmax(logits) == pytest.approx([0.5, 0.5])
 
 
@@ -189,23 +190,23 @@ def _fd_check(params, f, grads, step=1e-4):
 
 def test_energy_gradient_matches_finite_differences(qa_pair_set, vocab):
     params = ModelParams.init(vocab, d=5, h=4, seed=1)
-    t = serialize_set(vocab, qa_pair_set, 0)
-    _, grads = grad_energy(params, t)
-    assert _fd_check(params, lambda: energy(params, t), grads) <= 1e-4
+    counts, grads = stream_counts(serialize_set(vocab, qa_pair_set, 0), len(vocab)), zero_grads(params)
+    accumulate_grad_energy(params, counts, grads)
+    assert _fd_check(params, lambda: energy_from_counts(params, counts), grads) <= 1e-4
 
 
 def test_logit_gradient_matches_finite_differences(qa_pair_set, vocab):
     params = ModelParams.init(vocab, d=5, h=4, seed=2)
-    t = serialize_set(vocab, qa_pair_set, 0)
+    counts, grads = stream_counts(serialize_set(vocab, qa_pair_set, 0), len(vocab)), zero_grads(params)
     upstream = np.array([0.3, -1.1])
-    _, grads = grad_logits(params, t, upstream)
-    assert _fd_check(params, lambda: float(upstream @ binary_logits(params, t)), grads) <= 1e-4
+    accumulate_grad_logits(params, counts, upstream, grads)
+    assert _fd_check(params, lambda: float(upstream @ logits_from_counts(params, counts)), grads) <= 1e-4
 
 
 def test_gradient_zero_for_absent_tokens(qa_pair_set, vocab):
     params = ModelParams.init(vocab, d=5, h=4, seed=3)
-    t = serialize_set(vocab, qa_pair_set, 0)
-    _, grads = grad_energy(params, t)
+    t, grads = serialize_set(vocab, qa_pair_set, 0), zero_grads(params)
+    accumulate_grad_energy(params, stream_counts(t, len(vocab)), grads)
     present = set(t.tokens)
     for row in range(len(vocab)):
         if row not in present:
@@ -215,10 +216,11 @@ def test_gradient_zero_for_absent_tokens(qa_pair_set, vocab):
 def test_energy_head_gradient_is_hidden_activation(qa_pair_set, vocab):
     # affine head: d(energy)/d(w_energy) equals the hidden vector, for any head value
     params = ModelParams.init(vocab, d=5, h=4, seed=4)
-    t = serialize_set(vocab, qa_pair_set, 0)
-    _, grads1 = grad_energy(params, t)
+    counts = stream_counts(serialize_set(vocab, qa_pair_set, 0), len(vocab))
+    grads1, grads2 = zero_grads(params), zero_grads(params)
+    accumulate_grad_energy(params, counts, grads1)
     params.w_energy += 2.5
-    _, grads2 = grad_energy(params, t)
+    accumulate_grad_energy(params, counts, grads2)
     assert np.allclose(grads1["w_energy"], grads2["w_energy"])
 
 
@@ -234,8 +236,8 @@ class TestParamsFile:
         path = tmp_path / "m.bin"
         save_params(params, path)
         loaded = load_params(path)
-        t = serialize_set(vocab, qa_pair_set, 5)
-        assert energy(params, t) == energy(loaded, t)
+        counts = stream_counts(serialize_set(vocab, qa_pair_set, 5), len(vocab))
+        assert energy_from_counts(params, counts) == energy_from_counts(loaded, counts)
         assert loaded.init_seed == 9
         assert loaded.vocab.tokens == vocab.tokens
         for name, arr in params.arrays().items():

@@ -21,13 +21,11 @@ from setcoh.datagen import pools
 from setcoh.logic import is_satisfiable
 from setcoh.model import (
     ModelParams,
-    binary_logits,
     build_vocabulary,
-    energy,
+    energy_from_counts,
+    logits_from_counts,
     serialize_set,
-    softmax,
     statement_text,
-    stream_counts,
 )
 from setcoh.verifier import (
     BinarySoftmaxScorer,
@@ -38,7 +36,7 @@ from setcoh.verifier import (
     verify_elementwise,
     verify_set,
 )
-from token_reference import assert_batches_equal, count_rows, subset_counts
+from reference import assert_batches_equal, count_rows, softmax, stream_counts, subset_counts
 
 
 class Hidden:
@@ -84,13 +82,14 @@ def test_model_score_many_equals_the_serialized_reference(corpus_name, request):
         for r, (keep, e, p) in enumerate(zip(keeps, energies, softmaxes)):
             subset = _copy(s, keep)
             # The old scoring path: a shuffled stream seeded from the subset's id.
-            t = serialize_set(params.vocab, subset, zlib.crc32(subset.id.encode("utf-8")))
-            assert_batches_equal(batch[r], stream_counts(t, len(params.vocab)))
-            assert e == energy(params, t)
-            assert p == float(softmax(binary_logits(params, t))[1])
+            counts = stream_counts(serialize_set(params.vocab, subset, zlib.crc32(subset.id.encode("utf-8"))),
+                                   len(params.vocab))
+            assert_batches_equal(batch[r], counts)
+            assert e == energy_from_counts(params, counts)
+            assert p == float(softmax(logits_from_counts(params, counts))[1])
     for s in corpus.train:
         t = serialize_set(params.vocab, s, zlib.crc32(s.id.encode("utf-8")))
-        assert energy_scorer.score(s) == energy(params, t)
+        assert energy_scorer.score(s) == energy_from_counts(params, stream_counts(t, len(params.vocab)))
 
 
 def _union_mixture(corpus, per_class=4):

@@ -14,13 +14,9 @@ from setcoh.model import (
     accumulate_grad_energy,
     accumulate_grad_logits,
     build_vocabulary,
-    energy,
     energy_from_counts,
     logits_from_counts,
     serialize_set,
-    softmax,
-    stream_counts,
-    zero_grads,
 )
 from setcoh.trainer import (
     CONTRAST_KINDS,
@@ -44,14 +40,12 @@ from setcoh.trainer import (
     _threshold_scan,
     build_contrast_batch,
     build_threshold_mixture,
-    cross_entropy,
     fine_tune,
-    hinge_loss,
     learn_threshold,
     train,
     train_binary,
 )
-from token_reference import assert_batches_equal, count_rows, subset_counts
+from reference import assert_batches_equal, count_rows, hinge_loss, softmax, stream_counts, subset_counts, zero_grads
 
 
 def _rows(sets, parts):
@@ -140,10 +134,9 @@ class TestContrastBatch:
         cache = CountsCache(vocab, pool_c + pool_i)
         params = ModelParams.init(vocab, d=8, h=6, seed=0)
         batch = build_contrast_batch(pool_c, pool_i, "eight", rng_seed=3, pairs=2)
-        from setcoh.model import energy_from_counts
         for inst in batch:
             via_cache = energy_from_counts(params, cache.counts(_rows(pool_c + pool_i, inst.more_parts)))
-            via_stream = energy(params, serialize_set(vocab, inst.more, 0))
+            via_stream = energy_from_counts(params, stream_counts(serialize_set(vocab, inst.more, 0), len(vocab)))
             assert via_cache == via_stream
 
 
@@ -234,8 +227,6 @@ class TestTraining:
         pool_c, pool_i = pools(small_qa_corpus.train)
         vocab = build_vocabulary(small_qa_corpus.train)
         cache = CountsCache(vocab, pool_c + pool_i)
-        from setcoh.model import energy_from_counts, zero_grads, accumulate_grad_energy
-
         params = ModelParams.init(vocab, d=8, h=6, seed=2)
         inst = build_contrast_batch(pool_c, pool_i, "basic", rng_seed=0, pairs=1)[0]
         counts_more, counts_less = (cache.counts(_rows(pool_c + pool_i, parts))
@@ -306,10 +297,6 @@ class TestTraining:
 
 
 class TestBinary:
-    def test_cross_entropy_values(self):
-        assert cross_entropy(np.array([0.0, 0.0]), 0) == pytest.approx(math.log(2))
-        assert cross_entropy(np.array([10.0, -10.0]), 0) == pytest.approx(0.0, abs=1e-6)
-
     def test_train_binary_returns_softmax_threshold(self, small_qa_corpus):
         vocab = build_vocabulary(small_qa_corpus.train)
         params = ModelParams.init(vocab, d=8, h=6, seed=7)
