@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -51,6 +52,7 @@ from .model import (
 from .trainer import TrainerConfig, TrainingDivergedError, Threshold
 
 DATA_FILE = "data.jsonl"
+CERTIFICATE_FILE = DATA_FILE + ".sha256"     # gen's sha256sum line for the data.jsonl it wrote
 MODEL_FILE = "model.bin"
 THRESHOLD_FILE = "threshold.txt"
 METRICS_FILE = "metrics.csv"
@@ -111,17 +113,46 @@ def _write_summary(out: Path, payload: dict) -> None:
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _certificate(path: Path) -> bytes:
+    """The ``sha256sum`` line of the file ``path`` as it is now: its sha256 in lowercase hex, two spaces, its name."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return f"{digest.hexdigest()}  {path.name}\n".encode()
+
+
+def _certified(path: Path) -> bool:
+    """Whether :data:`CERTIFICATE_FILE` beside ``path`` is exactly :func:`_certificate` of ``path``'s bytes.
+
+    A certificate or corpus that cannot be read, or any other byte in the
+    certificate, leaves the file uncertified.
+    """
+    try:
+        with open(path.with_name(CERTIFICATE_FILE), "rb") as fh:
+            line = _certificate(path)
+            return fh.read(len(line) + 1) == line
+    except OSError:
+        return False
+
+
 def load_corpus(data_dir: Path, splits: Sequence[str] = SPLIT_NAMES) -> DatasetSplit:
     """The sets of ``splits`` in data.jsonl, each filed under its split by the id prefix convention.
 
-    Every record of every split is decoded and checked: a set whose id
-    names no split or holds ``#`` (which marks a subset's score-file id,
-    :func:`~setcoh.verifier.subset_id`), or that is a union
+    Every record is decoded and checked, but one of a split not in
+    ``splits`` of a file that gen certified (:func:`_certified`), which
+    :func:`datagen.load_jsonl` passes over by its ``<split>-`` id prefix;
+    any edit of the file changes its sha256 and so restores the whole
+    check.  A set whose id names no split or holds ``#`` (which marks a
+    subset's score-file id, :func:`~setcoh.verifier.subset_id`), or that is a union
     (:func:`datagen._check_base`), is refused at its line.  Only the
     records of ``splits`` are built into sets; the other splits are left
     empty.  The sets built share equal values as :func:`datagen.load_jsonl`
     says.
     """
+    path = data_dir / DATA_FILE
+    unread = [name for name in SPLIT_NAMES if name not in splits]
+    skip = [f"{name}-" for name in unread] if unread and _certified(path) else ()
     corpus = DatasetSplit()
     buckets = corpus.splits()
 
@@ -134,7 +165,7 @@ def load_corpus(data_dir: Path, splits: Sequence[str] = SPLIT_NAMES) -> DatasetS
         _check_base(set_id, provenance)
         return name in splits
 
-    for s in load_jsonl(data_dir / DATA_FILE, kept):
+    for s in load_jsonl(path, kept, skip):
         buckets[s.id.split("-", 1)[0]].append(s)
     return corpus
 
@@ -175,6 +206,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out = _write_snapshot(args)
     ordered = [s for sets in build_splits(config, args.seed).splits().values() for s in sets]
     save_jsonl(ordered, out / DATA_FILE)
+    (out / CERTIFICATE_FILE).write_bytes(_certificate(out / DATA_FILE))
     print(f"wrote {len(ordered)} sets to {out / DATA_FILE}")
     return 0
 

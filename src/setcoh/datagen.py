@@ -1016,7 +1016,7 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
             fh.write(json.dumps(set_to_json(s)) + "\n")
 
 
-def load_jsonl(path, keep: Callable[[str, str], bool] | None = None) -> list[StatementSet]:
+def load_jsonl(path, keep: Callable[[str, str], bool] | None = None, skip: Sequence[str] = ()) -> list[StatementSet]:
     """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
 
     Every record is decoded and checked by one :class:`_Reader` (a key must
@@ -1026,15 +1026,20 @@ def load_jsonl(path, keep: Callable[[str, str], bool] | None = None) -> list[Sta
     record's id and provenance whether to keep it; only the records it
     returns true for are built into sets (all of them without ``keep``), and
     a ValueError it raises is reported at that record's line, as a bad
-    record is.  The sets built share each equal string, gold tuple and
+    record is.  ``skip`` holds id prefixes: a line that begins as
+    :func:`save_jsonl` begins the line of a set whose id starts with one of
+    them (the writer puts the id first) is passed over undecoded and
+    unchecked, so only a caller that knows the file to hold
+    :func:`save_jsonl`'s own bytes may pass it.  The sets built share each equal string, gold tuple and
     namespace set, and each statement and context list equal to one of the
     set built before; formulas are parsed where they are read.  Lines are
     those of :func:`~setcoh.logic.read_lines`.
     """
     reader = _Reader(keep)
+    starts = tuple(json.dumps({_SET_KEYS[0]: prefix})[:-2] for prefix in skip)    # without the closing '"}'
     for lineno, line in read_lines(path, MalformedRecordError):
         try:
-            if line.strip():
+            if not line.startswith(starts) and line.strip():
                 reader.read(_decode(line), lineno)
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc

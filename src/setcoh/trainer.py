@@ -603,6 +603,8 @@ def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], step: _Step, 
     pair adds its ``more`` then its ``less`` gradient; a labelled batch
     pays the cross-entropy, in batch order.  Each distinct side is encoded
     once; the sides' order changes no sum, which follow the calls' order.
+    The energy bias's gradient is left as the zeroed ``grads`` hold it:
+    each active pair adds ``+1/B`` then ``-1/B``, which sum to ``+0.0``.
     """
     at = step.at
     pooled, hidden = encode(params, step.counts)
@@ -615,7 +617,6 @@ def _batch_step(params: ModelParams, grads: dict[str, np.ndarray], step: _Step, 
         signs[1::2] = -scale
         d_hidden = signs[:, None] * params.w_energy
         grads["w_energy"][...] = (signs[:, None] * hidden[calls]).sum(axis=0)
-        grads["b_energy"][...] = _in_order(signs)
     else:
         calls, labels, rows = at, step.labels, np.arange(len(at))
         upstream = class_softmax(params, hidden)[calls]

@@ -350,6 +350,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
                      "--scorer", "oracle", "--mixture-per-class", "3"]) == 0
         outputs.append({
             "data.jsonl": (gen_dir / "data.jsonl").read_bytes(),
+            "data.jsonl.sha256": (gen_dir / "data.jsonl.sha256").read_bytes(),
             "model.bin": (model_dir / "model.bin").read_bytes(),
             "threshold.txt": (model_dir / "threshold.txt").read_bytes(),
             "train_log.csv": (model_dir / "train_log.csv").read_bytes(),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import itertools
@@ -121,6 +122,27 @@ class TestLoadCorpus:
         full, only_test = load_corpus(qa_dir), load_corpus(qa_dir, ("test",))
         assert [set_to_json(s) for s in only_test.test] == [set_to_json(s) for s in full.test]
         assert only_test.train == only_test.validation1 == only_test.validation2 == []
+
+    @pytest.mark.parametrize("certified", [True, False], ids=["certified", "uncertified"])
+    def test_only_a_certified_load_of_fewer_splits_passes_over_lines(self, tmp_path, qa_dir, monkeypatch,
+                                                                     certified):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "data.jsonl").write_bytes((qa_dir / "data.jsonl").read_bytes())
+        if certified:
+            (data / "data.jsonl.sha256").write_bytes((qa_dir / "data.jsonl.sha256").read_bytes())
+        decoded, hashed = [], []
+        monkeypatch.setattr(datagen, "_decode", lambda line, decode=datagen._decode: decoded.append(line) or
+                            decode(line))
+        monkeypatch.setattr(cli, "_certificate", lambda path, line=cli._certificate: hashed.append(path) or
+                            line(path))
+        lines = (data / "data.jsonl").read_text().splitlines()
+        for splits in (("test",), ("train", "validation1"), (), SPLIT_NAMES, SPLIT_NAMES[::-1]):
+            decoded.clear(), hashed.clear()
+            load_corpus(data, splits)
+            read = [line for line in lines if json.loads(line)["id"].split("-", 1)[0] in splits]
+            assert decoded == (read if certified else lines)
+            assert hashed == ([data / "data.jsonl"] if certified and len(splits) < 4 else [])
 
     def test_records_of_other_splits_are_not_built(self, qa_dir, monkeypatch):
         built = {datagen.Statement: 0, datagen.StatementSet: 0}
@@ -1073,8 +1095,14 @@ MALFORMED_IDS = [
 ]
 
 
-def _edited_corpus(qa_dir, directory, line, edit):
-    """``qa_dir``'s corpus with record ``line`` edited, in ``directory``; returns the edited record's line."""
+# Each MALFORMED edit alone, then with gen's certificate of the file before the edit copied beside it.
+MALFORMED_CASES = [pytest.param(line, edit, certified, id=name + ("-certified" if certified else ""))
+                   for certified in (False, True) for (line, edit), name in zip(MALFORMED, MALFORMED_IDS)]
+
+
+def _edited_corpus(qa_dir, directory, line, edit, certified=False):
+    """``qa_dir``'s corpus with record ``line`` edited, in ``directory``, with gen's certificate of the unedited
+    file if ``certified``; returns the edited record's line."""
     lines = (qa_dir / "data.jsonl").read_bytes().splitlines()
     record = json.loads(lines[line - 1])
     assert record["id"].startswith("train-")
@@ -1083,19 +1111,24 @@ def _edited_corpus(qa_dir, directory, line, edit):
     lines[line - 1] = bad if isinstance(bad, bytes) else bad.encode("utf-8")
     directory.mkdir()
     (directory / "data.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    if certified:
+        (directory / "data.jsonl.sha256").write_bytes((qa_dir / "data.jsonl.sha256").read_bytes())
     return line + lines[line - 1].count(b"\n")     # an inserted blank line moves the record down, and is skipped
 
 
-@pytest.mark.parametrize("line, edit", MALFORMED, ids=MALFORMED_IDS)
-def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, capsys):
+@pytest.mark.parametrize("line, edit, certified", MALFORMED_CASES)
+def test_malformed_record_exit_3(tmp_path, qa_dir, line, edit, certified, capsys):
     data = tmp_path / "bad"
-    line = _edited_corpus(qa_dir, data, line, edit)
-    # verify and locate keep only the test split, sweep only validation2: each still refuses a train record.
+    line = _edited_corpus(qa_dir, data, line, edit, certified)
+    message = _load_outcome(data, SPLIT_NAMES)
+    # verify and locate keep only the test split, sweep only validation2: each still refuses a train record,
+    # with the message of a load of every split.
     for command in ("verify", "locate", "sweep"):
         code = run(command, "--data", data, "--out", tmp_path / "o", "--scorer", "oracle", "--mixture-per-class", "2")
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"error: {data / 'data.jsonl'}:{line}: ")
+        assert err == f"error: {message}\n"
         assert "Traceback" not in err
 
 
@@ -1108,13 +1141,46 @@ def _load_outcome(data, splits):
     return {name: [set_to_json(s) for s in sets] for name, sets in corpus.splits().items()}
 
 
-@pytest.mark.parametrize("line, edit", MALFORMED, ids=MALFORMED_IDS)
-def test_a_record_in_an_unread_split_is_refused_as_in_a_read_one(tmp_path, qa_dir, line, edit):
+@pytest.mark.parametrize("line, edit, certified", MALFORMED_CASES)
+def test_a_record_in_an_unread_split_is_refused_as_in_a_read_one(tmp_path, qa_dir, line, edit, certified):
     data = tmp_path / "bad"
-    _edited_corpus(qa_dir, data, line, edit)
+    _edited_corpus(qa_dir, data, line, edit, certified)
     full, test_only = _load_outcome(data, SPLIT_NAMES), _load_outcome(data, ("test",))
     assert isinstance(full, str)
     assert test_only == full
+
+
+# Certificates that are not gen's line for the file's current bytes, made from that line.
+NOT_CERTIFICATES = {
+    "empty": lambda line: b"",
+    "another-digest": lambda line: hashlib.sha256(b"another file").hexdigest().encode() + line[64:],
+    "another-name": lambda line: line.replace(b"  data.jsonl", b"  other.jsonl"),
+    "uppercase-hex": lambda line: line[:64].upper() + line[64:],
+    "extra-line": lambda line: line + b"\n",
+    "no-newline": lambda line: line[:-1],
+    "binary-mode": lambda line: line.replace(b"  ", b" *"),
+    "not-utf8": lambda line: line[:-1] + b"\xff\n",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("kind", NOT_CERTIFICATES)
+def test_a_certificate_not_of_the_current_bytes_leaves_every_load_as_uncertified(tmp_path, qa_dir, kind):
+    unedited = tmp_path / "unedited"
+    unedited.mkdir()
+    (unedited / "data.jsonl").write_bytes((qa_dir / "data.jsonl").read_bytes())
+    edited = tmp_path / "edited"
+    _edited_corpus(qa_dir, edited, 2, _setting("rule_id", "QA-SWAP"))
+    selections = [("test",), ("validation2",), ("train", "validation1"), SPLIT_NAMES]
+    for data in (unedited, edited):
+        uncertified = [_load_outcome(data, splits) for splits in selections]
+        line = f"{hashlib.sha256((data / 'data.jsonl').read_bytes()).hexdigest()}  data.jsonl\n".encode()
+        if NOT_CERTIFICATES[kind] is None:
+            (data / "data.jsonl.sha256").mkdir()
+        else:
+            (data / "data.jsonl.sha256").write_bytes(NOT_CERTIFICATES[kind](line))
+        assert [_load_outcome(data, splits) for splits in selections] == uncertified
+    assert all(isinstance(outcome, str) for outcome in uncertified)
 
 
 # One edit of one key of a record, or of one of its statement entries; "unwritten" sets a record's key to a
@@ -1197,3 +1263,20 @@ def test_one_edited_record_loads_alike_whether_its_split_is_kept_or_not(small_re
         assert other_only == {name: full[name] if name == other else [] for name in SPLIT_NAMES}
         # A record the reader takes is one the writer writes back unchanged, the edited one too.
         assert [r for name in SPLIT_NAMES for r in full[name]] == [*records[:index], record, *records[index + 1:]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(style=st.sampled_from(["qa", "snli"]), seed=st.integers(0, 2**32), train=st.integers(1, 4),
+       evaluation=st.integers(1, 3), flips=st.lists(st.sampled_from(QA_FLIPS), min_size=1, unique=True))
+def test_gen_certifies_a_corpus_that_every_split_selection_loads_alike(tmp_path_factory, style, seed, train,
+                                                                       evaluation, flips):
+    data = tmp_path_factory.mktemp("gen")
+    argv = ["gen", "--style", style, "--seed", seed, "--counts", f"{train},{evaluation}", "--out", data]
+    assert run(*argv, *(["--qa-flips", ",".join(flips)] if style == "qa" else [])) == 0
+    assert isinstance(_load_outcome(data, SPLIT_NAMES), dict)
+    digest = hashlib.sha256((data / "data.jsonl").read_bytes()).hexdigest()
+    assert (data / "data.jsonl.sha256").read_text() == f"{digest}  data.jsonl\n"
+    selections = [splits for n in range(len(SPLIT_NAMES) + 1) for splits in itertools.combinations(SPLIT_NAMES, n)]
+    certified = [_load_outcome(data, splits) for splits in selections]
+    (data / "data.jsonl.sha256").unlink()
+    assert [_load_outcome(data, splits) for splits in selections] == certified

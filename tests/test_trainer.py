@@ -269,6 +269,14 @@ class TestTraining:
             range(len(result.log)), key=lambda e: (result.log[e].val1_macro_acc, -e)
         )
 
+    def test_energy_training_leaves_the_energy_bias_at_its_initial_bits(self, small_qa_corpus):
+        params = ModelParams.init(build_vocabulary(small_qa_corpus.train), d=8, h=6, seed=4)
+        params.b_energy[()] = -1.75
+        config = TrainerConfig(epochs=3, rng_seed=4, pairs_per_epoch=16, val_per_class=4)
+        result = train(params, small_qa_corpus, config)
+        assert result.params.b_energy.tobytes() == params.b_energy.tobytes()
+        assert not np.array_equal(result.params.w_energy, params.w_energy)
+
     def test_divergence_aborts_with_epoch_report(self, small_qa_corpus):
         vocab = build_vocabulary(small_qa_corpus.train)
         params = ModelParams.init(vocab, d=8, h=6, seed=6)
