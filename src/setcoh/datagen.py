@@ -897,118 +897,6 @@ def _known(record: dict, keys: frozenset[str]) -> None:
         raise MalformedRecordError(f"unknown field {next(key for key in record if key not in keys)!r}")
 
 
-class _Reader:
-    """One read of a JSONL file: :meth:`read` checks each decoded record and appends the sets ``keep`` keeps to
-    ``sets``.  The read drops it when it ends; ``first_line`` maps each set id met to its line.
-
-    The sets built share equal values, so that each is held once.  ``share(value, value)`` returns the first
-    value the read met equal to ``value``: strings, gold tuples and namespace sets, which repeat across the file
-    and no two types of which compare equal.  Statements and context lists repeat only in the record just before,
-    the other set of a C/I pair, so only that record's are kept: ``statements`` maps each statement entry (its
-    :data:`_STATEMENT_KEYS` values) of the last set built to its :class:`Statement`, and ``last_context`` holds
-    the last context list checked, as a tuple, its namespaces and the one deferred parse that the sets built with
-    it share.  ``check`` parses one formula text of each distinct shape (:class:`FormulaChecker`).
-    """
-
-    def __init__(self, keep: Callable[[str, str], bool] | None) -> None:
-        self.keep, self.sets, self.first_line = keep, [], {}
-        self.check, self.share, self.statements = FormulaChecker(), {}.setdefault, {}
-        self.last_context: tuple[tuple[str, ...], frozenset[str], partial | None] = ((), frozenset(), None)
-
-    def read(self, decoded, lineno: int) -> None:
-        """Check the decoded record of line ``lineno``, then ask ``keep`` with its id and provenance and build it.
-
-        A repeated or unknown key (one :func:`set_to_json` never writes), a null record or statement field, a
-        field of the wrong JSON type, an empty ``context_semantics``, a missing ``difficulty`` or ``statements``,
-        a ``difficulty`` not in :data:`~setcoh.rules.DIFFICULTIES` or a ``rule_id`` not in
-        :data:`~setcoh.rules.RULE_IDS` is a :class:`MalformedRecordError`; each
-        statement entry and the set's fields must pass the rules of :class:`Statement` and
-        :class:`StatementSet`, its ``label`` must be the one its provenance gives, each formula text one the
-        writer writes, and its id new.  A context list equal to the last one checked is
-        not checked again; formula texts are parsed only when a ``semantics`` or ``context_semantics`` is read.
-        """
-        if type(decoded) is not tuple:
-            raise MalformedRecordError("a record must be a JSON object")
-        record = dict(decoded)
-        if len(record) < len(decoded):
-            raise _repeated(decoded)
-        _known(record, _KNOWN_SET_KEYS)
-        if record.get("statements") is None:
-            raise MalformedRecordError("missing field 'statements'")
-        entries, texts = [], []
-        for i, pairs in enumerate(_field(record, "statements", tuple)):
-            try:
-                entry = dict(pairs)
-                if len(entry) < len(pairs):
-                    raise _repeated(pairs)
-                if not entry.keys() <= _KNOWN_STATEMENT_KEYS:  # tested inline: a call per entry costs ~2% of a load
-                    _known(entry, _KNOWN_STATEMENT_KEYS)
-                kind, text, question, answer, semantics = values = (
-                    entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
-                    entry.get("semantics"))
-                try:
-                    _check_statement(kind, text, question, answer)
-                except ValueError:  # again, to print an object-valued kind as the dict it stands for
-                    _check_statement(_shown(kind), text, question, answer)
-                if None in entry.values():  # a null, which _check_statement reads as absent, is not a string
-                    _field(entry, next(key for key, value in entry.items() if value is None))
-                _field(entry, "semantics")
-            except ValueError as exc:
-                raise MalformedRecordError(f"statement {i}: {exc}") from exc
-            entries.append(values)
-            if semantics is not None:
-                texts.append(semantics)
-        context = _field(record, "context_semantics", str)
-        if context == []:
-            raise MalformedRecordError("field 'context_semantics' must hold at least one formula when present")
-        gold, rule_id = _field(record, "gold_inconsistent_indices", int), _field(record, "rule_id")
-        difficulty = _field(record, "difficulty")
-        if difficulty not in DIFFICULTIES:
-            if difficulty is None:
-                raise MalformedRecordError("missing field 'difficulty'")
-            raise MalformedRecordError(f"field 'difficulty' must be {' or '.join(map(repr, DIFFICULTIES))}, "
-                                       f"got {difficulty!r}")
-        if rule_id is not None and rule_id not in RULE_IDS:
-            raise MalformedRecordError(f"field 'rule_id' must name a rule the generator writes, got {rule_id!r}")
-        set_id, provenance = record.get("id"), record.get("provenance")
-        try:
-            _check_set(set_id, len(entries), provenance, gold)
-        except ValueError:  # again, to print an object-valued id or provenance as the dict it stands for
-            _check_set(_shown(set_id), len(entries), _shown(provenance), gold)
-        label = record.get("label")
-        if label != _label(provenance):
-            raise MalformedRecordError(f"set {set_id!r}: label {_shown(label)!r} contradicts provenance "
-                                       f"{provenance!r}")
-        namespaces = self.check.namespaces(texts)
-        if context:
-            context = tuple(context)
-            if context != self.last_context[0]:
-                self.last_context = context, self.check.namespaces(context), partial(_parse_all, context)
-            namespaces |= self.last_context[1]
-        if set_id in self.first_line:
-            raise MalformedRecordError(f"duplicate set id {set_id!r} (first on line {self.first_line[set_id]})")
-        self.first_line[set_id] = lineno
-        if self.keep is not None and not self.keep(set_id, provenance):
-            return
-        share, last, self.statements = self.share, self.statements, {}
-        statements = []
-        for entry in entries:
-            statement = self.statements.get(entry) or last.get(entry)
-            if statement is None:
-                fields = list(map(share, entry, entry))
-                statement = Statement(*fields[:4])
-                if entry[4] is not None:
-                    _defer(statement, "semantics", fields[4])
-            statements.append(self.statements.setdefault(entry, statement))
-        gold = gold if gold is None else tuple(gold)
-        out = StatementSet(id=set_id, statements=statements, provenance=provenance, rule_id=share(rule_id, rule_id),
-                           difficulty=share(difficulty, difficulty), gold_inconsistent_indices=share(gold, gold))
-        if context:
-            _defer(out, "context_semantics", self.last_context[2])
-        out._namespaces = share(namespaces, namespaces)
-        self.sets.append(out)
-
-
 def save_jsonl(sets: Iterable[StatementSet], path) -> None:
     """One StatementSet per line, UTF-8, LF-terminated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -1017,30 +905,131 @@ def save_jsonl(sets: Iterable[StatementSet], path) -> None:
 
 
 def load_jsonl(path, keep: Callable[[str, str], bool] | None = None, skip: Sequence[str] = ()) -> list[StatementSet]:
-    """Inverse of :func:`save_jsonl`; reports the file and line of a bad record.
+    """Inverse of :func:`save_jsonl`: the sets of the records of ``path``, one a line, as
+    :func:`~setcoh.logic.read_lines` reads lines; a blank line is passed over.
 
-    Every record is decoded and checked by one :class:`_Reader` (a key must
-    not repeat in it or in a statement entry).  Set ids must be unique:
-    scores, caches and score files refer to sets by id, so a repeated id is
-    rejected like any other bad record.  ``keep``, when given, is asked with each checked
-    record's id and provenance whether to keep it; only the records it
-    returns true for are built into sets (all of them without ``keep``), and
-    a ValueError it raises is reported at that record's line, as a bad
-    record is.  ``skip`` holds id prefixes: a line that begins as
-    :func:`save_jsonl` begins the line of a set whose id starts with one of
-    them (the writer puts the id first) is passed over undecoded and
-    unchecked, so only a caller that knows the file to hold
-    :func:`save_jsonl`'s own bytes may pass it.  The sets built share each equal string, gold tuple and
-    namespace set, and each statement and context list equal to one of the
-    set built before; formulas are parsed where they are read.  Lines are
-    those of :func:`~setcoh.logic.read_lines`.
+    Each record is checked in full, then ``keep``, when given, is asked with its id and provenance whether to
+    build it into a set.  A bad record, or a ValueError of ``keep``, raises :class:`MalformedRecordError` as
+    ``<path>:<line>: <reason>``.  A record is bad when it is not a JSON object, or nests past the decoder's
+    recursion limit; when it or a statement entry repeats a key or holds one :func:`set_to_json` never writes, or
+    a field is null or of the wrong JSON type; when ``statements`` or ``difficulty`` is missing,
+    ``context_semantics`` is empty, ``difficulty`` is not in :data:`~setcoh.rules.DIFFICULTIES` or ``rule_id``
+    not in :data:`~setcoh.rules.RULE_IDS`; when a statement entry or the set's fields break the rules of
+    :class:`Statement` and :class:`StatementSet`, its ``label`` is not the one its provenance gives, a formula
+    text is not one the writer writes or nests past :data:`~setcoh.logic.DEPTH_BUDGET` connectives, or its id
+    or a statement's text, question or answer holds a lone surrogate; and when its id was met before (scores,
+    caches and score files refer to sets by id).  ``skip`` holds id prefixes: a line that begins as
+    :func:`save_jsonl` begins the line of a set whose id starts with one of them (the writer puts the id first)
+    is passed over undecoded and unchecked, so only a caller that knows the file to hold :func:`save_jsonl`'s
+    own bytes may pass it.
+
+    The sets built share equal values, so that each is held once.  ``share(value, value)`` returns the first
+    value met equal to ``value``: strings, gold tuples and namespace sets, which repeat across the file and no
+    two types of which compare equal.  Statements and context lists repeat only in the record just before, the
+    other set of a C/I pair, so only that record's are held: ``last`` maps each statement entry (its
+    :data:`_STATEMENT_KEYS` values) of the last set built to its :class:`Statement`, and ``last_context`` holds
+    the last context list checked, as a tuple, its namespaces and the one deferred parse that the sets built
+    with it share; a context list equal to it is not checked again.  ``check`` parses one formula text of each
+    distinct shape (:class:`FormulaChecker`); a set's formulas are parsed when they are first read.
     """
-    reader = _Reader(keep)
+    sets: list[StatementSet] = []
+    first_line: dict[str, int] = {}
+    check, share, last = FormulaChecker(), {}.setdefault, {}
+    last_context: tuple[tuple[str, ...], frozenset[str], partial | None] = ((), frozenset(), None)
     starts = tuple(json.dumps({_SET_KEYS[0]: prefix})[:-2] for prefix in skip)    # without the closing '"}'
     for lineno, line in read_lines(path, MalformedRecordError):
+        if line.startswith(starts) or not line.strip():
+            continue
         try:
-            if not line.startswith(starts) and line.strip():
-                reader.read(_decode(line), lineno)
-        except (ValueError, KeyError, TypeError) as exc:
+            decoded = _decode(line)
+            if type(decoded) is not tuple:
+                raise MalformedRecordError("a record must be a JSON object")
+            record = dict(decoded)
+            if len(record) < len(decoded):
+                raise _repeated(decoded)
+            _known(record, _KNOWN_SET_KEYS)
+            if record.get("statements") is None:
+                raise MalformedRecordError("missing field 'statements'")
+            entries, texts = [], []
+            for i, pairs in enumerate(_field(record, "statements", tuple)):
+                try:
+                    entry = dict(pairs)
+                    if len(entry) < len(pairs):
+                        raise _repeated(pairs)
+                    if not entry.keys() <= _KNOWN_STATEMENT_KEYS:  # tested inline: a call per entry costs ~2%
+                        _known(entry, _KNOWN_STATEMENT_KEYS)
+                    kind, text, question, answer, semantics = values = (
+                        entry.get("kind"), entry.get("text"), entry.get("question"), entry.get("answer"),
+                        entry.get("semantics"))
+                    try:
+                        _check_statement(kind, text, question, answer)
+                    except ValueError:  # again, to print an object-valued kind as the dict it stands for
+                        _check_statement(_shown(kind), text, question, answer)
+                    if None in entry.values():  # a null, which _check_statement reads as absent, is not a string
+                        _field(entry, next(key for key, value in entry.items() if value is None))
+                    _field(entry, "semantics")
+                except ValueError as exc:
+                    raise MalformedRecordError(f"statement {i}: {exc}") from exc
+                entries.append(values)
+                if semantics is not None:
+                    texts.append(semantics)
+            context = _field(record, "context_semantics", str)
+            if context == []:
+                raise MalformedRecordError("field 'context_semantics' must hold at least one formula when present")
+            gold, rule_id = _field(record, "gold_inconsistent_indices", int), _field(record, "rule_id")
+            difficulty = _field(record, "difficulty")
+            if difficulty not in DIFFICULTIES:
+                if difficulty is None:
+                    raise MalformedRecordError("missing field 'difficulty'")
+                raise MalformedRecordError(f"field 'difficulty' must be {' or '.join(map(repr, DIFFICULTIES))}, "
+                                           f"got {difficulty!r}")
+            if rule_id is not None and rule_id not in RULE_IDS:
+                raise MalformedRecordError(f"field 'rule_id' must name a rule the generator writes, got {rule_id!r}")
+            set_id, provenance = record.get("id"), record.get("provenance")
+            try:
+                _check_set(set_id, len(entries), provenance, gold)
+            except ValueError:  # again, to print an object-valued id or provenance as the dict it stands for
+                _check_set(_shown(set_id), len(entries), _shown(provenance), gold)
+            label = record.get("label")
+            if label != _label(provenance):
+                raise MalformedRecordError(f"set {set_id!r}: label {_shown(label)!r} contradicts provenance "
+                                           f"{provenance!r}")
+            namespaces = check.namespaces(texts)
+            if context:
+                context = tuple(context)
+                if context != last_context[0]:
+                    last_context = context, check.namespaces(context), partial(_parse_all, context)
+                namespaces |= last_context[1]
+            # Only a \u escape writes a lone surrogate, which UTF-8 cannot encode.  A backslash is found by memchr
+            # (~0.05 us a README line, against ~2 us for "\\u"), and neither README corpus holds one.
+            if "\\" in line:
+                for name, value in [("field 'id'", set_id)] + [
+                        (f"statement {i}: field {key!r}", value) for i, entry in enumerate(entries)
+                        for key, value in zip(_STATEMENT_KEYS[1:4], entry[1:4]) if value is not None]:
+                    if any("\ud800" <= c <= "\udfff" for c in value):
+                        raise MalformedRecordError(f"{name} holds a lone surrogate, which UTF-8 cannot encode")
+            if set_id in first_line:
+                raise MalformedRecordError(f"duplicate set id {set_id!r} (first on line {first_line[set_id]})")
+            first_line[set_id] = lineno
+            if keep is not None and not keep(set_id, provenance):
+                continue
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: a value nested too deep
             raise MalformedRecordError(f"{path}:{lineno}: {exc}") from exc
-    return reader.sets
+        held, statements = {}, []
+        for entry in entries:
+            statement = held.get(entry) or last.get(entry)
+            if statement is None:
+                fields = list(map(share, entry, entry))
+                statement = Statement(*fields[:4])
+                if entry[4] is not None:
+                    _defer(statement, "semantics", fields[4])
+            statements.append(held.setdefault(entry, statement))
+        last = held
+        gold = gold if gold is None else tuple(gold)
+        out = StatementSet(id=set_id, statements=statements, provenance=provenance, rule_id=share(rule_id, rule_id),
+                           difficulty=share(difficulty, difficulty), gold_inconsistent_indices=share(gold, gold))
+        if context:
+            _defer(out, "context_semantics", last_context[2])
+        out._namespaces = share(namespaces, namespaces)
+        sets.append(out)
+    return sets

@@ -63,6 +63,7 @@ class FormulaSyntaxError(ValueError):
 
 
 ATOM_BUDGET = 24
+DEPTH_BUDGET = 100    # connectives nested in one parsed formula; a generated one nests at most 8
 
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_.:@-]+")
 
@@ -340,30 +341,31 @@ _TOKEN_RE = re.compile(r"\(|\)|[A-Za-z0-9_.:@-]+")
 
 
 def parse_formula(text: str) -> Formula:
-    """Inverse of :func:`format_formula`."""
+    """Inverse of :func:`format_formula`, for formulas that nest at most :data:`DEPTH_BUDGET` connectives."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens or _TOKEN_RE.sub("", text).strip():
         raise FormulaSyntaxError(f"cannot tokenize formula: {text!r}")
     pos = 0
 
-    def parse() -> Formula:
+    def parse(depth: int) -> Formula:
         nonlocal pos
         if pos >= len(tokens):
             raise FormulaSyntaxError(f"unexpected end of formula: {text!r}")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
+            if depth == DEPTH_BUDGET:
+                raise FormulaSyntaxError(f"formula nests connectives deeper than {DEPTH_BUDGET}: {text!r}")
             if pos >= len(tokens):
                 raise FormulaSyntaxError(f"unexpected end of formula: {text!r}")
             op = tokens[pos]
             pos += 1
             if op == "not":
-                operand = parse()
-                node: Formula = Not(operand)
+                node: Formula = Not(parse(depth + 1))
             elif op == "or":
-                node = Or(parse(), parse())
+                node = Or(parse(depth + 1), parse(depth + 1))
             elif op == "implies":
-                node = Implies(parse(), parse())
+                node = Implies(parse(depth + 1), parse(depth + 1))
             else:
                 raise FormulaSyntaxError(f"unknown connective {op!r} in {text!r}")
             if pos >= len(tokens) or tokens[pos] != ")":
@@ -374,7 +376,7 @@ def parse_formula(text: str) -> Formula:
             raise FormulaSyntaxError(f"unexpected ')' in {text!r}")
         return AtomRef(tok)
 
-    result = parse()
+    result = parse(0)
     if pos != len(tokens):
         raise FormulaSyntaxError(f"trailing tokens in {text!r}")
     return result

@@ -421,6 +421,8 @@ def load_params(path) -> ModelParams:
         version, d, h, v, init_seed = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
         if version != _FORMAT_VERSION:
             raise VersionMismatchError(f"unsupported format version {version}")
+        if min(d, h) < 1:
+            raise CorruptFileError(f"embedding width {d} and hidden width {h} must each be at least 1")
         stored_hash = _read_exact(fh, 32, "vocabulary hash")
         tokens = []
         for i in range(v):

@@ -681,6 +681,18 @@ class TestExitCodes:
                    "--threshold-file", model_dir / "threshold.txt", "--mixture-per-class", "2")
         assert (code, capsys.readouterr().err) == (3, f"error: {path}: {reason}\n")
 
+    @pytest.mark.parametrize("d, h", [(0, 3), (4, 0), (0, 0)])
+    def test_a_width_below_1_in_a_parameter_file_exit_3(self, tmp_path, qa_dir, model_dir, d, h, capsys):
+        # save_params writes any widths, though train refuses a --dim or --hidden below 1.
+        path = tmp_path / "model.bin"
+        p = ModelParams.init(load_params(model_dir / "model.bin").vocab, d=4, h=3)
+        save_params(dataclasses.replace(p, emb=p.emb[:, :d], w_hidden=p.w_hidden[:d, :h], b_hidden=p.b_hidden[:h],
+                                        w_energy=p.w_energy[:h], w_class=p.w_class[:h]), path)
+        code = run("verify", "--data", qa_dir, "--out", tmp_path / "o", "--scorer", path,
+                   "--threshold-file", model_dir / "threshold.txt", "--mixture-per-class", "2")
+        assert (code, capsys.readouterr().err) == \
+            (3, f"error: {path}: embedding width {d} and hidden width {h} must each be at least 1\n")
+
     @pytest.mark.parametrize("flag", ["--data", "--out"])
     def test_a_path_under_a_regular_file_exit_3(self, tmp_path, qa_dir, flag, capsys):
         # --data names the corpus file itself; --out a directory inside it.
@@ -1083,6 +1095,15 @@ MALFORMED = [
     (3, _setting("difficulty", "hard")),
     (2, _setting("rule_id", "QA-SWAP")),
     (3, _setting("rule_id", "QA-GEN ")),
+    # Forms that once ended a command with a traceback, or slipped through to fail when a set was written.
+    (2, lambda record: '{"id": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    (3, _first_statement(semantics="(not " * 3000 + "desk.pink" + ")" * 3000)),
+    (2, lambda record: json.dumps({**record, "id": record["id"] + "\ud800"})),
+    (2, lambda record: json.dumps({**record, "statements": [
+        {"kind": "sentence", "text": "The desk is \udfff pink.", "semantics": record["statements"][0]["semantics"]},
+        *record["statements"][1:]]})),
+    (3, _first_statement(question="what colour is the desk? \udc00")),
+    (2, _first_statement(answer="\ud9ab")),
 ]
 MALFORMED_IDS = [
     "not-utf8", "not-an-object", "statements-string", "statements-of-strings", "id-int",
@@ -1092,6 +1113,7 @@ MALFORMED_IDS = [
     "no-statements", "after-a-blank-line", "unknown-set-field", "unknown-statement-field",
     "no-difficulty", "semantics-null", "context-empty", "gold-null", "qa-text-null", "sentence-question-null",
     "duplicate-key", "formula-padded", "id-with-hash", "difficulty-unknown", "rule-id-unknown", "rule-id-padded",
+    "deep-json", "deep-formula", "id-surrogate", "text-surrogate", "question-surrogate", "answer-surrogate",
 ]
 
 
@@ -1150,6 +1172,15 @@ def test_a_record_in_an_unread_split_is_refused_as_in_a_read_one(tmp_path, qa_di
     assert test_only == full
 
 
+def test_train_refuses_a_lone_surrogate_before_it_writes_a_model(tmp_path, qa_dir, capsys):
+    data, out = tmp_path / "bad", tmp_path / "o"
+    line = _edited_corpus(qa_dir, data, *MALFORMED[MALFORMED_IDS.index("question-surrogate")])
+    assert run("train", "--data", data, "--out", out, "--epochs", "1") == 3
+    assert capsys.readouterr().err == (f"error: {data / 'data.jsonl'}:{line}: statement 0: field 'question' holds a "
+                                       "lone surrogate, which UTF-8 cannot encode\n")
+    assert not (out / "model.bin").exists()
+
+
 # Certificates that are not gen's line for the file's current bytes, made from that line.
 NOT_CERTIFICATES = {
     "empty": lambda line: b"",
@@ -1184,20 +1215,26 @@ def test_a_certificate_not_of_the_current_bytes_leaves_every_load_as_uncertified
 
 
 # One edit of one key of a record, or of one of its statement entries; "unwritten" sets a record's key to a
-# string the writer never writes there.
-EDITS = ("drop", "null", "retype", "empty", "rename", "pad", "unwritten")
+# string the writer never writes there, "nest" puts a value in JSON arrays, up to far past the recursion limit, and
+# "surrogate" puts a lone surrogate, which the writer escapes, in a string.
+EDITS = ("drop", "null", "retype", "empty", "rename", "pad", "unwritten", "nest", "surrogate")
 WRITTEN = {"difficulty": DIFFICULTIES, "rule_id": RULE_IDS}
+NESTED = "\0nested"     # stands for a nested value until the edited record is written: json.dumps cannot nest it
 
 
 def _edit(value, how, draw):
     if how == "retype":
         return draw(st.sampled_from([v for v in (7, 1.5, True, "x", [], {}) if type(v) is not type(value)]))
-    if how == "pad":    # a space or a tab at either end or doubling a space: of a string, or a list's first item
+    if how in ("pad", "surrogate"):    # of a string, or a list's first item
         if type(value) is list and value:
             return [_edit(value[0], how, draw), *value[1:]]
-        pad = draw(st.sampled_from([" ", "\t"]))
-        return draw(st.sampled_from([pad + value, value + pad, value.replace(" ", "  ", 1)])) \
-            if type(value) is str else value
+        if type(value) is not str:
+            return value
+        if how == "surrogate":
+            at = draw(st.integers(0, len(value)))
+            return value[:at] + chr(draw(st.integers(0xD800, 0xDFFF))) + value[at:]
+        pad = draw(st.sampled_from([" ", "\t"]))    # a space or a tab at either end or doubling a space
+        return draw(st.sampled_from([pad + value, value + pad, value.replace(" ", "  ", 1)]))
     return {str: "", int: 0, list: [], dict: {}}.get(type(value), None)    # "empty"
 
 
@@ -1210,14 +1247,15 @@ def _unwritten(values):
 
 @st.composite
 def _record_edits(draw, records):
-    """The index of a record of ``records``, that record with one key dropped, nulled, retyped, emptied,
-    renamed or padded, or with a ``difficulty`` or ``rule_id`` the writer never writes, and that value or None."""
+    """The index of a record of ``records``; the line of that record with one key dropped, nulled, retyped,
+    emptied, renamed, padded, nested or given a lone surrogate, or with a ``difficulty`` or ``rule_id`` the writer
+    never writes; whether the reader must refuse that line; and the unwritten value or None."""
     index, how = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(EDITS))
     record = copy.deepcopy(records[index])
     if how == "unwritten":
         key = draw(st.sampled_from(sorted(WRITTEN)))
         record[key] = draw(_unwritten(WRITTEN[key]))
-        return index, record, record[key]
+        return index, json.dumps(record), True, record[key]
     target = record
     if draw(st.booleans()):
         target = draw(st.sampled_from(record["statements"]))
@@ -1227,9 +1265,14 @@ def _record_edits(draw, records):
     elif how == "rename":
         target[draw(st.sampled_from(sorted({*datagen._SET_KEYS, *datagen._STATEMENT_KEYS, key + "s"})))] = \
             target.pop(key)
+    elif how == "nest":
+        depth, value = draw(st.sampled_from([1, 2, 100_000])), target[key]
+        target[key] = NESTED
+        line = json.dumps(record).replace(json.dumps(NESTED), "[" * depth + json.dumps(value) + "]" * depth)
+        return index, line, True, None
     else:
         target[key] = None if how == "null" else _edit(target[key], how, draw)
-    return index, record, None
+    return index, json.dumps(record), how == "surrogate" and record != records[index], None
 
 
 @pytest.fixture(scope="module")
@@ -1247,22 +1290,24 @@ def small_records(tmp_path_factory):
 @given(data=st.data())
 def test_one_edited_record_loads_alike_whether_its_split_is_kept_or_not(small_records, data):
     directory, records = data.draw(st.sampled_from(small_records))
-    index, record, unwritten = data.draw(_record_edits(records))
+    index, line, refused, unwritten = data.draw(_record_edits(records))
     lines = [json.dumps(r) for r in records]
-    lines[index] = json.dumps(record)
+    lines[index] = line
     (directory / "data.jsonl").write_text("\n".join(lines) + "\n")
     split = records[index]["id"].split("-", 1)[0]
     other = next(name for name in SPLIT_NAMES if name != split)
     full, other_only = _load_outcome(directory, SPLIT_NAMES), _load_outcome(directory, (other,))
-    if unwritten is not None:
+    if refused:
         assert isinstance(full, str) and full.startswith(f"{directory / 'data.jsonl'}:{index + 1}: ")
+    if unwritten is not None:
         assert full.endswith(f", got {unwritten!r}")
     if isinstance(full, str):
         assert other_only == full
     else:
         assert other_only == {name: full[name] if name == other else [] for name in SPLIT_NAMES}
         # A record the reader takes is one the writer writes back unchanged, the edited one too.
-        assert [r for name in SPLIT_NAMES for r in full[name]] == [*records[:index], record, *records[index + 1:]]
+        assert [r for name in SPLIT_NAMES for r in full[name]] == \
+            [*records[:index], json.loads(line), *records[index + 1:]]
 
 
 @settings(max_examples=40, deadline=None)

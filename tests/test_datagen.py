@@ -35,6 +35,7 @@ from setcoh.datagen import (
 )
 from setcoh.evalkit import build_eval_mixture
 from setcoh.logic import (
+    DEPTH_BUDGET,
     AtomRef,
     FormulaChecker,
     FormulaSyntaxError,
@@ -622,6 +623,7 @@ BAD_BASE = {"id": "b", "label": "inconsistent", "provenance": "I", "difficulty":
             "statements": [{"kind": "qa", "question": "q?", "answer": "x", "semantics": "v.x"},
                            {"kind": "qa", "question": "r?", "answer": "yes", "semantics": "(not v.x)"}]}
 DROP = object()     # a change that removes its field from BAD_BASE
+DEEP = "(not " * (DEPTH_BUDGET + 1) + "v.x" + ")" * (DEPTH_BUDGET + 1)     # one connective past the bound
 
 
 class TestStrictRecords:
@@ -676,13 +678,27 @@ class TestStrictRecords:
         ({"context_semantics": ["(not  v.x)"]}, "formula '(not  v.x)' is not written as '(not v.x)'"),
         ({"statements": [{**BAD_BASE["statements"][0], "semantics": "v.x\t"}, BAD_BASE["statements"][1]]},
          "formula 'v.x\\t' is not written as 'v.x'"),
+        ({"statements": [{**BAD_BASE["statements"][0], "semantics": DEEP}, BAD_BASE["statements"][1]]},
+         f"formula nests connectives deeper than {DEPTH_BUDGET}: {DEEP!r}"),
+        ({"context_semantics": [DEEP]}, f"formula nests connectives deeper than {DEPTH_BUDGET}: {DEEP!r}"),
+        ({"id": "b\ud800"}, "field 'id' holds a lone surrogate, which UTF-8 cannot encode"),
+        ({"statements": [{"kind": "sentence", "text": "V is \udfffx.", "semantics": "v.x"}, BAD_BASE["statements"][1]]},
+         "statement 0: field 'text' holds a lone surrogate, which UTF-8 cannot encode"),
+        ({"statements": [BAD_BASE["statements"][0], {**BAD_BASE["statements"][1], "question": "\udc80r?"}]},
+         "statement 1: field 'question' holds a lone surrogate, which UTF-8 cannot encode"),
+        ({"statements": [{**BAD_BASE["statements"][0], "answer": "x\udbff"}, BAD_BASE["statements"][1]]},
+         "statement 0: field 'answer' holds a lone surrogate, which UTF-8 cannot encode"),
+        ({"difficulty": "easy\ud800"}, "field 'difficulty' must be 'easy' or 'medium', got 'easy\\ud800'"),
+        ({"context_semantics": ["v.x\ud800"]}, "cannot tokenize formula: 'v.x\\ud800'"),
     ], ids=["gold-out-of-range", "gold-repeated", "gold-empty", "gold-on-consistent", "gold-string", "gold-bool",
             "context-string", "statements-string", "id-int", "id-object", "label-object", "provenance-object",
             "kind-object", "context-syntax", "label-contradicts-provenance", "label-unknown", "label-missing",
             "unknown-set-field", "unknown-statement-field", "provenance-X", "statements-null", "difficulty-missing",
             "difficulty-null", "difficulty-padded", "rule-id-null", "rule-id-unknown", "rule-id-padded",
             "context-null", "context-empty", "gold-null", "semantics-null", "qa-text-null", "sentence-question-null",
-            "kind-null", "qa-answer-null", "context-padded", "semantics-padded"])
+            "kind-null", "qa-answer-null", "context-padded", "semantics-padded", "semantics-deep", "context-deep",
+            "id-surrogate", "text-surrogate", "question-surrogate", "answer-surrogate", "difficulty-surrogate",
+            "context-surrogate"])
     def test_bad_record_names_its_line(self, tmp_path, change, message):
         record = {key: value for key, value in {**BAD_BASE, **change}.items() if value is not DROP}
         path = self.write(tmp_path / "bad.jsonl", record)
@@ -690,6 +706,26 @@ class TestStrictRecords:
             load_jsonl(path)
         assert str(excinfo.value).startswith(f"{path}:2: ")
         assert str(excinfo.value).endswith(message)
+
+    # 600 arrays decode, and the message that prints the id as the value it stands for recurses past the limit;
+    # 100,000 do not decode.
+    @pytest.mark.parametrize("depth", [600, 100_000])
+    def test_json_nested_past_the_recursion_limit_is_refused_at_its_line(self, tmp_path, depth):
+        path = tmp_path / "bad.jsonl"
+        line = json.dumps(BAD_BASE).replace('"id": "b"', '"id": ' + "[" * depth + "]" * depth)
+        path.write_text(json.dumps(GOOD) + "\n" + line + "\n")
+        with pytest.raises(MalformedRecordError) as excinfo:
+            load_jsonl(path)
+        assert str(excinfo.value).startswith(f"{path}:2: maximum recursion depth exceeded")
+        if depth == 100_000:
+            assert str(excinfo.value).endswith(" while decoding a JSON array from a unicode string")
+
+    def test_an_escaped_surrogate_pair_is_one_character_and_loads(self, tmp_path):
+        path = tmp_path / "sets.jsonl"
+        record = {**GOOD, "statements": [{**GOOD["statements"][0], "answer": "x \U0001f600"}, GOOD["statements"][1]]}
+        path.write_text(json.dumps(record) + "\n")
+        assert "\\ud83d\\ude00" in path.read_text()
+        assert [datagen.set_to_json(s) for s in load_jsonl(path)] == [record]
 
     @pytest.mark.parametrize("line, message", [
         (json.dumps(BAD_BASE)[:-1] + ', "label": "inconsistent"}', "field 'label' repeats"),
@@ -746,19 +782,17 @@ class TestStrictRecords:
         assert a.statements[0].semantics is b.statements[0].semantics
         assert parsed == ["w.x"]
 
-    def test_the_memo_holds_only_the_statements_of_the_last_set_built(self, tmp_path, small_qa_corpus, monkeypatch):
+    def test_the_memo_holds_only_the_statements_of_the_last_set_built(self, tmp_path):
+        # c is a but for its id, and b, read between them, shares no statement with either: c shares a's
+        # statements only when b is passed over, so that a is the set built just before c.
+        twice = {**GOOD, "statements": [GOOD["statements"][0]] * 2}
         path = tmp_path / "sets.jsonl"
-        save_jsonl(small_qa_corpus.test, path)
-        read, held = datagen._Reader.read, []
-
-        def spy(reader, record, lineno):
-            read(reader, record, lineno)
-            held.append((set(map(id, reader.statements.values())), set(map(id, reader.sets[-1].statements))))
-
-        monkeypatch.setattr(datagen._Reader, "read", spy)
-        assert len(load_jsonl(path)) == len(held) == len(small_qa_corpus.test)
-        assert all(memo == built for memo, built in held)
-        assert not hasattr(datagen._Reader(None), "contexts")
+        path.write_text("".join(json.dumps(record) + "\n" for record in (twice, BAD_BASE, {**twice, "id": "c"})))
+        a, _, c = load_jsonl(path)
+        assert a.statements[1] is a.statements[0]
+        assert c.statements == a.statements and c.statements[0] is not a.statements[0]
+        a, c = load_jsonl(path, lambda set_id, provenance: set_id != "b")
+        assert c.statements[0] is c.statements[1] is a.statements[0]
 
     def test_equal_records_share_only_when_adjacent(self, tmp_path):
         context = ["(or u.y v.z)"]

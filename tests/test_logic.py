@@ -9,6 +9,7 @@ from setcoh.logic import (
     Atom,
     AtomBudgetError,
     AtomRef,
+    DEPTH_BUDGET,
     CompiledFormulas,
     DataError,
     FormulaSyntaxError,
@@ -270,6 +271,21 @@ def test_prefix_notation_shapes():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(FormulaSyntaxError):
         parse_formula(bad)
+
+
+@pytest.mark.parametrize("wrap", [Not, lambda f: Or(f, Q), lambda f: Or(Q, f), lambda f: Implies(f, Q),
+                                  lambda f: Implies(Q, f)], ids=["not", "or-left", "or-right", "implies-left",
+                                                                 "implies-right"])
+def test_parse_refuses_a_formula_nested_past_the_depth_budget(wrap):
+    deepest = P
+    for _ in range(DEPTH_BUDGET):
+        deepest = wrap(deepest)
+    assert parse_formula(format_formula(deepest)) == deepest
+    for depth in (DEPTH_BUDGET + 1, 3000):     # 3000 once overflowed the recursion limit
+        text = "(not " * (depth - DEPTH_BUDGET) + format_formula(deepest) + ")" * (depth - DEPTH_BUDGET)
+        with pytest.raises(FormulaSyntaxError) as excinfo:
+            parse_formula(text)
+        assert str(excinfo.value) == f"formula nests connectives deeper than {DEPTH_BUDGET}: {text!r}"
 
 
 def test_atom_validation():

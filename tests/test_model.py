@@ -231,8 +231,9 @@ class TestParamsFile:
         with pytest.raises(ValueError, match=r"^b_class: shape \(3,\) != \(2,\)$"):
             params.validate()
 
-    def test_round_trip_bit_identical(self, tmp_path, qa_pair_set, vocab):
-        params = ModelParams.init(vocab, d=12, h=7, seed=9)
+    @pytest.mark.parametrize("d, h", [(12, 7), (1, 1)])     # 1 is the least width load_params takes
+    def test_round_trip_bit_identical(self, tmp_path, qa_pair_set, vocab, d, h):
+        params = ModelParams.init(vocab, d=d, h=h, seed=9)
         path = tmp_path / "m.bin"
         save_params(params, path)
         loaded = load_params(path)
